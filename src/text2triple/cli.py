@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 from . import corpus, embeddings, model, scoring, synthetic, vocab
 from .corpus import DataError, Dataset, KnowledgeGraph
@@ -97,9 +98,15 @@ def resolve_model_config(args) -> ModelConfig:
     return config
 
 
-def _read_sentences(path) -> list[list[str]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [vocab.tokenize(line) for line in lines if line.strip()]
+def _read_sentences(path) -> Iterator[list[str]]:
+    """Tokenized non-blank lines, read from the file one at a time."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            # str.splitlines also breaks at form feeds and Unicode line
+            # separators, which iterating over the file does not.
+            for part in line.splitlines():
+                if part.strip():
+                    yield vocab.tokenize(part)
 
 
 def _load_kg(path) -> KnowledgeGraph:
@@ -144,14 +151,16 @@ def _cmd_ds_align(args) -> int:
     kg = KnowledgeGraph(
         corpus.load_kg_file(args.kg), corpus.load_surface_forms(args.surface_forms)
     )
-    sentences = _read_sentences(args.sentences)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            matches = list(pool.map(lambda s: corpus.match_sentence(kg, s), sentences))
-    else:
-        matches = [corpus.match_sentence(kg, s) for s in sentences]
+    n_sentences = 0
+
+    def counted(sentences):
+        nonlocal n_sentences
+        for tokens in sentences:
+            n_sentences += 1
+            yield tokens
+
     examples, ambiguous = corpus.distant_supervise(
-        kg, sentences, keep_ambiguous=args.keep_ambiguous, matches=matches
+        kg, counted(_read_sentences(args.sentences)), keep_ambiguous=args.keep_ambiguous
     )
     corpus.save_examples(examples, args.out)
     if args.ambiguity_report:
@@ -164,7 +173,7 @@ def _cmd_ds_align(args) -> int:
                 }
                 fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
     print(f"examples={len(examples)} ambiguous={len(ambiguous)} "
-          f"sentences={len(sentences)}")
+          f"sentences={n_sentences}")
     return 0
 
 
@@ -406,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset .jsonl")
     p.add_argument("--keep-ambiguous", action="store_true", dest="keep_ambiguous")
     p.add_argument("--ambiguity-report", default=None, dest="ambiguity_report")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_ds_align)
 
     p = sub.add_parser("train", help="train the translator")

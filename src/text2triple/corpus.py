@@ -6,20 +6,29 @@ TSV ``subject<TAB>predicate<TAB>object`` files plus a surface-form file
 ``entity<TAB>alias`` mapping entities to textual aliases. Distant
 supervision pairs a sentence with a KG triple when aliases of both its
 entities occur as non-overlapping token subsequences.
+
+Alignment reads an index that each ``KnowledgeGraph`` builds once, on first
+use, and keeps: lowercased alias -> entities, and subject -> triples. A
+sentence's mentions are claimed greedily over non-overlapping spans, longest
+alias first, then by alias, then by entity, then by position. A triple whose
+subject is its object (a self-loop) needs two mentions of that entity.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .vocab import tokenize
 
 __all__ = [
+    "AlignmentIndex",
     "AmbiguousSentence",
     "AnnotatedExample",
     "DataError",
@@ -62,15 +71,30 @@ class AnnotatedExample:
             raise ValueError(f"{self.source_id}: example has no tokens")
 
 
-@dataclass
+class AlignmentIndex(NamedTuple):
+    """Lookups that alignment and scoring share, built once per KG."""
+
+    aliases: Mapping[tuple[str, ...], tuple[str, ...]]  # lowercased alias -> sorted entities
+    widths: tuple[int, ...]  # distinct alias lengths in tokens
+    by_subject: Mapping[str, tuple[Triple, ...]]  # subject -> its triples, sorted
+
+
+@dataclass(frozen=True)
 class KnowledgeGraph:
-    """Deduplicated triple set plus entity surface forms (token tuples)."""
+    """Deduplicated triple set plus entity surface forms (token tuples).
+
+    Frozen, and ``surface_forms`` is a read-only copy, so the alignment
+    index cached on first use can never go stale.
+    """
 
     triples: frozenset[Triple]
-    surface_forms: dict[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
+    surface_forms: Mapping[str, tuple[tuple[str, ...], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.triples = frozenset(self.triples)
+        object.__setattr__(self, "triples", frozenset(self.triples))
+        object.__setattr__(
+            self, "surface_forms", types.MappingProxyType(dict(self.surface_forms))
+        )
         for ent, aliases in self.surface_forms.items():
             if any(len(a) == 0 for a in aliases):
                 raise ValueError(f"entity {ent!r} has an empty alias")
@@ -78,6 +102,22 @@ class KnowledgeGraph:
     def entity_list(self) -> tuple[str, ...]:
         ents = {t.subject for t in self.triples} | {t.object for t in self.triples}
         return tuple(sorted(ents))
+
+    @functools.cached_property
+    def alignment_index(self) -> AlignmentIndex:
+        """Built on first use and cached on the instance."""
+        aliases: dict[tuple[str, ...], set[str]] = {}
+        for entity, forms in self.surface_forms.items():
+            for alias in forms:
+                aliases.setdefault(tuple(t.lower() for t in alias), set()).add(entity)
+        by_subject: dict[str, list[Triple]] = {}
+        for tr in self.triples:
+            by_subject.setdefault(tr.subject, []).append(tr)
+        return AlignmentIndex(
+            aliases={alias: tuple(sorted(ents)) for alias, ents in aliases.items()},
+            widths=tuple(sorted({len(alias) for alias in aliases})),
+            by_subject={s: tuple(sorted(trs)) for s, trs in by_subject.items()},
+        )
 
 
 @dataclass
@@ -219,69 +259,56 @@ class AmbiguousSentence:
     triples: tuple[Triple, ...]
 
 
-def _find_mentions(
-    tokens: list[str], alias_index: list[tuple[tuple[str, ...], str]]
-) -> dict[str, list[tuple[int, int]]]:
-    """Greedy longest-alias-first matching over non-overlapping spans."""
-    taken = [False] * len(tokens)
-    mentions: dict[str, list[tuple[int, int]]] = {}
-    for alias, entity in alias_index:
-        width = len(alias)
-        if width > len(tokens):
-            continue
-        for start in range(len(tokens) - width + 1):
-            if any(taken[start:start + width]):
-                continue
-            if tuple(tokens[start:start + width]) == alias:
-                for j in range(start, start + width):
-                    taken[j] = True
-                mentions.setdefault(entity, []).append((start, start + width))
-    return mentions
-
-
 def match_sentence(
     kg: KnowledgeGraph, tokens: Sequence[str]
 ) -> list[Triple]:
-    """KG triples supported by this sentence's entity mentions."""
-    alias_index = [
-        (tuple(t.lower() for t in alias), entity)
-        for entity, aliases in sorted(kg.surface_forms.items())
-        for alias in aliases
-    ]
-    alias_index.sort(key=lambda pair: (-len(pair[0]), pair[0], pair[1]))
+    """KG triples supported by this sentence's entity mentions, sorted.
+
+    Every alias occurrence is a candidate mention. Candidates claim spans in
+    the order (longest alias, alias, entity, position), skipping any that
+    overlaps a span already claimed.
+    """
+    index = kg.alignment_index
     lowered = [t.lower() for t in tokens]
-    mentions = _find_mentions(lowered, alias_index)
-    matched = []
-    for tr in sorted(kg.triples):
-        if tr.subject == tr.object:
-            ok = len(mentions.get(tr.subject, ())) >= 2
-        else:
-            ok = tr.subject in mentions and tr.object in mentions
-        if ok:
-            matched.append(tr)
-    return matched
+    candidates = []
+    for width in index.widths:
+        for start in range(len(lowered) - width + 1):
+            alias = tuple(lowered[start:start + width])
+            for entity in index.aliases.get(alias, ()):
+                candidates.append((-width, alias, entity, start))
+    candidates.sort()
+    taken = [False] * len(lowered)
+    mentions: dict[str, int] = {}
+    for neg_width, _, entity, start in candidates:
+        end = start - neg_width
+        if not any(taken[start:end]):
+            taken[start:end] = [True] * (end - start)
+            mentions[entity] = mentions.get(entity, 0) + 1
+    return sorted(
+        tr
+        for subject in mentions
+        for tr in index.by_subject.get(subject, ())
+        if (mentions[subject] >= 2 if tr.object == subject else tr.object in mentions)
+    )
 
 
 def distant_supervise(
     kg: KnowledgeGraph,
     sentences: Iterable[Sequence[str]],
     keep_ambiguous: bool = False,
-    matches: Iterable[list[Triple]] | None = None,
 ) -> tuple[list[AnnotatedExample], list[AmbiguousSentence]]:
     """Pair sentences with KG triples via surface-form co-occurrence.
 
     A sentence matching exactly one triple becomes an example; sentences
     matching several go to the ambiguity report and are excluded unless
     keep_ambiguous re-includes them as one example per matching triple.
-    No-match sentences are silently dropped. ``matches`` allows callers to
-    precompute match_sentence results (e.g. in parallel).
+    No-match sentences are silently dropped. ``sentences`` is read once, one
+    sentence at a time, so it may be a stream.
     """
     examples: list[AnnotatedExample] = []
     report: list[AmbiguousSentence] = []
-    sentences = list(sentences)
-    if matches is None:
-        matches = (match_sentence(kg, sent) for sent in sentences)
-    for i, (sent, matched) in enumerate(zip(sentences, matches)):
+    for i, sent in enumerate(sentences):
+        matched = match_sentence(kg, sent)
         toks = tuple(t.lower() for t in sent)
         if len(matched) == 1:
             examples.append(AnnotatedExample(toks, matched[0], f"ds:{i}"))

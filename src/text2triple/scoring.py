@@ -81,11 +81,11 @@ def _pair_overlaps(pred: Triple, kg: KnowledgeGraph | None) -> bool:
     """Does the predicted entity pair participate in >1 KG triple?"""
     if kg is None:
         return False
-    pair = (pred.subject, pred.object)
-    flipped = (pred.object, pred.subject)
-    n = sum(
-        1 for t in kg.triples if (t.subject, t.object) in (pair, flipped)
-    )
+    by_subject = kg.alignment_index.by_subject
+    s, o = pred.subject, pred.object
+    n = sum(1 for t in by_subject.get(s, ()) if t.object == o)
+    if o != s:  # a self-loop pair is its own flip: count it once
+        n += sum(1 for t in by_subject.get(o, ()) if t.object == s)
     return n >= 2
 
 

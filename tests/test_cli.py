@@ -66,17 +66,21 @@ class TestDsAlign:
         assert records[0]["triple"] == ["dbr:Germany", "dbo:capital", "dbr:Berlin"]
         assert records[0]["tokens"] == TABLE1_SENTENCE.lower().rstrip(".").split()
 
-    def test_threads_do_not_change_output(self, table1_dir, tmp_path):
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}.jsonl"
-            proc = run_cli("ds-align", "--kg", str(table1_dir / "kg.tsv"),
-                           "--surface-forms", str(table1_dir / "surface.tsv"),
-                           "--sentences", str(table1_dir / "sentences.txt"),
-                           "--out", str(out), "--threads", threads)
-            assert proc.returncode == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_sentence_file_is_read_line_by_line(self, table1_dir, tmp_path):
+        # blank lines are skipped, CRLF and form-feed breaks end a sentence
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_bytes(
+            b"Berlin lies in Germany\r\n\r\n  \nno entity here\x0cGermany, Berlin\n"
+        )
+        out = tmp_path / "aligned.jsonl"
+        proc = run_cli("ds-align", "--kg", str(table1_dir / "kg.tsv"),
+                       "--surface-forms", str(table1_dir / "surface.tsv"),
+                       "--sentences", str(sentences), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "examples=2 ambiguous=0 sentences=3\n"
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["id"] for r in records] == ["ds:0", "ds:2"]
+        assert records[1]["tokens"] == ["germany", "berlin"]
 
 
 class TestTrainAndTranslate:
