@@ -10,37 +10,28 @@ differences, something is wrong.
 import numpy as np
 
 from text2triple.numerics import (
+    GATES,
     LstmWeights,
     grad_check_fd,
     lstm_cell,
     lstm_cell_backward,
     make_rng,
-    matmul,
-    softmax_rows,
     weighted_cross_entropy,
 )
 
 rng = make_rng(0)
 
-print("== matmul with a reproducible summation order ==")
-a = rng.standard_normal((3, 4))
-b = rng.standard_normal((4, 2))
-print("product:\n", matmul(a, b))
-print("BLAS may reorder sums; this accumulation is bit-identical to the")
-print("naive triple loop, which keeps every training run reproducible.\n")
-
-print("== stable softmax ==")
-logits = np.array([[1.0, 2.0, 3.0], [1000.0, 0.0, -1000.0]])
-print("rows:\n", softmax_rows(logits))
-print("row sums:", softmax_rows(logits).sum(axis=1), "\n")
-
 print("== weighted cross-entropy and its fused gradient ==")
-probs = softmax_rows(np.array([[0.2, 1.3, -0.5]]))[0]
+logits = np.array([0.2, 1.3, -0.5])
+probs = np.exp(logits - logits.max())
+probs /= probs.sum()
 loss, grad = weighted_cross_entropy(probs, target=1, weight=1.0)
+print(f"softmax {np.round(probs, 4)}")
 print(f"loss {loss:.4f}, gradient w.r.t. logits {np.round(grad, 4)}\n")
 
 print("== one LSTM cell, forward and exact backward ==")
 w = LstmWeights.init(input_dim=3, hidden_dim=4, rng=rng, scale=0.5)
+print(f"stacked gates {GATES}: W {w.W.shape} acts on [x; h_prev], b {w.b.shape}")
 x, h0, c0 = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
 h, c, cache = lstm_cell(x, h0, c0, w)
 print("h:", np.round(h, 4))

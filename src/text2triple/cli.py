@@ -14,7 +14,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
@@ -250,16 +249,10 @@ def _cmd_eval(args) -> int:
     params, config, word_vocab, tvocab = model.load_checkpoint(args.checkpoint)
     test = corpus.load_examples(args.test)
     kg = _load_kg(args.kg) if args.kg else None
-
-    def predict(ex):
-        return model.translate_greedy(ex.tokens, params, word_vocab, tvocab,
-                                      config).triple
-
-    if args.threads > 1:  # inference is pure; map preserves example order
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            preds = list(pool.map(predict, test))
-    else:
-        preds = [predict(ex) for ex in test]
+    preds = [
+        model.translate_greedy(ex.tokens, params, word_vocab, tvocab, config).triple
+        for ex in test
+    ]
     golds = [ex.gold for ex in test]
     report = scoring.evaluate(preds, golds)
     report.error_counts = scoring.error_taxonomy(preds, golds, tvocab, kg)
@@ -436,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--kg", default=None, help="KG TSV for the error taxonomy")
     p.add_argument("--report", default=None, help="machine-readable report path")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("translate", help="translate one sentence or run a REPL")

@@ -100,6 +100,11 @@ class KnowledgeGraph:
                 raise ValueError(f"entity {ent!r} has an empty alias")
 
     def entity_list(self) -> tuple[str, ...]:
+        """Sorted subjects and objects, built on first use and cached."""
+        return self._entity_list
+
+    @functools.cached_property
+    def _entity_list(self) -> tuple[str, ...]:
         ents = {t.subject for t in self.triples} | {t.object for t in self.triples}
         return tuple(sorted(ents))
 

@@ -266,8 +266,23 @@ def link_prediction_eval(
 # ---------------------------------------------------------------------------
 
 
+def _vector_row(parts: list[str], dim: int, path, lineno: int) -> np.ndarray:
+    """The values of one split ``symbol v1 .. v_d`` line: dim finite floats."""
+    if len(parts) - 1 != dim:
+        raise ValueError(
+            f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
+        )
+    row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError(f"{path}:{lineno}: non-finite vector value")
+    return row
+
+
 def _parse_vector_file(path, dim: int) -> dict[str, np.ndarray]:
-    """Read ``token v1 .. v_d`` lines; optional leading ``count dim`` header."""
+    """Read ``token v1 .. v_d`` lines; optional leading ``count dim`` header.
+
+    The first line for a token wins; every line must hold dim finite values.
+    """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     with path.open(encoding="utf-8") as fh:
@@ -286,14 +301,7 @@ def _parse_vector_file(path, dim: int) -> dict[str, np.ndarray]:
                             f"{path}:1: header dimension {header_dim}, expected {dim}"
                         )
                     continue
-            token, vals = parts[0], parts[1:]
-            if len(vals) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} vector values, got {len(vals)}"
-                )
-            if token in vectors:
-                continue  # first occurrence wins
-            vectors[token] = np.array([float(v) for v in vals], dtype=np.float64)
+            vectors.setdefault(parts[0], _vector_row(parts, dim, path, lineno))
     return vectors
 
 
@@ -401,10 +409,8 @@ def _read_vector_file(path) -> tuple[tuple[str, ...], np.ndarray]:
                 continue
             if dim is None:
                 dim = len(parts) - 1
-            if len(parts) - 1 != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} values")
+            rows.append(_vector_row(parts, dim, path, lineno))
             syms.append(parts[0])
-            rows.append(np.array([float(v) for v in parts[1:]], dtype=np.float64))
     if not syms:
         raise ValueError(f"{path}: no vectors found")
     return tuple(syms), np.vstack(rows)

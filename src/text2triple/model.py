@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -762,7 +762,13 @@ def save_checkpoint(
     import json
     import struct
 
-    flat = params.to_dict()
+    flat: Params = {}  # to_dict keys an LSTM `name.W`, `name.b`; on disk it is split per gate
+    for key, arr in params.to_dict().items():
+        lstm, _, leaf = key.partition(".")
+        if leaf == "W":
+            flat.update(getattr(params, lstm).gate_arrays(lstm))
+        elif leaf != "b":
+            flat[key] = arr
     payload = b"".join(
         np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in flat.values()
     )
@@ -784,8 +790,15 @@ def save_checkpoint(
         fh.write(payload)
 
 
+_HEADER_KEYS = ("arrays", "config", "entities", "payload_sha256", "predicates", "words")
+_CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
+
+
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVocab]:
-    """Read a checkpoint, validating version, integrity and shape consistency."""
+    """Read a checkpoint, validating version, integrity and shape consistency.
+
+    Every defect in the file raises CheckpointError.
+    """
     import hashlib
     import json
     import struct
@@ -804,13 +817,27 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint version {header.get('version')}, "
             f"expected {CHECKPOINT_VERSION}"
         )
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    entries = header["arrays"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and isinstance(e.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in e["shape"])
+        for e in entries
+    ):
+        raise CheckpointError(f"{path}: malformed array table (each entry needs a "
+                              f"name and a list of non-negative int dimensions)")
     payload = data[off:]
-    expect = sum(8 * int(np.prod(a["shape"])) for a in header["arrays"])
+    expect = sum(8 * math.prod(a["shape"]) for a in entries)
     if len(payload) != expect:
         raise CheckpointError(
             f"{path}: truncated payload ({len(payload)} bytes, expected {expect})"
@@ -820,34 +847,46 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
 
     flat: Params = {}
     pos = 0
-    for entry in header["arrays"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        nbytes = 8 * int(np.prod(shape))
+        nbytes = 8 * math.prod(shape)
         flat[entry["name"]] = (
             np.frombuffer(payload[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
         )
         pos += nbytes
 
-    cfg_dict = dict(header["config"])
-    cfg_dict["step_weights"] = tuple(cfg_dict["step_weights"])
-    config = ModelConfig(**cfg_dict)
-    word_vocab = WordVocab(tuple(header["words"]))
-    tvocab = TripleVocab(tuple(header["entities"]), tuple(header["predicates"]))
-    params = ModelParams.from_dict(flat)
+    cfg_dict = header["config"]
+    if not isinstance(cfg_dict, dict) or cfg_dict.keys() != _CONFIG_KEYS:
+        raise CheckpointError(f"{path}: config keys differ from ModelConfig fields")
+    try:
+        config = ModelConfig(**{**cfg_dict, "step_weights": tuple(cfg_dict["step_weights"])})
+        word_vocab = WordVocab(tuple(header["words"]))
+        tvocab = TripleVocab(tuple(header["entities"]), tuple(header["predicates"]))
+        for lstm in ("enc_fwd", "enc_bwd", "dec_lstm"):
+            flat.update(LstmWeights.from_gate_arrays(flat, lstm).to_dict(lstm))
+        params = ModelParams.from_dict(flat)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing array {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
-    feat_dim = config.dec_hidden + (2 * config.enc_hidden if config.use_attention else 0)
+    eh, dh = config.enc_hidden, config.dec_hidden
+    feat_dim = dh + (2 * eh if config.use_attention else 0)
     checks = [
         (params.enc_embed.shape, (len(word_vocab), config.word_dim), "encoder embedding"),
         (params.dec_embed.shape, (tvocab.n_targets, config.kg_dim), "decoder embedding"),
         (params.out_w.shape, (tvocab.n_targets, feat_dim), "output projection"),
-        (params.bridge_w.shape, (config.dec_hidden, 2 * config.enc_hidden), "bridge"),
+        (params.out_b.shape, (tvocab.n_targets,), "output bias"),
+        (params.bridge_w.shape, (dh, 2 * eh), "bridge"),
+        (params.bridge_b.shape, (dh,), "bridge bias"),
+        (params.enc_fwd.W.shape, (4 * eh, config.word_dim + eh), "forward encoder LSTM"),
+        (params.enc_bwd.W.shape, (4 * eh, config.word_dim + eh), "backward encoder LSTM"),
+        (params.dec_lstm.W.shape, (4 * dh, config.kg_dim + dh), "decoder LSTM"),
     ]
     if config.use_attention:
         if params.attn_w is None:
             raise CheckpointError(f"{path}: attention enabled but no attn_w tensor")
-        checks.append(
-            (params.attn_w.shape, (config.dec_hidden, 2 * config.enc_hidden), "attention")
-        )
+        checks.append((params.attn_w.shape, (dh, 2 * eh), "attention"))
     for got, want, what in checks:
         if got != want:
             raise CheckpointError(f"{path}: {what} shape {got} inconsistent with {want}")

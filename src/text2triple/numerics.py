@@ -1,10 +1,10 @@
 """Dense float64 numerics underneath the triple translator.
 
-Hand-derived building blocks: a matrix product with a reproducible summation
-order, stable softmax, weighted cross-entropy fused with its softmax
-gradient, an LSTM cell with exact backward, bias-corrected Adam, global-norm
-clipping, and a central-difference gradient checker that serves as the
-independent oracle for every backward pass in the package.
+Hand-derived building blocks: weighted cross-entropy fused with its softmax
+gradient, an LSTM cell with stacked gate weights and exact backward,
+bias-corrected Adam, global-norm clipping, and a central-difference gradient
+checker that serves as the independent oracle for every backward pass in the
+package.
 
 All public operations work on float64 numpy arrays, validate their inputs,
 and are pure functions: identical inputs give bit-identical outputs.
@@ -20,6 +20,7 @@ from scipy.special import expit as sigmoid  # numerically stable logistic
 
 __all__ = [
     "AdamState",
+    "GATES",
     "LstmCache",
     "LstmWeights",
     "Params",
@@ -30,9 +31,7 @@ __all__ = [
     "lstm_cell",
     "lstm_cell_backward",
     "make_rng",
-    "matmul",
     "sigmoid",
-    "softmax_rows",
     "uniform_init",
     "weighted_cross_entropy",
 ]
@@ -61,41 +60,6 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {a.shape}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product accumulated strictly in index order k = 0..K-1.
-
-    Each output element is summed in exactly the order of the naive triple
-    loop, so the result is bit-identical to a loop oracle (BLAS reorders the
-    accumulation and is not).
-    """
-    a = _as_matrix(a, "matmul lhs")
-    b = _as_matrix(b, "matmul rhs")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    require_finite(a, "matmul lhs")
-    require_finite(b, "matmul rhs")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k, np.newaxis] * b[np.newaxis, k, :]
-    return out
-
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; rows sum to 1 within 1e-12."""
-    logits = _as_matrix(logits, "logits")
-    require_finite(logits, "logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def weighted_cross_entropy(
     probs: np.ndarray, target: int, weight: float
 ) -> tuple[float, np.ndarray]:
@@ -122,36 +86,32 @@ def weighted_cross_entropy(
 # LSTM cell
 # ---------------------------------------------------------------------------
 
-_GATE_KEYS = ("W_i", "W_f", "W_o", "W_g", "b_i", "b_f", "b_o", "b_g")
+# Row-block order of the stacked gate matrix and bias: input, forget and output
+# gates, then the candidate. Checkpoints store one array per gate, suffixed
+# `W_i` ... `b_g` in this order.
+GATES = ("i", "f", "o", "g")
 
 
 @dataclass
 class LstmWeights:
-    """Standard no-peephole LSTM cell weights.
+    """Standard no-peephole LSTM cell weights with the four gates stacked.
 
-    Each gate matrix is (hidden_dim, input_dim + hidden_dim) and acts on the
-    concatenation [x; h_prev]. The forget-gate bias starts at 1.0 so cells
-    remember by default.
+    W is (4 * hidden_dim, input_dim + hidden_dim) and acts on the
+    concatenation [x; h_prev]; b is (4 * hidden_dim,). Row blocks follow
+    GATES. The forget-gate bias starts at 1.0 so cells remember by default.
     """
 
     input_dim: int
     hidden_dim: int
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        expect = (self.hidden_dim, self.input_dim + self.hidden_dim)
-        for key in _GATE_KEYS:
-            arr = getattr(self, key)
-            want = expect if key.startswith("W") else (self.hidden_dim,)
-            if arr.shape != want:
-                raise ValueError(f"LstmWeights.{key}: shape {arr.shape}, expected {want}")
+        rows = 4 * self.hidden_dim
+        for key, want in (("W", (rows, self.input_dim + self.hidden_dim)), ("b", (rows,))):
+            shape = getattr(self, key).shape
+            if shape != want:
+                raise ValueError(f"LstmWeights.{key}: shape {shape}, expected {want}")
 
     @classmethod
     def init(
@@ -162,37 +122,39 @@ class LstmWeights:
         scale: float = 0.08,
         forget_bias: float = 1.0,
     ) -> "LstmWeights":
-        shape = (hidden_dim, input_dim + hidden_dim)
-        ws = {k: uniform_init(shape, rng, scale) for k in _GATE_KEYS[:4]}
-        bs = {k: uniform_init(hidden_dim, rng, scale) for k in _GATE_KEYS[4:]}
-        bs["b_f"] = np.full(hidden_dim, forget_bias)
-        return cls(input_dim, hidden_dim, **ws, **bs)
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "LstmWeights":
-        shape = (hidden_dim, input_dim + hidden_dim)
-        return cls(
-            input_dim,
-            hidden_dim,
-            **{k: np.zeros(shape) for k in _GATE_KEYS[:4]},
-            **{k: np.zeros(hidden_dim) for k in _GATE_KEYS[4:]},
-        )
+        rows = 4 * hidden_dim
+        W = uniform_init((rows, input_dim + hidden_dim), rng, scale)
+        b = uniform_init(rows, rng, scale)
+        b[hidden_dim:2 * hidden_dim] = forget_bias
+        return cls(input_dim, hidden_dim, W, b)
 
     def to_dict(self, prefix: str) -> Params:
-        return {f"{prefix}.{k}": getattr(self, k) for k in _GATE_KEYS}
+        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
     @classmethod
     def from_dict(cls, params: Params, prefix: str) -> "LstmWeights":
-        arrs = {k: np.asarray(params[f"{prefix}.{k}"], dtype=np.float64) for k in _GATE_KEYS}
-        hidden = arrs["b_i"].shape[0]
-        input_dim = arrs["W_i"].shape[1] - hidden
-        return cls(input_dim, hidden, **arrs)
+        W = np.asarray(params[f"{prefix}.W"], dtype=np.float64)
+        b = np.asarray(params[f"{prefix}.b"], dtype=np.float64)
+        hidden = b.shape[0] // 4
+        return cls(W.shape[1] - hidden, hidden, W, b)
 
-    def copy(self) -> "LstmWeights":
-        return LstmWeights(
-            self.input_dim,
-            self.hidden_dim,
-            **{k: getattr(self, k).copy() for k in _GATE_KEYS},
+    def gate_arrays(self, prefix: str) -> Params:
+        """One array per gate, keyed `{prefix}.W_i` ... `{prefix}.b_g`."""
+        blocks = [slice(k * self.hidden_dim, (k + 1) * self.hidden_dim) for k in range(4)]
+        out = {f"{prefix}.W_{g}": self.W[s] for g, s in zip(GATES, blocks)}
+        out.update({f"{prefix}.b_{g}": self.b[s] for g, s in zip(GATES, blocks)})
+        return out
+
+    @classmethod
+    def from_gate_arrays(cls, params: Params, prefix: str) -> "LstmWeights":
+        """Inverse of gate_arrays: stack the per-gate blocks."""
+        ws = [np.asarray(params[f"{prefix}.W_{g}"], dtype=np.float64) for g in GATES]
+        bs = [np.asarray(params[f"{prefix}.b_{g}"], dtype=np.float64) for g in GATES]
+        for g, w, b in zip(GATES, ws, bs):
+            if w.ndim != 2 or w.shape != ws[0].shape or b.shape != (w.shape[0],):
+                raise ValueError(f"{prefix}: gate {g} shapes {w.shape}/{b.shape} do not stack")
+        return cls.from_dict(
+            {f"{prefix}.W": np.concatenate(ws), f"{prefix}.b": np.concatenate(bs)}, prefix
         )
 
 
@@ -225,11 +187,12 @@ def lstm_cell(
             f"lstm_cell: state shapes {h_prev.shape}/{c_prev.shape}, "
             f"expected ({w.hidden_dim},)"
         )
+    n = w.hidden_dim
     z = np.concatenate([x, h_prev])
-    i = sigmoid(w.W_i @ z + w.b_i)
-    f = sigmoid(w.W_f @ z + w.b_f)
-    o = sigmoid(w.W_o @ z + w.b_o)
-    g = np.tanh(w.W_g @ z + w.b_g)
+    pre = w.W @ z + w.b
+    ifo = sigmoid(pre[:3 * n])
+    i, f, o = ifo[:n], ifo[n:2 * n], ifo[2 * n:]
+    g = np.tanh(pre[3 * n:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
@@ -247,28 +210,15 @@ def lstm_cell_backward(
     """
     i, f, o, g, tc = cache.i, cache.f, cache.o, cache.g, cache.tc
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    d_pre_i = (dc_total * g) * i * (1.0 - i)
-    d_pre_f = (dc_total * cache.c_prev) * f * (1.0 - f)
-    d_pre_o = (dh * tc) * o * (1.0 - o)
-    d_pre_g = (dc_total * i) * (1.0 - g * g)
-    dz = (
-        w.W_i.T @ d_pre_i
-        + w.W_f.T @ d_pre_f
-        + w.W_o.T @ d_pre_o
-        + w.W_g.T @ d_pre_g
-    )
-    dw = {
-        "W_i": np.outer(d_pre_i, cache.z),
-        "W_f": np.outer(d_pre_f, cache.z),
-        "W_o": np.outer(d_pre_o, cache.z),
-        "W_g": np.outer(d_pre_g, cache.z),
-        "b_i": d_pre_i,
-        "b_f": d_pre_f,
-        "b_o": d_pre_o,
-        "b_g": d_pre_g,
-    }
+    d_pre = np.concatenate([
+        (dc_total * g) * i * (1.0 - i),
+        (dc_total * cache.c_prev) * f * (1.0 - f),
+        (dh * tc) * o * (1.0 - o),
+        (dc_total * i) * (1.0 - g * g),
+    ])
+    dz = w.W.T @ d_pre
     n_in = w.input_dim
-    return dz[:n_in], dz[n_in:], dc_total * f, dw
+    return dz[:n_in], dz[n_in:], dc_total * f, {"W": np.outer(d_pre, cache.z), "b": d_pre}
 
 
 # ---------------------------------------------------------------------------

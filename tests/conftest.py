@@ -1,6 +1,7 @@
 """Shared fixtures: the capital-city sample pair and a trained checkpoint."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -28,6 +29,15 @@ def run_cli(*argv, stdin=None):
         [sys.executable, "-m", "text2triple", *argv],
         capture_output=True, text=True, input=stdin,
     )
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint, replacing its JSON header by edit(header)."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack_from("<Q", data, 8)
+    header = edit(json.loads(data[16:16 + hlen].decode()))
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode()
+    dst.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
 
 
 @pytest.fixture(scope="session")

@@ -100,6 +100,14 @@ class TestImmutableKnowledgeGraph:
         assert repr(kg) == before == repr(twin)
         assert kg == twin and twin == kg
 
+    def test_entity_list_is_built_once(self):
+        kg = sample_kg()
+        first = kg.entity_list()
+        assert kg.entity_list() is first
+        assert first == tuple(sorted({t.subject for t in kg.triples}
+                                     | {t.object for t in kg.triples}))
+        assert kg == sample_kg() and repr(kg) == repr(sample_kg())
+
 
 class TestPairOverlaps:
     def test_agrees_with_full_scan(self):

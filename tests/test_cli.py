@@ -2,7 +2,7 @@
 
 import json
 
-from conftest import TABLE1_SENTENCE, run_cli
+from conftest import TABLE1_SENTENCE, rewrite_checkpoint_header, run_cli
 
 
 class TestDispatch:
@@ -119,6 +119,22 @@ class TestTrainAndTranslate:
         assert "dbr:Germany\tdbo:capital\tdbr:Berlin" in proc.stdout
         assert "log-probs:" in proc.stdout
         assert "attention[subject]" in proc.stdout
+
+
+    def test_defective_checkpoint_header_one_line_error(self, table1_checkpoint,
+                                                        tmp_path):
+        def string_shape(header):
+            header["arrays"][0]["shape"] = "12"
+            return header
+
+        for edit in (string_shape, lambda header: [header]):
+            bad = tmp_path / "bad.ckpt"
+            rewrite_checkpoint_header(table1_checkpoint, bad, edit)
+            proc = run_cli("translate", "--checkpoint", str(bad), "--text", TABLE1_SENTENCE)
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+            assert len(errors) == 1, proc.stderr
 
 
 class TestEval:

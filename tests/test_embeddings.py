@@ -239,6 +239,20 @@ class TestWordVectors:
         with pytest.raises(ValueError, match="header"):
             load_word_vectors(f, self.vocab(), 2, make_rng(0))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        f = tmp_path / "w.vec"
+        f.write_text(f"berlin 1 2\ngermany 3 {bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"w\.vec:2: non-finite"):
+            load_word_vectors(f, self.vocab(), 2, make_rng(0))
+
+    def test_first_duplicate_wins(self, tmp_path):
+        f = tmp_path / "w.vec"
+        f.write_text("berlin 1 2\nberlin 3 4\n", encoding="utf-8")
+        v = self.vocab()
+        table, _ = load_word_vectors(f, v, 2, make_rng(0))
+        np.testing.assert_array_equal(table[v.id_of("berlin")], [1.0, 2.0])
+
     def test_reserved_rows_stay_random(self, tmp_path):
         f = tmp_path / "w.vec"
         f.write_text("berlin 9 9\n", encoding="utf-8")
@@ -258,6 +272,18 @@ class TestKgEmbeddingIo:
         assert (loaded.entity_table == emb.entity_table).all()
         assert (loaded.relation_table == emb.relation_table).all()
         assert loaded.norm == emb.norm
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
+        kg = rectangle_kg()
+        config = TransEConfig(dim=2, epochs=1, seed=5)
+        out = tmp_path / "emb"
+        save_kg_embeddings(transe_train(kg, config), out, config)
+        lines = (out / "relations.vec").read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " " + bad
+        (out / "relations.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"relations\.vec:2: non-finite"):
+            load_kg_embeddings(out)
 
     def test_save_is_deterministic(self, tmp_path):
         kg = rectangle_kg()

@@ -1,9 +1,11 @@
 """Encoder/decoder forward-backward, inference and checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint_header
 
 from text2triple.corpus import AnnotatedExample, Dataset, Triple
 from text2triple.model import (
@@ -442,6 +444,64 @@ class TestTrain:
             train(Dataset(), word_vocab, tvocab, self.config())
 
 
+def _set_array(array, **changes):
+    def edit(header):
+        for entry in header["arrays"]:
+            if entry["name"] == array:
+                entry.update(changes)
+        return header
+    return edit
+
+
+def _without(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
+def _config(**changes):
+    def edit(header):
+        header["config"].update(changes)
+        return header
+    return edit
+
+
+def _gate_biases_resized(header):
+    # same payload size and checksum, but the gate blocks no longer stack
+    _set_array("enc_fwd.b_i", shape=[4])(header)
+    return _set_array("enc_fwd.b_f", shape=[12])(header)
+
+
+def _encoder_reshaped(header):
+    # 4 * (8 * 16) + 4 * 8 values reread as hidden 4, input 29: the gates
+    # stack, but the LSTM no longer fits the configured dimensions
+    for g in "ifog":
+        _set_array(f"enc_fwd.W_{g}", shape=[4, 33])(header)
+        _set_array(f"enc_fwd.b_{g}", shape=[4])(header)
+    return header
+
+
+HEADER_DEFECTS = {
+    "list header": (lambda header: list(header), "not a JSON object"),
+    "no arrays": (_without("arrays"), "lacks arrays"),
+    "no config": (_without("config"), "lacks config"),
+    "string shape": (_set_array("out_b", shape="10"), "malformed array table"),
+    "string dimension": (_set_array("out_b", shape=["10"]), "malformed array table"),
+    "negative dimension": (_set_array("out_b", shape=[-10]), "malformed array table"),
+    "unknown config key": (_config(bogus=1), "config keys"),
+    "missing config key": (
+        lambda header: {**header, "config": {k: v for k, v in header["config"].items()
+                                             if k != "seed"}},
+        "config keys",
+    ),
+    "bad config value": (_config(word_dim="8"), r"m\.ckpt: "),
+    "missing gate": (_set_array("enc_fwd.W_g", name="enc_fwd.W_x"), "missing array enc_fwd.W_g"),
+    "gate shapes": (_gate_biases_resized, "gate i shapes"),
+    "LSTM dimensions": (_encoder_reshaped, "forward encoder LSTM"),
+}
+
+
 class TestCheckpoint:
     def roundtrip_setup(self, tmp_path):
         word_vocab, tvocab = tiny_vocabs()
@@ -487,19 +547,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(f)
 
+    def test_bytes_pinned(self, tmp_path):
+        # fixed from the per-gate LSTM layout: pins both the init draws and
+        # the on-disk array order (enc_fwd.W_i ... enc_fwd.b_g, ...)
+        path, *_ = self.roundtrip_setup(tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "42bd0915910b1484462014ce9205309e979fa925ba196434d7d3c0ccb69d4a14"
+        )
+
     def test_vocab_size_mismatch_rejected(self, tmp_path):
         # shrink the declared word list: embedding shape no longer matches
-        import json
-        import struct
-
         path, *_ = self.roundtrip_setup(tmp_path)
-        data = path.read_bytes()
-        off = 8
-        (hlen,) = struct.unpack_from("<Q", data, off)
-        header = json.loads(data[off + 8:off + 8 + hlen].decode())
-        header["words"] = header["words"][:-2]
-        blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode()
-        path.write_bytes(data[:off] + struct.pack("<Q", len(blob)) + blob
-                         + data[off + 8 + hlen:])
+
+        def edit(header):
+            header["words"] = header["words"][:-2]
+            return header
+
+        rewrite_checkpoint_header(path, path, edit)
         with pytest.raises(CheckpointError, match="inconsistent"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+    def test_header_defect_raises_checkpoint_error(self, defect, tmp_path):
+        edit, message = HEADER_DEFECTS[defect]
+        path, *_ = self.roundtrip_setup(tmp_path)
+        rewrite_checkpoint_header(path, path, edit)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)

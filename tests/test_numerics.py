@@ -15,92 +15,13 @@ from text2triple.numerics import (
     lstm_cell,
     lstm_cell_backward,
     make_rng,
-    matmul,
-    softmax_rows,
+    uniform_init,
     weighted_cross_entropy,
 )
 
 
-def matmul_oracle(a, b):
-    """Naive triple loop, k innermost: the reference summation order."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_zero_annihilates(self):
-        rng = make_rng(0)
-        np.testing.assert_array_equal(
-            matmul(np.zeros((2, 3)), rng.standard_normal((3, 4))), np.zeros((2, 4))
-        )
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_matches_triple_loop_bitwise(self):
-        rng = make_rng(123)
-        for _ in range(20):
-            m, k, n = (int(v) for v in rng.integers(1, 17, size=3))
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            assert (matmul(a, b) == matmul_oracle(a, b)).all()
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            matmul(bad, np.zeros((2, 1)))
-
-
-class TestSoftmax:
-    def test_uniform_logits(self):
-        out = softmax_rows(np.zeros((1, 3)))
-        np.testing.assert_allclose(out, np.full((1, 3), 1 / 3), atol=1e-15)
-
-    def test_scalar_oracle(self):
-        # exp/sum computed with math.exp per element
-        row = [1.0, 2.0, 3.0]
-        exps = [math.exp(v) for v in row]
-        expected = [e / sum(exps) for e in exps]
-        np.testing.assert_allclose(softmax_rows(np.array([row]))[0], expected, rtol=1e-15)
-        np.testing.assert_allclose(
-            softmax_rows(np.array([row]))[0], [0.09003057, 0.24472847, 0.66524096],
-            atol=1e-8,
-        )
-
-    def test_extreme_logits_no_overflow(self):
-        out = softmax_rows(np.array([[1000.0, 0.0]]))
-        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-300)
-        big = make_rng(5).uniform(-1e4, 1e4, size=(50, 40))
-        out = softmax_rows(big)
-        assert (out >= 0).all()
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_shift_invariance(self):
-        rng = make_rng(9)
-        logits = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(
-            softmax_rows(logits + 17.5), softmax_rows(logits), atol=1e-12
-        )
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            softmax_rows(np.array([[np.inf, 0.0]]))
+def zero_weights(n_in, hidden):
+    return LstmWeights(n_in, hidden, np.zeros((4 * hidden, n_in + hidden)), np.zeros(4 * hidden))
 
 
 class TestWeightedCrossEntropy:
@@ -126,7 +47,8 @@ class TestWeightedCrossEntropy:
 
     def test_weight_linearity(self):
         rng = make_rng(3)
-        probs = softmax_rows(rng.standard_normal((1, 5)))[0]
+        e = np.exp(rng.standard_normal(5))
+        probs = e / e.sum()
         for w1, w2 in [(0.3, 0.7), (1.5, 2.5), (0.0, 1.0)]:
             l1, _ = weighted_cross_entropy(probs, 2, w1)
             l2, _ = weighted_cross_entropy(probs, 2, w2)
@@ -140,28 +62,51 @@ class TestWeightedCrossEntropy:
 
 class TestLstmCell:
     def test_zero_everything(self):
-        w = LstmWeights.zeros(3, 2)
+        w = zero_weights(3, 2)
         h, c, _ = lstm_cell(np.zeros(3), np.zeros(2), np.zeros(2), w)
         np.testing.assert_array_equal(h, np.zeros(2))
         np.testing.assert_array_equal(c, np.zeros(2))
 
     def test_zero_weights_carry_half_cell(self):
         # sigmoid(0)=0.5 and tanh(0)=0 give c = 0.5*c_prev, h = 0.5*tanh(0.5*c_prev)
-        w = LstmWeights.zeros(3, 4)
+        w = zero_weights(3, 4)
         c_prev = np.array([1.0, -2.0, 0.5, 3.0])
         h, c, _ = lstm_cell(np.zeros(3), np.zeros(4), c_prev, w)
         np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-15)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
+    def test_gate_order(self):
+        # row blocks are input, forget, output, candidate: i~0, f~1, o~0
+        # keep the cell and close the output whatever the candidate is
+        w = zero_weights(3, 4)
+        w.b[:] = np.concatenate([np.full(4, -50.0), np.full(4, 50.0),
+                                 np.full(4, -50.0), np.full(4, 0.7)])
+        c_prev = np.array([1.0, -2.0, 0.5, 3.0])
+        h, c, _ = lstm_cell(np.ones(3), np.ones(4), c_prev, w)
+        np.testing.assert_allclose(c, c_prev, atol=1e-12)
+        np.testing.assert_allclose(h, np.zeros(4), atol=1e-12)
+
     def test_dimension_mismatch(self):
-        w = LstmWeights.zeros(3, 2)
+        w = zero_weights(3, 2)
         with pytest.raises(ValueError, match="lstm_cell"):
             lstm_cell(np.zeros(4), np.zeros(2), np.zeros(2), w)
 
     def test_forget_bias_init(self):
         w = LstmWeights.init(3, 5, make_rng(0))
-        np.testing.assert_array_equal(w.b_f, np.ones(5))
-        assert (np.abs(w.W_i) <= 0.08).all()
+        assert w.W.shape == (20, 8) and w.b.shape == (20,)
+        np.testing.assert_array_equal(w.b[5:10], np.ones(5))
+        assert (np.abs(w.W) <= 0.08).all()
+
+    def test_init_matches_per_gate_draws(self):
+        # one stacked draw equals eight per-gate draws in gate order, so
+        # seeds give the same networks as the per-gate layout did
+        rng = make_rng(7)
+        per_gate = [uniform_init((3, 8), rng) for _ in range(4)]
+        per_gate += [uniform_init(3, rng) for _ in range(4)]
+        per_gate[5] = np.ones(3)
+        w = LstmWeights.init(5, 3, make_rng(7))
+        for got, want in zip(w.gate_arrays("w").values(), per_gate):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("hidden", [4, 8])
     def test_backward_matches_finite_differences(self, hidden):
