@@ -36,6 +36,7 @@ from .model import (
     train,
     translate_beam,
     translate_greedy,
+    translate_greedy_batch,
 )
 from .numerics import grad_check_fd, make_rng
 from .vocab import (
@@ -89,4 +90,5 @@ __all__ = [
     "transe_train",
     "translate_beam",
     "translate_greedy",
+    "translate_greedy_batch",
 ]

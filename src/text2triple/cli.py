@@ -250,8 +250,9 @@ def _cmd_eval(args) -> int:
     test = corpus.load_examples(args.test)
     kg = _load_kg(args.kg) if args.kg else None
     preds = [
-        model.translate_greedy(ex.tokens, params, word_vocab, tvocab, config).triple
-        for ex in test
+        r.triple for r in model.translate_greedy_batch(
+            [ex.tokens for ex in test], params, word_vocab, tvocab, config
+        )
     ]
     golds = [ex.gold for ex in test]
     report = scoring.evaluate(preds, golds)
@@ -330,9 +331,10 @@ def _cmd_ablation(args) -> int:
             label = config.flag_label()
             result, word_vocab, tvocab = _run_training(run_args, config, dataset)
             preds = [
-                model.translate_greedy(ex.tokens, result.params, word_vocab, tvocab,
-                                       config).triple
-                for ex in dataset.test
+                r.triple for r in model.translate_greedy_batch(
+                    [ex.tokens for ex in dataset.test], result.params, word_vocab,
+                    tvocab, config,
+                )
             ]
             report = scoring.evaluate(preds, [ex.gold for ex in dataset.test])
             scores.append(report.f1)

@@ -53,10 +53,12 @@ class TransEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        for name in ("dim", "epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("margin", "lr"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {_NORMS}")
 
@@ -272,7 +274,10 @@ def _vector_row(parts: list[str], dim: int, path, lineno: int) -> np.ndarray:
         raise ValueError(
             f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
         )
-    row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+    try:
+        row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
     if not np.isfinite(row).all():
         raise ValueError(f"{path}:{lineno}: non-finite vector value")
     return row
@@ -405,7 +410,13 @@ def _read_vector_file(path) -> tuple[tuple[str, ...], np.ndarray]:
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2:
-                dim = int(parts[1])
+                try:
+                    int(parts[0])
+                    dim = int(parts[1])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
+                    ) from None
                 continue
             if dim is None:
                 dim = len(parts) - 1

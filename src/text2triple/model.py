@@ -13,6 +13,19 @@ Gradients are hand-derived and exact; `grad_check_fd` in `numerics` is the
 independent oracle. Training is mini-batch Adam with global-norm clipping,
 teacher forcing, per-epoch dev evaluation, best-checkpoint keeping and
 patience-based early stopping. Everything is deterministic given the seed.
+
+One batched core serves every caller. A batch of B sources is padded to its
+longest row, T ids. Both encoder LSTMs run in one scan over the (T, B)
+batch, the backward one over each row reversed; a length mask freezes each
+row's state past its end, so the last step holds every final state.
+Attention gives padded positions weight exactly 0, and the backward pass
+gives them gradient exactly 0. Training runs one padded forward/backward
+pass per minibatch (under teacher forcing the three decoder steps are one
+sequence). Dev scoring, `translate_greedy_batch` (the `eval` and `ablation`
+sub-commands) decode greedily in batches of DECODE_BATCH sources; beam
+search runs each step's live hypotheses as one batch; `encode`,
+`init_decoder_state`, `decode_step`, `attend`, `translate_greedy` and
+`forward_loss` are batches of one.
 """
 
 from __future__ import annotations
@@ -34,12 +47,13 @@ from .numerics import (
     clip_global_norm,
     global_norm,
     lstm_cell,
-    lstm_cell_backward,
+    lstm_sequence,
+    lstm_sequence_backward,
     make_rng,
     uniform_init,
     weighted_cross_entropy,
 )
-from .vocab import BOS_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
+from .vocab import BOS_ID, PAD_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
 
 __all__ = [
     "DecodeResult",
@@ -58,6 +72,7 @@ __all__ = [
     "train",
     "translate_beam",
     "translate_greedy",
+    "translate_greedy_batch",
 ]
 
 logger = logging.getLogger(__name__)
@@ -98,9 +113,16 @@ class ModelConfig:
     step_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        for name in ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len"):
+        for name in ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len",
+                     "epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "clip_norm", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
         self.step_weights = tuple(float(w) for w in self.step_weights)
         if len(self.step_weights) != 3:
             raise ValueError("step_weights must have exactly 3 entries")
@@ -250,54 +272,129 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# The batched core
 # ---------------------------------------------------------------------------
+#
+# Training, dev scoring, eval, translate and beam search all run the same
+# padded batch of B sources. Inside the LSTM scans the encoder is time-major,
+# (T, direction, B, .); attention reads it batch-major, (B, T, .). Position t
+# of row b is padding when t is past that source's length: the LSTMs freeze
+# the row's state there, attention gives it weight exactly 0, and its
+# gradients are exactly 0. The single-sentence functions below are B=1 views
+# of this core.
+
+DECODE_BATCH = 64  # sources per greedy-decoding batch
 
 
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.float64)
+@dataclass
+class _EncodedBatch:
+    H: np.ndarray            # (B, T, 2*enc_hidden); finite filler on padding
+    final: np.ndarray        # (B, 2*enc_hidden): [fwd state at end; bwd state at start]
+    pad: np.ndarray | None   # (B, 1, T), True on padding; None when no row is padded
+    AH: np.ndarray | None    # (B, T, dec_hidden) = H @ attn_w.T, iff attention
 
 
-def _run_lstm(xs: np.ndarray, w: LstmWeights):
-    """Run a unidirectional LSTM over rows of xs; returns (hiddens, caches)."""
-    h, c = _zeros(w.hidden_dim), _zeros(w.hidden_dim)
-    hs = np.empty((xs.shape[0], w.hidden_dim))
-    caches = []
-    for t in range(xs.shape[0]):
-        h, c, cache = lstm_cell(xs[t], h, c, w)
-        hs[t] = h
-        caches.append(cache)
-    return hs, caches
+def _clip_sources(sources: Sequence[Sequence[int]], max_len: int) -> tuple[list[list[int]], int]:
+    """Cut every source to max_len ids; returns them and how many were cut."""
+    return [list(s[:max_len]) for s in sources], sum(len(s) > max_len for s in sources)
 
 
-def _encode_full(src_ids: Sequence[int], params: ModelParams, config: ModelConfig):
-    if len(src_ids) == 0:
+def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config: ModelConfig):
+    """Bidirectional encoder over a batch of id lists; returns (enc, cache).
+
+    Both LSTMs run in one scan. The backward one reads each row reversed,
+    so it too meets the row's padding last.
+    """
+    sources, n_cut = _clip_sources(sources, config.max_src_len)
+    if n_cut:
+        logger.warning("truncating %d source(s) to max_src_len=%d", n_cut, config.max_src_len)
+    lengths = [len(s) for s in sources]
+    if min(lengths) < 1:
         raise ValueError("cannot encode an empty sentence")
-    if len(src_ids) > config.max_src_len:
-        logger.warning(
-            "truncating source of length %d to max_src_len=%d",
-            len(src_ids), config.max_src_len,
-        )
-        src_ids = list(src_ids)[: config.max_src_len]
-    src_ids = list(src_ids)
-    xs = params.enc_embed[src_ids]                      # (T, word_dim)
-    fwd_h, fwd_caches = _run_lstm(xs, params.enc_fwd)
-    bwd_in = xs[::-1]
-    bwd_h_rev, bwd_caches_rev = _run_lstm(bwd_in, params.enc_bwd)
-    bwd_h = bwd_h_rev[::-1]                             # bwd_h[t] = state at position t
-    bwd_caches = bwd_caches_rev[::-1]
-    H = np.concatenate([fwd_h, bwd_h], axis=1)
-    final = np.concatenate([fwd_h[-1], bwd_h[0]])
-    enc = EncoderOutputs(H=H, final=final)
-    cache = {"src_ids": src_ids, "fwd_caches": fwd_caches, "bwd_caches": bwd_caches}
-    return enc, cache
+    B, T, nh = len(sources), max(lengths), config.enc_hidden
+    # both_ids[t, 0, b] / [t, 1, b]: the word the forward / backward LSTM reads at step t
+    both_ids = np.full((T, 2, B), PAD_ID)
+    for b, s in enumerate(sources):
+        both_ids[:len(s), 0, b] = s
+        both_ids[:len(s), 1, b] = s[::-1]
+    live = np.arange(T)[:, None] < np.array(lengths)                # (T, B)
+    padded = min(lengths) < T
+    hs, lstm_cache = lstm_sequence(
+        params.enc_embed[both_ids], (params.enc_fwd, params.enc_bwd),
+        lengths=np.array(lengths) if padded else None,
+    )
+    H = np.zeros((B, T, 2 * nh))
+    H[:, :, :nh] = hs[:, 0].transpose(1, 0, 2)
+    for b, n in enumerate(lengths):
+        H[b, :n, nh:] = hs[n - 1::-1, 1, b]
+    enc = _EncodedBatch(
+        H=H,
+        final=np.concatenate([hs[-1, 0], hs[-1, 1]], axis=1),
+        pad=~live.T[:, None, :] if padded else None,
+        AH=(H.reshape(B * T, 2 * nh) @ params.attn_w.T).reshape(B, T, -1)
+        if config.use_attention else None,
+    )
+    return enc, (both_ids, lengths, live, lstm_cache)
+
+
+def _batch_of_one(enc: EncoderOutputs, attn_w: np.ndarray | None) -> _EncodedBatch:
+    """A single sentence's encoder outputs as a batch of one."""
+    AH = None if attn_w is None else (enc.H @ attn_w.T)[None]
+    return _EncodedBatch(enc.H[None], enc.final[None], None, AH)
+
+
+def _bridge(final: np.ndarray, params: ModelParams) -> np.ndarray:
+    return final @ params.bridge_w.T + params.bridge_b
+
+
+def _attention(q: np.ndarray, enc: _EncodedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicative attention of queries q (B, K, dec_hidden) over enc.H:
+    weights (B, K, T), exactly 0 on padding, and contexts (B, K, 2*enc_hidden).
+    A batch of one encoding broadcasts against K queries of many rows."""
+    scores = q @ enc.AH.transpose(0, 2, 1)
+    if enc.pad is not None:
+        scores = np.where(enc.pad, -np.inf, scores)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    alpha = e / e.sum(axis=2, keepdims=True)
+    return alpha, alpha @ enc.H
+
+
+def _masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis restricted to mask; off-mask entries
+    are exactly -inf."""
+    x = np.where(mask, logits, -np.inf)
+    x -= x.max(axis=-1, keepdims=True)
+    return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+
+
+def _decode_batch_step(
+    step: int,
+    prev_ids: np.ndarray,
+    state: tuple[np.ndarray, np.ndarray],
+    enc: _EncodedBatch,
+    params: ModelParams,
+    config: ModelConfig,
+    tvocab: TripleVocab,
+):
+    """One decoder step for B rows: (logp (B, n_targets), new state,
+    attention (B, T) or None)."""
+    if step not in (1, 2, 3):
+        raise ValueError(f"invalid decoding step {step}")
+    h, c, _ = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
+    feat, alpha = h, None
+    if config.use_attention:
+        alpha, ctx = _attention(h[:, None, :], enc)
+        alpha = alpha[:, 0]
+        feat = np.concatenate([h, ctx[:, 0]], axis=1)
+    logits = feat @ params.out_w.T + params.out_b
+    return _masked_log_softmax(logits, tvocab.step_mask(step)), (h, c), alpha
 
 
 def encode(src_ids: Sequence[int], params: ModelParams, config: ModelConfig) -> EncoderOutputs:
     """Bidirectional encoder pass. H[t] concatenates the forward and backward
     hidden states at position t; `final` concatenates the two last outputs."""
-    enc, _ = _encode_full(src_ids, params, config)
-    return enc
+    enc, _ = _encode_batch([src_ids], params, config)
+    return EncoderOutputs(H=enc.H[0], final=enc.final[0])
 
 
 def init_decoder_state(
@@ -305,13 +402,7 @@ def init_decoder_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bridge the concatenated final encoder state to the decoder's initial
     hidden state; the initial cell is zeros."""
-    h0 = params.bridge_w @ enc.final + params.bridge_b
-    return h0, _zeros(params.bridge_w.shape[0])
-
-
-def _softmax1d(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    return _bridge(enc.final, params), np.zeros(params.bridge_w.shape[0])
 
 
 def attend(
@@ -322,56 +413,8 @@ def attend(
     Returns (context, weights); weights softmax to 1 and the context is
     their weighted average of the encoder states.
     """
-    scores = (enc.H @ attn_w.T) @ dec_hidden
-    weights = _softmax1d(scores)
-    return weights @ enc.H, weights
-
-
-def _masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Log-softmax restricted to mask; off-mask entries are exactly -inf."""
-    out = np.full(logits.shape, -np.inf)
-    sel = logits[mask]
-    m = sel.max()
-    out[mask] = (sel - m) - math.log(np.exp(sel - m).sum())
-    return out
-
-
-def _step_forward(
-    step: int,
-    prev_id: int,
-    state: tuple[np.ndarray, np.ndarray],
-    enc: EncoderOutputs,
-    params: ModelParams,
-    config: ModelConfig,
-    tvocab: TripleVocab,
-):
-    """Shared forward for one decoder step; returns everything the backward
-    pass needs."""
-    if step not in (1, 2, 3):
-        raise ValueError(f"invalid decoding step {step}")
-    x = params.dec_embed[prev_id]
-    h, c, cell_cache = lstm_cell(x, state[0], state[1], params.dec_lstm)
-    if config.use_attention:
-        AH = enc.H @ params.attn_w.T        # (T, dec_hidden)
-        scores = AH @ h
-        alpha = _softmax1d(scores)
-        ctx = alpha @ enc.H
-        feat = np.concatenate([h, ctx])
-    else:
-        AH, alpha = None, None
-        feat = h
-    logits = params.out_w @ feat + params.out_b
-    logp = _masked_log_softmax(logits, tvocab.step_mask(step))
-    return {
-        "prev_id": prev_id,
-        "cell_cache": cell_cache,
-        "h": h,
-        "alpha": alpha,
-        "AH": AH,
-        "feat": feat,
-        "logp": logp,
-        "state": (h, c),
-    }
+    alpha, ctx = _attention(dec_hidden[None, None], _batch_of_one(enc, attn_w))
+    return ctx[0, 0], alpha[0, 0]
 
 
 def decode_step(
@@ -386,8 +429,11 @@ def decode_step(
     """One decoder step: log-probability row over the full target space
     (probability mass outside the step's mask is exactly zero), the new
     recurrent state, and the attention row when attention is enabled."""
-    fwd = _step_forward(step, prev_id, state, enc, params, config, tvocab)
-    return fwd["logp"], fwd["state"], fwd["alpha"]
+    one = _batch_of_one(enc, params.attn_w if config.use_attention else None)
+    logp, (h, c), alpha = _decode_batch_step(
+        step, np.array([prev_id]), (state[0][None], state[1][None]), one, params, config, tvocab
+    )
+    return logp[0], (h[0], c[0]), None if alpha is None else alpha[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,93 +442,83 @@ def decode_step(
 
 
 def _loss_and_grads(
-    src_ids: Sequence[int],
-    gold_ids: tuple[int, int, int],
+    sources: Sequence[Sequence[int]],
+    gold: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     tvocab: TripleVocab,
 ) -> tuple[float, Params]:
-    """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) and exact grads."""
-    enc, enc_cache = _encode_full(src_ids, params, config)
-    src_ids = enc_cache["src_ids"]
-    T = len(src_ids)
-    nh = config.enc_hidden
+    """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) averaged over a
+    batch of sources with gold target ids (B, 3), and its exact gradients."""
+    enc, (both_ids, lengths, live, enc_cache) = _encode_batch(sources, params, config)
+    T, B = live.shape
+    nh, dh = config.enc_hidden, config.dec_hidden
 
-    state = init_decoder_state(enc, params)
-    prevs = (BOS_ID, gold_ids[0], gold_ids[1])
-    steps = []
-    loss = 0.0
-    dlogits_list = []
-    for k in range(3):
-        fwd = _step_forward(k + 1, prevs[k], state, enc, params, config, tvocab)
-        state = fwd["state"]
-        probs = np.exp(fwd["logp"])
-        step_loss, dlogits = weighted_cross_entropy(
-            probs, gold_ids[k], config.step_weights[k]
-        )
-        loss += step_loss
-        steps.append(fwd)
-        dlogits_list.append(dlogits)
+    # The decoder's three inputs are known under teacher forcing, so it runs
+    # as one sequence and the output layer as one GEMM over all B*3 steps.
+    prev = np.stack([np.full(B, BOS_ID), gold[:, 0], gold[:, 1]])       # (3, B)
+    dec_h, dec_cache = lstm_sequence(
+        params.dec_embed[prev][:, None], (params.dec_lstm,), h0=_bridge(enc.final, params)
+    )
+    S = dec_h[:, 0].transpose(1, 0, 2)                                  # (B, 3, dh)
+    if config.use_attention:
+        alpha, ctx = _attention(S, enc)
+        feat = np.concatenate([S, ctx], axis=2)
+    else:
+        feat = S
+    feat2 = feat.reshape(B * 3, -1)
+    logits = (feat2 @ params.out_w.T + params.out_b).reshape(B, 3, -1)
+    logp = _masked_log_softmax(logits, np.stack([tvocab.step_mask(k) for k in (1, 2, 3)]))
+    losses, dlogits = weighted_cross_entropy(np.exp(logp), gold, config.step_weights)
+    scale = 1.0 / B
+    dlogits *= scale
+    dlogits2 = dlogits.reshape(B * 3, -1)
 
-    grads: Params = {k: np.zeros_like(v) for k, v in params.to_dict().items()}
-    dH = np.zeros_like(enc.H)
-    ds_next = _zeros(config.dec_hidden)
-    dc_next = _zeros(config.dec_hidden)
-    for k in (2, 1, 0):
-        fwd = steps[k]
-        dlogits = dlogits_list[k]
-        grads["out_w"] += np.outer(dlogits, fwd["feat"])
-        grads["out_b"] += dlogits
-        dfeat = params.out_w.T @ dlogits
-        if config.use_attention:
-            ds = dfeat[: config.dec_hidden].copy()
-            dctx = dfeat[config.dec_hidden:]
-            alpha, AH, h = fwd["alpha"], fwd["AH"], fwd["h"]
-            dalpha = enc.H @ dctx
-            dH += np.outer(alpha, dctx)
-            dscores = alpha * (dalpha - float(alpha @ dalpha))
-            ds += AH.T @ dscores
-            grads["attn_w"] += np.outer(h, dscores @ enc.H)
-            dH += np.outer(dscores, params.attn_w.T @ h)
-        else:
-            ds = dfeat.copy()
-        ds += ds_next
-        dx, ds_next, dc_next, dw = lstm_cell_backward(
-            ds, dc_next, fwd["cell_cache"], params.dec_lstm
-        )
-        for key, val in dw.items():
-            grads[f"dec_lstm.{key}"] += val
-        grads["dec_embed"][fwd["prev_id"]] += dx
+    g_out_w = dlogits2.T @ feat2
+    g_out_b = dlogits2.sum(axis=0)
+    dfeat = dlogits @ params.out_w                                      # (B, 3, feat)
+    d_hs = np.zeros((T, 2, B, nh))     # dL/d(encoder outputs), in scan order
+    if config.use_attention:
+        dctx = dfeat[:, :, dh:]
+        dalpha = dctx @ enc.H.transpose(0, 2, 1)
+        dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=2, keepdims=True))
+        dS = dfeat[:, :, :dh] + dscores @ enc.AH
+        g_attn_w = S.reshape(B * 3, dh).T @ (dscores @ enc.H).reshape(B * 3, 2 * nh)
+        dH = alpha.transpose(0, 2, 1) @ dctx + dscores.transpose(0, 2, 1) @ (S @ params.attn_w)
+        d_hs[:, 0] = dH[:, :, :nh].transpose(1, 0, 2)
+        for b, n in enumerate(lengths):
+            d_hs[:n, 1, b] = dH[b, n - 1::-1, nh:]
+    else:
+        dS = dfeat
+    dx_dec, dh0, (g_dec,) = lstm_sequence_backward(
+        dS.transpose(1, 0, 2)[:, None], dec_cache, (params.dec_lstm,)
+    )
+    dh0 = dh0[0]
+    g_dec_embed = np.zeros_like(params.dec_embed)
+    np.add.at(g_dec_embed, prev, dx_dec[:, 0])
 
-    # Bridge and encoder final state.
-    ds0 = ds_next
-    grads["bridge_w"] += np.outer(ds0, enc.final)
-    grads["bridge_b"] += ds0
-    dfinal = params.bridge_w.T @ ds0
-    dfh = dH[:, :nh].copy()
-    dbh = dH[:, nh:].copy()
-    dfh[T - 1] += dfinal[:nh]
-    dbh[0] += dfinal[nh:]
+    # Bridge, then the encoder: the final state feeds the last forward step
+    # and the last step of the reversed backward scan.
+    g_bridge_w = dh0.T @ enc.final
+    g_bridge_b = dh0.sum(axis=0)
+    dfinal = dh0 @ params.bridge_w
+    d_hs[-1] += dfinal.reshape(B, 2, nh).transpose(1, 0, 2)
+    dx_enc, _, (g_fwd, g_bwd) = lstm_sequence_backward(
+        d_hs, enc_cache, (params.enc_fwd, params.enc_bwd)
+    )
+    valid = np.broadcast_to(live[:, None, :], both_ids.shape)
+    g_enc_embed = np.zeros_like(params.enc_embed)
+    np.add.at(g_enc_embed, both_ids[valid], dx_enc[valid])
 
-    dx_enc = np.zeros((T, config.word_dim))
-    carry_h, carry_c = _zeros(nh), _zeros(nh)
-    for t in range(T - 1, -1, -1):
-        dx, carry_h, carry_c, dw = lstm_cell_backward(
-            dfh[t] + carry_h, carry_c, enc_cache["fwd_caches"][t], params.enc_fwd
-        )
-        for key, val in dw.items():
-            grads[f"enc_fwd.{key}"] += val
-        dx_enc[t] += dx
-    carry_h, carry_c = _zeros(nh), _zeros(nh)
-    for t in range(T):  # backward LSTM processed positions T-1..0
-        dx, carry_h, carry_c, dw = lstm_cell_backward(
-            dbh[t] + carry_h, carry_c, enc_cache["bwd_caches"][t], params.enc_bwd
-        )
-        for key, val in dw.items():
-            grads[f"enc_bwd.{key}"] += val
-        dx_enc[t] += dx
-    np.add.at(grads["enc_embed"], src_ids, dx_enc)
-    return loss, grads
+    grads: Params = {"enc_embed": g_enc_embed}
+    grads.update({f"enc_fwd.{k}": v for k, v in g_fwd.items()})
+    grads.update({f"enc_bwd.{k}": v for k, v in g_bwd.items()})
+    grads["dec_embed"] = g_dec_embed
+    grads.update({f"dec_lstm.{k}": v for k, v in g_dec.items()})
+    if config.use_attention:
+        grads["attn_w"] = g_attn_w
+    grads.update(bridge_w=g_bridge_w, bridge_b=g_bridge_b, out_w=g_out_w, out_b=g_out_b)
+    return float(losses.sum()) * scale, grads
 
 
 def _gold_ids(example: AnnotatedExample, tvocab: TripleVocab) -> tuple[int, int, int]:
@@ -502,7 +538,8 @@ def forward_loss(
 ) -> tuple[float, Params]:
     """Loss and exact gradients for one example under teacher forcing."""
     src_ids = encode_sentence(example.tokens, word_vocab)
-    return _loss_and_grads(src_ids, _gold_ids(example, tvocab), params, config, tvocab)
+    gold = np.array([_gold_ids(example, tvocab)])
+    return _loss_and_grads([src_ids], gold, params, config, tvocab)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +554,66 @@ def _prepare_source(
     return src_ids, sum(1 for i in src_ids if i == UNK_ID)
 
 
+def _greedy_decode(
+    sources: Sequence[Sequence[int]],
+    params: ModelParams,
+    config: ModelConfig,
+    tvocab: TripleVocab,
+) -> list[tuple[tuple[int, int, int], tuple[float, float, float], np.ndarray | None]]:
+    """Greedy decoding in batches of DECODE_BATCH sources; per source the
+    target ids, their log-probs and the (3, T) attention rows (or None)."""
+    out = []
+    for start in range(0, len(sources), DECODE_BATCH):
+        chunk = sources[start:start + DECODE_BATCH]
+        enc, _ = _encode_batch(chunk, params, config)
+        B = len(chunk)
+        state = (_bridge(enc.final, params), np.zeros((B, config.dec_hidden)))
+        prev = np.full(B, BOS_ID)
+        ids = np.empty((B, 3), dtype=np.int64)
+        logps = np.empty((B, 3))
+        attn = np.empty((B, 3, enc.H.shape[1])) if config.use_attention else None
+        for k, step in enumerate((1, 2, 3)):
+            logp, state, alpha = _decode_batch_step(
+                step, prev, state, enc, params, config, tvocab
+            )
+            prev = logp.argmax(axis=1)  # first max wins: lowest id on ties
+            ids[:, k] = prev
+            logps[:, k] = logp[np.arange(B), prev]
+            if attn is not None:
+                attn[:, k] = alpha
+        for b, src in enumerate(chunk):
+            n = min(len(src), config.max_src_len)
+            out.append((
+                tuple(int(i) for i in ids[b]),
+                tuple(float(v) for v in logps[b]),
+                None if attn is None else attn[b, :, :n],
+            ))
+    return out
+
+
+def translate_greedy_batch(
+    token_lists: Sequence[Sequence[str]],
+    params: ModelParams,
+    word_vocab: WordVocab,
+    tvocab: TripleVocab,
+    config: ModelConfig,
+) -> list[DecodeResult]:
+    """translate_greedy for many sentences, decoded in padded batches."""
+    prepared = [_prepare_source(tokens, word_vocab) for tokens in token_lists]
+    decoded = _greedy_decode([src for src, _ in prepared], params, config, tvocab)
+    return [
+        DecodeResult(
+            ids=ids,
+            triple=Triple(*decode_triple(list(ids), tvocab)),
+            step_logprobs=logps,
+            total_logprob=float(sum(logps)),
+            attention=attn,
+            n_unk=n_unk,
+        )
+        for (ids, logps, attn), (_, n_unk) in zip(decoded, prepared)
+    ]
+
+
 def translate_greedy(
     tokens: Sequence[str],
     params: ModelParams,
@@ -529,30 +626,7 @@ def translate_greedy(
     Ties break toward the lowest target id. UNK-heavy inputs still decode;
     the result carries the UNK count.
     """
-    src_ids, n_unk = _prepare_source(tokens, word_vocab)
-    enc = encode(src_ids, params, config)
-    state = init_decoder_state(enc, params)
-    prev = BOS_ID
-    ids: list[int] = []
-    logps: list[float] = []
-    attn_rows = []
-    for step in (1, 2, 3):
-        logp, state, alpha = decode_step(step, prev, state, enc, params, config, tvocab)
-        best = int(np.argmax(logp))  # first max wins: lowest id on ties
-        ids.append(best)
-        logps.append(float(logp[best]))
-        if alpha is not None:
-            attn_rows.append(alpha)
-        prev = best
-    triple = Triple(*decode_triple(ids, tvocab))
-    return DecodeResult(
-        ids=tuple(ids),
-        triple=triple,
-        step_logprobs=tuple(logps),
-        total_logprob=float(sum(logps)),
-        attention=np.vstack(attn_rows) if attn_rows else None,
-        n_unk=n_unk,
-    )
+    return translate_greedy_batch([tokens], params, word_vocab, tvocab, config)[0]
 
 
 def translate_beam(
@@ -567,45 +641,47 @@ def translate_beam(
 
     Results come back sorted by total log-probability, non-increasing, ties
     toward lower id sequences. A width of at least |entities|^2*|predicates|
-    makes the top hypothesis the exhaustive argmax.
+    makes the top hypothesis the exhaustive argmax. Each step runs the live
+    hypotheses as one batch.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
     src_ids, n_unk = _prepare_source(tokens, word_vocab)
-    enc = encode(src_ids, params, config)
-    state0 = init_decoder_state(enc, params)
-    # Hypothesis: (total_logprob, ids, state, step_logps, attn_rows)
-    hyps = [(0.0, (), state0, (), ())]
+    enc, _ = _encode_batch([src_ids], params, config)
+    state = (_bridge(enc.final, params), np.zeros((1, config.dec_hidden)))
+    # Live hypotheses, one row each.
+    totals = np.zeros(1)
+    ids = np.zeros((1, 0), dtype=np.int64)
+    logps = np.zeros((1, 0))
+    attn = np.zeros((1, 0, enc.H.shape[1]))
     for step in (1, 2, 3):
-        expansions = []
-        for total, ids, state, logps, attn in hyps:
-            prev = ids[-1] if ids else BOS_ID
-            logp, new_state, alpha = decode_step(
-                step, prev, state, enc, params, config, tvocab
-            )
-            new_attn = attn + (alpha,) if alpha is not None else ()
-            for idx in np.flatnonzero(logp > -np.inf):
-                idx = int(idx)
-                expansions.append((
-                    total + float(logp[idx]),
-                    ids + (idx,),
-                    new_state,
-                    logps + (float(logp[idx]),),
-                    new_attn,
-                ))
-        expansions.sort(key=lambda e: (-e[0], e[1]))
-        hyps = expansions[:width]
-    results = []
-    for total, ids, _, logps, attn in hyps:
-        results.append(DecodeResult(
-            ids=ids,
-            triple=Triple(*decode_triple(list(ids), tvocab)),
-            step_logprobs=logps,
-            total_logprob=total,
-            attention=np.vstack(attn) if attn else None,
+        prev = ids[:, -1] if step > 1 else np.full(1, BOS_ID)
+        logp, state, alpha = _decode_batch_step(step, prev, state, enc, params, config, tvocab)
+        allowed = np.flatnonzero(tvocab.step_mask(step))
+        K, V = len(totals), len(allowed)
+        cand = (totals[:, None] + logp[:, allowed]).ravel()
+        parent = np.repeat(np.arange(K), V)
+        token = np.tile(allowed, K)
+        # by total descending, then by id sequence ascending
+        keep = np.lexsort((token, *ids[parent].T[::-1], -cand))[:width]
+        parent, token = parent[keep], token[keep]
+        totals = cand[keep]
+        ids = np.column_stack([ids[parent], token])
+        logps = np.column_stack([logps[parent], logp[parent, token]])
+        state = (state[0][parent], state[1][parent])
+        if alpha is not None:
+            attn = np.concatenate([attn[parent], alpha[parent][:, None]], axis=1)
+    return [
+        DecodeResult(
+            ids=tuple(int(i) for i in ids[k]),
+            triple=Triple(*decode_triple(list(ids[k]), tvocab)),
+            step_logprobs=tuple(float(v) for v in logps[k]),
+            total_logprob=float(totals[k]),
+            attention=attn[k] if config.use_attention else None,
             n_unk=n_unk,
-        ))
-    return results
+        )
+        for k in range(len(totals))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +690,30 @@ def translate_beam(
 
 
 def _dev_exact_match(
-    dev: Sequence[AnnotatedExample],
+    sources: Sequence[Sequence[int]],
+    golds: Sequence[Triple],
     params: ModelParams,
-    word_vocab: WordVocab,
-    tvocab: TripleVocab,
     config: ModelConfig,
+    tvocab: TripleVocab,
 ) -> float:
     """Exact-match fraction; equals F1 when every example gets a prediction."""
-    correct = 0
-    for ex in dev:
-        pred = translate_greedy(ex.tokens, params, word_vocab, tvocab, config).triple
-        if pred == ex.gold:
-            correct += 1
-    return correct / len(dev)
+    decoded = _greedy_decode(sources, params, config, tvocab)
+    correct = sum(
+        Triple(*decode_triple(list(ids), tvocab)) == gold
+        for (ids, _, _), gold in zip(decoded, golds)
+    )
+    return correct / len(golds)
+
+
+def _prepare_split(examples, word_vocab: WordVocab, config: ModelConfig, split: str):
+    """Encode a split's sources once, cut to max_src_len with one warning."""
+    sources, n_cut = _clip_sources(
+        [encode_sentence(ex.tokens, word_vocab) for ex in examples], config.max_src_len
+    )
+    if n_cut:
+        logger.warning("truncated %d of %d %s sources to max_src_len=%d",
+                       n_cut, len(sources), split, config.max_src_len)
+    return sources
 
 
 def train(
@@ -641,11 +728,12 @@ def train(
 
     Shuffling, init and everything downstream draw from config.seed only.
     Examples whose gold triple falls outside the target vocabulary are
-    dropped up front and counted. After each epoch the dev split is scored
-    by exact match; the best-dev checkpoint is kept and training stops
-    early after `patience` epochs without improvement (or at a perfect dev
-    score). A non-finite batch loss aborts training and the last good
-    parameters are returned.
+    dropped up front and counted; sources longer than max_src_len are cut
+    once, up front. Each minibatch is one padded forward/backward pass.
+    After each epoch the dev split is scored by exact match; the best-dev
+    checkpoint is kept and training stops early after `patience` epochs
+    without improvement (or at a perfect dev score). A non-finite batch
+    loss aborts training and the last good parameters are returned.
     """
     if not dataset.train:
         raise ValueError("training split is empty")
@@ -661,17 +749,16 @@ def train(
         kg_init=kg_init if config.use_kg_init else None,
     )
 
-    prepared = []
-    dropped = 0
-    for ex in dataset.train:
-        if not tvocab.has_triple_symbols(*ex.gold):
-            dropped += 1
-            continue
-        prepared.append((encode_sentence(ex.tokens, word_vocab), _gold_ids(ex, tvocab)))
+    kept = [ex for ex in dataset.train if tvocab.has_triple_symbols(*ex.gold)]
+    dropped = len(dataset.train) - len(kept)
     if dropped:
         logger.warning("dropped %d training examples with out-of-vocabulary gold", dropped)
-    if not prepared:
+    if not kept:
         raise ValueError("no training examples left after out-of-vocabulary filtering")
+    sources = _prepare_split(kept, word_vocab, config, "training")
+    golds = np.array([_gold_ids(ex, tvocab) for ex in kept])
+    dev_sources = _prepare_split(dataset.dev, word_vocab, config, "dev")
+    dev_golds = [ex.gold for ex in dataset.dev]
 
     state = AdamState.init(
         params.to_dict(), lr=config.lr, beta1=config.beta1,
@@ -682,7 +769,7 @@ def train(
     bad_epochs = 0
     log: list[EpochStats] = []
     aborted = False
-    n = len(prepared)
+    n = len(sources)
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
@@ -690,20 +777,9 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            batch_loss = 0.0
-            acc: Params | None = None
-            for j in batch:
-                src_ids, gold_ids = prepared[j]
-                loss, grads = _loss_and_grads(src_ids, gold_ids, params, config, tvocab)
-                batch_loss += loss
-                if acc is None:
-                    acc = grads
-                else:
-                    for key in acc:
-                        acc[key] += grads[key]
-            scale = 1.0 / len(batch)
-            batch_loss *= scale
-            grads = {k: v * scale for k, v in acc.items()}
+            batch_loss, grads = _loss_and_grads(
+                [sources[j] for j in batch], golds[batch], params, config, tvocab
+            )
             if not math.isfinite(batch_loss) or not math.isfinite(global_norm(grads)):
                 logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
                 aborted = True
@@ -716,8 +792,8 @@ def train(
             break
         train_loss = epoch_loss / n
         dev_f1 = (
-            _dev_exact_match(dataset.dev, params, word_vocab, tvocab, config)
-            if dataset.dev
+            _dev_exact_match(dev_sources, dev_golds, params, config, tvocab)
+            if dev_sources
             else None
         )
         log.append(EpochStats(epoch, train_loss, dev_f1, time.perf_counter() - t0))

@@ -1,10 +1,11 @@
 """Dense float64 numerics underneath the triple translator.
 
 Hand-derived building blocks: weighted cross-entropy fused with its softmax
-gradient, an LSTM cell with stacked gate weights and exact backward,
+gradient, an LSTM cell with stacked gate weights and exact backward, a
+padded, length-masked LSTM sequence scan over a batch with exact backward,
 bias-corrected Adam, global-norm clipping, and a central-difference gradient
 checker that serves as the independent oracle for every backward pass in the
-package.
+package. The cross-entropy takes optional leading batch axes, the cell one.
 
 All public operations work on float64 numpy arrays, validate their inputs,
 and are pure functions: identical inputs give bit-identical outputs.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit as sigmoid  # numerically stable logistic
@@ -22,6 +24,7 @@ __all__ = [
     "AdamState",
     "GATES",
     "LstmCache",
+    "LstmSequenceCache",
     "LstmWeights",
     "Params",
     "adam_step",
@@ -30,6 +33,8 @@ __all__ = [
     "grad_check_fd",
     "lstm_cell",
     "lstm_cell_backward",
+    "lstm_sequence",
+    "lstm_sequence_backward",
     "make_rng",
     "sigmoid",
     "uniform_init",
@@ -60,26 +65,34 @@ def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def weighted_cross_entropy(
-    probs: np.ndarray, target: int, weight: float
-) -> tuple[float, np.ndarray]:
+def weighted_cross_entropy(probs: np.ndarray, target, weight):
     """Loss -weight*ln(probs[target] + floor) and its logits gradient.
 
     The returned row is the gradient with respect to the *logits* that
     produced ``probs`` through a softmax, i.e. the fused form
     weight * (probs - onehot(target)). The log floor only matters when the
     target probability is exactly 0; it does not enter the gradient.
+
+    probs may carry leading batch axes, (..., n_classes); target then has
+    the leading shape, weight broadcasts to it, and the loss is an array of
+    that shape instead of a float.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError(f"probs must be 1-d, got shape {probs.shape}")
+    if probs.ndim < 1:
+        raise ValueError(f"probs must have a class axis, got shape {probs.shape}")
     require_finite(probs, "probs")
-    if not 0 <= target < probs.size:
-        raise ValueError(f"target {target} out of range [0, {probs.size})")
-    loss = -weight * math.log(probs[target] + LOG_FLOOR)
-    grad = weight * probs
-    grad[target] -= weight
-    return loss, grad
+    target = np.asarray(target)
+    if target.shape != probs.shape[:-1]:
+        raise ValueError(f"target shape {target.shape}, expected {probs.shape[:-1]}")
+    n = probs.shape[-1]
+    if ((target < 0) | (target >= n)).any():
+        raise ValueError(f"target {target} out of range [0, {n})")
+    weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), target.shape)
+    rows = np.indices(target.shape, sparse=True)
+    loss = -weight * np.log(probs[(*rows, target)] + LOG_FLOOR)
+    grad = weight[..., None] * probs
+    grad[(*rows, target)] -= weight
+    return (float(loss) if probs.ndim == 1 else loss), grad
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +173,64 @@ class LstmWeights:
 
 @dataclass
 class LstmCache:
-    """Forward intermediates; exactly what the backward pass needs."""
+    """Forward intermediates of one lstm_cell call; exactly what the
+    backward pass needs."""
 
     z: np.ndarray       # [x; h_prev]
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
+    gates: np.ndarray   # (4, [B,] H): activated i, f, o, g, gate-major
     tc: np.ndarray      # tanh(c)
+
+
+@dataclass
+class LstmSequenceCache:
+    """Forward intermediates of one lstm_sequence call, time-major."""
+
+    X: np.ndarray            # (T, G, B, D) inputs
+    h: np.ndarray            # (T + 1, G, B, H): h0, then each step's state
+    c: np.ndarray            # (T + 1, G, B, H): zeros, then each step's cell
+    gates: np.ndarray        # (T, 4, G, B, H): activated gates, gate-major
+    tc: np.ndarray           # (T, G, B, H): tanh of each step's new cell
+    live: np.ndarray | None  # (T, B): step t of row b is inside its length
+    n_full: int              # steps for which every row is live
+
+
+# The cell's pointwise work runs on gate-major arrays (4, ..., H), so each
+# gate and the three sigmoid gates together are contiguous blocks.
+
+
+def _cell_update(gates, c_prev, tc=None, c=None, h=None):
+    """Activate gate-major pre-activations in place; returns (tanh(c), c, h),
+    written into the given arrays when there are any."""
+    sigmoid(gates[:3], out=gates[:3])
+    np.tanh(gates[3], out=gates[3])
+    c = np.multiply(gates[1], c_prev, out=c)
+    c += gates[0] * gates[3]
+    tc = np.tanh(c, out=tc)
+    return tc, c, np.multiply(gates[2], tc, out=h)
+
+
+def _gate_derivs(gates: np.ndarray, tc: np.ndarray, axis: int = 0):
+    """Local derivatives of activated gates, laid out like them: i(1-i),
+    f(1-f), o(1-o), 1-g^2; and o * (1 - tanh(c)^2), the path from h back
+    to c. `axis` is the gate axis of `gates`."""
+    derivs = np.empty_like(gates)
+    g4, d4 = gates.swapaxes(0, axis), derivs.swapaxes(0, axis)
+    np.multiply(g4[:3], 1.0 - g4[:3], out=d4[:3])
+    np.subtract(1.0, g4[3] * g4[3], out=d4[3])
+    return derivs, g4[2] * (1.0 - tc * tc)
+
+
+def _pre_grad(dh, dc, gates, c_prev, tc, derivs, o_dtc, d_pre) -> np.ndarray:
+    """Write the gate-major pre-activation gradient of one step into d_pre
+    and return the gradient reaching the step's new cell state."""
+    dc_total = dc + dh * o_dtc
+    np.multiply(dc_total, gates[3], out=d_pre[0])
+    np.multiply(dc_total, c_prev, out=d_pre[1])
+    np.multiply(dh, tc, out=d_pre[2])
+    np.multiply(dc_total, gates[0], out=d_pre[3])
+    d_pre *= derivs
+    return dc_total
 
 
 def lstm_cell(
@@ -179,24 +240,21 @@ def lstm_cell(
 
     c = f*c_prev + i*g,  h = o*tanh(c). Returns (h, c, cache), where the
     cache suffices for exact gradients w.r.t. x, h_prev, c_prev and weights.
+    x is (input_dim,) or a batch (B, input_dim); the states match it.
     """
-    if x.shape != (w.input_dim,):
-        raise ValueError(f"lstm_cell: x has shape {x.shape}, expected ({w.input_dim},)")
-    if h_prev.shape != (w.hidden_dim,) or c_prev.shape != (w.hidden_dim,):
+    lead = x.shape[:-1]
+    if x.shape[-1:] != (w.input_dim,) or len(lead) > 1:
+        raise ValueError(f"lstm_cell: x has shape {x.shape}, expected ([B,] {w.input_dim})")
+    if h_prev.shape != lead + (w.hidden_dim,) or c_prev.shape != h_prev.shape:
         raise ValueError(
             f"lstm_cell: state shapes {h_prev.shape}/{c_prev.shape}, "
-            f"expected ({w.hidden_dim},)"
+            f"expected {lead + (w.hidden_dim,)}"
         )
-    n = w.hidden_dim
-    z = np.concatenate([x, h_prev])
-    pre = w.W @ z + w.b
-    ifo = sigmoid(pre[:3 * n])
-    i, f, o = ifo[:n], ifo[n:2 * n], ifo[2 * n:]
-    g = np.tanh(pre[3 * n:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, LstmCache(z, c_prev, i, f, o, g, c, tc)
+    z = np.concatenate([x, h_prev], axis=-1)
+    # (4H,) or (B, 4H) -> gate-major (4, H) or (4, B, H)
+    gates = (z @ w.W.T + w.b).reshape(lead + (4, w.hidden_dim)).swapaxes(0, -2)
+    tc, c, h = _cell_update(gates, c_prev)
+    return h, c, LstmCache(z, c_prev, gates, tc)
 
 
 def lstm_cell_backward(
@@ -206,19 +264,111 @@ def lstm_cell_backward(
 
     dh, dc are the upstream gradients on the step's h and c outputs.
     Returns (dx, dh_prev, dc_prev, dw) with dw keyed like
-    LstmWeights.to_dict("") without the prefix dot.
+    LstmWeights.to_dict("") without the prefix dot; over a batch, dw sums
+    the rows.
     """
-    i, f, o, g, tc = cache.i, cache.f, cache.o, cache.g, cache.tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    d_pre = np.concatenate([
-        (dc_total * g) * i * (1.0 - i),
-        (dc_total * cache.c_prev) * f * (1.0 - f),
-        (dh * tc) * o * (1.0 - o),
-        (dc_total * i) * (1.0 - g * g),
-    ])
-    dz = w.W.T @ d_pre
     n_in = w.input_dim
-    return dz[:n_in], dz[n_in:], dc_total * f, {"W": np.outer(d_pre, cache.z), "b": d_pre}
+    d_pre = np.empty(cache.gates.shape)
+    dc_total = _pre_grad(dh, dc, cache.gates, cache.c_prev, cache.tc,
+                         *_gate_derivs(cache.gates, cache.tc), d_pre)
+    d_rows = d_pre.swapaxes(0, -2).reshape(-1, 4 * w.hidden_dim)
+    z_rows = cache.z.reshape(-1, cache.z.shape[-1])
+    dz = (d_rows @ w.W).reshape(cache.z.shape)
+    dw = {"W": d_rows.T @ z_rows, "b": d_rows.sum(axis=0)}
+    return dz[..., :n_in], dz[..., n_in:], dc_total * cache.gates[1], dw
+
+
+def lstm_sequence(
+    X: np.ndarray,
+    ws: Sequence[LstmWeights],
+    h0: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
+) -> tuple[np.ndarray, LstmSequenceCache]:
+    """Run G independent LSTMs in lockstep over a padded, time-major batch.
+
+    X is (T, G, B, input_dim) and LSTM ws[g] reads X[:, g]; all share their
+    dimensions. The input half of every pre-activation is one GEMM per LSTM
+    over all T*B positions, so each step only multiplies h (G, B, H) by the
+    recurrent halves of W. Row b is live for its first lengths[b] steps
+    (all T when lengths is None); after that its h and c stay frozen, so
+    the last output step holds every row's final state. The cells start
+    from h0 (G, B, H), zeros when None, and zero cell states.
+    Returns (hs (T, G, B, H), cache).
+    """
+    T, G, B, d = X.shape
+    n = ws[0].hidden_dim
+    if T < 1 or len(ws) != G or any((w.input_dim, w.hidden_dim) != (d, n) for w in ws):
+        raise ValueError(f"lstm_sequence: X of shape {X.shape} does not fit {len(ws)} LSTM(s)")
+    h = np.zeros((T + 1, G, B, n))
+    if h0 is not None:
+        h[0] = h0
+    c = np.zeros((T + 1, G, B, n))
+    gates = np.empty((T, 4, G, B, n))
+    for g, w in enumerate(ws):
+        proj = X[:, g].reshape(T * B, d) @ w.W[:, :d].T + w.b
+        gates[:, :, g] = proj.reshape(T, B, 4, n).transpose(0, 2, 1, 3)
+    w_h = np.empty((4, G, n, n))  # w_h[k, g] maps h of LSTM g to gate k
+    for g, w in enumerate(ws):
+        w_h[:, g] = w.W[:, d:].reshape(4, n, n).transpose(0, 2, 1)
+    tc = np.empty((T, G, B, n))
+    if lengths is None:
+        live, n_full = None, T
+    else:
+        live, n_full = np.arange(T)[:, None] < lengths, int(lengths.min())
+    for t in range(T):
+        gates[t] += h[t] @ w_h
+        _cell_update(gates[t], c[t], tc[t], c[t + 1], h[t + 1])
+        if t >= n_full:
+            frozen = ~live[t][:, None]
+            np.copyto(c[t + 1], c[t], where=frozen)
+            np.copyto(h[t + 1], h[t], where=frozen)
+    return h[1:], LstmSequenceCache(X, h, c, gates, tc, live, n_full)
+
+
+def lstm_sequence_backward(
+    dhs: np.ndarray, cache: LstmSequenceCache, ws: Sequence[LstmWeights]
+) -> tuple[np.ndarray, np.ndarray, list[Params]]:
+    """Exact backward for lstm_sequence.
+
+    dhs (T, G, B, H) is the upstream gradient on every output step. Returns
+    (dX (T, G, B, input_dim), dh0 (G, B, H), one dw per LSTM). A step past
+    a row's end passes its gradient straight to the step before and its
+    pre-activation gradient is exactly zero, so padding adds nothing to dX
+    or dw. The pre-activation gradients of all steps fill one buffer, and
+    each LSTM's dW and dX are GEMMs over it.
+    """
+    T, G, B, n = dhs.shape
+    d = ws[0].input_dim
+    gates = cache.gates
+    derivs, o_dtc = _gate_derivs(gates, cache.tc, axis=1)
+    d_pre = np.empty((T, 4, G, B, n))
+    w_hT = np.empty((4, G, n, n))  # w_hT[k, g] maps gate k's gradient back to h
+    for g, w in enumerate(ws):
+        w_hT[:, g] = w.W[:, d:].reshape(4, n, n)
+    dh = np.zeros((G, B, n))
+    dc = np.zeros((G, B, n))
+    for t in range(T - 1, -1, -1):
+        dh += dhs[t]
+        dp = d_pre[t]
+        dc_total = _pre_grad(dh, dc, gates[t], cache.c[t], cache.tc[t], derivs[t], o_dtc[t], dp)
+        dh_new = (dp @ w_hT).sum(axis=0)
+        dc_new = dc_total * gates[t, 1]
+        if t >= cache.n_full:
+            frozen = ~cache.live[t][:, None]
+            dp[:, :, frozen[:, 0]] = 0.0
+            np.copyto(dh_new, dh, where=frozen)
+            np.copyto(dc_new, dc, where=frozen)
+        dh, dc = dh_new, dc_new
+    dX = np.empty(cache.X.shape)
+    dws = []
+    for g, w in enumerate(ws):
+        rows = d_pre[:, :, g].transpose(0, 2, 1, 3).reshape(T * B, 4 * n)
+        dX[:, g] = (rows @ w.W[:, :d]).reshape(T, B, d)
+        dW = np.concatenate([
+            rows.T @ cache.X[:, g].reshape(T * B, d), rows.T @ cache.h[:-1, g].reshape(T * B, n)
+        ], axis=1)
+        dws.append({"W": dW, "b": rows.sum(axis=0)})
+    return dX, dh, dws
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: the capital-city sample pair and a trained checkpoint."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -24,10 +25,12 @@ flags=A
 """
 
 
-def run_cli(*argv, stdin=None):
+def run_cli(*argv, stdin=None, env=None):
+    """Run the CLI in a subprocess; env entries are added to os.environ."""
     return subprocess.run(
         [sys.executable, "-m", "text2triple", *argv],
         capture_output=True, text=True, input=stdin,
+        env=None if env is None else {**os.environ, **env},
     )
 
 

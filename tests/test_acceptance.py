@@ -18,6 +18,7 @@ from text2triple.corpus import (
     Triple,
     distant_supervise,
 )
+from text2triple import model
 from text2triple.embeddings import (
     TransEConfig,
     decoder_init_table,
@@ -69,18 +70,24 @@ def _word_init_table(word_vocab, vectors, dim, rng):
 
 
 def test_criterion_01_gradient_exactness():
-    """FD check over every parameter group of the tiny full model."""
+    """FD check over every parameter group of the tiny full model, on the
+    batched training path over a padded batch whose rows differ in length."""
     start = time.perf_counter()
     config, word_vocab, tvocab = _tiny_setup()
     assert len(word_vocab) == 20
     params = ModelParams.init(config, len(word_vocab), tvocab.n_targets, make_rng(1))
-    ex = AnnotatedExample(
-        ("w0", "w4", "w8", "w12", "w16"), Triple("ent:2", "rel:1", "ent:5"), "acc1"
-    )
+    batch = [
+        AnnotatedExample(("w0", "w4", "w8", "w12", "w16"),
+                         Triple("ent:2", "rel:1", "ent:5"), "acc1"),
+        AnnotatedExample(("w3", "w9"), Triple("ent:0", "rel:2", "ent:4"), "acc1b"),
+        AnnotatedExample(("w5", "w1", "w14"), Triple("ent:3", "rel:0", "ent:3"), "acc1c"),
+    ]
+    sources = [encode_sentence(ex.tokens, word_vocab) for ex in batch]
+    gold = np.array([tvocab.encode_triple(*ex.gold) for ex in batch])
 
     def loss_and_grad(flat):
-        return forward_loss(ex, ModelParams.from_dict(flat), config, word_vocab,
-                            tvocab)
+        return model._loss_and_grads(sources, gold, ModelParams.from_dict(flat), config,
+                                     tvocab)
 
     err = grad_check_fd(loss_and_grad, params.to_dict(), eps=1e-4)
     elapsed = time.perf_counter() - start

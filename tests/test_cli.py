@@ -1,5 +1,6 @@
 """End-to-end sub-command behavior through the real process boundary."""
 
+import hashlib
 import json
 
 from conftest import TABLE1_SENTENCE, rewrite_checkpoint_header, run_cli
@@ -207,3 +208,34 @@ class TestConfigResolution:
                        "--out", str(tmp_path / "m.ckpt"))
         assert proc.returncode == 1
         assert "no_such_knob" in proc.stderr
+
+    def test_zero_batch_size_one_line_error(self, table1_dir, tmp_path):
+        # train takes batch_size from the config file; it has no flag for it
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("batch_size=0\n")
+        ckpt = tmp_path / "m.ckpt"
+        proc = run_cli("train", "--config", str(cfg),
+                       "--train", str(table1_dir / "train.jsonl"), "--out", str(ckpt))
+        assert proc.returncode == 1
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+        assert errors == ["error: batch_size must be >= 1"]
+        assert "Traceback" not in proc.stderr
+        assert not ckpt.exists()
+
+
+class TestBlasThreads:
+    def test_checkpoint_bytes_do_not_depend_on_thread_count(self, tmp_path):
+        # Two epochs at the train sub-command's default dimensions (64/128,
+        # batch_size 8), whose batched GEMMs are the largest the model runs.
+        proc = run_cli("make-synthetic", "--hard", "--seed", "5", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        digests = []
+        for threads in ("1", "2"):
+            ckpt = tmp_path / f"threads{threads}.ckpt"
+            proc = run_cli("train", "--train", str(tmp_path / "train.jsonl"),
+                           "--dev", str(tmp_path / "dev.jsonl"), "--epochs", "2",
+                           "--seed", "3", "--out", str(ckpt),
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]

@@ -165,6 +165,17 @@ class TestTransETrain:
         with pytest.raises(ValueError, match="empty"):
             transe_train(KnowledgeGraph(frozenset()), TransEConfig(dim=4))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", -1.0, "lr must be positive"),
+        ("lr", 0.0, "lr must be positive"),
+        ("epochs", -1, "epochs must be >= 1"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+    ])
+    def test_nonsense_config_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TransEConfig(**{field: value})
+
 
 class TestLinkPrediction:
     def test_perfect_embeddings_rank_one(self):
@@ -246,6 +257,12 @@ class TestWordVectors:
         with pytest.raises(ValueError, match=r"w\.vec:2: non-finite"):
             load_word_vectors(f, self.vocab(), 2, make_rng(0))
 
+    def test_non_numeric_value_rejected_with_line(self, tmp_path):
+        f = tmp_path / "w.vec"
+        f.write_text("germany 3 4\nberlin 1 x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"w\.vec:2: non-numeric vector value"):
+            load_word_vectors(f, self.vocab(), 2, make_rng(0))
+
     def test_first_duplicate_wins(self, tmp_path):
         f = tmp_path / "w.vec"
         f.write_text("berlin 1 2\nberlin 3 4\n", encoding="utf-8")
@@ -283,6 +300,28 @@ class TestKgEmbeddingIo:
         lines[1] = lines[1].rsplit(" ", 1)[0] + " " + bad
         (out / "relations.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"relations\.vec:2: non-finite"):
+            load_kg_embeddings(out)
+
+    def saved(self, tmp_path):
+        config = TransEConfig(dim=2, epochs=1, seed=5)
+        out = tmp_path / "emb"
+        save_kg_embeddings(transe_train(rectangle_kg(), config), out, config)
+        return out
+
+    def test_non_numeric_value_rejected_with_line(self, tmp_path):
+        out = self.saved(tmp_path)
+        lines = (out / "entities.vec").read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " x"
+        (out / "entities.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entities\.vec:3: non-numeric vector value"):
+            load_kg_embeddings(out)
+
+    def test_non_integer_header_rejected_with_line(self, tmp_path):
+        out = self.saved(tmp_path)
+        lines = (out / "relations.vec").read_text(encoding="utf-8").splitlines()
+        lines[0] = "a b"
+        (out / "relations.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"relations\.vec:1: header"):
             load_kg_embeddings(out)
 
     def test_save_is_deterministic(self, tmp_path):

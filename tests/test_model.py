@@ -1,6 +1,7 @@
 """Encoder/decoder forward-backward, inference and checkpoints."""
 
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -58,6 +59,30 @@ def random_example(rng, word_vocab, tvocab, length=5):
         tvocab.entities[int(rng.integers(len(tvocab.entities)))],
     )
     return AnnotatedExample(tokens, gold, f"rand:{int(rng.integers(1 << 30))}")
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("epochs", -3, "epochs must be >= 1"),
+        ("epochs", 0, "epochs must be >= 1"),
+        ("patience", 0, "patience must be >= 1"),
+        ("lr", -1.0, "lr must be positive"),
+        ("lr", 0.0, "lr must be positive"),
+        ("clip_norm", -1.0, "clip_norm must be positive"),
+        ("adam_eps", 0.0, "adam_eps must be positive"),
+        ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+        ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
+        ("beta2", 1.5, r"beta2 must be in \[0, 1\)"),
+        ("lr", float("nan"), "lr must be positive"),
+    ])
+    def test_nonsense_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        config = ModelConfig(batch_size=1, epochs=1, patience=1, beta1=0.0, beta2=0.0)
+        assert config.batch_size == 1
 
 
 class TestEncode:
@@ -437,6 +462,18 @@ class TestTrain:
         result = train(Dataset(train=examples[:3] + [bad]), word_vocab, tvocab,
                        self.config(epochs=1))
         assert result.dropped_oov == 1
+
+    def test_truncation_warned_once(self, caplog):
+        word_vocab, tvocab, examples = self.small_world()
+        long = [AnnotatedExample(ex.tokens * 5, ex.gold, f"long:{i}")
+                for i, ex in enumerate(examples[:3])]           # 20 > max_src_len 16
+        config = self.config(epochs=2, max_src_len=16)
+        with caplog.at_level(logging.WARNING, logger="text2triple.model"):
+            result = train(Dataset(train=long + examples[3:]), word_vocab, tvocab, config)
+        assert len(result.log) == 2
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert "truncated 3 of 6 training sources to max_src_len=16" in warnings[0]
 
     def test_empty_train_rejected(self):
         word_vocab, tvocab, _ = self.small_world()

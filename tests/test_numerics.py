@@ -14,6 +14,8 @@ from text2triple.numerics import (
     grad_check_fd,
     lstm_cell,
     lstm_cell_backward,
+    lstm_sequence,
+    lstm_sequence_backward,
     make_rng,
     uniform_init,
     weighted_cross_entropy,
@@ -58,6 +60,24 @@ class TestWeightedCrossEntropy:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             weighted_cross_entropy(np.array([1.0]), 3, 1.0)
+
+    def test_batch_equals_rows(self):
+        rng = make_rng(5)
+        e = np.exp(rng.standard_normal((2, 3, 4)))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        target = np.array([[0, 3, 1], [2, 2, 0]])
+        weight = np.array([1.0, 0.5, 2.0])
+        loss, grad = weighted_cross_entropy(probs, target, weight)
+        assert loss.shape == (2, 3) and grad.shape == (2, 3, 4)
+        for b in range(2):
+            for k in range(3):
+                row_loss, row_grad = weighted_cross_entropy(probs[b, k], target[b, k], weight[k])
+                assert loss[b, k] == row_loss
+                np.testing.assert_array_equal(grad[b, k], row_grad)
+
+    def test_batch_target_shape_checked(self):
+        with pytest.raises(ValueError, match="target shape"):
+            weighted_cross_entropy(np.full((2, 3), 1 / 3), np.array([0]), 1.0)
 
 
 class TestLstmCell:
@@ -132,6 +152,66 @@ class TestLstmCell:
             return loss, grads
 
         assert grad_check_fd(loss_and_grad, base, eps=1e-5) < 1e-6
+
+
+class TestBatchedLstm:
+    def test_cell_rows_equal_single_calls(self):
+        rng = make_rng(11)
+        w = LstmWeights.init(5, 4, rng, scale=0.5)
+        x, h, c = (rng.standard_normal((3, n)) for n in (5, 4, 4))
+        hb, cb, cache = lstm_cell(x, h, c, w)
+        dh, dc = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        dx, dh_prev, dc_prev, dw = lstm_cell_backward(dh, dc, cache, w)
+        dw_sum = {"W": 0.0, "b": 0.0}
+        for r in range(3):
+            h1, c1, cache1 = lstm_cell(x[r], h[r], c[r], w)
+            np.testing.assert_allclose(hb[r], h1, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(cb[r], c1, rtol=0, atol=1e-15)
+            dx1, dh1, dc1, dw1 = lstm_cell_backward(dh[r], dc[r], cache1, w)
+            np.testing.assert_allclose(dx[r], dx1, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dh_prev[r], dh1, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(dc_prev[r], dc1, rtol=0, atol=1e-14)
+            dw_sum = {k: dw_sum[k] + dw1[k] for k in dw_sum}
+        for k in dw:
+            np.testing.assert_allclose(dw[k], dw_sum[k], rtol=0, atol=1e-14)
+
+    def test_sequence_equals_cell_loop_and_freezes_past_length(self):
+        rng = make_rng(12)
+        ws = (LstmWeights.init(3, 4, rng, scale=0.5), LstmWeights.init(3, 4, rng, scale=0.5))
+        lengths = np.array([5, 2, 4])
+        X = rng.standard_normal((5, 2, 3, 3))
+        h0 = rng.standard_normal((2, 3, 4))
+        hs, _ = lstm_sequence(X, ws, h0=h0, lengths=lengths)
+        for g in range(2):
+            for b, n in enumerate(lengths):
+                h, c = h0[g, b], np.zeros(4)
+                for t in range(5):
+                    if t < n:
+                        h, c, _ = lstm_cell(X[t, g, b], h, c, ws[g])
+                    np.testing.assert_allclose(hs[t, g, b], h, rtol=0, atol=1e-14)
+
+    def test_sequence_backward_matches_finite_differences(self):
+        rng = make_rng(13)
+        ws = (LstmWeights.init(3, 4, rng, scale=0.5), LstmWeights.init(3, 4, rng, scale=0.5))
+        lengths = np.array([4, 1, 3])
+        proj = rng.standard_normal((4, 2, 3, 4))
+        base = {"X": rng.standard_normal((4, 2, 3, 3)), "h0": rng.standard_normal((2, 3, 4)),
+                **ws[0].to_dict("a"), **ws[1].to_dict("b")}
+
+        def loss_and_grad(p):
+            pair = (LstmWeights.from_dict(p, "a"), LstmWeights.from_dict(p, "b"))
+            hs, cache = lstm_sequence(p["X"], pair, h0=p["h0"], lengths=lengths)
+            dX, dh0, (da, db) = lstm_sequence_backward(proj, cache, pair)
+            grads = {"X": dX, "h0": dh0}
+            grads.update({f"a.{k}": v for k, v in da.items()})
+            grads.update({f"b.{k}": v for k, v in db.items()})
+            return float((proj * hs).sum()), grads
+
+        assert grad_check_fd(loss_and_grad, base, eps=1e-5) < 1e-6
+        # padded steps take no gradient at all
+        _, grads = loss_and_grad(base)
+        for b, n in enumerate(lengths):
+            assert (grads["X"][n:, :, b] == 0.0).all()
 
 
 class TestAdam:
