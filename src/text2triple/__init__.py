@@ -12,9 +12,6 @@ from .corpus import (
     KnowledgeGraph,
     Triple,
     distant_supervise,
-    kfold,
-    load_dataset,
-    split_dataset,
 )
 from .embeddings import (
     KgEmbeddings,
@@ -75,15 +72,12 @@ __all__ = [
     "exact_match",
     "forward_loss",
     "grad_check_fd",
-    "kfold",
     "link_prediction_eval",
     "load_checkpoint",
-    "load_dataset",
     "load_word_vectors",
     "make_rng",
     "negative_sample",
     "save_checkpoint",
-    "split_dataset",
     "tokenize",
     "train",
     "transe_score",

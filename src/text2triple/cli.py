@@ -60,8 +60,6 @@ _CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
 def _coerce(key: str, value: str):
     if key == "step_weights":
         return tuple(float(v) for v in value.split(","))
-    if key == "flags":
-        return value
     ftype = _CONFIG_FIELD_TYPES.get(key, "str")
     if "bool" in str(ftype):
         return value.lower() in ("1", "true", "yes", "on")
@@ -83,10 +81,8 @@ def resolve_model_config(args) -> ModelConfig:
             values[key] = _coerce(key, raw)
         else:
             raise DataError(f"unknown config key {key!r} in {args.config}")
-    for key in ("epochs", "batch_size", "patience", "lr"):
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = override
+    if getattr(args, "epochs", None) is not None:
+        values["epochs"] = args.epochs
     if getattr(args, "flags", None) is not None:
         values.update(_parse_flags(args.flags))
     if getattr(args, "seed", None) is not None:
@@ -323,7 +319,6 @@ def _cmd_ablation(args) -> int:
         for seed in seeds:
             run_args = argparse.Namespace(
                 config=args.config, flags=flag_set, seed=seed, epochs=args.epochs,
-                batch_size=None, patience=None, lr=None,
                 word_vectors=args.word_vectors, kg_embeddings=args.kg_embeddings,
                 min_count=args.min_count,
             )
@@ -366,7 +361,10 @@ def _cmd_make_synthetic(args) -> int:
         for ent, aliases in sorted(world.kg.surface_forms.items()):
             for alias in aliases:
                 fh.write(f"{ent}\t{' '.join(alias)}\n")
-    synthetic.write_word_vector_file(out / "words.vec", world.word_vectors)
+    tokens = sorted(world.word_vectors)
+    embeddings.write_vector_file(
+        out / "words.vec", tokens, [world.word_vectors[t] for t in tokens]
+    )
     print(f"train={len(world.train)} dev={len(world.dev)} test={len(world.test)} "
           f"kg={len(world.kg.triples)}")
     return 0
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log path (default stdout)")
-    p.set_defaults(handler=_cmd_train, batch_size=None, patience=None, lr=None)
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a test set")
     p.add_argument("--checkpoint", required=True)

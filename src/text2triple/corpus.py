@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .vocab import tokenize
 
 __all__ = [
@@ -36,13 +34,10 @@ __all__ = [
     "KnowledgeGraph",
     "Triple",
     "distant_supervise",
-    "kfold",
-    "load_dataset",
     "load_examples",
     "load_kg_file",
     "load_surface_forms",
     "save_examples",
-    "split_dataset",
 ]
 
 
@@ -195,22 +190,6 @@ def save_examples(examples: Iterable[AnnotatedExample], path) -> None:
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def load_dataset(path) -> Dataset:
-    """Load a dataset.
-
-    A directory is read as train.jsonl/dev.jsonl/test.jsonl (missing files
-    give empty splits); a single file becomes the train split.
-    """
-    path = Path(path)
-    if path.is_dir():
-        splits = {}
-        for name in ("train", "dev", "test"):
-            f = path / f"{name}.jsonl"
-            splits[name] = load_examples(f) if f.exists() else []
-        return Dataset(**splits)
-    return Dataset(train=load_examples(path))
-
-
 def load_kg_file(path) -> frozenset[Triple]:
     """TSV subject<TAB>predicate<TAB>object, one triple per line."""
     path = Path(path)
@@ -323,38 +302,3 @@ def distant_supervise(
                 for j, tr in enumerate(matched):
                     examples.append(AnnotatedExample(toks, tr, f"ds:{i}:{j}"))
     return examples, report
-
-
-# ---------------------------------------------------------------------------
-# Splitting
-# ---------------------------------------------------------------------------
-
-
-def split_dataset(
-    examples: Sequence[AnnotatedExample],
-    ratios: tuple[float, float, float],
-    rng: np.random.Generator,
-) -> Dataset:
-    """Deterministic shuffled split into train/dev/test by ratio."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError("ratios must be 3 positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    n = len(examples)
-    perm = rng.permutation(n)
-    c1 = min(n, round(ratios[0] * n))
-    c2 = min(n, max(c1, round((ratios[0] + ratios[1]) * n)))
-    pick = lambda idx: [examples[j] for j in idx]  # noqa: E731
-    return Dataset(train=pick(perm[:c1]), dev=pick(perm[c1:c2]), test=pick(perm[c2:]))
-
-
-def kfold(
-    examples: Sequence[AnnotatedExample], k: int, rng: np.random.Generator
-) -> list[list[AnnotatedExample]]:
-    """k disjoint folds covering the input exactly once, shuffled by seed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(examples) < k:
-        raise ValueError(f"cannot make {k} folds from {len(examples)} examples")
-    perm = rng.permutation(len(examples))
-    return [[examples[j] for j in chunk] for chunk in np.array_split(perm, k)]

@@ -7,6 +7,14 @@ ranking loss sum(max(0, margin + score(pos) - score(neg))) with filtered
 uniform corruption and renormalizes entity rows to the unit sphere after
 every batch. Word vectors are loaded from a textual file; vocabulary rows
 the file does not cover fall back to uniform random init.
+
+Word vectors and KG embeddings share one text format, read by
+``read_vector_file`` and written by ``write_vector_file``: an optional
+``count dim`` header, then ``symbol v1 .. v_d`` per line with finite values.
+The reader returns every row in file order; each loader applies its own
+policy. ``load_word_vectors`` keeps the first row of a repeated token and
+accepts an empty file; ``load_kg_embeddings`` keeps every row and rejects a
+file with no vectors.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ __all__ = [
     "load_kg_embeddings",
     "load_word_vectors",
     "negative_sample",
+    "read_vector_file",
     "save_kg_embeddings",
     "transe_score",
     "transe_train",
+    "write_vector_file",
 ]
 
 logger = logging.getLogger(__name__)
@@ -91,6 +101,12 @@ class KgEmbeddings:
         return self.relation_table[self._ridx[symbol]]
 
 
+def _score_rows(rows: np.ndarray, norm: str) -> np.ndarray:
+    if norm == "L1":
+        return np.abs(rows).sum(axis=1)
+    return np.sqrt((rows * rows).sum(axis=1))
+
+
 def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") -> float:
     """Dissimilarity ||h + r - t|| under the given norm; 0 means exact fit."""
     if norm not in _NORMS:
@@ -98,16 +114,7 @@ def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") 
     h, r, t = (np.asarray(v, dtype=np.float64) for v in (h, r, t))
     if not (h.shape == r.shape == t.shape) or h.ndim != 1:
         raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")
-    diff = h + r - t
-    if norm == "L1":
-        return float(np.abs(diff).sum())
-    return float(np.linalg.norm(diff))
-
-
-def _score_rows(rows: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "L1":
-        return np.abs(rows).sum(axis=1)
-    return np.sqrt((rows * rows).sum(axis=1))
+    return float(_score_rows((h + r - t)[None, :], norm)[0])
 
 
 def _norm_grad(diff: np.ndarray, norm: str) -> np.ndarray:
@@ -268,46 +275,63 @@ def link_prediction_eval(
 # ---------------------------------------------------------------------------
 
 
-def _vector_row(parts: list[str], dim: int, path, lineno: int) -> np.ndarray:
-    """The values of one split ``symbol v1 .. v_d`` line: dim finite floats."""
-    if len(parts) - 1 != dim:
-        raise ValueError(
-            f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
-        )
-    try:
-        row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
-    if not np.isfinite(row).all():
-        raise ValueError(f"{path}:{lineno}: non-finite vector value")
-    return row
+def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Every ``symbol v1 .. v_d`` row of a vector file, in file order.
 
-
-def _parse_vector_file(path, dim: int) -> dict[str, np.ndarray]:
-    """Read ``token v1 .. v_d`` lines; optional leading ``count dim`` header.
-
-    The first line for a token wins; every line must hold dim finite values.
+    A two-field first line is the ``count dim`` header: both fields must be
+    integers, and its dim must equal ``dim`` when one is given. Without
+    ``dim`` the header, or else the first row, sets it. Every row must hold
+    dim finite values. Returns (symbols, table); an empty file gives no
+    symbols and a table with no rows.
     """
-    path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
-    with path.open(encoding="utf-8") as fh:
+    symbols: list[str] = []
+    rows: list[np.ndarray] = []
+    with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2:
                 try:
-                    _, header_dim = int(parts[0]), int(parts[1])
+                    int(parts[0])
+                    header_dim = int(parts[1])
                 except ValueError:
-                    pass
-                else:
-                    if header_dim != dim:
-                        raise ValueError(
-                            f"{path}:1: header dimension {header_dim}, expected {dim}"
-                        )
-                    continue
-            vectors.setdefault(parts[0], _vector_row(parts, dim, path, lineno))
-    return vectors
+                    raise ValueError(
+                        f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
+                    ) from None
+                if dim is not None and header_dim != dim:
+                    raise ValueError(f"{path}:1: header dimension {header_dim}, expected {dim}")
+                dim = header_dim
+                continue
+            if dim is None:
+                dim = len(parts) - 1
+            if len(parts) - 1 != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
+                )
+            try:
+                row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: non-finite vector value")
+            symbols.append(parts[0])
+            rows.append(row)
+    table = np.vstack(rows) if rows else np.zeros((0, dim or 0))
+    return tuple(symbols), table
+
+
+def write_vector_file(path, symbols: Sequence[str], table) -> None:
+    """Write a ``count dim`` header, then one ``symbol v1 .. v_d`` line per row."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or len(table) != len(symbols):
+        raise ValueError(f"vector table shape {table.shape} does not fit {len(symbols)} symbols")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{len(symbols)} {table.shape[1]}\n")
+        for sym, row in zip(symbols, table):
+            if any(ch.isspace() for ch in sym):
+                raise ValueError(f"symbol {sym!r} contains whitespace")
+            fh.write(sym + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_word_vectors(
@@ -317,9 +341,12 @@ def load_word_vectors(
 
     Returns (table, coverage). Coverage is the fraction of non-reserved
     vocabulary tokens found in the file; PAD/UNK/BOS are always random-init.
+    The first row of a repeated token wins, and an empty file covers nothing.
     """
     table = uniform_init((len(vocab), dim), rng)
-    vectors = _parse_vector_file(path, dim)
+    vectors: dict[str, np.ndarray] = {}
+    for token, row in zip(*read_vector_file(path, dim)):
+        vectors.setdefault(token, row)
     covered = 0
     non_reserved = len(vocab) - len(RESERVED_TOKENS)
     for idx, token in enumerate(vocab.tokens):
@@ -372,21 +399,12 @@ RELATIONS_FILE = "relations.vec"
 MANIFEST_FILE = "manifest.json"
 
 
-def _write_vector_file(path, symbols: Sequence[str], table: np.ndarray) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(symbols)} {table.shape[1]}\n")
-        for sym, row in zip(symbols, table):
-            if any(ch.isspace() for ch in sym):
-                raise ValueError(f"symbol {sym!r} contains whitespace")
-            fh.write(sym + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
 def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None:
     """Write entities.vec, relations.vec and a manifest with the settings."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_vector_file(out / ENTITIES_FILE, emb.entity_symbols, emb.entity_table)
-    _write_vector_file(out / RELATIONS_FILE, emb.relation_symbols, emb.relation_table)
+    write_vector_file(out / ENTITIES_FILE, emb.entity_symbols, emb.entity_table)
+    write_vector_file(out / RELATIONS_FILE, emb.relation_symbols, emb.relation_table)
     manifest = {
         "dim": emb.dim,
         "norm": emb.norm,
@@ -400,37 +418,15 @@ def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None
     )
 
 
-def _read_vector_file(path) -> tuple[tuple[str, ...], np.ndarray]:
-    syms: list[str] = []
-    rows: list[np.ndarray] = []
-    dim = None
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0])
-                    dim = int(parts[1])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
-                    ) from None
-                continue
-            if dim is None:
-                dim = len(parts) - 1
-            rows.append(_vector_row(parts, dim, path, lineno))
-            syms.append(parts[0])
-    if not syms:
-        raise ValueError(f"{path}: no vectors found")
-    return tuple(syms), np.vstack(rows)
-
-
 def load_kg_embeddings(in_dir) -> KgEmbeddings:
-    """Read tables written by save_kg_embeddings."""
+    """Read tables written by save_kg_embeddings; every row is kept."""
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
-    ents, etab = _read_vector_file(in_dir / ENTITIES_FILE)
-    rels, rtab = _read_vector_file(in_dir / RELATIONS_FILE)
+    tables = []
+    for name in (ENTITIES_FILE, RELATIONS_FILE):
+        symbols, table = read_vector_file(in_dir / name)
+        if not symbols:
+            raise ValueError(f"{in_dir / name}: no vectors found")
+        tables.append((symbols, table))
+    (ents, etab), (rels, rtab) = tables
     return KgEmbeddings(ents, rels, etab, rtab, int(manifest["dim"]), manifest["norm"])

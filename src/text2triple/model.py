@@ -45,7 +45,6 @@ from .numerics import (
     Params,
     adam_step,
     clip_global_norm,
-    global_norm,
     lstm_cell,
     lstm_sequence,
     lstm_sequence_backward,
@@ -780,11 +779,11 @@ def train(
             batch_loss, grads = _loss_and_grads(
                 [sources[j] for j in batch], golds[batch], params, config, tvocab
             )
-            if not math.isfinite(batch_loss) or not math.isfinite(global_norm(grads)):
+            grads, grad_norm = clip_global_norm(grads, config.clip_norm)
+            if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):
                 logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
                 aborted = True
                 break
-            grads = clip_global_norm(grads, config.clip_norm)
             new_flat, state = adam_step(params.to_dict(), grads, state)
             params = ModelParams.from_dict(new_flat)
             epoch_loss += batch_loss * len(batch)

@@ -443,15 +443,18 @@ def global_norm(grads: Params) -> float:
     return math.sqrt(total)
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> Params:
-    """Scale all gradients by max_norm/norm when the global norm exceeds it."""
+def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:
+    """Scale all gradients by max_norm/norm when the global norm exceeds it.
+
+    Returns (gradients, the global norm before clipping).
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     norm = global_norm(grads)
     if norm <= max_norm:
-        return dict(grads)
+        return dict(grads), norm
     scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}
+    return {k: g * scale for k, g in grads.items()}, norm
 
 
 # ---------------------------------------------------------------------------

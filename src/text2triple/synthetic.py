@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import AnnotatedExample, KnowledgeGraph, Triple
 from .numerics import make_rng
 
-__all__ = ["SyntheticWorld", "make_easy_world", "make_hard_world", "write_word_vector_file"]
+__all__ = ["SyntheticWorld", "make_easy_world", "make_hard_world"]
 
 _VERBS = ("supplies", "borders", "controls", "funds", "admires", "visits")
 _FILLERS = (
@@ -174,13 +174,3 @@ def make_hard_world(
     )
     world.word_vectors = _word_vectors(rng, world.all_examples(), word_dim)
     return world
-
-
-def write_word_vector_file(path, vectors: dict[str, np.ndarray]) -> None:
-    """Textual word-vector file with a `count dim` header line."""
-    items = sorted(vectors.items())
-    dim = len(next(iter(vectors.values()))) if vectors else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(items)} {dim}\n")
-        for token, vec in items:
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")

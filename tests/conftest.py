@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 TABLE1_SENTENCE = "Berlin is the capital city of Germany."
@@ -41,6 +42,26 @@ def rewrite_checkpoint_header(src, dst, edit):
     header = edit(json.loads(data[16:16 + hlen].decode()))
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode()
     dst.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
+
+
+def nan_gradient_on_call(monkeypatch, n):
+    """Make model._loss_and_grads put a NaN into the gradients of call n."""
+    from text2triple import model
+
+    real = model._loss_and_grads
+    calls = 0
+
+    def patched(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        loss, grads = real(*args, **kwargs)
+        if calls == n:
+            key = next(iter(grads))
+            grads[key] = grads[key].copy()
+            grads[key].flat[0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(model, "_loss_and_grads", patched)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@
 import hashlib
 import json
 
-from conftest import TABLE1_SENTENCE, rewrite_checkpoint_header, run_cli
+from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
+
+from text2triple import cli
 
 
 class TestDispatch:
@@ -121,6 +123,19 @@ class TestTrainAndTranslate:
         assert "log-probs:" in proc.stdout
         assert "attention[subject]" in proc.stdout
 
+    def test_non_finite_gradient_exits_1(self, table1_dir, tmp_path, monkeypatch, capsys):
+        # In-process, so that the gradient can be patched. train.jsonl holds
+        # one example, so call 2 is the only batch of epoch 2.
+        nan_gradient_on_call(monkeypatch, 2)
+        ckpt = tmp_path / "m.ckpt"
+        code = cli.main(["train", "--config", str(table1_dir / "model.cfg"),
+                         "--train", str(table1_dir / "train.jsonl"),
+                         "--epochs", "3", "--seed", "1", "--out", str(ckpt)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "training aborted on non-finite loss; last good checkpoint kept" in err
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["epoch=1"]
+        assert ckpt.exists()
 
     def test_defective_checkpoint_header_one_line_error(self, table1_checkpoint,
                                                         tmp_path):
@@ -136,6 +151,26 @@ class TestTrainAndTranslate:
             assert "Traceback" not in proc.stderr
             errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
             assert len(errors) == 1, proc.stderr
+
+
+class TestWordVectorFile:
+    def make_world(self, out):
+        proc = run_cli("make-synthetic", "--hard", "--seed", "5", "--word-dim", "64",
+                       "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        return out / "words.vec"
+
+    def test_make_synthetic_word_vectors_pinned(self, tmp_path):
+        digest = hashlib.sha256(self.make_world(tmp_path).read_bytes()).hexdigest()
+        assert digest == "b1bbb772928e1500912e0e1e134f646341a99808b8c2bc7a0a35d5de3c35dec2"
+
+    def test_train_reads_make_synthetic_word_vectors(self, tmp_path):
+        words = self.make_world(tmp_path)
+        proc = run_cli("train", "--train", str(tmp_path / "train.jsonl"),
+                       "--flags", "A,W", "--word-vectors", str(words), "--epochs", "1",
+                       "--out", str(tmp_path / "m.ckpt"))
+        assert proc.returncode == 0, proc.stderr
+        assert "word-vector coverage: 100.0%" in proc.stderr
 
 
 class TestEval:

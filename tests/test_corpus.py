@@ -1,4 +1,4 @@
-"""Dataset files, distant supervision and splitting."""
+"""Dataset files, distant supervision and the Dataset container."""
 
 import json
 
@@ -11,13 +11,10 @@ from text2triple.corpus import (
     KnowledgeGraph,
     Triple,
     distant_supervise,
-    kfold,
-    load_dataset,
     load_examples,
     load_kg_file,
     load_surface_forms,
     save_examples,
-    split_dataset,
 )
 from text2triple.numerics import make_rng
 
@@ -44,7 +41,6 @@ class TestLoadExamples:
         f = tmp_path / "d.jsonl"
         f.write_text("")
         assert load_examples(f) == []
-        assert load_dataset(f).train == []
 
     def test_two_element_triple_rejected_with_line(self, tmp_path):
         f = tmp_path / "d.jsonl"
@@ -75,14 +71,6 @@ class TestLoadExamples:
         ex = AnnotatedExample(("a", "b"), Triple("s", "p", "o"), "src:1")
         save_examples([ex], tmp_path / "d.jsonl")
         assert load_examples(tmp_path / "d.jsonl") == [ex]
-
-    def test_directory_dataset(self, tmp_path):
-        write_jsonl(tmp_path / "train.jsonl",
-                    [{"id": "t1", "tokens": ["a"], "triple": ["s", "p", "o"]}])
-        write_jsonl(tmp_path / "dev.jsonl",
-                    [{"id": "d1", "tokens": ["b"], "triple": ["s", "p", "o"]}])
-        ds = load_dataset(tmp_path)
-        assert len(ds.train) == 1 and len(ds.dev) == 1 and ds.test == []
 
 
 class TestKgFiles:
@@ -211,41 +199,6 @@ class TestSplits:
             AnnotatedExample(("tok", str(i)), Triple("s", "p", "o"), f"src:{i}")
             for i in range(n)
         ]
-
-    def test_ratio_sizes(self):
-        ds = split_dataset(self.make_examples(10), (0.8, 0.1, 0.1), make_rng(1))
-        assert (len(ds.train), len(ds.dev), len(ds.test)) == (8, 1, 1)
-
-    def test_same_seed_same_split(self):
-        examples = self.make_examples(20)
-        a = split_dataset(examples, (0.8, 0.1, 0.1), make_rng(5))
-        b = split_dataset(examples, (0.8, 0.1, 0.1), make_rng(5))
-        assert [e.source_id for e in a.train] == [e.source_id for e in b.train]
-        assert [e.source_id for e in a.test] == [e.source_id for e in b.test]
-
-    def test_split_is_partition(self):
-        examples = self.make_examples(23)
-        ds = split_dataset(examples, (0.5, 0.25, 0.25), make_rng(2))
-        ids = [e.source_id for e in ds.train + ds.dev + ds.test]
-        assert sorted(ids) == sorted(e.source_id for e in examples)
-
-    def test_bad_ratios(self):
-        with pytest.raises(ValueError):
-            split_dataset(self.make_examples(4), (0.5, 0.5, 0.5), make_rng(0))
-        with pytest.raises(ValueError):
-            split_dataset(self.make_examples(4), (1.0, -0.5, 0.5), make_rng(0))
-
-    def test_kfold_partition(self):
-        examples = self.make_examples(100)
-        folds = kfold(examples, 10, make_rng(3))
-        assert len(folds) == 10
-        assert all(len(f) == 10 for f in folds)
-        ids = [e.source_id for f in folds for e in f]
-        assert sorted(ids) == sorted(e.source_id for e in examples)
-
-    def test_kfold_too_few(self):
-        with pytest.raises(ValueError, match="folds"):
-            kfold(self.make_examples(3), 10, make_rng(0))
 
     def test_dataset_rejects_shared_source_ids(self):
         ex = self.make_examples(1)[0]

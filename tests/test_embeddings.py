@@ -14,9 +14,11 @@ from text2triple.embeddings import (
     load_kg_embeddings,
     load_word_vectors,
     negative_sample,
+    read_vector_file,
     save_kg_embeddings,
     transe_score,
     transe_train,
+    write_vector_file,
 )
 from text2triple.numerics import make_rng
 from text2triple.vocab import build_kg_vocab, build_word_vocab
@@ -250,6 +252,17 @@ class TestWordVectors:
         with pytest.raises(ValueError, match="header"):
             load_word_vectors(f, self.vocab(), 2, make_rng(0))
 
+    @pytest.mark.parametrize("text, dim", [
+        ("a b\nberlin 1 2\n", 2),
+        ("berlin 1\ngermany 2\n", 1),  # a two-field first line is always the header
+    ], ids=["letters", "one-dim row"])
+    def test_non_integer_header_rejected_with_line(self, tmp_path, text, dim):
+        f = tmp_path / "w.vec"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"w\.vec:1: header") as info:
+            load_word_vectors(f, self.vocab(), dim, make_rng(0))
+        assert len(str(info.value).splitlines()) == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected_with_line(self, tmp_path, bad):
         f = tmp_path / "w.vec"
@@ -324,6 +337,12 @@ class TestKgEmbeddingIo:
         with pytest.raises(ValueError, match=r"relations\.vec:1: header"):
             load_kg_embeddings(out)
 
+    def test_empty_file_rejected(self, tmp_path):
+        out = self.saved(tmp_path)
+        (out / "relations.vec").write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"relations\.vec: no vectors found"):
+            load_kg_embeddings(out)
+
     def test_save_is_deterministic(self, tmp_path):
         kg = rectangle_kg()
         config = TransEConfig(dim=4, epochs=5, seed=6)
@@ -333,6 +352,35 @@ class TestKgEmbeddingIo:
             assert (tmp_path / "one" / fname).read_bytes() == (
                 tmp_path / "two" / fname
             ).read_bytes()
+
+
+class TestVectorFiles:
+    def test_write_read_roundtrip_exact(self, tmp_path):
+        table = make_rng(4).normal(0.0, 1.0, (5, 3))
+        table[0] = (1.0 / 3.0, -0.0, 5e-324)
+        table[1] = (1e300, -2.5e-17, 123456789.0)
+        symbols = ("b", "a", "ent:x_y", "rel:z", "b")
+        write_vector_file(tmp_path / "t.vec", symbols, table)
+        read_symbols, read_table = read_vector_file(tmp_path / "t.vec", 3)
+        assert read_symbols == symbols
+        assert read_table.tobytes() == table.tobytes()
+
+    def test_every_row_kept_in_file_order(self, tmp_path):
+        f = tmp_path / "t.vec"
+        f.write_text("z 1 2\na 3 4\nz 5 6\n", encoding="utf-8")
+        symbols, table = read_vector_file(f)
+        assert symbols == ("z", "a", "z")
+        np.testing.assert_array_equal(table, [[1, 2], [3, 4], [5, 6]])
+
+    def test_empty_file_has_no_rows(self, tmp_path):
+        f = tmp_path / "t.vec"
+        f.write_text("", encoding="utf-8")
+        symbols, table = read_vector_file(f, 4)
+        assert symbols == () and table.shape == (0, 4)
+
+    def test_table_must_fit_symbols(self, tmp_path):
+        with pytest.raises(ValueError, match="does not fit"):
+            write_vector_file(tmp_path / "t.vec", ("a", "b"), np.zeros((3, 2)))
 
 
 class TestDecoderInit:

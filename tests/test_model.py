@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint_header
+from conftest import nan_gradient_on_call, rewrite_checkpoint_header
 
 from text2triple.corpus import AnnotatedExample, Dataset, Triple
 from text2triple.model import (
@@ -474,6 +474,14 @@ class TestTrain:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 1
         assert "truncated 3 of 6 training sources to max_src_len=16" in warnings[0]
+
+    def test_non_finite_gradient_aborts_with_last_good_params(self, monkeypatch):
+        word_vocab, tvocab, examples = self.small_world()
+        nan_gradient_on_call(monkeypatch, 2)  # the loss stays finite; the norm does not
+        result = train(Dataset(train=examples), word_vocab, tvocab, self.config())
+        assert result.aborted
+        assert result.log == []  # stopped in epoch 1, at batch 2 of 3
+        assert all(np.isfinite(v).all() for v in result.params.to_dict().values())
 
     def test_empty_train_rejected(self):
         word_vocab, tvocab, _ = self.small_world()

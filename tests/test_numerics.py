@@ -259,17 +259,22 @@ class TestAdam:
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
         grads = {"a": np.array([6.0]), "b": np.array([8.0])}  # norm 10
-        clipped = clip_global_norm(grads, 5.0)
+        clipped, norm = clip_global_norm(grads, 5.0)
         np.testing.assert_allclose(clipped["a"], [3.0], rtol=1e-15)
         np.testing.assert_allclose(clipped["b"], [4.0], rtol=1e-15)
+        assert norm == global_norm(grads) == 10.0
 
     def test_untouched_when_under(self):
         grads = {"a": np.array([3.0])}
-        np.testing.assert_array_equal(clip_global_norm(grads, 5.0)["a"], [3.0])
+        clipped, norm = clip_global_norm(grads, 5.0)
+        np.testing.assert_array_equal(clipped["a"], [3.0])
+        assert norm == 3.0
 
     def test_zero_grads_unchanged(self):
         grads = {"a": np.zeros(4)}
-        np.testing.assert_array_equal(clip_global_norm(grads, 5.0)["a"], np.zeros(4))
+        clipped, norm = clip_global_norm(grads, 5.0)
+        np.testing.assert_array_equal(clipped["a"], np.zeros(4))
+        assert norm == 0.0
 
     def test_global_norm_value(self):
         assert abs(global_norm({"a": np.array([3.0, 4.0])}) - 5.0) < 1e-15
