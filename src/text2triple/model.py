@@ -24,8 +24,8 @@ pass per minibatch (under teacher forcing the three decoder steps are one
 sequence). Dev scoring, `translate_greedy_batch` (the `eval` and `ablation`
 sub-commands) decode greedily in batches of DECODE_BATCH sources; beam
 search runs each step's live hypotheses as one batch; `encode`,
-`init_decoder_state`, `decode_step`, `attend`, `translate_greedy` and
-`forward_loss` are batches of one.
+`init_decoder_state`, `decode_step`, `translate_greedy` and `forward_loss`
+are batches of one.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedExample, Dataset, Triple
 from .numerics import (
+    GATES,
     AdamState,
     LstmWeights,
     Params,
@@ -61,7 +63,6 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "TrainResult",
-    "attend",
     "decode_step",
     "encode",
     "forward_loss",
@@ -235,10 +236,12 @@ class ModelParams:
 
 @dataclass
 class EncoderOutputs:
-    """Per-step concatenated hidden states and the concatenated final state."""
+    """Per-step concatenated hidden states, the concatenated final state
+    and the states' attention projection."""
 
-    H: np.ndarray        # (T, 2*enc_hidden): [fwd_h[t]; bwd_h[t]]
-    final: np.ndarray    # (2*enc_hidden,): [fwd_h[T-1]; bwd_h[0]]
+    H: np.ndarray          # (T, 2*enc_hidden): [fwd_h[t]; bwd_h[t]]
+    final: np.ndarray      # (2*enc_hidden,): [fwd_h[T-1]; bwd_h[0]]
+    AH: np.ndarray | None  # (T, dec_hidden) = H @ attn_w.T, iff attention
 
 
 @dataclass
@@ -336,10 +339,10 @@ def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config:
     return enc, (both_ids, lengths, live, lstm_cache)
 
 
-def _batch_of_one(enc: EncoderOutputs, attn_w: np.ndarray | None) -> _EncodedBatch:
+def _batch_of_one(enc: EncoderOutputs) -> _EncodedBatch:
     """A single sentence's encoder outputs as a batch of one."""
-    AH = None if attn_w is None else (enc.H @ attn_w.T)[None]
-    return _EncodedBatch(enc.H[None], enc.final[None], None, AH)
+    return _EncodedBatch(enc.H[None], enc.final[None], None,
+                         None if enc.AH is None else enc.AH[None])
 
 
 def _bridge(final: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -391,9 +394,11 @@ def _decode_batch_step(
 
 def encode(src_ids: Sequence[int], params: ModelParams, config: ModelConfig) -> EncoderOutputs:
     """Bidirectional encoder pass. H[t] concatenates the forward and backward
-    hidden states at position t; `final` concatenates the two last outputs."""
+    hidden states at position t; `final` concatenates the two last outputs;
+    AH is H projected by attn_w, once per sentence, when attention is on."""
     enc, _ = _encode_batch([src_ids], params, config)
-    return EncoderOutputs(H=enc.H[0], final=enc.final[0])
+    return EncoderOutputs(H=enc.H[0], final=enc.final[0],
+                          AH=None if enc.AH is None else enc.AH[0])
 
 
 def init_decoder_state(
@@ -402,18 +407,6 @@ def init_decoder_state(
     """Bridge the concatenated final encoder state to the decoder's initial
     hidden state; the initial cell is zeros."""
     return _bridge(enc.final, params), np.zeros(params.bridge_w.shape[0])
-
-
-def attend(
-    dec_hidden: np.ndarray, enc: EncoderOutputs, attn_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplicative attention: scores[t] = dec_hidden . (attn_w @ H[t]).
-
-    Returns (context, weights); weights softmax to 1 and the context is
-    their weighted average of the encoder states.
-    """
-    alpha, ctx = _attention(dec_hidden[None, None], _batch_of_one(enc, attn_w))
-    return ctx[0, 0], alpha[0, 0]
 
 
 def decode_step(
@@ -428,9 +421,9 @@ def decode_step(
     """One decoder step: log-probability row over the full target space
     (probability mass outside the step's mask is exactly zero), the new
     recurrent state, and the attention row when attention is enabled."""
-    one = _batch_of_one(enc, params.attn_w if config.use_attention else None)
     logp, (h, c), alpha = _decode_batch_step(
-        step, np.array([prev_id]), (state[0][None], state[1][None]), one, params, config, tvocab
+        step, np.array([prev_id]), (state[0][None], state[1][None]), _batch_of_one(enc),
+        params, config, tvocab,
     )
     return logp[0], (h[0], c[0]), None if alpha is None else alpha[0]
 
@@ -821,6 +814,39 @@ def train(
 # ---------------------------------------------------------------------------
 
 
+def _checkpoint_layout(
+    config: ModelConfig, n_words: int, n_targets: int
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The v1 checkpoint's arrays in payload order, each as (name, shape).
+
+    The order is ModelParams.to_dict's, except that each LSTM is stored as
+    one array per gate, W_i W_f W_o W_g b_i b_f b_o b_g: the row blocks of
+    its stacked W and b.
+    """
+    eh, dh = config.enc_hidden, config.dec_hidden
+
+    def lstm(name: str, n_in: int, n: int):
+        return ([(f"{name}.W_{g}", (n, n_in + n)) for g in GATES]
+                + [(f"{name}.b_{g}", (n,)) for g in GATES])
+
+    return [
+        ("enc_embed", (n_words, config.word_dim)),
+        *lstm("enc_fwd", config.word_dim, eh),
+        *lstm("enc_bwd", config.word_dim, eh),
+        ("dec_embed", (n_targets, config.kg_dim)),
+        *lstm("dec_lstm", config.kg_dim, dh),
+        *([("attn_w", (dh, 2 * eh))] if config.use_attention else []),
+        ("bridge_w", (dh, 2 * eh)),
+        ("bridge_b", (dh,)),
+        ("out_w", (n_targets, dh + (2 * eh if config.use_attention else 0))),
+        ("out_b", (n_targets,)),
+    ]
+
+
+# The stacked LSTM arrays of ModelParams.to_dict; a checkpoint splits each by gate.
+_LSTM_ARRAYS = [f"{lstm}.{leaf}" for lstm in ("enc_fwd", "enc_bwd", "dec_lstm") for leaf in "Wb"]
+
+
 def save_checkpoint(
     path,
     params: ModelParams,
@@ -837,15 +863,13 @@ def save_checkpoint(
     import json
     import struct
 
-    flat: Params = {}  # to_dict keys an LSTM `name.W`, `name.b`; on disk it is split per gate
-    for key, arr in params.to_dict().items():
-        lstm, _, leaf = key.partition(".")
-        if leaf == "W":
-            flat.update(getattr(params, lstm).gate_arrays(lstm))
-        elif leaf != "b":
-            flat[key] = arr
+    flat = params.to_dict()
+    for key in _LSTM_ARRAYS:
+        flat.update(zip((f"{key}_{g}" for g in GATES), np.split(flat[key], len(GATES))))
+    arrays = [(name, flat[name]) for name, _ in
+              _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)]
     payload = b"".join(
-        np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in flat.values()
+        np.ascontiguousarray(v, dtype=np.float64).tobytes() for _, v in arrays
     )
     header = {
         "version": CHECKPOINT_VERSION,
@@ -854,7 +878,7 @@ def save_checkpoint(
         "words": list(word_vocab.tokens),
         "entities": list(tvocab.entities),
         "predicates": list(tvocab.predicates),
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in flat.items()],
+        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -870,9 +894,10 @@ _CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVocab]:
-    """Read a checkpoint, validating version, integrity and shape consistency.
+    """Read a checkpoint, validating version, integrity and the array table.
 
-    Every defect in the file raises CheckpointError.
+    The table must equal the layout that the header's config and vocabs
+    imply, entry for entry. Every defect in the file raises CheckpointError.
     """
     import hashlib
     import json
@@ -920,16 +945,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
-    flat: Params = {}
-    pos = 0
-    for entry in entries:
-        shape = tuple(entry["shape"])
-        nbytes = 8 * math.prod(shape)
-        flat[entry["name"]] = (
-            np.frombuffer(payload[pos:pos + nbytes], dtype="<f8").reshape(shape).copy()
-        )
-        pos += nbytes
-
     cfg_dict = header["config"]
     if not isinstance(cfg_dict, dict) or cfg_dict.keys() != _CONFIG_KEYS:
         raise CheckpointError(f"{path}: config keys differ from ModelConfig fields")
@@ -937,32 +952,25 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
         config = ModelConfig(**{**cfg_dict, "step_weights": tuple(cfg_dict["step_weights"])})
         word_vocab = WordVocab(tuple(header["words"]))
         tvocab = TripleVocab(tuple(header["entities"]), tuple(header["predicates"]))
-        for lstm in ("enc_fwd", "enc_bwd", "dec_lstm"):
-            flat.update(LstmWeights.from_gate_arrays(flat, lstm).to_dict(lstm))
-        params = ModelParams.from_dict(flat)
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc.args[0]}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
-    eh, dh = config.enc_hidden, config.dec_hidden
-    feat_dim = dh + (2 * eh if config.use_attention else 0)
-    checks = [
-        (params.enc_embed.shape, (len(word_vocab), config.word_dim), "encoder embedding"),
-        (params.dec_embed.shape, (tvocab.n_targets, config.kg_dim), "decoder embedding"),
-        (params.out_w.shape, (tvocab.n_targets, feat_dim), "output projection"),
-        (params.out_b.shape, (tvocab.n_targets,), "output bias"),
-        (params.bridge_w.shape, (dh, 2 * eh), "bridge"),
-        (params.bridge_b.shape, (dh,), "bridge bias"),
-        (params.enc_fwd.W.shape, (4 * eh, config.word_dim + eh), "forward encoder LSTM"),
-        (params.enc_bwd.W.shape, (4 * eh, config.word_dim + eh), "backward encoder LSTM"),
-        (params.dec_lstm.W.shape, (4 * dh, config.kg_dim + dh), "decoder LSTM"),
-    ]
-    if config.use_attention:
-        if params.attn_w is None:
-            raise CheckpointError(f"{path}: attention enabled but no attn_w tensor")
-        checks.append((params.attn_w.shape, (dh, 2 * eh), "attention"))
-    for got, want, what in checks:
-        if got != want:
-            raise CheckpointError(f"{path}: {what} shape {got} inconsistent with {want}")
-    return params, config, word_vocab, tvocab
+    layout = _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)
+    found = [(e["name"], tuple(e["shape"])) for e in entries]
+    if found != layout:
+        i, got, want = next(
+            (i, f, w) for i, (f, w) in enumerate(zip_longest(found, layout)) if f != w
+        )
+        raise CheckpointError(
+            f"{path}: array table inconsistent with config and vocab at entry {i}: "
+            f"found {got or 'nothing'}, expected {want or 'nothing'}"
+        )
+    flat: Params = {}
+    pos = 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        flat[name] = np.frombuffer(payload, "<f8", n, pos).reshape(shape).copy()
+        pos += 8 * n
+    for key in _LSTM_ARRAYS:
+        flat[key] = np.concatenate([flat.pop(f"{key}_{g}") for g in GATES])
+    return ModelParams.from_dict(flat), config, word_vocab, tvocab

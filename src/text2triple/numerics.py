@@ -100,8 +100,7 @@ def weighted_cross_entropy(probs: np.ndarray, target, weight):
 # ---------------------------------------------------------------------------
 
 # Row-block order of the stacked gate matrix and bias: input, forget and output
-# gates, then the candidate. Checkpoints store one array per gate, suffixed
-# `W_i` ... `b_g` in this order.
+# gates, then the candidate.
 GATES = ("i", "f", "o", "g")
 
 
@@ -150,25 +149,6 @@ class LstmWeights:
         b = np.asarray(params[f"{prefix}.b"], dtype=np.float64)
         hidden = b.shape[0] // 4
         return cls(W.shape[1] - hidden, hidden, W, b)
-
-    def gate_arrays(self, prefix: str) -> Params:
-        """One array per gate, keyed `{prefix}.W_i` ... `{prefix}.b_g`."""
-        blocks = [slice(k * self.hidden_dim, (k + 1) * self.hidden_dim) for k in range(4)]
-        out = {f"{prefix}.W_{g}": self.W[s] for g, s in zip(GATES, blocks)}
-        out.update({f"{prefix}.b_{g}": self.b[s] for g, s in zip(GATES, blocks)})
-        return out
-
-    @classmethod
-    def from_gate_arrays(cls, params: Params, prefix: str) -> "LstmWeights":
-        """Inverse of gate_arrays: stack the per-gate blocks."""
-        ws = [np.asarray(params[f"{prefix}.W_{g}"], dtype=np.float64) for g in GATES]
-        bs = [np.asarray(params[f"{prefix}.b_{g}"], dtype=np.float64) for g in GATES]
-        for g, w, b in zip(GATES, ws, bs):
-            if w.ndim != 2 or w.shape != ws[0].shape or b.shape != (w.shape[0],):
-                raise ValueError(f"{prefix}: gate {g} shapes {w.shape}/{b.shape} do not stack")
-        return cls.from_dict(
-            {f"{prefix}.W": np.concatenate(ws), f"{prefix}.b": np.concatenate(bs)}, prefix
-        )
 
 
 @dataclass

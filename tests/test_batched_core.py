@@ -85,7 +85,7 @@ def _encode_full(src_ids: Sequence[int], params: ModelParams, config: ModelConfi
     bwd_caches = bwd_caches_rev[::-1]
     H = np.concatenate([fwd_h, bwd_h], axis=1)
     final = np.concatenate([fwd_h[-1], bwd_h[0]])
-    enc = EncoderOutputs(H=H, final=final)
+    enc = EncoderOutputs(H=H, final=final, AH=None)
     cache = {"src_ids": src_ids, "fwd_caches": fwd_caches, "bwd_caches": bwd_caches}
     return enc, cache
 

@@ -3,18 +3,19 @@
 import hashlib
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
 from conftest import nan_gradient_on_call, rewrite_checkpoint_header
 
+from text2triple import model
 from text2triple.corpus import AnnotatedExample, Dataset, Triple
 from text2triple.model import (
     CheckpointError,
     DecodeResult,
     ModelConfig,
     ModelParams,
-    attend,
     decode_step,
     encode,
     forward_loss,
@@ -135,10 +136,17 @@ class TestEncode:
 
 
 class TestAttend:
+    """model._attention, the attention every decoder path runs."""
+
+    @staticmethod
+    def attend(dec_hidden, enc):
+        alpha, ctx = model._attention(dec_hidden[None, None], model._batch_of_one(enc))
+        return ctx[0, 0], alpha[0, 0]
+
     def test_singleton_weight_one(self):
         params = tiny_params()
         enc = encode([5], params, TINY)
-        ctx, weights = attend(make_rng(0).standard_normal(16), enc, params.attn_w)
+        ctx, weights = self.attend(make_rng(0).standard_normal(16), enc)
         np.testing.assert_allclose(weights, [1.0], atol=1e-15)
         np.testing.assert_allclose(ctx, enc.H[0], atol=1e-15)
 
@@ -147,7 +155,8 @@ class TestAttend:
         enc = encode([5], params, TINY)
         row = enc.H[0]
         enc.H = np.vstack([row, row, row])
-        ctx, weights = attend(make_rng(1).standard_normal(16), enc, params.attn_w)
+        enc.AH = enc.H @ params.attn_w.T
+        ctx, weights = self.attend(make_rng(1).standard_normal(16), enc)
         np.testing.assert_allclose(weights, np.full(3, 1 / 3), atol=1e-12)
         np.testing.assert_allclose(ctx, row, atol=1e-12)
 
@@ -156,7 +165,7 @@ class TestAttend:
         params = tiny_params(seed=7)
         enc = encode([1, 2, 3], params, TINY)
         dec_hidden = rng.standard_normal(16)
-        ctx, weights = attend(dec_hidden, enc, params.attn_w)
+        ctx, weights = self.attend(dec_hidden, enc)
         # scalar oracle
         scores = [float(dec_hidden @ (params.attn_w @ enc.H[t])) for t in range(3)]
         exps = [math.exp(s - max(scores)) for s in scores]
@@ -527,6 +536,13 @@ def _encoder_reshaped(header):
     return header
 
 
+def _input_forget_swapped(header):
+    # same shapes, so only the names tell the two gates apart
+    _set_array("enc_fwd.W_i", name="swap")(header)
+    _set_array("enc_fwd.W_f", name="enc_fwd.W_i")(header)
+    return _set_array("swap", name="enc_fwd.W_f")(header)
+
+
 HEADER_DEFECTS = {
     "list header": (lambda header: list(header), "not a JSON object"),
     "no arrays": (_without("arrays"), "lacks arrays"),
@@ -541,9 +557,22 @@ HEADER_DEFECTS = {
         "config keys",
     ),
     "bad config value": (_config(word_dim="8"), r"m\.ckpt: "),
-    "missing gate": (_set_array("enc_fwd.W_g", name="enc_fwd.W_x"), "missing array enc_fwd.W_g"),
-    "gate shapes": (_gate_biases_resized, "gate i shapes"),
-    "LSTM dimensions": (_encoder_reshaped, "forward encoder LSTM"),
+    "missing gate": (
+        _set_array("enc_fwd.W_g", name="enc_fwd.W_x"),
+        r"entry 4: found \('enc_fwd.W_x', \(8, 16\)\), expected \('enc_fwd.W_g', \(8, 16\)\)",
+    ),
+    "gate shapes": (
+        _gate_biases_resized,
+        r"entry 5: found \('enc_fwd.b_i', \(4,\)\), expected \('enc_fwd.b_i', \(8,\)\)",
+    ),
+    "LSTM dimensions": (
+        _encoder_reshaped,
+        r"entry 1: found \('enc_fwd.W_i', \(4, 33\)\), expected \('enc_fwd.W_i', \(8, 16\)\)",
+    ),
+    "swapped gates": (
+        _input_forget_swapped,
+        r"entry 1: found \('enc_fwd.W_f', \(8, 16\)\), expected \('enc_fwd.W_i', ",
+    ),
 }
 
 
@@ -610,6 +639,24 @@ class TestCheckpoint:
 
         rewrite_checkpoint_header(path, path, edit)
         with pytest.raises(CheckpointError, match="inconsistent"):
+            load_checkpoint(path)
+
+    def test_extra_array_rejected(self, tmp_path):
+        # a well-formed extra array, with its bytes and checksum
+        path, *_ = self.roundtrip_setup(tmp_path)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack_from("<Q", data, 8)
+        extra = np.ones(2).tobytes()
+
+        def edit(header):
+            header["arrays"].append({"name": "extra", "shape": [2]})
+            header["payload_sha256"] = hashlib.sha256(data[16 + hlen:] + extra).hexdigest()
+            return header
+
+        rewrite_checkpoint_header(path, path, edit)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(CheckpointError, match=r"entry 31: found \('extra', \(2,\)\), "
+                                                  r"expected nothing"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))

@@ -125,7 +125,7 @@ class TestLstmCell:
         per_gate += [uniform_init(3, rng) for _ in range(4)]
         per_gate[5] = np.ones(3)
         w = LstmWeights.init(5, 3, make_rng(7))
-        for got, want in zip(w.gate_arrays("w").values(), per_gate):
+        for got, want in zip(np.split(w.W, 4) + np.split(w.b, 4), per_gate):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("hidden", [4, 8])
