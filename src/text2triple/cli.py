@@ -172,9 +172,7 @@ def _cmd_ds_align(args) -> int:
     return 0
 
 
-def _build_vocabs_for_training(
-    dataset: Dataset, config: ModelConfig, kg_emb, min_count: int
-):
+def _build_vocabs_for_training(dataset: Dataset, kg_emb, min_count: int):
     word_vocab = vocab.build_word_vocab(
         [list(ex.tokens) for ex in dataset.train], min_count=min_count
     )
@@ -190,9 +188,7 @@ def _build_vocabs_for_training(
 
 def _run_training(args, config: ModelConfig, dataset: Dataset):
     kg_emb = embeddings.load_kg_embeddings(args.kg_embeddings) if args.kg_embeddings else None
-    word_vocab, tvocab = _build_vocabs_for_training(
-        dataset, config, kg_emb, args.min_count
-    )
+    word_vocab, tvocab = _build_vocabs_for_training(dataset, kg_emb, args.min_count)
     rng = model.make_rng(config.seed + 1)  # init-table draws, separate from training
     word_init = None
     if config.use_word_init:

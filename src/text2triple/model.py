@@ -54,7 +54,7 @@ from .numerics import (
     uniform_init,
     weighted_cross_entropy,
 )
-from .vocab import BOS_ID, PAD_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
+from .vocab import PAD_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
 
 __all__ = [
     "DecodeResult",
@@ -379,9 +379,11 @@ def _decode_batch_step(
     tvocab: TripleVocab,
 ):
     """One decoder step for B rows: (logp (B, n_targets), new state,
-    attention (B, T) or None)."""
+    attention (B, T) or None). Step 1 reads the BOS target, not prev_ids."""
     if step not in (1, 2, 3):
         raise ValueError(f"invalid decoding step {step}")
+    if step == 1:
+        prev_ids = np.full(len(state[0]), tvocab.bos_id)
     h, c, _ = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
     feat, alpha = h, None
     if config.use_attention:
@@ -420,7 +422,11 @@ def decode_step(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray | None]:
     """One decoder step: log-probability row over the full target space
     (probability mass outside the step's mask is exactly zero), the new
-    recurrent state, and the attention row when attention is enabled."""
+    recurrent state, and the attention row when attention is enabled.
+
+    prev_id is the target id emitted at the step before; step 1 ignores it
+    and reads the BOS target, tvocab.bos_id.
+    """
     logp, (h, c), alpha = _decode_batch_step(
         step, np.array([prev_id]), (state[0][None], state[1][None]), _batch_of_one(enc),
         params, config, tvocab,
@@ -448,7 +454,7 @@ def _loss_and_grads(
 
     # The decoder's three inputs are known under teacher forcing, so it runs
     # as one sequence and the output layer as one GEMM over all B*3 steps.
-    prev = np.stack([np.full(B, BOS_ID), gold[:, 0], gold[:, 1]])       # (3, B)
+    prev = np.stack([np.full(B, tvocab.bos_id), gold[:, 0], gold[:, 1]])  # (3, B)
     dec_h, dec_cache = lstm_sequence(
         params.dec_embed[prev][:, None], (params.dec_lstm,), h0=_bridge(enc.final, params)
     )
@@ -560,7 +566,7 @@ def _greedy_decode(
         enc, _ = _encode_batch(chunk, params, config)
         B = len(chunk)
         state = (_bridge(enc.final, params), np.zeros((B, config.dec_hidden)))
-        prev = np.full(B, BOS_ID)
+        prev = None  # step 1 reads BOS
         ids = np.empty((B, 3), dtype=np.int64)
         logps = np.empty((B, 3))
         attn = np.empty((B, 3, enc.H.shape[1])) if config.use_attention else None
@@ -647,7 +653,7 @@ def translate_beam(
     logps = np.zeros((1, 0))
     attn = np.zeros((1, 0, enc.H.shape[1]))
     for step in (1, 2, 3):
-        prev = ids[:, -1] if step > 1 else np.full(1, BOS_ID)
+        prev = ids[:, -1] if step > 1 else None
         logp, state, alpha = _decode_batch_step(step, prev, state, enc, params, config, tvocab)
         allowed = np.flatnonzero(tvocab.step_mask(step))
         K, V = len(totals), len(allowed)

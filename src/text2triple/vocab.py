@@ -57,7 +57,6 @@ class WordVocab:
     """token <-> id bijection with PAD=0, UNK=1, BOS=2 reserved."""
 
     tokens: tuple[str, ...]
-    min_count: int = 1
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ def build_word_vocab(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Wor
         (tok for tok, n in counts.items() if n >= min_count),
         key=lambda tok: (-counts[tok], tok),
     )
-    return WordVocab(RESERVED_TOKENS + tuple(kept), min_count=min_count)
+    return WordVocab(RESERVED_TOKENS + tuple(kept))
 
 
 def encode_sentence(tokens: Sequence[str], vocab: WordVocab) -> list[int]:

@@ -36,7 +36,6 @@ from text2triple.numerics import (
 )
 from text2triple.synthetic import make_hard_world
 from text2triple.vocab import (
-    BOS_ID,
     PAD_ID,
     TripleVocab,
     build_kg_vocab,
@@ -165,7 +164,7 @@ def _loss_and_grads(
     nh = config.enc_hidden
 
     state = init_decoder_state(enc, params)
-    prevs = (BOS_ID, gold_ids[0], gold_ids[1])
+    prevs = (tvocab.bos_id, gold_ids[0], gold_ids[1])
     steps = []
     loss = 0.0
     dlogits_list = []

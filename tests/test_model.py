@@ -220,6 +220,38 @@ class TestDecodeStep:
             decode_step(4, BOS_ID, self.state, self.enc, self.params, TINY, self.tvocab)
 
 
+def _step1_logprobs(path, params, word_vocab, tvocab):
+    """Step-1 log-probabilities as each decoding path computes them."""
+    tokens = ("w1", "w4", "w2")
+    if path == "decode_step":
+        enc = encode([word_vocab.id_of(t) for t in tokens], params, TINY)
+        return decode_step(1, BOS_ID, init_decoder_state(enc, params), enc, params, TINY,
+                           tvocab)[0]
+    if path == "greedy":
+        return translate_greedy(tokens, params, word_vocab, tvocab, TINY).step_logprobs[0]
+    if path == "beam":
+        beam = translate_beam(tokens, params, word_vocab, tvocab, TINY, 4)
+        return [r.step_logprobs[0] for r in beam]
+    step1_only = ModelConfig(**{**vars(TINY), "step_weights": (1.0, 0.0, 0.0)})
+    ex = AnnotatedExample(tokens, Triple("ent:2", "rel:0", "ent:1"), "t")
+    return forward_loss(ex, params, step1_only, word_vocab, tvocab)[0]
+
+
+class TestStartSymbol:
+    @pytest.mark.parametrize("path", ["decode_step", "greedy", "beam", "loss"])
+    def test_step1_reads_the_bos_target_row(self, path):
+        # the BOS target is row 0 of dec_embed; row 2 is the second entity
+        # (and the word vocab's BOS id)
+        word_vocab, tvocab = tiny_vocabs()
+        params = tiny_params(seed=4)
+        base = _step1_logprobs(path, params, word_vocab, tvocab)
+        for row, changes in ((tvocab.bos_id, True), (2, False)):
+            bumped = params.copy()
+            bumped.dec_embed[row] += 0.5
+            got = _step1_logprobs(path, bumped, word_vocab, tvocab)
+            assert (not np.array_equal(got, base)) == changes, row
+
+
 class TestForwardLoss:
     def setup_method(self):
         self.word_vocab, self.tvocab = tiny_vocabs()

@@ -8,6 +8,7 @@ from text2triple.vocab import (
     RESERVED_TOKENS,
     UNK_ID,
     TripleVocab,
+    WordVocab,
     build_kg_vocab,
     build_word_vocab,
     decode_triple,
@@ -37,6 +38,7 @@ class TestWordVocab:
         v = build_word_vocab([["a", "b", "a"]], min_count=2)
         assert "a" in v and "b" not in v
         assert len(v) == 4
+        assert v == WordVocab(v.tokens)  # as reloaded from a checkpoint's word list
 
     def test_empty_corpus_reserved_only(self):
         v = build_word_vocab([], min_count=1)
