@@ -973,7 +973,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
         )
     flat: Params = {}
     pos = 0
-    for name, shape in layout:
+    for name, shape in found:  # equal to layout, with the table's checked int dimensions
         n = math.prod(shape)
         flat[name] = np.frombuffer(payload, "<f8", n, pos).reshape(shape).copy()
         pos += 8 * n
