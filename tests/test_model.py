@@ -554,7 +554,7 @@ def _config(**changes):
 
 
 def _gate_biases_resized(header):
-    # same payload size and checksum, but the gate blocks no longer stack
+    # same payload size and checksum, but two gate biases change size
     _set_array("enc_fwd.b_i", shape=[4])(header)
     return _set_array("enc_fwd.b_f", shape=[12])(header)
 
