@@ -40,9 +40,10 @@ def _parse_flags(flag_spec: str) -> dict[str, bool]:
     return values
 
 
-def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
-    out: dict[str, str] = {}
+def parse_config_file(path) -> dict[str, tuple[int, str]]:
+    """Flat key=value lines as key -> (line number, value); blank lines and
+    # comments are ignored."""
+    out: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -50,7 +51,7 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        out[key.strip()] = (lineno, value.strip())
     return out
 
 
@@ -58,29 +59,36 @@ _CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
 
 
 def _coerce(key: str, value: str):
-    if key == "step_weights":
-        return tuple(float(v) for v in value.split(","))
-    ftype = _CONFIG_FIELD_TYPES.get(key, "str")
-    if "bool" in str(ftype):
+    """A config-file value as the type of its ModelConfig field."""
+    ftype = str(_CONFIG_FIELD_TYPES[key])
+    if "bool" in ftype:
         return value.lower() in ("1", "true", "yes", "on")
-    if "int" in str(ftype):
-        return int(value)
-    if "float" in str(ftype):
-        return float(value)
-    return value
+    if key == "step_weights":
+        kind, parse = "comma-separated numbers", lambda v: tuple(float(w) for w in v.split(","))
+    elif "int" in ftype:
+        kind, parse = "an integer", int
+    else:
+        kind, parse = "a number", float
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
 
 
 def resolve_model_config(args) -> ModelConfig:
     """Defaults, then config file, then explicit command-line flags."""
     values: dict = {}
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in file_cfg.items():
-        if key == "flags":
-            values.update(_parse_flags(raw))
-        elif key in _CONFIG_FIELD_TYPES:
-            values[key] = _coerce(key, raw)
-        else:
+    for key, (lineno, raw) in file_cfg.items():
+        if key != "flags" and key not in _CONFIG_FIELD_TYPES:
             raise DataError(f"unknown config key {key!r} in {args.config}")
+        try:
+            if key == "flags":
+                values.update(_parse_flags(raw))
+            else:
+                values[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise DataError(f"{args.config}:{lineno}: {exc}") from None
     if getattr(args, "epochs", None) is not None:
         values["epochs"] = args.epochs
     if getattr(args, "flags", None) is not None:

@@ -10,11 +10,11 @@ the file does not cover fall back to uniform random init.
 
 Word vectors and KG embeddings share one text format, read by
 ``read_vector_file`` and written by ``write_vector_file``: an optional
-``count dim`` header, then ``symbol v1 .. v_d`` per line with finite values.
-The reader returns every row in file order; each loader applies its own
-policy. ``load_word_vectors`` keeps the first row of a repeated token and
-accepts an empty file; ``load_kg_embeddings`` keeps every row and rejects a
-file with no vectors.
+``count dim`` header whose count is the number of rows, then
+``symbol v1 .. v_d`` per line with finite values. The reader returns every
+row in file order; each loader applies its own policy. ``load_word_vectors``
+keeps the first row of a repeated token and accepts an empty file;
+``load_kg_embeddings`` keeps every row and rejects a file with no vectors.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class KgEmbeddings:
 
 def _score_rows(rows: np.ndarray, norm: str) -> np.ndarray:
     if norm == "L1":
-        return np.abs(rows).sum(axis=1)
-    return np.sqrt((rows * rows).sum(axis=1))
+        return np.abs(rows).sum(axis=-1)
+    return np.sqrt((rows * rows).sum(axis=-1))
 
 
 def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") -> float:
@@ -117,10 +117,36 @@ def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") 
     return float(_score_rows((h + r - t)[None, :], norm)[0])
 
 
-def _norm_grad(diff: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "L1":
-        return np.sign(diff)
-    return diff / max(float(np.linalg.norm(diff)), 1e-12)
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm along the last axis, as one BLAS dot per row.
+
+    A stacked (1, d) @ (d, 1) product rounds as ``np.linalg.norm`` of that
+    row does; ``np.linalg.norm(rows, axis=-1)`` sums pairwise and does not.
+    """
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+
+
+def _summed_rows(
+    ids: np.ndarray, grads: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids, ascending, and for each the sum of its ``grads`` rows.
+
+    Each sum adds its rows one at a time in the order given, starting from
+    -0.0, so a row's first addend passes through exactly (sign of zero
+    included) and the rounding matches a sequential per-triple sum. ``ids``
+    index a table of ``n_rows`` rows; a mask over it finds the distinct ones
+    without the sort ``np.unique`` would do. The sums run on flat element
+    indices, where ``np.add.at`` is about twice as fast as on whole rows.
+    """
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[ids] = True
+    rows = np.flatnonzero(touched)
+    slot = np.empty(n_rows, dtype=np.intp)
+    slot[rows] = np.arange(len(rows))
+    dim = grads.shape[1]
+    acc = np.full(len(rows) * dim, -0.0, dtype=grads.dtype)
+    np.add.at(acc, (slot[ids][:, None] * dim + np.arange(dim)).ravel(), grads.ravel())
+    return rows, acc.reshape(len(rows), dim)
 
 
 def negative_sample(
@@ -164,10 +190,15 @@ def transe_train(
 ) -> KgEmbeddings:
     """Margin-ranking SGD over the KG; deterministic given config.seed.
 
-    Entity rows touched in a batch are renormalized to unit L2 afterwards,
-    so a batch with no active hinge leaves the tables bit-identical. Passing
-    ``init`` warm-starts from existing tables instead of random init (the
-    uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows normalized once).
+    Each minibatch is one numpy pass. Negatives are drawn per triple, in
+    batch order, through ``negative_sample``; the batch is then scored and
+    differentiated at once, and each touched row's gradients are summed in
+    per-triple order, so the tables equal a loop over the triples bit for
+    bit. Entity rows touched in a batch are renormalized to unit L2
+    afterwards, so a batch with no active hinge leaves the tables
+    bit-identical. Passing ``init`` warm-starts from existing tables instead
+    of random init (the uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows
+    normalized once).
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
@@ -194,45 +225,42 @@ def transe_train(
 
     triples = sorted(kg.triples)
     n = len(triples)
+    pos_ends = np.array([(eidx[tr.subject], eidx[tr.object]) for tr in triples], dtype=np.intp)
+    pos_rels = np.array([ridx[tr.predicate] for tr in triples], dtype=np.intp)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            ent_upd: dict[int, np.ndarray] = {}
-            rel_upd: dict[int, np.ndarray] = {}
-
-            def bump(upd, idx, vec):
-                if idx in upd:
-                    upd[idx] = upd[idx] + vec
-                else:
-                    upd[idx] = vec
-
-            for j in batch:
-                pos = triples[j]
-                neg = negative_sample(pos, kg, rng)
-                h, r, t = eidx[pos.subject], ridx[pos.predicate], eidx[pos.object]
-                hn, tn = eidx[neg.subject], eidx[neg.object]
-                v_pos = ent_table[h] + rel_table[r] - ent_table[t]
-                v_neg = ent_table[hn] + rel_table[r] - ent_table[tn]
-                s_pos = float(_score_rows(v_pos[None, :], config.norm)[0])
-                s_neg = float(_score_rows(v_neg[None, :], config.norm)[0])
-                hinge = config.margin + s_pos - s_neg
-                if hinge <= 0.0:
-                    continue
-                epoch_loss += hinge
-                g_pos = _norm_grad(v_pos, config.norm)
-                g_neg = _norm_grad(v_neg, config.norm)
-                bump(ent_upd, h, g_pos)
-                bump(ent_upd, t, -g_pos)
-                bump(rel_upd, r, g_pos - g_neg)
-                bump(ent_upd, hn, -g_neg)
-                bump(ent_upd, tn, g_neg)
-            for idx, g in rel_upd.items():
-                rel_table[idx] -= config.lr * g
-            for idx, g in sorted(ent_upd.items()):
-                row = ent_table[idx] - config.lr * g
-                ent_table[idx] = row / max(float(np.linalg.norm(row)), 1e-12)
+            negs = [negative_sample(triples[j], kg, rng) for j in batch]
+            # ends[k, i] = (head, tail) ids of triple i's positive (k=0) or negative (k=1)
+            ends = np.stack([
+                pos_ends[batch],
+                np.array([(eidx[neg.subject], eidx[neg.object]) for neg in negs], dtype=np.intp),
+            ])
+            r = pos_rels[batch]
+            diffs = ent_table[ends[..., 0]] + rel_table[r] - ent_table[ends[..., 1]]
+            s_pos, s_neg = _score_rows(diffs, config.norm)
+            hinge = config.margin + s_pos - s_neg
+            active = ~(hinge <= 0.0)  # a NaN hinge stays active, so the loss check sees it
+            if not active.any():
+                continue
+            for value in hinge[active].tolist():
+                epoch_loss += value
+            diffs = diffs[:, active]
+            if config.norm == "L1":
+                g_pos, g_neg = np.sign(diffs)
+            else:
+                g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
+            rows, step = _summed_rows(r[active], g_pos - g_neg, len(rel_table))
+            rel_table[rows] -= config.lr * step
+            rows, step = _summed_rows(
+                ends[:, active].transpose(1, 0, 2).ravel(),  # h, t, hn, tn per triple
+                np.stack([g_pos, -g_pos, -g_neg, g_neg], axis=1).reshape(-1, config.dim),
+                len(ent_table),
+            )
+            moved = ent_table[rows] - config.lr * step
+            ent_table[rows] = moved / np.maximum(_row_norms(moved), 1e-12)[:, None]
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
         if (epoch + 1) % 50 == 0 or epoch == 0:
@@ -279,13 +307,15 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
     """Every ``symbol v1 .. v_d`` row of a vector file, in file order.
 
     A two-field first line is the ``count dim`` header: both fields must be
-    integers, and its dim must equal ``dim`` when one is given. Without
-    ``dim`` the header, or else the first row, sets it. Every row must hold
-    dim finite values. Returns (symbols, table); an empty file gives no
-    symbols and a table with no rows.
+    integers, its count must equal the number of rows in the file, and its
+    dim must equal ``dim`` when one is given. Without ``dim`` the header, or
+    else the first row, sets it. Every row must hold dim finite values.
+    Returns (symbols, table); an empty file gives no symbols and a table with
+    no rows.
     """
     symbols: list[str] = []
     rows: list[np.ndarray] = []
+    header_count = None
     with Path(path).open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -293,7 +323,7 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
                 continue
             if lineno == 1 and len(parts) == 2:
                 try:
-                    int(parts[0])
+                    header_count = int(parts[0])
                     header_dim = int(parts[1])
                 except ValueError:
                     raise ValueError(
@@ -317,6 +347,8 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
                 raise ValueError(f"{path}:{lineno}: non-finite vector value")
             symbols.append(parts[0])
             rows.append(row)
+    if header_count is not None and header_count != len(rows):
+        raise ValueError(f"{path}:1: header says {header_count} rows, file has {len(rows)}")
     table = np.vstack(rows) if rows else np.zeros((0, dim or 0))
     return tuple(symbols), table
 

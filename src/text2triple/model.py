@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
@@ -85,6 +86,16 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt or inconsistent."""
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int: ints and numpy integers pass, bools and floats do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Dimensions, ablation flags and training hyperparameters.
@@ -113,8 +124,11 @@ class ModelConfig:
     step_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        for name in ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len",
-                     "epochs", "batch_size", "patience"):
+        sizes = ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len",
+                 "epochs", "batch_size", "patience")
+        for name in (*sizes, "seed"):
+            setattr(self, name, _as_int(name, getattr(self, name)))
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lr", "clip_norm", "adam_eps"):

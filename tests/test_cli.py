@@ -258,6 +258,18 @@ class TestConfigResolution:
         assert not ckpt.exists()
 
 
+    def test_non_integer_value_names_file_line_and_key(self, table1_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# dimensions\nkg_dim=8\nword_dim=abc\n")
+        code = cli.main(["train", "--config", str(cfg),
+                         "--train", str(table1_dir / "train.jsonl"),
+                         "--out", str(tmp_path / "m.ckpt")])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == 1
+        assert errors == [f"error: {cfg}:3: word_dim: expected an integer, got 'abc'"]
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestBlasThreads:
     def test_checkpoint_bytes_do_not_depend_on_thread_count(self, tmp_path):
         # Two epochs at the train sub-command's default dimensions (64/128,

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from text2triple import embeddings
 from text2triple.corpus import KnowledgeGraph, Triple
 from text2triple.embeddings import (
     KgEmbeddings,
@@ -21,6 +24,7 @@ from text2triple.embeddings import (
     write_vector_file,
 )
 from text2triple.numerics import make_rng
+from text2triple.synthetic import make_hard_world
 from text2triple.vocab import build_kg_vocab, build_word_vocab
 
 
@@ -179,6 +183,163 @@ class TestTransETrain:
             TransEConfig(**{field: value})
 
 
+def oracle_transe_train(kg, config, init=None):
+    """The per-triple TransE loop that ``transe_train`` replaced: score, hinge
+    and a dict update per touched row, one triple at a time."""
+
+    def norm_grad(diff, norm):
+        if norm == "L1":
+            return np.sign(diff)
+        return diff / max(float(np.linalg.norm(diff)), 1e-12)
+
+    tv = build_kg_vocab(kg.triples)
+    ents, rels = tv.entities, tv.predicates
+    rng = make_rng(config.seed)
+    if init is not None:
+        ents, rels = init.entity_symbols, init.relation_symbols
+        ent_table = init.entity_table.copy()
+        rel_table = init.relation_table.copy()
+    else:
+        bound = 6.0 / math.sqrt(config.dim)
+        ent_table = rng.uniform(-bound, bound, (len(ents), config.dim))
+        rel_table = rng.uniform(-bound, bound, (len(rels), config.dim))
+        rel_table /= np.maximum(np.linalg.norm(rel_table, axis=1, keepdims=True), 1e-12)
+        ent_table /= np.maximum(np.linalg.norm(ent_table, axis=1, keepdims=True), 1e-12)
+    eidx = {s: i for i, s in enumerate(ents)}
+    ridx = {s: i for i, s in enumerate(rels)}
+
+    triples = sorted(kg.triples)
+    n = len(triples)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            ent_upd, rel_upd = {}, {}
+
+            def bump(upd, idx, vec):
+                upd[idx] = upd[idx] + vec if idx in upd else vec
+
+            for j in order[start:start + config.batch_size]:
+                pos = triples[j]
+                neg = embeddings.negative_sample(pos, kg, rng)
+                h, r, t = eidx[pos.subject], ridx[pos.predicate], eidx[pos.object]
+                hn, tn = eidx[neg.subject], eidx[neg.object]
+                v_pos = ent_table[h] + rel_table[r] - ent_table[t]
+                v_neg = ent_table[hn] + rel_table[r] - ent_table[tn]
+                s_pos = float(embeddings._score_rows(v_pos[None, :], config.norm)[0])
+                s_neg = float(embeddings._score_rows(v_neg[None, :], config.norm)[0])
+                hinge = config.margin + s_pos - s_neg
+                if hinge <= 0.0:
+                    continue
+                epoch_loss += hinge
+                g_pos = norm_grad(v_pos, config.norm)
+                g_neg = norm_grad(v_neg, config.norm)
+                bump(ent_upd, h, g_pos)
+                bump(ent_upd, t, -g_pos)
+                bump(rel_upd, r, g_pos - g_neg)
+                bump(ent_upd, hn, -g_neg)
+                bump(ent_upd, tn, g_neg)
+            for idx, g in rel_upd.items():
+                rel_table[idx] -= config.lr * g
+            for idx, g in sorted(ent_upd.items()):
+                row = ent_table[idx] - config.lr * g
+                ent_table[idx] = row / max(float(np.linalg.norm(row)), 1e-12)
+        if not math.isfinite(epoch_loss):
+            raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
+    return KgEmbeddings(ents, rels, ent_table, rel_table, config.dim, config.norm)
+
+
+def assert_same_tables(got, want):
+    assert got.entity_symbols == want.entity_symbols
+    assert got.relation_symbols == want.relation_symbols
+    for a, b in ((got.entity_table, want.entity_table),
+                 (got.relation_table, want.relation_table)):
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()  # sign of zero included
+
+
+TRANSE_ENTITIES = [f"e{i}" for i in range(6)]
+
+
+@st.composite
+def transe_cases(draw):
+    """Small KGs (two or more entities, up to 3 relations) with a config and,
+    half the time, warm-start tables that cover extra symbols and hold exact
+    zeros of both signs."""
+    ents = st.sampled_from(TRANSE_ENTITIES)
+    triples = draw(st.frozensets(
+        st.builds(Triple, ents, st.sampled_from(["r0", "r1", "r2"]), ents), max_size=12,
+    )) | {Triple("e0", "r0", "e1")}
+    kg = KnowledgeGraph(triples)
+    config = TransEConfig(
+        dim=draw(st.sampled_from([1, 2, 5])),
+        margin=draw(st.sampled_from([0.5, 1.0, 4.0])),
+        lr=draw(st.sampled_from([0.01, 0.1, 0.5])),
+        epochs=draw(st.integers(1, 4)),
+        batch_size=draw(st.sampled_from([1, 3, 64])),  # 64 > |KG|: one batch
+        norm=draw(st.sampled_from(["L1", "L2"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    init = None
+    if draw(st.booleans()):
+        rng = make_rng(config.seed + 1)
+        tv = build_kg_vocab(kg.triples)
+        ent_syms = tv.entities + ("extra",)
+        rel_syms = ("r9",) + tv.predicates
+        tables = [rng.standard_normal((len(syms), config.dim)) for syms in (ent_syms, rel_syms)]
+        for table in tables:
+            table[rng.random(table.shape) < 0.2] = 0.0
+            table[rng.random(table.shape) < 0.2] = -0.0
+        init = KgEmbeddings(ent_syms, rel_syms, *tables, config.dim, config.norm)
+    return kg, config, init
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(transe_cases())
+def test_transe_train_matches_per_triple_loop(case):
+    kg, config, init = case
+    assert_same_tables(transe_train(kg, config, init=init),
+                       oracle_transe_train(kg, config, init=init))
+
+
+class TestTransEFastPath:
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_matches_loop_on_hard_world(self, norm):
+        # the TransE run behind criterion 09's G init, at another seed
+        kg = make_hard_world(seed=3, word_dim=16).kg
+        config = TransEConfig(dim=16, epochs=150, norm=norm, seed=3)
+        assert_same_tables(transe_train(kg, config), oracle_transe_train(kg, config))
+
+    @pytest.mark.parametrize("train", [transe_train, oracle_transe_train],
+                             ids=["batched", "loop"])
+    def test_overflowing_hinge_raises(self, train):
+        # entries of ~1e308 square to inf, so every hinge is inf - inf = NaN
+        emb = rectangle_embeddings()
+        signs = np.where(make_rng(0).random(emb.entity_table.shape) < 0.5, -1.0, 1.0)
+        init = KgEmbeddings(emb.entity_symbols, emb.relation_symbols,
+                            1e308 * signs, np.full(emb.relation_table.shape, 1e308),
+                            emb.dim, emb.norm)
+        config = TransEConfig(dim=emb.dim, epochs=1, seed=3)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite at epoch 1"):
+            train(rectangle_kg(), config, init=init)
+
+    def test_negatives_drawn_per_triple_in_loop_order(self, monkeypatch):
+        calls = []
+        original = embeddings.negative_sample
+
+        def recording(triple, kg, rng):
+            calls.append(triple)
+            return original(triple, kg, rng)
+
+        monkeypatch.setattr(embeddings, "negative_sample", recording)
+        kg = rectangle_kg()
+        config = TransEConfig(dim=4, epochs=3, batch_size=3, seed=8)
+        transe_train(kg, config)
+        batched, calls[:] = list(calls), []
+        oracle_transe_train(kg, config)
+        assert batched == calls and len(calls) == 3 * len(kg.triples)
+
+
 class TestLinkPrediction:
     def test_perfect_embeddings_rank_one(self):
         emb = rectangle_embeddings()
@@ -245,6 +406,13 @@ class TestWordVectors:
         f.write_text("2 2\nberlin 1 2\ngermany 3 4\n", encoding="utf-8")
         table, coverage = load_word_vectors(f, self.vocab(), 2, make_rng(0))
         assert abs(coverage - 2 / 3) < 1e-12
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_header_count_mismatch_rejected(self, tmp_path, count):
+        f = tmp_path / "w.vec"
+        f.write_text(f"{count} 2\nberlin 1 2\ngermany 3 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"w\.vec:1: header says {count} rows, file has 2"):
+            load_word_vectors(f, self.vocab(), 2, make_rng(0))
 
     def test_header_dim_mismatch_rejected(self, tmp_path):
         f = tmp_path / "w.vec"
@@ -335,6 +503,21 @@ class TestKgEmbeddingIo:
         lines[0] = "a b"
         (out / "relations.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"relations\.vec:1: header"):
+            load_kg_embeddings(out)
+
+    def test_short_file_rejected_by_header_count(self, tmp_path):
+        # a ring over 16 entities; the file loses its last 3 rows
+        kg = KnowledgeGraph(frozenset(
+            Triple(f"e{i:02d}", "r", f"e{(i + 1) % 16:02d}") for i in range(16)
+        ))
+        config = TransEConfig(dim=4, epochs=1, seed=5)
+        out = tmp_path / "emb"
+        save_kg_embeddings(transe_train(kg, config), out, config)
+        path = out / "entities.vec"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "16 4"
+        path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entities\.vec:1: header says 16 rows, file has 13$"):
             load_kg_embeddings(out)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -85,6 +85,22 @@ class TestModelConfig:
         config = ModelConfig(batch_size=1, epochs=1, patience=1, beta1=0.0, beta2=0.0)
         assert config.batch_size == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("enc_hidden", 4.0),
+        ("word_dim", "8"),
+        ("max_src_len", None),
+        ("batch_size", True),
+        ("seed", 1.5),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+            ModelConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = ModelConfig(word_dim=np.int64(8), seed=np.int32(3))
+        assert type(config.word_dim) is int and type(config.seed) is int
+        assert config == ModelConfig(word_dim=8, seed=3)
+
 
 class TestEncode:
     def test_shape_contract(self):
@@ -589,6 +605,10 @@ HEADER_DEFECTS = {
         "config keys",
     ),
     "bad config value": (_config(word_dim="8"), r"m\.ckpt: "),
+    "float dimension": (
+        _config(enc_hidden=float(TINY.enc_hidden)),
+        r"m\.ckpt: enc_hidden must be an integer, got 8\.0",
+    ),
     "missing gate": (
         _set_array("enc_fwd.W_g", name="enc_fwd.W_x"),
         r"entry 4: found \('enc_fwd.W_x', \(8, 16\)\), expected \('enc_fwd.W_g', \(8, 16\)\)",
