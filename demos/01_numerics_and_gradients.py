@@ -41,7 +41,7 @@ proj_h, proj_c = rng.standard_normal(4), rng.standard_normal(4)
 
 
 def loss_and_grad(params):
-    weights = LstmWeights.from_dict(params, "w")
+    weights = LstmWeights(params["w.W"], params["w.b"])
     h_out, c_out, cch = lstm_cell(params["x"], params["h0"], params["c0"], weights)
     value = float(proj_h @ h_out + proj_c @ c_out)
     dx, dh, dc, dw = lstm_cell_backward(proj_h, proj_c, cch, weights)
@@ -50,7 +50,7 @@ def loss_and_grad(params):
     return value, grads
 
 
-params = {"x": x, "h0": h0, "c0": c0, **w.to_dict("w")}
+params = {"x": x, "h0": h0, "c0": c0, "w.W": w.W, "w.b": w.b}
 err = grad_check_fd(loss_and_grad, params, eps=1e-5)
 print(f"max relative error vs central differences: {err:.2e}")
 print("every input and weight coordinate agrees with the oracle.")

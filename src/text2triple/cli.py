@@ -44,7 +44,11 @@ def parse_config_file(path) -> dict[str, tuple[int, str]]:
     """Flat key=value lines as key -> (line number, value); blank lines and
     # comments are ignored."""
     out: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not valid UTF-8") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -55,23 +59,23 @@ def parse_config_file(path) -> dict[str, tuple[int, str]]:
     return out
 
 
-_CONFIG_FIELD_TYPES = {f.name: f.type for f in fields(ModelConfig)}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(ModelConfig)}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_PARSERS = {
+    bool: ("a boolean (1/0, true/false, yes/no, on/off)", lambda v: _BOOLEANS[v.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+    tuple: ("comma-separated numbers", lambda v: tuple(float(w) for w in v.split(","))),
+}
 
 
 def _coerce(key: str, value: str):
-    """A config-file value as the type of its ModelConfig field."""
-    ftype = str(_CONFIG_FIELD_TYPES[key])
-    if "bool" in ftype:
-        return value.lower() in ("1", "true", "yes", "on")
-    if key == "step_weights":
-        kind, parse = "comma-separated numbers", lambda v: tuple(float(w) for w in v.split(","))
-    elif "int" in ftype:
-        kind, parse = "an integer", int
-    else:
-        kind, parse = "a number", float
+    """A config-file value parsed by the type of its ModelConfig field's default."""
+    kind, parse = _PARSERS[type(_CONFIG_DEFAULTS[key])]
     try:
         return parse(value)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
 
 
@@ -80,7 +84,7 @@ def resolve_model_config(args) -> ModelConfig:
     values: dict = {}
     file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key, (lineno, raw) in file_cfg.items():
-        if key != "flags" and key not in _CONFIG_FIELD_TYPES:
+        if key != "flags" and key not in _CONFIG_DEFAULTS:
             raise DataError(f"unknown config key {key!r} in {args.config}")
         try:
             if key == "flags":
@@ -104,12 +108,15 @@ def resolve_model_config(args) -> ModelConfig:
 def _read_sentences(path) -> Iterator[list[str]]:
     """Tokenized non-blank lines, read from the file one at a time."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            # str.splitlines also breaks at form feeds and Unicode line
-            # separators, which iterating over the file does not.
-            for part in line.splitlines():
-                if part.strip():
-                    yield vocab.tokenize(part)
+        try:
+            for line in fh:
+                # str.splitlines also breaks at form feeds and Unicode line
+                # separators, which iterating over the file does not.
+                for part in line.splitlines():
+                    if part.strip():
+                        yield vocab.tokenize(part)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
 
 
 def _load_kg(path) -> KnowledgeGraph:

@@ -167,18 +167,21 @@ def load_examples(path) -> list[AnnotatedExample]:
     path = Path(path)
     examples = []
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-            tokens, triple = _validate_record(rec, where)
-            source_id = rec.get("id") or f"{path.name}:{lineno}"
-            examples.append(AnnotatedExample(tokens, triple, str(source_id)))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+                tokens, triple = _validate_record(rec, where)
+                source_id = rec.get("id") or f"{path.name}:{lineno}"
+                examples.append(AnnotatedExample(tokens, triple, str(source_id)))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
     return examples
 
 
@@ -195,16 +198,19 @@ def load_kg_file(path) -> frozenset[Triple]:
     path = Path(path)
     triples = set()
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated non-empty fields"
-                )
-            triples.add(Triple(*parts))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3 or not all(parts):
+                    raise DataError(
+                        f"{path}:{lineno}: expected 3 tab-separated non-empty fields"
+                    )
+                triples.add(Triple(*parts))
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
     return frozenset(triples)
 
 
@@ -213,19 +219,22 @@ def load_surface_forms(path) -> dict[str, tuple[tuple[str, ...], ...]]:
     path = Path(path)
     forms: dict[str, list[tuple[str, ...]]] = {}
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise DataError(f"{path}:{lineno}: expected entity<TAB>alias")
-            alias = tuple(tokenize(parts[1]))
-            if not alias:
-                raise DataError(f"{path}:{lineno}: alias has no tokens")
-            forms.setdefault(parts[0], [])
-            if alias not in forms[parts[0]]:
-                forms[parts[0]].append(alias)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2 or not all(parts):
+                    raise DataError(f"{path}:{lineno}: expected entity<TAB>alias")
+                alias = tuple(tokenize(parts[1]))
+                if not alias:
+                    raise DataError(f"{path}:{lineno}: alias has no tokens")
+                forms.setdefault(parts[0], [])
+                if alias not in forms[parts[0]]:
+                    forms[parts[0]].append(alias)
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
     return {ent: tuple(aliases) for ent, aliases in forms.items()}
 
 

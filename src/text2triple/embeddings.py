@@ -317,36 +317,39 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
     rows: list[np.ndarray] = []
     header_count = None
     with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    header_count = int(parts[0])
-                    header_dim = int(parts[1])
-                except ValueError:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2:
+                    try:
+                        header_count = int(parts[0])
+                        header_dim = int(parts[1])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
+                        ) from None
+                    if dim is not None and header_dim != dim:
+                        raise ValueError(f"{path}:1: header dimension {header_dim}, expected {dim}")
+                    dim = header_dim
+                    continue
+                if dim is None:
+                    dim = len(parts) - 1
+                if len(parts) - 1 != dim:
                     raise ValueError(
-                        f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
-                    ) from None
-                if dim is not None and header_dim != dim:
-                    raise ValueError(f"{path}:1: header dimension {header_dim}, expected {dim}")
-                dim = header_dim
-                continue
-            if dim is None:
-                dim = len(parts) - 1
-            if len(parts) - 1 != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
-                )
-            try:
-                row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}:{lineno}: non-finite vector value")
-            symbols.append(parts[0])
-            rows.append(row)
+                        f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
+                    )
+                try:
+                    row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
+                if not np.isfinite(row).all():
+                    raise ValueError(f"{path}:{lineno}: non-finite vector value")
+                symbols.append(parts[0])
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not valid UTF-8") from None
     if header_count is not None and header_count != len(rows):
         raise ValueError(f"{path}:1: header says {header_count} rows, file has {len(rows)}")
     table = np.vstack(rows) if rows else np.zeros((0, dim or 0))

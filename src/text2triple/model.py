@@ -9,6 +9,9 @@ well-formed triple. Multiplicative attention over the encoder states is
 optional, as is initializing the embedding tables from pre-trained word
 vectors (encoder) and TransE vectors (decoder).
 
+The parameters are stated once, by `_param_layout`; initialization, the flat
+dict, the gradients and the checkpoint layout all derive from it.
+
 Gradients are hand-derived and exact; `grad_check_fd` in `numerics` is the
 independent oracle. Training is mini-batch Adam with global-norm clipping,
 teacher forcing, per-epoch dev evaluation, best-checkpoint keeping and
@@ -36,7 +39,7 @@ import operator
 import time
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -155,21 +158,56 @@ class ModelConfig:
         return "S+" + "+".join(flags) if flags else "Seq2Seq"
 
 
+def _param_layout(
+    config: ModelConfig, n_words: int, n_targets: int
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Every trainable array as (name, shape), in canonical order. Each LSTM
+    is stacked, name.W (4H, D+H) and name.b (4H,); only LSTM arrays have
+    dotted names. attn_w exists iff attention is on."""
+    eh, dh = config.enc_hidden, config.dec_hidden
+
+    def lstm(name: str, n_in: int, n: int):
+        return [(f"{name}.W", (4 * n, n_in + n)), (f"{name}.b", (4 * n,))]
+
+    return [
+        ("enc_embed", (n_words, config.word_dim)),
+        *lstm("enc_fwd", config.word_dim, eh),
+        *lstm("enc_bwd", config.word_dim, eh),
+        ("dec_embed", (n_targets, config.kg_dim)),
+        *lstm("dec_lstm", config.kg_dim, dh),
+        *([("attn_w", (dh, 2 * eh))] if config.use_attention else []),
+        ("bridge_w", (dh, 2 * eh)),
+        ("bridge_b", (dh,)),
+        ("out_w", (n_targets, dh + (2 * eh if config.use_attention else 0))),
+        ("out_b", (n_targets,)),
+    ]
+
+
+def _pretrained(what: str, table: np.ndarray | None, drawn: np.ndarray) -> np.ndarray:
+    """A copy of the pre-trained table, which must have drawn's shape; drawn
+    when there is none."""
+    if table is None:
+        return drawn
+    if table.shape != drawn.shape:
+        raise ValueError(f"{what} init table shape {table.shape}, expected {drawn.shape}")
+    return table.copy()
+
+
 @dataclass
 class ModelParams:
-    """All trainable tensors. `to_dict` fixes the canonical flat order used
-    by the optimizer and the gradient checker."""
+    """All trainable tensors. `to_dict` gives them flat, named, shaped and
+    ordered as _param_layout states; the optimizer walks that order."""
 
-    enc_embed: np.ndarray            # (|V_w|, word_dim)
+    enc_embed: np.ndarray
     enc_fwd: LstmWeights
     enc_bwd: LstmWeights
-    dec_embed: np.ndarray            # (n_targets, kg_dim)
+    dec_embed: np.ndarray
     dec_lstm: LstmWeights
-    attn_w: np.ndarray | None        # (dec_hidden, 2*enc_hidden), iff attention
-    bridge_w: np.ndarray             # (dec_hidden, 2*enc_hidden)
-    bridge_b: np.ndarray             # (dec_hidden,)
-    out_w: np.ndarray                # (n_targets, feat_dim)
-    out_b: np.ndarray                # (n_targets,)
+    attn_w: np.ndarray | None        # None when attention is off
+    bridge_w: np.ndarray
+    bridge_b: np.ndarray
+    out_w: np.ndarray
+    out_b: np.ndarray
 
     @classmethod
     def init(
@@ -181,71 +219,46 @@ class ModelParams:
         word_init: np.ndarray | None = None,
         kg_init: np.ndarray | None = None,
     ) -> "ModelParams":
-        """Uniform(-0.08, 0.08) everywhere except forget biases (1.0) and any
-        provided pre-trained embedding tables, which are copied row-for-row."""
-        enc_embed = uniform_init((n_words, config.word_dim), rng)
-        enc_fwd = LstmWeights.init(config.word_dim, config.enc_hidden, rng)
-        enc_bwd = LstmWeights.init(config.word_dim, config.enc_hidden, rng)
-        dec_embed = uniform_init((n_targets, config.kg_dim), rng)
-        dec_lstm = LstmWeights.init(config.kg_dim, config.dec_hidden, rng)
-        attn_w = (
-            uniform_init((config.dec_hidden, 2 * config.enc_hidden), rng)
-            if config.use_attention
-            else None
-        )
-        bridge_w = uniform_init((config.dec_hidden, 2 * config.enc_hidden), rng)
-        bridge_b = uniform_init(config.dec_hidden, rng)
-        feat_dim = config.dec_hidden + (2 * config.enc_hidden if config.use_attention else 0)
-        out_w = uniform_init((n_targets, feat_dim), rng)
-        out_b = uniform_init(n_targets, rng)
-        if word_init is not None:
-            if word_init.shape != enc_embed.shape:
-                raise ValueError(
-                    f"word init table shape {word_init.shape}, expected {enc_embed.shape}"
-                )
-            enc_embed = word_init.copy()
-        if kg_init is not None:
-            if kg_init.shape != dec_embed.shape:
-                raise ValueError(
-                    f"kg init table shape {kg_init.shape}, expected {dec_embed.shape}"
-                )
-            dec_embed = kg_init.copy()
-        return cls(
-            enc_embed, enc_fwd, enc_bwd, dec_embed, dec_lstm,
-            attn_w, bridge_w, bridge_b, out_w, out_b,
-        )
+        """Uniform(-0.08, 0.08) draws over _param_layout, in its order; then
+        each LSTM's forget bias is set and any provided pre-trained embedding
+        table is copied row-for-row."""
+        params = cls.from_dict({name: uniform_init(shape, rng)
+                                for name, shape in _param_layout(config, n_words, n_targets)})
+        for name in _LSTM_FIELDS:
+            getattr(params, name).init_forget_bias()
+        params.enc_embed = _pretrained("word", word_init, params.enc_embed)
+        params.dec_embed = _pretrained("kg", kg_init, params.dec_embed)
+        return params
 
     def to_dict(self) -> Params:
-        d: Params = {"enc_embed": self.enc_embed}
-        d.update(self.enc_fwd.to_dict("enc_fwd"))
-        d.update(self.enc_bwd.to_dict("enc_bwd"))
-        d["dec_embed"] = self.dec_embed
-        d.update(self.dec_lstm.to_dict("dec_lstm"))
-        if self.attn_w is not None:
-            d["attn_w"] = self.attn_w
-        d["bridge_w"] = self.bridge_w
-        d["bridge_b"] = self.bridge_b
-        d["out_w"] = self.out_w
-        d["out_b"] = self.out_b
+        """The arrays by name, in field order: an LSTM field gives name.W and
+        name.b, and attn_w is absent when it is None."""
+        d: Params = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _LSTM_FIELDS:
+                d[f"{f.name}.W"], d[f"{f.name}.b"] = value.W, value.b
+            elif value is not None:
+                d[f.name] = value
         return d
 
     @classmethod
     def from_dict(cls, d: Params) -> "ModelParams":
-        return cls(
-            enc_embed=np.asarray(d["enc_embed"], dtype=np.float64),
-            enc_fwd=LstmWeights.from_dict(d, "enc_fwd"),
-            enc_bwd=LstmWeights.from_dict(d, "enc_bwd"),
-            dec_embed=np.asarray(d["dec_embed"], dtype=np.float64),
-            dec_lstm=LstmWeights.from_dict(d, "dec_lstm"),
-            attn_w=np.asarray(d["attn_w"], dtype=np.float64) if "attn_w" in d else None,
-            bridge_w=np.asarray(d["bridge_w"], dtype=np.float64),
-            bridge_b=np.asarray(d["bridge_b"], dtype=np.float64),
-            out_w=np.asarray(d["out_w"], dtype=np.float64),
-            out_b=np.asarray(d["out_b"], dtype=np.float64),
-        )
+        """Inverse of to_dict. A missing array raises KeyError, except that
+        an absent attn_w gives None."""
+        d = {k: np.asarray(v, dtype=np.float64) for k, v in d.items()}
+        return cls(**{
+            f.name: LstmWeights(d[f"{f.name}.W"], d[f"{f.name}.b"]) if f.name in _LSTM_FIELDS
+            else d.get(f.name) if f.name == "attn_w" else d[f.name]
+            for f in fields(cls)
+        })
 
     def copy(self) -> "ModelParams":
         return ModelParams.from_dict({k: v.copy() for k, v in self.to_dict().items()})
+
+
+_LSTM_FIELDS = tuple(name for name, kind in get_type_hints(ModelParams).items()
+                     if kind is LstmWeights)
 
 
 @dataclass
@@ -522,15 +535,13 @@ def _loss_and_grads(
     g_enc_embed = np.zeros_like(params.enc_embed)
     np.add.at(g_enc_embed, both_ids[valid], dx_enc[valid])
 
-    grads: Params = {"enc_embed": g_enc_embed}
-    grads.update({f"enc_fwd.{k}": v for k, v in g_fwd.items()})
-    grads.update({f"enc_bwd.{k}": v for k, v in g_bwd.items()})
-    grads["dec_embed"] = g_dec_embed
-    grads.update({f"dec_lstm.{k}": v for k, v in g_dec.items()})
-    if config.use_attention:
-        grads["attn_w"] = g_attn_w
-    grads.update(bridge_w=g_bridge_w, bridge_b=g_bridge_b, out_w=g_out_w, out_b=g_out_b)
-    return float(losses.sum()) * scale, grads
+    grads = ModelParams(
+        enc_embed=g_enc_embed, enc_fwd=LstmWeights(**g_fwd), enc_bwd=LstmWeights(**g_bwd),
+        dec_embed=g_dec_embed, dec_lstm=LstmWeights(**g_dec),
+        attn_w=g_attn_w if config.use_attention else None,
+        bridge_w=g_bridge_w, bridge_b=g_bridge_b, out_w=g_out_w, out_b=g_out_b,
+    )
+    return float(losses.sum()) * scale, grads.to_dict()
 
 
 def _gold_ids(example: AnnotatedExample, tvocab: TripleVocab) -> tuple[int, int, int]:
@@ -837,34 +848,19 @@ def train(
 def _checkpoint_layout(
     config: ModelConfig, n_words: int, n_targets: int
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """The v1 checkpoint's arrays in payload order, each as (name, shape).
+    """The v1 checkpoint's array table, each entry (name, shape).
 
-    The order is ModelParams.to_dict's, except that each LSTM is stored as
-    one array per gate, W_i W_f W_o W_g b_i b_f b_o b_g: the row blocks of
-    its stacked W and b.
+    It is _param_layout with each LSTM array split into its row blocks by
+    gate, name_i name_f name_o name_g. The blocks' bytes in turn are the
+    stacked array's, so the payload is the bytes of _param_layout's arrays.
     """
-    eh, dh = config.enc_hidden, config.dec_hidden
-
-    def lstm(name: str, n_in: int, n: int):
-        return ([(f"{name}.W_{g}", (n, n_in + n)) for g in GATES]
-                + [(f"{name}.b_{g}", (n,)) for g in GATES])
-
-    return [
-        ("enc_embed", (n_words, config.word_dim)),
-        *lstm("enc_fwd", config.word_dim, eh),
-        *lstm("enc_bwd", config.word_dim, eh),
-        ("dec_embed", (n_targets, config.kg_dim)),
-        *lstm("dec_lstm", config.kg_dim, dh),
-        *([("attn_w", (dh, 2 * eh))] if config.use_attention else []),
-        ("bridge_w", (dh, 2 * eh)),
-        ("bridge_b", (dh,)),
-        ("out_w", (n_targets, dh + (2 * eh if config.use_attention else 0))),
-        ("out_b", (n_targets,)),
-    ]
-
-
-# The stacked LSTM arrays of ModelParams.to_dict; a checkpoint splits each by gate.
-_LSTM_ARRAYS = [f"{lstm}.{leaf}" for lstm in ("enc_fwd", "enc_bwd", "dec_lstm") for leaf in "Wb"]
+    table = []
+    for name, shape in _param_layout(config, n_words, n_targets):
+        if "." in name:
+            table += [(f"{name}_{g}", (shape[0] // len(GATES), *shape[1:])) for g in GATES]
+        else:
+            table.append((name, shape))
+    return table
 
 
 def save_checkpoint(
@@ -884,12 +880,11 @@ def save_checkpoint(
     import struct
 
     flat = params.to_dict()
-    for key in _LSTM_ARRAYS:
-        flat.update(zip((f"{key}_{g}" for g in GATES), np.split(flat[key], len(GATES))))
-    arrays = [(name, flat[name]) for name, _ in
-              _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)]
+    layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
+    if [(k, v.shape) for k, v in flat.items()] != layout:
+        raise ValueError("parameter shapes do not fit the config and vocabularies")
     payload = b"".join(
-        np.ascontiguousarray(v, dtype=np.float64).tobytes() for _, v in arrays
+        np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in flat.values()
     )
     header = {
         "version": CHECKPOINT_VERSION,
@@ -898,7 +893,8 @@ def save_checkpoint(
         "words": list(word_vocab.tokens),
         "entities": list(tvocab.entities),
         "predicates": list(tvocab.predicates),
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays],
+        "arrays": [{"name": k, "shape": list(shape)} for k, shape in
+                   _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -931,7 +927,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     (hlen,) = struct.unpack_from("<Q", data, off)
     off += 8
     if off + hlen > len(data):
-        raise CheckpointError(f"{path}: truncated header")
+        raise CheckpointError(
+            f"{path}: header length {hlen} runs past the end of the {len(data)}-byte file"
+        )
     try:
         header = json.loads(data[off:off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -986,11 +984,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
             f"found {got or 'nothing'}, expected {want or 'nothing'}"
         )
     flat: Params = {}
-    pos = 0
-    for name, shape in found:  # equal to layout, with the table's checked int dimensions
+    pos = 0  # the table is _checkpoint_layout's, so the payload holds these arrays in turn
+    for name, shape in _param_layout(config, len(word_vocab), tvocab.n_targets):
         n = math.prod(shape)
         flat[name] = np.frombuffer(payload, "<f8", n, pos).reshape(shape).copy()
         pos += 8 * n
-    for key in _LSTM_ARRAYS:
-        flat[key] = np.concatenate([flat.pop(f"{key}_{g}") for g in GATES])
     return ModelParams.from_dict(flat), config, word_vocab, tvocab

@@ -1,8 +1,8 @@
 """Dense float64 numerics underneath the triple translator.
 
 Hand-derived building blocks: weighted cross-entropy fused with its softmax
-gradient, an LSTM cell with stacked gate weights and exact backward, a
-padded, length-masked LSTM sequence scan over a batch with exact backward,
+gradient, an LSTM cell over LstmWeights(W, b) (gates stacked) with exact
+backward, a padded, length-masked LSTM sequence scan with exact backward,
 bias-corrected Adam, global-norm clipping, and a central-difference gradient
 checker that serves as the independent oracle for every backward pass in the
 package. The cross-entropy takes optional leading batch axes, the cell one.
@@ -110,45 +110,41 @@ class LstmWeights:
 
     W is (4 * hidden_dim, input_dim + hidden_dim) and acts on the
     concatenation [x; h_prev]; b is (4 * hidden_dim,). Row blocks follow
-    GATES. The forget-gate bias starts at 1.0 so cells remember by default.
+    GATES. Both dimensions are read off these shapes.
     """
 
-    input_dim: int
-    hidden_dim: int
     W: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        rows = 4 * self.hidden_dim
-        for key, want in (("W", (rows, self.input_dim + self.hidden_dim)), ("b", (rows,))):
-            shape = getattr(self, key).shape
-            if shape != want:
-                raise ValueError(f"LstmWeights.{key}: shape {shape}, expected {want}")
+        n = self.b.size // 4
+        if (n < 1 or self.b.shape != (4 * n,) or self.W.ndim != 2
+                or self.W.shape[0] != 4 * n or self.W.shape[1] <= n):
+            raise ValueError(f"LstmWeights: W of shape {self.W.shape} and b of shape "
+                             f"{self.b.shape} do not stack four gates")
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.b.shape[0] // 4
+
+    @property
+    def input_dim(self) -> int:
+        return self.W.shape[1] - self.hidden_dim
 
     @classmethod
     def init(
-        cls,
-        input_dim: int,
-        hidden_dim: int,
-        rng: np.random.Generator,
-        scale: float = 0.08,
-        forget_bias: float = 1.0,
+        cls, input_dim: int, hidden_dim: int, rng: np.random.Generator, scale: float = 0.08
     ) -> "LstmWeights":
+        """Uniform(-scale, scale) draws, W then b, with the forget bias set."""
         rows = 4 * hidden_dim
-        W = uniform_init((rows, input_dim + hidden_dim), rng, scale)
-        b = uniform_init(rows, rng, scale)
-        b[hidden_dim:2 * hidden_dim] = forget_bias
-        return cls(input_dim, hidden_dim, W, b)
+        w = cls(uniform_init((rows, input_dim + hidden_dim), rng, scale),
+                uniform_init(rows, rng, scale))
+        w.init_forget_bias()
+        return w
 
-    def to_dict(self, prefix: str) -> Params:
-        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
-
-    @classmethod
-    def from_dict(cls, params: Params, prefix: str) -> "LstmWeights":
-        W = np.asarray(params[f"{prefix}.W"], dtype=np.float64)
-        b = np.asarray(params[f"{prefix}.b"], dtype=np.float64)
-        hidden = b.shape[0] // 4
-        return cls(W.shape[1] - hidden, hidden, W, b)
+    def init_forget_bias(self) -> None:
+        """Set the forget-gate block of b to 1.0, so cells remember by default."""
+        self.b[self.hidden_dim:2 * self.hidden_dim] = 1.0
 
 
 @dataclass
@@ -243,9 +239,8 @@ def lstm_cell_backward(
     """Exact backward for one lstm_cell step.
 
     dh, dc are the upstream gradients on the step's h and c outputs.
-    Returns (dx, dh_prev, dc_prev, dw) with dw keyed like
-    LstmWeights.to_dict("") without the prefix dot; over a batch, dw sums
-    the rows.
+    Returns (dx, dh_prev, dc_prev, dw) with dw keyed by LstmWeights'
+    fields, W and b; over a batch, dw sums the rows.
     """
     n_in = w.input_dim
     d_pre = np.empty(cache.gates.shape)

@@ -1,7 +1,10 @@
 """End-to-end sub-command behavior through the real process boundary."""
 
+import argparse
 import hashlib
 import json
+
+import pytest
 
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
 
@@ -268,6 +271,55 @@ class TestConfigResolution:
         assert code == 1
         assert errors == [f"error: {cfg}:3: word_dim: expected an integer, got 'abc'"]
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_unknown_boolean_names_file_line_and_key(self, table1_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("use_attention=ture\n")
+        code = cli.main(["train", "--config", str(cfg),
+                         "--train", str(table1_dir / "train.jsonl"),
+                         "--out", str(tmp_path / "m.ckpt")])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == 1
+        assert errors == [f"error: {cfg}:1: use_attention: expected a boolean "
+                          f"(1/0, true/false, yes/no, on/off), got 'ture'"]
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("raw, value", [
+        ("off", False), ("OFF", False), ("0", False), ("No", False), ("false", False),
+        ("on", True), ("1", True), ("YES", True), ("True", True),
+    ])
+    def test_boolean_spellings(self, raw, value, tmp_path):
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(f"use_attention={raw}\nuse_kg_init={raw}\n")
+        config = cli.resolve_model_config(argparse.Namespace(config=str(cfg)))
+        assert config.use_attention is value and config.use_kg_init is value
+
+
+NOT_UTF8 = {
+    "train examples": lambda d, bad: ["train", "--train", bad],
+    "config file": lambda d, bad: ["train", "--config", bad, "--train", d / "train.jsonl"],
+    "word vectors": lambda d, bad: ["train", "--train", d / "train.jsonl", "--flags", "A,W",
+                                    "--word-vectors", bad],
+    "KG TSV": lambda d, bad: ["kg-embed", "--kg", bad],
+    "surface forms": lambda d, bad: ["ds-align", "--kg", d / "kg.tsv", "--surface-forms", bad,
+                                     "--sentences", d / "sentences.txt"],
+    "sentences": lambda d, bad: ["ds-align", "--kg", d / "kg.tsv",
+                                 "--surface-forms", d / "surface.tsv", "--sentences", bad],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NOT_UTF8))
+def test_non_utf8_input_names_the_file(reader, table1_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe not text\n")
+    argv = NOT_UTF8[reader](table1_dir, bad) + ["--out", tmp_path / "out"]
+    code = cli.main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: {bad}: not valid UTF-8"
+    ]
+    assert "Traceback" not in err
 
 
 class TestBlasThreads:

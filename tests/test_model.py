@@ -102,6 +102,30 @@ class TestModelConfig:
         assert config == ModelConfig(word_dim=8, seed=3)
 
 
+class TestParamLayout:
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_init_and_flat_dict_follow_the_layout(self, attention):
+        config = ModelConfig(word_dim=8, kg_dim=6, enc_hidden=5, dec_hidden=7,
+                             use_attention=attention)
+        flat = ModelParams.init(config, 20, 10, make_rng(0)).to_dict()
+        assert [(k, v.shape) for k, v in flat.items()] == model._param_layout(config, 20, 10)
+        assert ("attn_w" in flat) is attention
+
+    @pytest.mark.parametrize("key", ["enc_embed", "enc_bwd.b", "dec_lstm.W", "out_b"])
+    def test_from_dict_missing_array_raises_key_error(self, key):
+        flat = tiny_params().to_dict()
+        del flat[key]
+        with pytest.raises(KeyError, match=key):
+            ModelParams.from_dict(flat)
+
+    def test_from_dict_without_attention_gives_none(self):
+        config = ModelConfig(word_dim=8, kg_dim=8, enc_hidden=8, dec_hidden=16,
+                             use_attention=False)
+        params = ModelParams.from_dict(tiny_params(config).to_dict())
+        assert params.attn_w is None
+        assert "attn_w" not in params.to_dict()
+
+
 class TestEncode:
     def test_shape_contract(self):
         params = tiny_params()
@@ -657,6 +681,20 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["bit 1 of byte 12 flipped", "cut inside the header"])
+    def test_header_length_past_end_of_file(self, damage, tmp_path):
+        path, *_ = self.roundtrip_setup(tmp_path)
+        data = bytearray(path.read_bytes())
+        if damage.startswith("bit"):
+            data[12] ^= 0x02
+        else:
+            del data[40:]
+        path.write_bytes(bytes(data))
+        (hlen,) = struct.unpack_from("<Q", data, 8)
+        with pytest.raises(CheckpointError, match=f"header length {hlen} runs past the end "
+                                                  f"of the {len(data)}-byte file"):
             load_checkpoint(path)
 
     def test_corrupted_payload_rejected(self, tmp_path):

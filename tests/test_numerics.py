@@ -23,7 +23,7 @@ from text2triple.numerics import (
 
 
 def zero_weights(n_in, hidden):
-    return LstmWeights(n_in, hidden, np.zeros((4 * hidden, n_in + hidden)), np.zeros(4 * hidden))
+    return LstmWeights(np.zeros((4 * hidden, n_in + hidden)), np.zeros(4 * hidden))
 
 
 class TestWeightedCrossEntropy:
@@ -117,6 +117,22 @@ class TestLstmCell:
         np.testing.assert_array_equal(w.b[5:10], np.ones(5))
         assert (np.abs(w.W) <= 0.08).all()
 
+    @pytest.mark.parametrize("W_shape, b_shape", [
+        ((20, 8), (19,)),      # b is not four gates
+        ((16, 8), (20,)),      # W rows disagree with b
+        ((20, 5), (20,)),      # no input columns
+        ((20,), (20,)),        # W is not a matrix
+        ((20, 8), (4, 5)),     # b is not a vector
+        ((0, 3), (0,)),        # no hidden units
+    ])
+    def test_rejects_shapes_that_do_not_stack_four_gates(self, W_shape, b_shape):
+        with pytest.raises(ValueError, match="do not stack four gates"):
+            LstmWeights(np.zeros(W_shape), np.zeros(b_shape))
+
+    def test_dimensions_are_read_off_the_shapes(self):
+        w = zero_weights(3, 5)
+        assert (w.input_dim, w.hidden_dim) == (3, 5)
+
     def test_init_matches_per_gate_draws(self):
         # one stacked draw equals eight per-gate draws in gate order, so
         # seeds give the same networks as the per-gate layout did
@@ -137,13 +153,14 @@ class TestLstmCell:
             "x": rng.standard_normal(n_in),
             "h_prev": rng.standard_normal(hidden),
             "c_prev": rng.standard_normal(hidden),
-            **{k: v.copy() for k, v in w.to_dict("w").items()},
+            "w.W": w.W.copy(),
+            "w.b": w.b.copy(),
         }
         proj_h = rng.standard_normal(hidden)
         proj_c = rng.standard_normal(hidden)
 
         def loss_and_grad(p):
-            weights = LstmWeights.from_dict(p, "w")
+            weights = LstmWeights(p["w.W"], p["w.b"])
             h, c, cache = lstm_cell(p["x"], p["h_prev"], p["c_prev"], weights)
             loss = float(proj_h @ h + proj_c @ c)
             dx, dh_prev, dc_prev, dw = lstm_cell_backward(proj_h, proj_c, cache, weights)
@@ -196,10 +213,10 @@ class TestBatchedLstm:
         lengths = np.array([4, 1, 3])
         proj = rng.standard_normal((4, 2, 3, 4))
         base = {"X": rng.standard_normal((4, 2, 3, 3)), "h0": rng.standard_normal((2, 3, 4)),
-                **ws[0].to_dict("a"), **ws[1].to_dict("b")}
+                "a.W": ws[0].W, "a.b": ws[0].b, "b.W": ws[1].W, "b.b": ws[1].b}
 
         def loss_and_grad(p):
-            pair = (LstmWeights.from_dict(p, "a"), LstmWeights.from_dict(p, "b"))
+            pair = (LstmWeights(p["a.W"], p["a.b"]), LstmWeights(p["b.W"], p["b.b"]))
             hs, cache = lstm_sequence(p["X"], pair, h0=p["h0"], lengths=lengths)
             dX, dh0, (da, db) = lstm_sequence_backward(proj, cache, pair)
             grads = {"X": dX, "h0": dh0}
