@@ -87,6 +87,8 @@ class KgEmbeddings:
     _ridx: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.norm not in _NORMS:
+            raise ValueError(f"norm must be one of {_NORMS}, got {self.norm!r}")
         if self.entity_table.shape != (len(self.entity_symbols), self.dim):
             raise ValueError("entity table shape does not match symbols/dim")
         if self.relation_table.shape != (len(self.relation_symbols), self.dim):
@@ -282,8 +284,9 @@ def link_prediction_eval(
     ranks = []
     E = emb.entity_table
     for tr in triples:
-        for sym in (tr.subject, tr.predicate, tr.object):
-            if sym not in emb._eidx and sym not in emb._ridx:
+        for sym, table in ((tr.subject, emb._eidx), (tr.predicate, emb._ridx),
+                           (tr.object, emb._eidx)):
+            if sym not in table:
                 raise ValueError(f"symbol {sym!r} has no embedding")
         h = emb.entity_vec(tr.subject)
         r = emb.relation_vec(tr.predicate)
@@ -453,15 +456,39 @@ def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None
     )
 
 
+def _read_manifest(path: Path) -> tuple[int, str]:
+    """The (dim, norm) of a manifest that is a UTF-8 JSON object."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not valid UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(manifest).__name__}")
+    dim, norm = manifest.get("dim"), manifest.get("norm")
+    if type(dim) is not int:  # not isinstance: JSON true would pass as 1
+        raise ValueError(f"{path}: dim must be an integer, got {dim!r}")
+    if norm not in _NORMS:
+        raise ValueError(f"{path}: norm must be one of {_NORMS}, got {norm!r}")
+    return dim, norm
+
+
 def load_kg_embeddings(in_dir) -> KgEmbeddings:
-    """Read tables written by save_kg_embeddings; every row is kept."""
+    """Read tables written by save_kg_embeddings; every row is kept.
+
+    The manifest's dim must equal the width of both vector files.
+    """
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / MANIFEST_FILE).read_text(encoding="utf-8"))
+    dim, norm = _read_manifest(in_dir / MANIFEST_FILE)
     tables = []
     for name in (ENTITIES_FILE, RELATIONS_FILE):
         symbols, table = read_vector_file(in_dir / name)
         if not symbols:
             raise ValueError(f"{in_dir / name}: no vectors found")
+        if table.shape[1] != dim:
+            raise ValueError(f"{in_dir / MANIFEST_FILE}: dim {dim} does not match "
+                             f"the {table.shape[1]}-wide vectors of {name}")
         tables.append((symbols, table))
     (ents, etab), (rels, rtab) = tables
-    return KgEmbeddings(ents, rels, etab, rtab, int(manifest["dim"]), manifest["norm"])
+    return KgEmbeddings(ents, rels, etab, rtab, dim, norm)

@@ -239,7 +239,10 @@ def _write_symbols(path, symbols: Iterable[str]) -> None:
 
 
 def _read_symbols(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not valid UTF-8") from None
     return [line for line in text.splitlines() if line]
 
 

@@ -3,12 +3,13 @@
 import argparse
 import hashlib
 import json
+import shutil
 
 import pytest
 
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
 
-from text2triple import cli
+from text2triple import cli, embeddings
 
 
 class TestDispatch:
@@ -305,12 +306,16 @@ NOT_UTF8 = {
                                      "--sentences", d / "sentences.txt"],
     "sentences": lambda d, bad: ["ds-align", "--kg", d / "kg.tsv",
                                  "--surface-forms", d / "surface.tsv", "--sentences", bad],
+    "KG manifest": lambda d, bad: ["train", "--train", d / "train.jsonl",
+                                   "--kg-embeddings", bad.parent],
 }
 
 
 @pytest.mark.parametrize("reader", sorted(NOT_UTF8))
 def test_non_utf8_input_names_the_file(reader, table1_dir, tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
+    # named like a manifest, so the same file serves every reader
+    bad = tmp_path / "bad" / embeddings.MANIFEST_FILE
+    bad.parent.mkdir()
     bad.write_bytes(b"\xff\xfe not text\n")
     argv = NOT_UTF8[reader](table1_dir, bad) + ["--out", tmp_path / "out"]
     code = cli.main([str(a) for a in argv])
@@ -320,6 +325,40 @@ def test_non_utf8_input_names_the_file(reader, table1_dir, tmp_path, capsys):
         f"error: {bad}: not valid UTF-8"
     ]
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def kg_embeddings_dir(table1_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("kg") / "emb"
+    assert cli.main(["kg-embed", "--kg", str(table1_dir / "kg.tsv"), "--dim", "4",
+                     "--epochs", "2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "expected a JSON object, got list"),
+    ('{"dim": 4, "norm": ', "not valid JSON"),
+    ('{"norm": "L2"}', "dim must be an integer, got None"),
+    ('{"dim": 4.0, "norm": "L2"}', "dim must be an integer, got 4.0"),
+    ('{"dim": true, "norm": "L2"}', "dim must be an integer, got True"),
+    ('{"dim": 4, "norm": "L3"}', "norm must be one of ('L1', 'L2'), got 'L3'"),
+    ('{"dim": 4}', "norm must be one of ('L1', 'L2'), got None"),
+    ('{"dim": 5, "norm": "L2"}', "dim 5 does not match the 4-wide vectors of entities.vec"),
+])
+def test_defective_kg_manifest_one_line_error(text, message, kg_embeddings_dir, table1_dir,
+                                              tmp_path, capsys):
+    emb = tmp_path / "emb"
+    shutil.copytree(kg_embeddings_dir, emb)
+    manifest = emb / embeddings.MANIFEST_FILE
+    manifest.write_text(text, encoding="utf-8")
+    code = cli.main(["train", "--train", str(table1_dir / "train.jsonl"),
+                     "--kg-embeddings", str(emb), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith(f"error: {manifest}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestBlasThreads:

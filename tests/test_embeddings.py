@@ -366,6 +366,13 @@ class TestLinkPrediction:
         with pytest.raises(ValueError, match="embedding"):
             link_prediction_eval(emb, [Triple("nope", "r1", "b")])
 
+    @pytest.mark.parametrize("triple", [Triple("r1", "r1", "a"), Triple("a", "b", "c")],
+                             ids=["relation-as-entity", "entity-as-relation"])
+    def test_symbol_in_the_wrong_table_rejected(self, triple):
+        emb = rectangle_embeddings()
+        with pytest.raises(ValueError, match="has no embedding"):
+            link_prediction_eval(emb, [triple])
+
     def test_single_entity_rejected(self):
         emb = KgEmbeddings(("a",), ("r",), np.ones((1, 2)), np.ones((1, 2)), 2, "L2")
         with pytest.raises(ValueError, match="entities"):
@@ -459,6 +466,10 @@ class TestWordVectors:
 
 
 class TestKgEmbeddingIo:
+    def test_unknown_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm must be one of"):
+            KgEmbeddings(("a",), ("r",), np.ones((1, 2)), np.ones((1, 2)), 2, "L3")
+
     def test_roundtrip_exact(self, tmp_path):
         kg = rectangle_kg()
         config = TransEConfig(dim=8, epochs=10, seed=5)

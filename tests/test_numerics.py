@@ -1,6 +1,7 @@
 """Numerics building blocks against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,35 @@ class TestLstmCell:
         h, c, _ = lstm_cell(np.ones(3), np.ones(4), c_prev, w)
         np.testing.assert_allclose(c, c_prev, atol=1e-12)
         np.testing.assert_allclose(h, np.zeros(4), atol=1e-12)
+
+    def test_activations_match_scalar_oracles(self):
+        # each pre-activation x reaches all four gates of its own batch row
+        rng = make_rng(14)
+        x = np.concatenate([
+            [-np.inf, np.inf, 0.0, -0.0],
+            np.linspace(-1e3, 1e3, 2001),
+            np.linspace(-40.0, 40.0, 1601),
+            np.geomspace(1e-300, 1e3, 400),
+            -np.geomspace(1e-300, 1e3, 400),
+            rng.standard_normal(2000) * 5.0,
+        ])
+        w = LstmWeights(np.array([[1.0, 0.0]] * 4), np.zeros(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gates = lstm_cell(x[:, None], np.zeros((x.size, 1)), np.zeros((x.size, 1)),
+                              w)[2].gates[:, :, 0]
+
+        def logistic(v):
+            if v < 0:  # math.exp(-v) overflows below -709
+                e = math.exp(v)
+                return e / (1.0 + e)
+            return 1.0 / (1.0 + math.exp(-v))
+
+        oracle = np.array([logistic(v) for v in x])
+        for k in range(3):
+            np.testing.assert_allclose(gates[k], oracle, rtol=0, atol=2.3e-16)
+        np.testing.assert_array_equal(gates[3], np.tanh(x))
+        assert ((gates[:3] >= 0.0) & (gates[:3] <= 1.0)).all()
 
     def test_dimension_mismatch(self):
         w = zero_weights(3, 2)

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +33,13 @@ def test_package_exports_resolve():
     missing = [attr for attr in text2triple.__all__ if not hasattr(text2triple, attr)]
     assert missing == []
     assert len(set(text2triple.__all__)) == len(text2triple.__all__)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what
+    # importing the package pulls in.
+    code = ("import sys, text2triple, text2triple.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Symbol tables, masks and serialization."""
 
+import re
+
 import pytest
 
 from text2triple.vocab import (
@@ -178,3 +180,16 @@ class TestSerialization:
         tv = TripleVocab(("bad entity",), ("p",))
         with pytest.raises(ValueError, match="serializable"):
             save_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
+
+    @pytest.mark.parametrize("load", [
+        lambda bad, good: load_word_vocab(bad),
+        lambda bad, good: load_triple_vocab(bad, good),
+        lambda bad, good: load_triple_vocab(good, bad),
+    ], ids=["words", "entities", "predicates"])
+    def test_non_utf8_file_names_the_file(self, load, tmp_path):
+        good = tmp_path / "good.vocab"
+        good.write_text("a\n", encoding="utf-8")
+        bad = tmp_path / "bad.vocab"
+        bad.write_bytes(b"\xff\xfe not text\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not valid UTF-8$"):
+            load(bad, good)
