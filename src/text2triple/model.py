@@ -9,8 +9,10 @@ well-formed triple. Multiplicative attention over the encoder states is
 optional, as is initializing the embedding tables from pre-trained word
 vectors (encoder) and TransE vectors (decoder).
 
-The parameters are stated once, by `_param_layout`; initialization, the flat
-dict, the gradients and the checkpoint layout all derive from it.
+The parameters are stated once, by `_param_layout`, and live in one float64
+vector; `ModelParams` names views into it. Initialization fills the vector
+with one draw, the gradients fill a vector with the same views, Adam and
+clipping update them in place, and a checkpoint's payload is its bytes.
 
 Gradients are hand-derived and exact; `grad_check_fd` in `numerics` is the
 independent oracle. Training is mini-batch Adam with global-norm clipping,
@@ -46,7 +48,7 @@ import numpy as np
 from .corpus import AnnotatedExample, Dataset, Triple
 from .numerics import (
     GATES,
-    AdamState,
+    Adam,
     LstmWeights,
     Params,
     adam_step,
@@ -158,9 +160,10 @@ class ModelConfig:
         return "S+" + "+".join(flags) if flags else "Seq2Seq"
 
 
-def _param_layout(
-    config: ModelConfig, n_words: int, n_targets: int
-) -> list[tuple[str, tuple[int, ...]]]:
+Layout = Sequence[tuple[str, tuple[int, ...]]]
+
+
+def _param_layout(config: ModelConfig, n_words: int, n_targets: int) -> Layout:
     """Every trainable array as (name, shape), in canonical order. Each LSTM
     is stacked, name.W (4H, D+H) and name.b (4H,); only LSTM arrays have
     dotted names. attn_w exists iff attention is on."""
@@ -183,21 +186,13 @@ def _param_layout(
     ]
 
 
-def _pretrained(what: str, table: np.ndarray | None, drawn: np.ndarray) -> np.ndarray:
-    """A copy of the pre-trained table, which must have drawn's shape; drawn
-    when there is none."""
-    if table is None:
-        return drawn
-    if table.shape != drawn.shape:
-        raise ValueError(f"{what} init table shape {table.shape}, expected {drawn.shape}")
-    return table.copy()
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """All trainable tensors. `to_dict` gives them flat, named, shaped and
-    ordered as _param_layout states; the optimizer walks that order."""
+    """All trainable tensors, as named views into one float64 vector `vec`,
+    laid out in _param_layout's order. `to_dict` gives the views flat and
+    named, an LSTM field as name.W and name.b."""
 
+    vec: np.ndarray
     enc_embed: np.ndarray
     enc_fwd: LstmWeights
     enc_bwd: LstmWeights
@@ -210,6 +205,24 @@ class ModelParams:
     out_b: np.ndarray
 
     @classmethod
+    def view(cls, vec: np.ndarray, layout: Layout) -> "ModelParams":
+        """Named views into vec, which must be a float64 vector holding
+        exactly the layout's values."""
+        if vec.dtype != np.float64 or vec.shape != (_size(layout),):
+            raise ValueError(f"parameter vector of dtype {vec.dtype} and shape {vec.shape}, "
+                             f"expected float64 and ({_size(layout)},) for this layout")
+        arrays, pos = {}, 0
+        for name, shape in layout:
+            n = math.prod(shape)
+            arrays[name] = vec[pos:pos + n].reshape(shape)
+            pos += n
+        return cls(vec, **{
+            name: LstmWeights(arrays[f"{name}.W"], arrays[f"{name}.b"])
+            if name in _LSTM_FIELDS else arrays.get(name)
+            for name in _ARRAY_FIELDS
+        })
+
+    @classmethod
     def init(
         cls,
         config: ModelConfig,
@@ -219,44 +232,47 @@ class ModelParams:
         word_init: np.ndarray | None = None,
         kg_init: np.ndarray | None = None,
     ) -> "ModelParams":
-        """Uniform(-0.08, 0.08) draws over _param_layout, in its order; then
-        each LSTM's forget bias is set and any provided pre-trained embedding
+        """One Uniform(-0.08, 0.08) draw over the vector, which is the same
+        stream as one draw per array in _param_layout's order; then each
+        LSTM's forget bias is set and any provided pre-trained embedding
         table is copied row-for-row."""
-        params = cls.from_dict({name: uniform_init(shape, rng)
-                                for name, shape in _param_layout(config, n_words, n_targets)})
+        layout = _param_layout(config, n_words, n_targets)
+        params = cls.view(uniform_init(_size(layout), rng), layout)
         for name in _LSTM_FIELDS:
             getattr(params, name).init_forget_bias()
-        params.enc_embed = _pretrained("word", word_init, params.enc_embed)
-        params.dec_embed = _pretrained("kg", kg_init, params.dec_embed)
+        for what, table, embed in (("word", word_init, params.enc_embed),
+                                   ("kg", kg_init, params.dec_embed)):
+            if table is not None:
+                if table.shape != embed.shape:
+                    raise ValueError(f"{what} init table shape {table.shape}, "
+                                     f"expected {embed.shape}")
+                embed[...] = table
         return params
 
     def to_dict(self) -> Params:
-        """The arrays by name, in field order: an LSTM field gives name.W and
-        name.b, and attn_w is absent when it is None."""
+        """The views by name, in layout order; attn_w is absent when it is None."""
         d: Params = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in _LSTM_FIELDS:
-                d[f"{f.name}.W"], d[f"{f.name}.b"] = value.W, value.b
+        for name in _ARRAY_FIELDS:
+            value = getattr(self, name)
+            if name in _LSTM_FIELDS:
+                d[f"{name}.W"], d[f"{name}.b"] = value.W, value.b
             elif value is not None:
-                d[f.name] = value
+                d[name] = value
         return d
 
-    @classmethod
-    def from_dict(cls, d: Params) -> "ModelParams":
-        """Inverse of to_dict. A missing array raises KeyError, except that
-        an absent attn_w gives None."""
-        d = {k: np.asarray(v, dtype=np.float64) for k, v in d.items()}
-        return cls(**{
-            f.name: LstmWeights(d[f"{f.name}.W"], d[f"{f.name}.b"]) if f.name in _LSTM_FIELDS
-            else d.get(f.name) if f.name == "attn_w" else d[f.name]
-            for f in fields(cls)
-        })
+    def like(self, vec: np.ndarray) -> "ModelParams":
+        """The same named views into another vector."""
+        return self.view(vec, [(k, v.shape) for k, v in self.to_dict().items()])
 
     def copy(self) -> "ModelParams":
-        return ModelParams.from_dict({k: v.copy() for k, v in self.to_dict().items()})
+        return self.like(self.vec.copy())
 
 
+def _size(layout: Layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+_ARRAY_FIELDS = tuple(f.name for f in fields(ModelParams))[1:]
 _LSTM_FIELDS = tuple(name for name, kind in get_type_hints(ModelParams).items()
                      if kind is LstmWeights)
 
@@ -472,12 +488,15 @@ def _loss_and_grads(
     params: ModelParams,
     config: ModelConfig,
     tvocab: TripleVocab,
-) -> tuple[float, Params]:
+) -> tuple[float, ModelParams]:
     """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) averaged over a
-    batch of sources with gold target ids (B, 3), and its exact gradients."""
+    batch of sources with gold target ids (B, 3), and its exact gradients,
+    written into a fresh vector with params' layout."""
     enc, (both_ids, lengths, live, enc_cache) = _encode_batch(sources, params, config)
     T, B = live.shape
     nh, dh = config.enc_hidden, config.dec_hidden
+    grads = ModelParams.view(np.zeros(params.vec.size), _param_layout(
+        config, params.enc_embed.shape[0], params.out_b.shape[0]))
 
     # The decoder's three inputs are known under teacher forcing, so it runs
     # as one sequence and the output layer as one GEMM over all B*3 steps.
@@ -499,8 +518,8 @@ def _loss_and_grads(
     dlogits *= scale
     dlogits2 = dlogits.reshape(B * 3, -1)
 
-    g_out_w = dlogits2.T @ feat2
-    g_out_b = dlogits2.sum(axis=0)
+    np.matmul(dlogits2.T, feat2, out=grads.out_w)
+    dlogits2.sum(axis=0, out=grads.out_b)
     dfeat = dlogits @ params.out_w                                      # (B, 3, feat)
     d_hs = np.zeros((T, 2, B, nh))     # dL/d(encoder outputs), in scan order
     if config.use_attention:
@@ -508,40 +527,32 @@ def _loss_and_grads(
         dalpha = dctx @ enc.H.transpose(0, 2, 1)
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=2, keepdims=True))
         dS = dfeat[:, :, :dh] + dscores @ enc.AH
-        g_attn_w = S.reshape(B * 3, dh).T @ (dscores @ enc.H).reshape(B * 3, 2 * nh)
+        np.matmul(S.reshape(B * 3, dh).T, (dscores @ enc.H).reshape(B * 3, 2 * nh),
+                  out=grads.attn_w)
         dH = alpha.transpose(0, 2, 1) @ dctx + dscores.transpose(0, 2, 1) @ (S @ params.attn_w)
         d_hs[:, 0] = dH[:, :, :nh].transpose(1, 0, 2)
         for b, n in enumerate(lengths):
             d_hs[:n, 1, b] = dH[b, n - 1::-1, nh:]
     else:
         dS = dfeat
-    dx_dec, dh0, (g_dec,) = lstm_sequence_backward(
-        dS.transpose(1, 0, 2)[:, None], dec_cache, (params.dec_lstm,)
+    dx_dec, dh0 = lstm_sequence_backward(
+        dS.transpose(1, 0, 2)[:, None], dec_cache, (params.dec_lstm,), (grads.dec_lstm,)
     )
     dh0 = dh0[0]
-    g_dec_embed = np.zeros_like(params.dec_embed)
-    np.add.at(g_dec_embed, prev, dx_dec[:, 0])
+    np.add.at(grads.dec_embed, prev, dx_dec[:, 0])
 
     # Bridge, then the encoder: the final state feeds the last forward step
     # and the last step of the reversed backward scan.
-    g_bridge_w = dh0.T @ enc.final
-    g_bridge_b = dh0.sum(axis=0)
+    np.matmul(dh0.T, enc.final, out=grads.bridge_w)
+    dh0.sum(axis=0, out=grads.bridge_b)
     dfinal = dh0 @ params.bridge_w
     d_hs[-1] += dfinal.reshape(B, 2, nh).transpose(1, 0, 2)
-    dx_enc, _, (g_fwd, g_bwd) = lstm_sequence_backward(
-        d_hs, enc_cache, (params.enc_fwd, params.enc_bwd)
+    dx_enc, _ = lstm_sequence_backward(
+        d_hs, enc_cache, (params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd)
     )
     valid = np.broadcast_to(live[:, None, :], both_ids.shape)
-    g_enc_embed = np.zeros_like(params.enc_embed)
-    np.add.at(g_enc_embed, both_ids[valid], dx_enc[valid])
-
-    grads = ModelParams(
-        enc_embed=g_enc_embed, enc_fwd=LstmWeights(**g_fwd), enc_bwd=LstmWeights(**g_bwd),
-        dec_embed=g_dec_embed, dec_lstm=LstmWeights(**g_dec),
-        attn_w=g_attn_w if config.use_attention else None,
-        bridge_w=g_bridge_w, bridge_b=g_bridge_b, out_w=g_out_w, out_b=g_out_b,
-    )
-    return float(losses.sum()) * scale, grads.to_dict()
+    np.add.at(grads.enc_embed, both_ids[valid], dx_enc[valid])
+    return float(losses.sum()) * scale, grads
 
 
 def _gold_ids(example: AnnotatedExample, tvocab: TripleVocab) -> tuple[int, int, int]:
@@ -559,10 +570,12 @@ def forward_loss(
     word_vocab: WordVocab,
     tvocab: TripleVocab,
 ) -> tuple[float, Params]:
-    """Loss and exact gradients for one example under teacher forcing."""
+    """Loss and exact gradients, named as in ModelParams.to_dict, for one
+    example under teacher forcing."""
     src_ids = encode_sentence(example.tokens, word_vocab)
     gold = np.array([_gold_ids(example, tvocab)])
-    return _loss_and_grads([src_ids], gold, params, config, tvocab)
+    loss, grads = _loss_and_grads([src_ids], gold, params, config, tvocab)
+    return loss, grads.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -783,11 +796,9 @@ def train(
     dev_sources = _prepare_split(dataset.dev, word_vocab, config, "dev")
     dev_golds = [ex.gold for ex in dataset.dev]
 
-    state = AdamState.init(
-        params.to_dict(), lr=config.lr, beta1=config.beta1,
-        beta2=config.beta2, eps=config.adam_eps,
-    )
-    best_params = params
+    state = Adam(params.vec.size, lr=config.lr, beta1=config.beta1,
+                 beta2=config.beta2, eps=config.adam_eps)
+    best_params: ModelParams | None = None
     best_f1: float | None = None
     bad_epochs = 0
     log: list[EpochStats] = []
@@ -803,13 +814,12 @@ def train(
             batch_loss, grads = _loss_and_grads(
                 [sources[j] for j in batch], golds[batch], params, config, tvocab
             )
-            grads, grad_norm = clip_global_norm(grads, config.clip_norm)
+            grad_norm = clip_global_norm(grads.to_dict().values(), config.clip_norm)
             if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):
                 logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
                 aborted = True
                 break
-            new_flat, state = adam_step(params.to_dict(), grads, state)
-            params = ModelParams.from_dict(new_flat)
+            adam_step(params.vec, grads.vec, state)
             epoch_loss += batch_loss * len(batch)
         if aborted:
             break
@@ -834,7 +844,7 @@ def train(
             if best_f1 >= 1.0 or bad_epochs >= config.patience:
                 break
 
-    final = best_params if best_f1 is not None else params
+    final = params if best_params is None else best_params
     return TrainResult(
         params=final, log=log, best_dev_f1=best_f1, aborted=aborted, dropped_oov=dropped
     )
@@ -845,9 +855,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_layout(
-    config: ModelConfig, n_words: int, n_targets: int
-) -> list[tuple[str, tuple[int, ...]]]:
+def _checkpoint_layout(config: ModelConfig, n_words: int, n_targets: int) -> Layout:
     """The v1 checkpoint's array table, each entry (name, shape).
 
     It is _param_layout with each LSTM array split into its row blocks by
@@ -879,13 +887,10 @@ def save_checkpoint(
     import json
     import struct
 
-    flat = params.to_dict()
     layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
-    if [(k, v.shape) for k, v in flat.items()] != layout:
+    if [(k, v.shape) for k, v in params.to_dict().items()] != layout:
         raise ValueError("parameter shapes do not fit the config and vocabularies")
-    payload = b"".join(
-        np.ascontiguousarray(v, dtype=np.float64).tobytes() for v in flat.values()
-    )
+    payload = params.vec.astype("<f8", copy=False).tobytes()
     header = {
         "version": CHECKPOINT_VERSION,
         "precision": "float64",
@@ -983,10 +988,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
             f"{path}: array table inconsistent with config and vocab at entry {i}: "
             f"found {got or 'nothing'}, expected {want or 'nothing'}"
         )
-    flat: Params = {}
-    pos = 0  # the table is _checkpoint_layout's, so the payload holds these arrays in turn
-    for name, shape in _param_layout(config, len(word_vocab), tvocab.n_targets):
-        n = math.prod(shape)
-        flat[name] = np.frombuffer(payload, "<f8", n, pos).reshape(shape).copy()
-        pos += 8 * n
-    return ModelParams.from_dict(flat), config, word_vocab, tvocab
+    # The table is _checkpoint_layout's, so the payload is the parameter vector.
+    vec = np.frombuffer(payload, "<f8").astype(np.float64)
+    params = ModelParams.view(vec, _param_layout(config, len(word_vocab), tvocab.n_targets))
+    return params, config, word_vocab, tvocab

@@ -11,19 +11,23 @@ np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the
 only dependency.
 
 All public operations work on float64 numpy arrays, validate their inputs,
-and are pure functions: identical inputs give bit-identical outputs.
+and are deterministic: identical inputs give bit-identical outputs. They are
+pure, except three that write in place: lstm_sequence_backward writes the
+weight gradients into the LstmWeights it is given, clip_global_norm scales
+the gradient arrays, and adam_step updates one flat parameter vector and its
+Adam state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "AdamState",
+    "Adam",
     "GATES",
     "LstmCache",
     "LstmSequenceCache",
@@ -42,9 +46,9 @@ __all__ = [
     "weighted_cross_entropy",
 ]
 
-# A parameter set is a named collection of float64 arrays. Iteration order is
-# the canonical order fixed by whoever built the dict; Adam and the gradient
-# checker walk it as-is, which keeps every update bit-deterministic.
+# A named collection of float64 arrays, in the order whoever built the dict
+# chose: the gradient checker's dict form, and the named views of a model's
+# parameter vector.
 Params = dict[str, np.ndarray]
 
 LOG_FLOOR = 1e-12  # floor inside ln() so exact zeros stay finite
@@ -308,16 +312,18 @@ def lstm_sequence(
 
 
 def lstm_sequence_backward(
-    dhs: np.ndarray, cache: LstmSequenceCache, ws: Sequence[LstmWeights]
-) -> tuple[np.ndarray, np.ndarray, list[Params]]:
+    dhs: np.ndarray, cache: LstmSequenceCache, ws: Sequence[LstmWeights],
+    dws: Sequence[LstmWeights],
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact backward for lstm_sequence.
 
-    dhs (T, G, B, H) is the upstream gradient on every output step. Returns
-    (dX (T, G, B, input_dim), dh0 (G, B, H), one dw per LSTM). A step past
-    a row's end passes its gradient straight to the step before and its
-    pre-activation gradient is exactly zero, so padding adds nothing to dX
-    or dw. The pre-activation gradients of all steps fill one buffer, and
-    each LSTM's dW and dX are GEMMs over it.
+    dhs (T, G, B, H) is the upstream gradient on every output step. Writes
+    each LSTM's weight gradients into dws[g], shaped like ws[g], and returns
+    (dX (T, G, B, input_dim), dh0 (G, B, H)). A step past a row's end passes
+    its gradient straight to the step before and its pre-activation gradient
+    is exactly zero, so padding adds nothing to dX or dws. The
+    pre-activation gradients of all steps fill one buffer, and each LSTM's
+    dW and dX are GEMMs over it.
     """
     T, G, B, n = dhs.shape
     d = ws[0].input_dim
@@ -342,15 +348,13 @@ def lstm_sequence_backward(
             np.copyto(dc_new, dc, where=frozen)
         dh, dc = dh_new, dc_new
     dX = np.empty(cache.X.shape)
-    dws = []
-    for g, w in enumerate(ws):
+    for g, (w, dw) in enumerate(zip(ws, dws)):
         rows = d_pre[:, :, g].transpose(0, 2, 1, 3).reshape(T * B, 4 * n)
         dX[:, g] = (rows @ w.W[:, :d]).reshape(T, B, d)
-        dW = np.concatenate([
-            rows.T @ cache.X[:, g].reshape(T * B, d), rows.T @ cache.h[:-1, g].reshape(T * B, n)
-        ], axis=1)
-        dws.append({"W": dW, "b": rows.sum(axis=0)})
-    return dX, dh, dws
+        np.matmul(rows.T, cache.X[:, g].reshape(T * B, d), out=dw.W[:, :d])
+        np.matmul(rows.T, cache.h[:-1, g].reshape(T * B, n), out=dw.W[:, d:])
+        rows.sum(axis=0, out=dw.b)
+    return dX, dh
 
 
 # ---------------------------------------------------------------------------
@@ -358,85 +362,69 @@ def lstm_sequence_backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam moments, step counter and hyperparameters.
+class Adam:
+    """Adam's state over one flat parameter vector of `size` values: the
+    moments m and v, the step count t, the hyperparameters, and two scratch
+    vectors that adam_step computes in."""
 
-    m and v mirror the parameter dict shapes exactly; t increases by one per
-    adam_step call.
+    def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.scratch = np.empty((2, size))
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
+    """One bias-corrected Adam update of the flat vector params, in place.
+
+    params, state.m, state.v and state.t change; grads does not. Every
+    element goes through b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
+    p - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result has the
+    bits those expressions give with temporaries.
     """
-
-    m: Params
-    v: Params
-    t: int
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-
-    @classmethod
-    def init(
-        cls,
-        params: Params,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
-        zeros = lambda: {k: np.zeros_like(v) for k, v in params.items()}  # noqa: E731
-        return cls(zeros(), zeros(), 0, lr, beta1, beta2, eps)
-
-
-def _check_same_shapes(a: Params, b: Params, what: str) -> None:
-    if a.keys() != b.keys():
-        raise ValueError(f"{what}: key sets differ: {sorted(a)} vs {sorted(b)}")
-    for k in a:
-        if a[k].shape != b[k].shape:
-            raise ValueError(f"{what}: shape mismatch at {k}: {a[k].shape} vs {b[k].shape}")
+    if not params.shape == grads.shape == state.m.shape:
+        raise ValueError(f"adam_step: shape mismatch: params {params.shape}, "
+                         f"grads {grads.shape}, state {state.m.shape}")
+    state.t += 1
+    c1 = 1.0 - state.beta1**state.t
+    c2 = 1.0 - state.beta2**state.t
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(grads, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(v, c2, out=a)
+    np.sqrt(a, out=a)
+    a += state.eps
+    np.divide(m, c1, out=b)
+    b *= state.lr
+    b /= a
+    params -= b
 
 
-def adam_step(
-    params: Params, grads: Params, state: AdamState
-) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update. Pure: inputs are left untouched."""
-    _check_same_shapes(params, grads, "adam_step params/grads")
-    _check_same_shapes(params, state.m, "adam_step params/state")
-    t = state.t + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    new_params: Params = {}
-    new_m: Params = {}
-    new_v: Params = {}
-    for k, p in params.items():
-        g = grads[k]
-        m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[k] + (1.0 - state.beta2) * (g * g)
-        new_params[k] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-        new_m[k] = m
-        new_v[k] = v
-    return new_params, AdamState(new_m, new_v, t, state.lr, state.beta1, state.beta2, state.eps)
-
-
-def global_norm(grads: Params) -> float:
-    """L2 norm over every element of every array in the dict."""
+def global_norm(grads: Iterable[np.ndarray]) -> float:
+    """L2 norm over every element of every array, summed array by array."""
     total = 0.0
-    for g in grads.values():
+    for g in grads:
         total += float((g * g).sum())
     return math.sqrt(total)
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> tuple[Params, float]:
-    """Scale all gradients by max_norm/norm when the global norm exceeds it.
-
-    Returns (gradients, the global norm before clipping).
-    """
+def clip_global_norm(grads: Iterable[np.ndarray], max_norm: float) -> float:
+    """Scale the gradient arrays in place by max_norm/norm when their global
+    norm exceeds max_norm. Returns the global norm before clipping."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
+    grads = list(grads)
     norm = global_norm(grads)
-    if norm <= max_norm:
-        return dict(grads), norm
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}, norm
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads:
+            g *= scale
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +437,8 @@ def grad_check_fd(loss_and_grad, params, eps: float = 1e-5) -> float:
 
     ``loss_and_grad(params) -> (loss, grads)`` must be deterministic; params
     is either one float64 array or a dict of named arrays, and grads mirrors
-    it. Every coordinate is perturbed by +/-eps and the relative error
-    |a - n| / max(|a|, |n|, 1e-8) is returned at its maximum.
+    it with finite values. Every coordinate is perturbed by +/-eps and the
+    relative error |a - n| / max(|a|, |n|, 1e-8) is returned at its maximum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -467,7 +455,7 @@ def grad_check_fd(loss_and_grad, params, eps: float = 1e-5) -> float:
     worst = 0.0
     for name, base in pdict.items():
         base = np.asarray(base, dtype=np.float64)
-        grad = np.asarray(analytic[name], dtype=np.float64)
+        grad = require_finite(np.asarray(analytic[name], dtype=np.float64), f"gradient {name}")
         for idx in range(base.size):
             bumped = dict(pdict)
             plus = base.copy()

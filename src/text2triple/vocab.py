@@ -62,6 +62,9 @@ class WordVocab:
     def __post_init__(self):
         if tuple(self.tokens[:3]) != RESERVED_TOKENS:
             raise ValueError(f"word vocab must start with {RESERVED_TOKENS}")
+        for tok in self.tokens:
+            if not isinstance(tok, str):
+                raise ValueError(f"word vocab token {tok!r} is not a string")
         self._ids = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self._ids) != len(self.tokens):
             raise ValueError("word vocab contains duplicate tokens")
@@ -116,6 +119,9 @@ class TripleVocab:
 
     def __post_init__(self):
         for name, syms in (("entity", self.entities), ("predicate", self.predicates)):
+            for s in syms:
+                if not isinstance(s, str):
+                    raise ValueError(f"{name} symbol {s!r} is not a string")
             if any(not s for s in syms):
                 raise ValueError(f"empty {name} symbol")
             if len(set(syms)) != len(syms):

@@ -85,11 +85,11 @@ def test_criterion_01_gradient_exactness():
     sources = [encode_sentence(ex.tokens, word_vocab) for ex in batch]
     gold = np.array([tvocab.encode_triple(*ex.gold) for ex in batch])
 
-    def loss_and_grad(flat):
-        return model._loss_and_grads(sources, gold, ModelParams.from_dict(flat), config,
-                                     tvocab)
+    def loss_and_grad(vec):
+        loss, grads = model._loss_and_grads(sources, gold, params.like(vec), config, tvocab)
+        return loss, grads.vec
 
-    err = grad_check_fd(loss_and_grad, params.to_dict(), eps=1e-4)
+    err = grad_check_fd(loss_and_grad, params.vec, eps=1e-4)
     elapsed = time.perf_counter() - start
     _report(1, "gradient exactness", err < 1e-3 and elapsed < 60.0,
             f"max rel err {err:.2e} (< 1e-3), {elapsed:.1f}s (< 60s)")

@@ -26,8 +26,10 @@ from text2triple.model import (
     translate_beam,
     translate_greedy,
 )
-from text2triple.numerics import grad_check_fd, make_rng
-from text2triple.vocab import BOS_ID, TripleVocab, build_word_vocab
+from text2triple.embeddings import TransEConfig, decoder_init_table, transe_train
+from text2triple.numerics import grad_check_fd, make_rng, uniform_init
+from text2triple.synthetic import make_hard_world
+from text2triple.vocab import BOS_ID, TripleVocab, build_kg_vocab, build_word_vocab
 
 TINY = ModelConfig(
     word_dim=8, kg_dim=8, enc_hidden=8, dec_hidden=16,
@@ -107,23 +109,32 @@ class TestParamLayout:
     def test_init_and_flat_dict_follow_the_layout(self, attention):
         config = ModelConfig(word_dim=8, kg_dim=6, enc_hidden=5, dec_hidden=7,
                              use_attention=attention)
-        flat = ModelParams.init(config, 20, 10, make_rng(0)).to_dict()
+        params = ModelParams.init(config, 20, 10, make_rng(0))
+        flat = params.to_dict()
         assert [(k, v.shape) for k, v in flat.items()] == model._param_layout(config, 20, 10)
         assert ("attn_w" in flat) is attention
+        assert (params.attn_w is None) is not attention
+        # the named arrays are views that tile the one vector, in layout order
+        assert all(np.shares_memory(v, params.vec) for v in flat.values())
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in flat.values()]),
+                                      params.vec)
 
-    @pytest.mark.parametrize("key", ["enc_embed", "enc_bwd.b", "dec_lstm.W", "out_b"])
-    def test_from_dict_missing_array_raises_key_error(self, key):
-        flat = tiny_params().to_dict()
-        del flat[key]
-        with pytest.raises(KeyError, match=key):
-            ModelParams.from_dict(flat)
+    @pytest.mark.parametrize("size_delta, dtype", [(-1, np.float64), (1, np.float64),
+                                                   (0, np.float32)])
+    def test_vector_that_does_not_fit_the_layout_rejected(self, size_delta, dtype):
+        layout = model._param_layout(TINY, 20, 10)
+        n = sum(math.prod(shape) for _, shape in layout)
+        with pytest.raises(ValueError, match=rf"dtype {np.dtype(dtype)} and shape "
+                                             rf"\({n + size_delta},\), expected float64 "
+                                             rf"and \({n},\) for this layout"):
+            ModelParams.view(np.zeros(n + size_delta, dtype=dtype), layout)
 
-    def test_from_dict_without_attention_gives_none(self):
-        config = ModelConfig(word_dim=8, kg_dim=8, enc_hidden=8, dec_hidden=16,
-                             use_attention=False)
-        params = ModelParams.from_dict(tiny_params(config).to_dict())
-        assert params.attn_w is None
-        assert "attn_w" not in params.to_dict()
+    def test_copy_owns_its_vector(self):
+        params = tiny_params()
+        copy = params.copy()
+        copy.out_b[0] += 1.0
+        assert not np.shares_memory(copy.vec, params.vec)
+        assert copy.vec[-10] == params.vec[-10] + 1.0
 
 
 class TestEncode:
@@ -136,8 +147,7 @@ class TestEncode:
 
     def test_zero_params_give_zero_states(self):
         params = tiny_params()
-        flat = {k: np.zeros_like(v) for k, v in params.to_dict().items()}
-        zero = ModelParams.from_dict(flat)
+        zero = params.like(np.zeros(params.vec.size))
         enc = encode([1, 2, 3], zero, TINY)
         np.testing.assert_array_equal(enc.H, np.zeros_like(enc.H))
 
@@ -145,14 +155,10 @@ class TestEncode:
         # Swapping the fwd/bwd weight blocks and reversing the input mirrors
         # H: encode(rev x, swapped).H[t] == swap_halves(encode(x).H[T-1-t]).
         params = tiny_params(seed=3)
-        flat = params.to_dict()
-        swapped = dict(flat)
-        for key in list(flat):
-            if key.startswith("enc_fwd."):
-                tail = key.split(".", 1)[1]
-                swapped[key] = flat[f"enc_bwd.{tail}"]
-                swapped[f"enc_bwd.{tail}"] = flat[key]
-        params_swapped = ModelParams.from_dict(swapped)
+        params_swapped = params.copy()
+        for a, b in (("enc_fwd", "enc_bwd"), ("enc_bwd", "enc_fwd")):
+            getattr(params_swapped, a).W[...] = getattr(params, b).W
+            getattr(params_swapped, a).b[...] = getattr(params, b).b
         src = [4, 9, 2]
         h = TINY.enc_hidden
         enc = encode(src, params, TINY)
@@ -232,8 +238,7 @@ class TestDecodeStep:
             assert (np.exp(logp[~mask]) == 0.0).all()
 
     def test_zero_params_uniform_over_mask(self):
-        flat = {k: np.zeros_like(v) for k, v in self.params.to_dict().items()}
-        zero = ModelParams.from_dict(flat)
+        zero = self.params.like(np.zeros(self.params.vec.size))
         enc = encode([1, 2], zero, TINY)
         state = init_decoder_state(enc, zero)
         for step, size in ((1, 6), (2, 3), (3, 6)):
@@ -299,8 +304,7 @@ class TestForwardLoss:
     def test_uniform_model_loss_value(self):
         # all-zero params mean uniform within each mask: loss = 2 ln E + ln P
         params = tiny_params()
-        flat = {k: np.zeros_like(v) for k, v in params.to_dict().items()}
-        zero = ModelParams.from_dict(flat)
+        zero = params.like(np.zeros(params.vec.size))
         ex = AnnotatedExample(("w0", "w1"), Triple("ent:0", "rel:1", "ent:3"), "t")
         loss, _ = forward_loss(ex, zero, TINY, self.word_vocab, self.tvocab)
         assert abs(loss - (2 * math.log(6) + math.log(3))) < 1e-9
@@ -357,13 +361,13 @@ class TestForwardLoss:
             ("w0", "w2", "w4"), Triple("ent:1", "rel:0", "ent:2"), "t"
         )
 
-        def loss_and_grad(flat):
-            p = ModelParams.from_dict(flat)
-            return forward_loss(ex, p, config, word_vocab, tvocab)
+        def loss_and_grad(vec):
+            loss, grads = forward_loss(ex, params.like(vec), config, word_vocab, tvocab)
+            return loss, np.concatenate([g.ravel() for g in grads.values()])
 
         # eps=1e-4 keeps central-difference cancellation noise well under the
         # 1e-3 bound; tighter eps drowns tiny gradient components in noise.
-        err = grad_check_fd(loss_and_grad, params.to_dict(), eps=1e-4)
+        err = grad_check_fd(loss_and_grad, params.vec, eps=1e-4)
         assert err < 1e-3
 
     def test_repeated_tokens_accumulate_embedding_grads(self):
@@ -374,11 +378,11 @@ class TestForwardLoss:
         params = ModelParams.init(config, len(word_vocab), tvocab.n_targets, make_rng(1))
         ex = AnnotatedExample(("w0", "w0", "w0"), Triple("ent:0", "rel:1", "ent:1"), "t")
 
-        def loss_and_grad(flat):
-            return forward_loss(ex, ModelParams.from_dict(flat), config,
-                                word_vocab, tvocab)
+        def loss_and_grad(vec):
+            loss, grads = forward_loss(ex, params.like(vec), config, word_vocab, tvocab)
+            return loss, np.concatenate([g.ravel() for g in grads.values()])
 
-        assert grad_check_fd(loss_and_grad, params.to_dict(), eps=1e-4) < 1e-3
+        assert grad_check_fd(loss_and_grad, params.vec, eps=1e-4) < 1e-3
 
 
 class TestInference:
@@ -512,8 +516,7 @@ class TestTrain:
         assert [(s.epoch, s.train_loss, s.dev_f1) for s in r1.log] == [
             (s.epoch, s.train_loss, s.dev_f1) for s in r2.log
         ]
-        for k, v in r1.params.to_dict().items():
-            assert (v == r2.params.to_dict()[k]).all()
+        assert r1.params.vec.tobytes() == r2.params.vec.tobytes()
 
     def test_pretrained_tables_copied_where_covered(self):
         word_vocab, tvocab, examples = self.small_world()
@@ -562,12 +565,57 @@ class TestTrain:
         result = train(Dataset(train=examples), word_vocab, tvocab, self.config())
         assert result.aborted
         assert result.log == []  # stopped in epoch 1, at batch 2 of 3
-        assert all(np.isfinite(v).all() for v in result.params.to_dict().values())
+        assert np.isfinite(result.params.vec).all()
 
     def test_empty_train_rejected(self):
         word_vocab, tvocab, _ = self.small_world()
         with pytest.raises(ValueError, match="empty"):
             train(Dataset(), word_vocab, tvocab, self.config())
+
+
+# SHA-256 of the checkpoint that train writes on the hard world, one per run.
+# They pin every bit of the training trajectory: init draws, gradients,
+# clipping and Adam. The digests hold for numpy 2.4.6 with OpenBLAS; another
+# BLAS or numpy build may round differently.
+TRAJECTORY_DIGESTS = {
+    "attention": "b842913f7d7be34701a8507ad53cb8ae59b92a5fc08a957a22da678a650a60b2",
+    "no attention": "03592e5b84410592ceb19483cbe2900e277c34eb5506bee476ebb0aa03a66b82",
+    "A+W+G": "ca2362fa424e04a87c0d940d45a360dc9c0706dc8a2960ec91b1f7112b3f705f",
+    "CLI defaults": "9b45786212b837af10e516b3b87785548f11341b127e5aca293abc7d6a7b2ec6",
+}
+
+
+class TestTrainingTrajectory:
+    @pytest.fixture(scope="class")
+    def world(self):
+        world = make_hard_world(seed=17, word_dim=16)
+        word_vocab = build_word_vocab([list(ex.tokens) for ex in world.train])
+        return world, word_vocab, build_kg_vocab(world.kg.triples)
+
+    @pytest.mark.parametrize("run", sorted(TRAJECTORY_DIGESTS))
+    def test_checkpoint_digest_pinned(self, run, world, tmp_path):
+        world, word_vocab, tvocab = world
+        dataset = Dataset(train=world.train, dev=world.dev)
+        small = dict(word_dim=16, kg_dim=16, enc_hidden=16, dec_hidden=32, seed=1,
+                     epochs=20, batch_size=4, patience=35, lr=3e-3)
+        tables = {}
+        if run == "CLI defaults":
+            config, dataset = ModelConfig(seed=0, epochs=3), Dataset(train=world.train)
+        elif run == "A+W+G":
+            config = ModelConfig(**small, use_word_init=True, use_kg_init=True)
+            emb = transe_train(world.kg, TransEConfig(dim=16, epochs=30, seed=17))
+            rng = make_rng(1001)
+            tables["word_init"] = np.vstack([
+                world.word_vectors[tok] if tok in world.word_vectors else uniform_init(16, rng)
+                for tok in word_vocab.tokens
+            ])
+            tables["kg_init"] = decoder_init_table(emb, tvocab, 16, rng)[0]
+        else:
+            config = ModelConfig(**small, use_attention=run == "attention")
+        result = train(dataset, word_vocab, tvocab, config, **tables)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, result.params, config, word_vocab, tvocab)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAJECTORY_DIGESTS[run]
 
 
 def _set_array(array, **changes):
@@ -589,6 +637,13 @@ def _without(key):
 def _config(**changes):
     def edit(header):
         header["config"].update(changes)
+        return header
+    return edit
+
+
+def _symbol(key, index, value):
+    def edit(header):
+        header[key][index] = value
         return header
     return edit
 
@@ -623,6 +678,9 @@ HEADER_DEFECTS = {
     "string dimension": (_set_array("out_b", shape=["10"]), "malformed array table"),
     "negative dimension": (_set_array("out_b", shape=[-10]), "malformed array table"),
     "unknown config key": (_config(bogus=1), "config keys"),
+    "non-string entity": (_symbol("entities", 1, 7), r"m\.ckpt: entity symbol 7 is not a string"),
+    "non-string word": (_symbol("words", 3, None),
+                        r"m\.ckpt: word vocab token None is not a string"),
     "missing config key": (
         lambda header: {**header, "config": {k: v for k, v in header["config"].items()
                                              if k != "seed"}},
@@ -663,8 +721,9 @@ class TestCheckpoint:
     def test_bit_identical_roundtrip(self, tmp_path):
         path, params, word_vocab, tvocab = self.roundtrip_setup(tmp_path)
         loaded, config, wv, tv = load_checkpoint(path)
-        for k, v in params.to_dict().items():
-            assert (v == loaded.to_dict()[k]).all()
+        assert loaded.vec.tobytes() == params.vec.tobytes()
+        assert [(k, v.shape) for k, v in loaded.to_dict().items()] == [
+            (k, v.shape) for k, v in params.to_dict().items()]
         assert config == TINY
         assert wv.tokens == word_vocab.tokens
         assert tv.entities == tvocab.entities

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from text2triple.numerics import (
-    AdamState,
+    Adam,
     LstmWeights,
     adam_step,
     clip_global_norm,
@@ -248,10 +248,10 @@ class TestBatchedLstm:
         def loss_and_grad(p):
             pair = (LstmWeights(p["a.W"], p["a.b"]), LstmWeights(p["b.W"], p["b.b"]))
             hs, cache = lstm_sequence(p["X"], pair, h0=p["h0"], lengths=lengths)
-            dX, dh0, (da, db) = lstm_sequence_backward(proj, cache, pair)
-            grads = {"X": dX, "h0": dh0}
-            grads.update({f"a.{k}": v for k, v in da.items()})
-            grads.update({f"b.{k}": v for k, v in db.items()})
+            da, db = (LstmWeights(np.full_like(w.W, np.nan), np.full_like(w.b, np.nan))
+                      for w in pair)  # every entry must be written
+            dX, dh0 = lstm_sequence_backward(proj, cache, pair, (da, db))
+            grads = {"X": dX, "h0": dh0, "a.W": da.W, "a.b": da.b, "b.W": db.W, "b.b": db.b}
             return float((proj * hs).sum()), grads
 
         assert grad_check_fd(loss_and_grad, base, eps=1e-5) < 1e-6
@@ -263,68 +263,73 @@ class TestBatchedLstm:
 
 class TestAdam:
     def test_zero_grad_keeps_params(self):
-        params = {"w": np.array([1.0, 2.0])}
-        state = AdamState.init(params, lr=0.1)
-        new, state2 = adam_step(params, {"w": np.zeros(2)}, state)
-        np.testing.assert_array_equal(new["w"], params["w"])
-        assert state2.t == 1
+        params = np.array([1.0, 2.0])
+        state = Adam(2, lr=0.1)
+        adam_step(params, np.zeros(2), state)
+        np.testing.assert_array_equal(params, [1.0, 2.0])
+        assert state.t == 1
 
     def test_first_step_is_minus_lr_times_sign(self):
         # hand recurrence: m-hat = g, v-hat = g^2, step = -lr*g/(|g|+eps)
         for g in (0.5, 3.0, -0.25):
-            params = {"w": np.array([1.0])}
-            state = AdamState.init(params, lr=1e-3)
-            new, _ = adam_step(params, {"w": np.array([g])}, state)
-            update = float(new["w"][0] - 1.0)
+            params = np.array([1.0])
+            adam_step(params, np.array([g]), Adam(1, lr=1e-3))
+            update = float(params[0] - 1.0)
             assert abs(update + 1e-3 * math.copysign(1.0, g)) < 1e-8
 
-    def test_deterministic(self):
+    def test_in_place_update_equals_the_expressions_bit_for_bit(self):
         rng = make_rng(7)
-        params = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
-        grads = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
-        s0 = AdamState.init(params)
-        out1, s1 = adam_step(params, grads, s0)
-        out2, s2 = adam_step(params, grads, s0)
-        for k in params:
-            assert (out1[k] == out2[k]).all()
-            assert (s1.m[k] == s2.m[k]).all()
+        n = 1000
+        state = Adam(n, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        state.t = 4
+        state.m[:] = rng.standard_normal(n)
+        state.v[:] = rng.random(n)
+        p, g = rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+        m0, v0, p0, g0 = state.m.copy(), state.v.copy(), p.copy(), g.copy()
+        b1, b2, t = 0.8, 0.99, 5
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        m = b1 * m0 + (1.0 - b1) * g0
+        v = b2 * v0 + (1.0 - b2) * (g0 * g0)
+        want = p0 - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-7)
+        adam_step(p, g, state)
+        assert state.t == t
+        np.testing.assert_array_equal(g, g0)
+        assert p.tobytes() == want.tobytes()
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
 
     def test_shape_mismatch_rejected(self):
-        params = {"w": np.zeros(2)}
         with pytest.raises(ValueError, match="shape mismatch"):
-            adam_step(params, {"w": np.zeros(3)}, AdamState.init(params))
-
-    def test_inputs_not_mutated(self):
-        params = {"w": np.ones(2)}
-        grads = {"w": np.ones(2)}
-        state = AdamState.init(params)
-        adam_step(params, grads, state)
-        np.testing.assert_array_equal(params["w"], np.ones(2))
-        np.testing.assert_array_equal(state.m["w"], np.zeros(2))
+            adam_step(np.zeros(2), np.zeros(3), Adam(2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adam_step(np.zeros(3), np.zeros(3), Adam(2))
 
 
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
-        grads = {"a": np.array([6.0]), "b": np.array([8.0])}  # norm 10
-        clipped, norm = clip_global_norm(grads, 5.0)
-        np.testing.assert_allclose(clipped["a"], [3.0], rtol=1e-15)
-        np.testing.assert_allclose(clipped["b"], [4.0], rtol=1e-15)
-        assert norm == global_norm(grads) == 10.0
+        vec = np.array([6.0, 8.0])  # norm 10
+        views = [vec[:1], vec[1:]]
+        norm = clip_global_norm(views, 5.0)
+        assert norm == global_norm([np.array([6.0]), np.array([8.0])]) == 10.0
+        np.testing.assert_allclose(vec, [3.0, 4.0], rtol=1e-15)
+        np.testing.assert_allclose(views[0], [3.0], rtol=1e-15)
 
     def test_untouched_when_under(self):
-        grads = {"a": np.array([3.0])}
-        clipped, norm = clip_global_norm(grads, 5.0)
-        np.testing.assert_array_equal(clipped["a"], [3.0])
-        assert norm == 3.0
+        grads = [np.array([3.0])]
+        assert clip_global_norm(grads, 5.0) == 3.0
+        np.testing.assert_array_equal(grads[0], [3.0])
 
     def test_zero_grads_unchanged(self):
-        grads = {"a": np.zeros(4)}
-        clipped, norm = clip_global_norm(grads, 5.0)
-        np.testing.assert_array_equal(clipped["a"], np.zeros(4))
-        assert norm == 0.0
+        grads = [np.zeros(4)]
+        assert clip_global_norm(grads, 5.0) == 0.0
+        np.testing.assert_array_equal(grads[0], np.zeros(4))
+
+    def test_bad_max_norm_rejected(self):
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_global_norm([np.ones(2)], 0.0)
 
     def test_global_norm_value(self):
-        assert abs(global_norm({"a": np.array([3.0, 4.0])}) - 5.0) < 1e-15
+        assert abs(global_norm([np.array([3.0, 4.0])]) - 5.0) < 1e-15
 
 
 class TestGradCheckFd:
@@ -344,6 +349,12 @@ class TestGradCheckFd:
     def test_rejects_non_finite_loss(self):
         with pytest.raises(ValueError, match="non-finite"):
             grad_check_fd(lambda w: (float("nan"), w), np.array(1.0), eps=1e-4)
+
+    def test_rejects_non_finite_gradient(self):
+        # a NaN would otherwise vanish from the maximum, since max(0.0, nan) is 0.0
+        with pytest.raises(ValueError, match="gradient w contains non-finite values"):
+            grad_check_fd(lambda p: (0.0, {"w": np.array([0.0, np.nan])}),
+                          {"w": np.zeros(2)}, eps=1e-4)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
