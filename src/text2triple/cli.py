@@ -44,11 +44,7 @@ def parse_config_file(path) -> dict[str, tuple[int, str]]:
     """Flat key=value lines as key -> (line number, value); blank lines and
     # comments are ignored."""
     out: dict[str, tuple[int, str]] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not valid UTF-8") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in vocab.read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -107,16 +103,12 @@ def resolve_model_config(args) -> ModelConfig:
 
 def _read_sentences(path) -> Iterator[list[str]]:
     """Tokenized non-blank lines, read from the file one at a time."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                # str.splitlines also breaks at form feeds and Unicode line
-                # separators, which iterating over the file does not.
-                for part in line.splitlines():
-                    if part.strip():
-                        yield vocab.tokenize(part)
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not valid UTF-8") from None
+    for _, line in vocab.read_lines(path):
+        # str.splitlines also breaks at form feeds and Unicode line
+        # separators, which read_lines does not.
+        for part in line.splitlines():
+            if part.strip():
+                yield vocab.tokenize(part)
 
 
 def _load_kg(path) -> KnowledgeGraph:
@@ -135,6 +127,7 @@ def _cmd_build_vocab(args) -> int:
         sentences = _read_sentences(args.corpus)
     wv = vocab.build_word_vocab(sentences, min_count=args.min_count)
     tv = vocab.build_kg_vocab(corpus.load_kg_file(args.kg))
+    vocab.check_symbols(wv.tokens + tv.entities + tv.predicates)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vocab.save_word_vocab(wv, out / "words.vocab")
@@ -149,6 +142,7 @@ def _cmd_kg_embed(args) -> int:
         dim=args.dim, margin=args.margin, lr=args.lr, epochs=args.epochs,
         batch_size=args.batch_size, norm=args.norm, seed=args.seed,
     )
+    vocab.check_symbols(sorted({symbol for tr in kg.triples for symbol in tr}))
     emb = embeddings.transe_train(kg, config)
     embeddings.save_kg_embeddings(emb, args.out, config)
     mean_rank, hits = embeddings.link_prediction_eval(emb, sorted(kg.triples), k=1)

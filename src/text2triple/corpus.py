@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .vocab import tokenize
+from .vocab import DataError, read_lines, tokenize
 
 __all__ = [
     "AlignmentIndex",
@@ -39,10 +39,6 @@ __all__ = [
     "load_surface_forms",
     "save_examples",
 ]
-
-
-class DataError(ValueError):
-    """A data file failed validation; the message names the file and line."""
 
 
 class Triple(NamedTuple):
@@ -166,22 +162,18 @@ def load_examples(path) -> list[AnnotatedExample]:
     """Read one JSONL dataset file. Malformed lines are reported by number."""
     path = Path(path)
     examples = []
-    with path.open(encoding="utf-8") as fh:
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
-                tokens, triple = _validate_record(rec, where)
-                source_id = rec.get("id") or f"{path.name}:{lineno}"
-                examples.append(AnnotatedExample(tokens, triple, str(source_id)))
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not valid UTF-8") from None
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
+        tokens, triple = _validate_record(rec, where)
+        source_id = rec.get("id") or f"{path.name}:{lineno}"
+        examples.append(AnnotatedExample(tokens, triple, str(source_id)))
     return examples
 
 
@@ -195,46 +187,32 @@ def save_examples(examples: Iterable[AnnotatedExample], path) -> None:
 
 def load_kg_file(path) -> frozenset[Triple]:
     """TSV subject<TAB>predicate<TAB>object, one triple per line."""
-    path = Path(path)
     triples = set()
-    with path.open(encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3 or not all(parts):
-                    raise DataError(
-                        f"{path}:{lineno}: expected 3 tab-separated non-empty fields"
-                    )
-                triples.add(Triple(*parts))
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not valid UTF-8") from None
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(parts):
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated non-empty fields")
+        triples.add(Triple(*parts))
     return frozenset(triples)
 
 
 def load_surface_forms(path) -> dict[str, tuple[tuple[str, ...], ...]]:
     """TSV entity<TAB>alias; aliases are tokenized, multiple lines per entity."""
-    path = Path(path)
     forms: dict[str, list[tuple[str, ...]]] = {}
-    with path.open(encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not all(parts):
-                    raise DataError(f"{path}:{lineno}: expected entity<TAB>alias")
-                alias = tuple(tokenize(parts[1]))
-                if not alias:
-                    raise DataError(f"{path}:{lineno}: alias has no tokens")
-                forms.setdefault(parts[0], [])
-                if alias not in forms[parts[0]]:
-                    forms[parts[0]].append(alias)
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: not valid UTF-8") from None
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not all(parts):
+            raise DataError(f"{path}:{lineno}: expected entity<TAB>alias")
+        alias = tuple(tokenize(parts[1]))
+        if not alias:
+            raise DataError(f"{path}:{lineno}: alias has no tokens")
+        forms.setdefault(parts[0], [])
+        if alias not in forms[parts[0]]:
+            forms[parts[0]].append(alias)
     return {ent: tuple(aliases) for ent, aliases in forms.items()}
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .corpus import KnowledgeGraph, Triple
 from .numerics import make_rng, uniform_init
 from .vocab import RESERVED_TOKENS, TripleVocab, WordVocab, build_kg_vocab
+from .vocab import check_symbols, read_lines
 
 __all__ = [
     "KgEmbeddings",
@@ -319,40 +320,36 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
     symbols: list[str] = []
     rows: list[np.ndarray] = []
     header_count = None
-    with Path(path).open(encoding="utf-8") as fh:
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
+            try:
+                header_count = int(parts[0])
+                header_dim = int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
+                ) from None
+            if dim is not None and header_dim != dim:
+                raise ValueError(f"{path}:1: header dimension {header_dim}, expected {dim}")
+            dim = header_dim
+            continue
+        if dim is None:
+            dim = len(parts) - 1
+        if len(parts) - 1 != dim:
+            raise ValueError(
+                f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
+            )
         try:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if lineno == 1 and len(parts) == 2:
-                    try:
-                        header_count = int(parts[0])
-                        header_dim = int(parts[1])
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}:1: header must be 'count dim' integers, got {line.strip()!r}"
-                        ) from None
-                    if dim is not None and header_dim != dim:
-                        raise ValueError(f"{path}:1: header dimension {header_dim}, expected {dim}")
-                    dim = header_dim
-                    continue
-                if dim is None:
-                    dim = len(parts) - 1
-                if len(parts) - 1 != dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {dim} vector values, got {len(parts) - 1}"
-                    )
-                try:
-                    row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
-                if not np.isfinite(row).all():
-                    raise ValueError(f"{path}:{lineno}: non-finite vector value")
-                symbols.append(parts[0])
-                rows.append(row)
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not valid UTF-8") from None
+            row = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric vector value ({exc})") from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{lineno}: non-finite vector value")
+        symbols.append(parts[0])
+        rows.append(row)
     if header_count is not None and header_count != len(rows):
         raise ValueError(f"{path}:1: header says {header_count} rows, file has {len(rows)}")
     table = np.vstack(rows) if rows else np.zeros((0, dim or 0))
@@ -364,11 +361,10 @@ def write_vector_file(path, symbols: Sequence[str], table) -> None:
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or len(table) != len(symbols):
         raise ValueError(f"vector table shape {table.shape} does not fit {len(symbols)} symbols")
+    check_symbols(symbols)
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(symbols)} {table.shape[1]}\n")
         for sym, row in zip(symbols, table):
-            if any(ch.isspace() for ch in sym):
-                raise ValueError(f"symbol {sym!r} contains whitespace")
             fh.write(sym + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -439,6 +435,7 @@ MANIFEST_FILE = "manifest.json"
 
 def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None:
     """Write entities.vec, relations.vec and a manifest with the settings."""
+    check_symbols(emb.entity_symbols + emb.relation_symbols)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_vector_file(out / ENTITIES_FILE, emb.entity_symbols, emb.entity_table)
@@ -459,9 +456,7 @@ def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None
 def _read_manifest(path: Path) -> tuple[int, str]:
     """The (dim, norm) of a manifest that is a UTF-8 JSON object."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not valid UTF-8") from None
+        manifest = json.loads("\n".join(line for _, line in read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):

@@ -58,7 +58,6 @@ from .numerics import (
     lstm_sequence_backward,
     make_rng,
     uniform_init,
-    weighted_cross_entropy,
 )
 from .vocab import PAD_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
 
@@ -513,7 +512,13 @@ def _loss_and_grads(
     feat2 = feat.reshape(B * 3, -1)
     logits = (feat2 @ params.out_w.T + params.out_b).reshape(B, 3, -1)
     logp = _masked_log_softmax(logits, np.stack([tvocab.step_mask(k) for k in (1, 2, 3)]))
-    losses, dlogits = weighted_cross_entropy(np.exp(logp), gold, config.step_weights)
+    # Weighted cross-entropy and its logits gradient w * (p - onehot(gold)),
+    # from the log-probs, so a non-finite forward pass reaches train's abort.
+    w = np.asarray(config.step_weights)
+    at_gold = (np.arange(B)[:, None], np.arange(3), gold)
+    losses = -w * logp[at_gold]
+    dlogits = w[:, None] * np.exp(logp)
+    dlogits[at_gold] -= w
     scale = 1.0 / B
     dlogits *= scale
     dlogits2 = dlogits.reshape(B * 3, -1)

@@ -5,6 +5,9 @@ triple vocabulary unifies entity and predicate symbols into one target-id
 space and hands the decoder a per-step mask: step 1 and 3 may only emit
 entities, step 2 only predicates. Subjects and objects share one entity
 table, so the step-1 and step-3 masks are identical.
+
+Being the lowest module, it also holds what every file reader and writer
+shares: ``read_lines``, ``DataError`` and the symbol rule ``check_symbols``.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import re
 from dataclasses import dataclass, field
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "BOS_ID",
     "BOS_TOKEN",
+    "DataError",
     "PAD_ID",
     "PAD_TOKEN",
     "RESERVED_TOKENS",
@@ -29,14 +33,44 @@ __all__ = [
     "WordVocab",
     "build_kg_vocab",
     "build_word_vocab",
+    "check_symbols",
     "decode_triple",
     "encode_sentence",
     "load_triple_vocab",
     "load_word_vocab",
+    "read_lines",
     "save_triple_vocab",
     "save_word_vocab",
     "tokenize",
 ]
+
+
+class DataError(ValueError):
+    """A data file failed validation; the message names the file and line."""
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    r"""(line number, line without its break) for each line of a text file.
+
+    The one text reader: the file is UTF-8, a leading byte-order mark is
+    dropped, and lines break at \n, \r\n and \r. A byte that is not UTF-8
+    raises DataError naming the file.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.removesuffix("\n")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not valid UTF-8") from None
+
+
+def check_symbols(symbols: Iterable[str]) -> None:
+    """The rule for symbols written out: non-empty, with no whitespace, so a
+    line- or space-splitting reader reads each back as one symbol."""
+    for s in symbols:
+        if not s or any(ch.isspace() for ch in s):
+            raise ValueError(f"symbol not serializable (empty or holds whitespace): {s!r}")
+
 
 PAD_ID, UNK_ID, BOS_ID = 0, 1, 2
 PAD_TOKEN, UNK_TOKEN, BOS_TOKEN = "<pad>", "<unk>", "<bos>"
@@ -234,22 +268,13 @@ def decode_triple(ids: Sequence[int], vocab: TripleVocab) -> tuple[str, str, str
 # ---------------------------------------------------------------------------
 
 
-def _write_symbols(path, symbols: Iterable[str]) -> None:
-    path = Path(path)
-    lines = []
-    for s in symbols:
-        if not s or any(ch in s for ch in ("\n", "\t", " ")):
-            raise ValueError(f"symbol not serializable one-per-line: {s!r}")
-        lines.append(s)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_symbols(path, symbols: Sequence[str]) -> None:
+    check_symbols(symbols)
+    Path(path).write_text("\n".join(symbols) + "\n", encoding="utf-8")
 
 
 def _read_symbols(path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not valid UTF-8") from None
-    return [line for line in text.splitlines() if line]
+    return [line for _, line in read_lines(path) if line]
 
 
 def save_word_vocab(vocab: WordVocab, path) -> None:
@@ -261,6 +286,7 @@ def load_word_vocab(path) -> WordVocab:
 
 
 def save_triple_vocab(vocab: TripleVocab, entities_path, predicates_path) -> None:
+    check_symbols(vocab.entities + vocab.predicates)
     _write_symbols(entities_path, vocab.entities)
     _write_symbols(predicates_path, vocab.predicates)
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
@@ -89,6 +90,34 @@ class TestDsAlign:
         assert [r["id"] for r in records] == ["ds:0", "ds:2"]
         assert records[1]["tokens"] == ["germany", "berlin"]
 
+    def test_byte_order_mark_in_kg_dropped(self, table1_dir, tmp_path, capsys):
+        kg = tmp_path / "kg.tsv"
+        kg.write_bytes(b"\xef\xbb\xbf" + (table1_dir / "kg.tsv").read_bytes())
+        code = cli.main(["ds-align", "--kg", str(kg),
+                         "--surface-forms", str(table1_dir / "surface.tsv"),
+                         "--sentences", str(table1_dir / "sentences.txt"),
+                         "--out", str(tmp_path / "aligned.jsonl")])
+        assert code == 0
+        assert capsys.readouterr().out == "examples=1 ambiguous=0 sentences=1\n"
+
+
+@pytest.mark.parametrize("command", [
+    lambda d: ["kg-embed", "--dim", "4", "--epochs", "2"],
+    lambda d: ["build-vocab", "--corpus", str(d / "sentences.txt")],
+], ids=["kg-embed", "build-vocab"])
+def test_unserializable_symbol_writes_nothing(command, table1_dir, tmp_path, capsys):
+    # A KG TSV may hold "New York"; the vector and vocabulary files may not.
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("New York\tcapitalOf\tUSA\nBerlin\tcapitalOf\tGermany\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main([*command(table1_dir), "--kg", str(kg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: symbol not serializable (empty or holds whitespace): 'New York'"
+    ]
+    assert not out.exists()
+
 
 class TestTrainAndTranslate:
     def test_translate_table1(self, table1_dir, table1_checkpoint):
@@ -139,6 +168,21 @@ class TestTrainAndTranslate:
         assert code == 1
         assert "training aborted on non-finite loss; last good checkpoint kept" in err
         assert [line.split("\t")[0] for line in out.splitlines()] == ["epoch=1"]
+        assert ckpt.exists()
+
+    def test_diverging_forward_pass_aborts_and_keeps_checkpoint(self, table1_dir, tmp_path,
+                                                                 capsys):
+        cfg = tmp_path / "huge-lr.cfg"
+        cfg.write_text((table1_dir / "model.cfg").read_text() + "lr=1e300\n")
+        ckpt = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            code = cli.main(["train", "--config", str(cfg),
+                             "--train", str(table1_dir / "train.jsonl"),
+                             "--epochs", "3", "--seed", "1", "--out", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "training aborted on non-finite loss; last good checkpoint kept" in err
+        assert not [ln for ln in err.splitlines() if ln.startswith("error:")]
         assert ckpt.exists()
 
     def test_defective_checkpoint_header_one_line_error(self, table1_checkpoint,
@@ -377,3 +421,57 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+
+# SHA-256 of every stdout and output file of criterion 10's pipeline, run once
+# in process. Like the trajectory digests in test_model.py, the table pins
+# numpy 2.4.6 with OpenBLAS; a change that means to move bits updates it and
+# names each moved output.
+PIPELINE_DIGESTS = {
+    "amb.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "build-vocab.stdout": "ed15dff1008cc515521ec7a07d8ee54fd266443dbbc50f46b154be87e19e3934",
+    "ds-align.stdout": "6c21fb1032ccc52ac43ee6363d22588bb4bea74edc7d137d55531a6ffb8c8f4b",
+    "ds.jsonl": "88e64e2e328782e7decb67ee134bd39f9b7b92580789200dcfd3ff5f7a58ce68",
+    "emb/entities.vec": "d8a49fce3c070e287bcd194ac27dc45444761de0f27287d9c2a5a5ae5ecca5c1",
+    "emb/manifest.json": "a4593679706b98a236070d12c33d35c5ee32fdd5012f0bf5534f526610bb201b",
+    "emb/relations.vec": "387622873efc9fea6ae8ba519cebae2f4bf2c7e081500ec344c176fbc2e50f8d",
+    "eval.stdout": "8823a5f3ad9650788ee69e8bd805865ce04506dde556500af23d4a12d3187824",
+    "kg-embed.stdout": "3842074b07f5b0deeef37e1b070aae35751b6787e6aca0f2d787c96eb3c18cf8",
+    "m.ckpt": "a28b8068e133dd740f1559d697e4d1d348e79bc258fa8f8812739e214280f406",
+    "m.log": "f7b7d6171e87eec86331be2ef232f218cdbf1bb92f77316ff61ec6a85e7721bc",
+    "report.tsv": "f106ceb3eaa3f2a732f0605031336e21aae6a1054833dc2eb3c3154952d89082",
+    "train.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "translate.stdout": "b74de77a59ec9987d3171ad705605dbac200e9672ade6bab3427864d70716963",
+    "vocab/entities.vocab": "2236d85c7c13c40321a459d9956588bc4249f711d34aedb21acfe01bd9b24f5e",
+    "vocab/predicates.vocab": "6c12587861286271cc5911a0e2deca092bc2b2931cafdb3cb3dc234de630abda",
+    "vocab/words.vocab": "94e8a7cfada071a05cf0530d76f0759dc18bc137f219cc4e4bc3d5caec443f0f",
+}
+
+
+def test_pipeline_outputs_pinned(table1_dir, tmp_path, capsys):
+    kg, trainf = str(table1_dir / "kg.tsv"), str(table1_dir / "train.jsonl")
+    out = {name: str(tmp_path / name) for name in (
+        "vocab", "emb", "ds.jsonl", "amb.jsonl", "m.ckpt", "m.log", "report.tsv")}
+    steps = [
+        ["build-vocab", "--corpus", trainf, "--kg", kg, "--out", out["vocab"]],
+        ["kg-embed", "--kg", kg, "--dim", "8", "--epochs", "25", "--seed", "3",
+         "--out", out["emb"]],
+        ["ds-align", "--kg", kg, "--surface-forms", str(table1_dir / "surface.tsv"),
+         "--sentences", str(table1_dir / "sentences.txt"), "--out", out["ds.jsonl"],
+         "--ambiguity-report", out["amb.jsonl"]],
+        ["train", "--config", str(table1_dir / "model.cfg"), "--train", trainf,
+         "--epochs", "12", "--seed", "11", "--out", out["m.ckpt"], "--log", out["m.log"]],
+        ["eval", "--checkpoint", out["m.ckpt"], "--test", trainf, "--kg", kg,
+         "--report", out["report.tsv"]],
+        ["translate", "--checkpoint", out["m.ckpt"], "--text", TABLE1_SENTENCE],
+    ]
+    digests = {}
+    for argv in steps:
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        digests[f"{argv[0]}.stdout"] = hashlib.sha256(stdout).hexdigest()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file():
+            name = path.relative_to(tmp_path).as_posix()
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PIPELINE_DIGESTS

@@ -16,6 +16,7 @@ from text2triple.corpus import (
     load_surface_forms,
     save_examples,
 )
+from text2triple import vocab
 from text2triple.numerics import make_rng
 
 TABLE1 = Triple("dbr:Germany", "dbo:capital", "dbr:Berlin")
@@ -26,6 +27,10 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
+
+
+def test_data_error_is_the_vocab_class():
+    assert DataError is vocab.DataError and issubclass(DataError, ValueError)
 
 
 class TestLoadExamples:

@@ -576,6 +576,12 @@ class TestVectorFiles:
         with pytest.raises(ValueError, match="does not fit"):
             write_vector_file(tmp_path / "t.vec", ("a", "b"), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", ["New York", "a\x0cb", "a\u2028b", ""])
+    def test_unserializable_symbol_rejected_before_writing(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="not serializable"):
+            write_vector_file(tmp_path / "t.vec", ("a", bad), np.zeros((2, 2)))
+        assert not (tmp_path / "t.vec").exists()
+
 
 class TestDecoderInit:
     def test_vectors_land_on_target_ids(self):

@@ -567,6 +567,17 @@ class TestTrain:
         assert result.log == []  # stopped in epoch 1, at batch 2 of 3
         assert np.isfinite(result.params.vec).all()
 
+    def test_diverging_forward_pass_aborts(self):
+        # Batch 1's Adam step throws the parameters near 1e300, so the next
+        # forward pass overflows to NaN logits.
+        word_vocab, tvocab, examples = self.small_world()
+        with np.errstate(all="ignore"):
+            result = train(Dataset(train=examples), word_vocab, tvocab,
+                           self.config(lr=1e300))
+        assert result.aborted
+        assert result.log == []
+        assert np.isfinite(result.params.vec).all()
+
     def test_empty_train_rejected(self):
         word_vocab, tvocab, _ = self.small_world()
         with pytest.raises(ValueError, match="empty"):

@@ -1,9 +1,11 @@
 """The package surface: every exported name resolves."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +45,52 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SRC = Path(text2triple.__file__).parent
+
+
+def _read_kind(call: ast.Call):
+    """'text' or 'bytes' if the call reads a file, the callee's name for other
+    loaders, None for anything else (writers included)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("read_text", "read_bytes"):
+        return name.removeprefix("read_")
+    if name in ("load", "loadtxt", "genfromtxt", "fromfile"):
+        return name
+    if name != "open":
+        return None
+    # open(path, mode) or path.open(mode)
+    pos = call.args[1:] if isinstance(func, ast.Name) else call.args
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), pos[0] if pos else None)
+    mode = mode.value if isinstance(mode, ast.Constant) else "r"
+    if set(mode) & set("wax"):
+        return None
+    return "bytes" if "b" in mode else "text"
+
+
+def _file_reads(node, module, function=None):
+    """(module.function, kind) for each call under node that reads a file."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_reads(child, module, child.name)
+            continue
+        kind = _read_kind(child) if isinstance(child, ast.Call) else None
+        if kind:
+            yield f"{module}.{function}", kind
+        yield from _file_reads(child, module, function)
+
+
+def test_one_text_reader_and_one_byte_reader():
+    # Input policy (UTF-8, BOM, line breaks, the error for a bad byte) lives
+    # in vocab.read_lines; checkpoints are the one binary format.
+    reads = set()
+    for path in sorted(SRC.glob("*.py")):
+        reads.update(_file_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert sorted(reads) == [("model.load_checkpoint", "bytes"), ("vocab.read_lines", "text")]
+
+
+def test_one_utf8_error_message():
+    texts = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
+    assert sum(text.count("not valid UTF-8") for text in texts) == 1

@@ -7,6 +7,7 @@ import pytest
 from text2triple.vocab import (
     BOS_ID,
     PAD_ID,
+    DataError,
     RESERVED_TOKENS,
     UNK_ID,
     TripleVocab,
@@ -17,6 +18,7 @@ from text2triple.vocab import (
     encode_sentence,
     load_triple_vocab,
     load_word_vocab,
+    read_lines,
     save_triple_vocab,
     save_word_vocab,
     tokenize,
@@ -181,6 +183,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="serializable"):
             save_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
 
+    @pytest.mark.parametrize("entities, predicates", [
+        (("a\x0cb",), ("p",)),  # a form feed would split into "a" and "b" on reading
+        (("a",), ("p\x85q",)),  # a predicate fails after the entities passed
+    ])
+    def test_any_whitespace_rejected_before_writing(self, entities, predicates, tmp_path):
+        with pytest.raises(ValueError, match="serializable"):
+            save_triple_vocab(TripleVocab(entities, predicates), tmp_path / "e", tmp_path / "p")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("load", [
         lambda bad, good: load_word_vocab(bad),
         lambda bad, good: load_triple_vocab(bad, good),
@@ -191,5 +202,21 @@ class TestSerialization:
         good.write_text("a\n", encoding="utf-8")
         bad = tmp_path / "bad.vocab"
         bad.write_bytes(b"\xff\xfe not text\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not valid UTF-8$"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not valid UTF-8$"):
             load(bad, good)
+
+
+class TestReadLines:
+    def test_breaks_bom_and_numbering(self, tmp_path):
+        # Only a leading byte-order mark is dropped; a form feed is no break.
+        f = tmp_path / "t.txt"
+        f.write_bytes("\ufeffa\r\nb\rc\x0cd\n\n\ufeffe".encode("utf-8"))
+        assert list(read_lines(f)) == [
+            (1, "a"), (2, "b"), (3, "c\x0cd"), (4, ""), (5, "\ufeffe"),
+        ]
+
+    def test_bad_byte_names_the_file(self, tmp_path):
+        f = tmp_path / "t.txt"
+        f.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: not valid UTF-8$"):
+            list(read_lines(f))
