@@ -11,7 +11,6 @@ chatter go to stderr only; files and stdout stay deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import fields
@@ -115,6 +114,13 @@ def _load_kg(path) -> KnowledgeGraph:
     return KnowledgeGraph(corpus.load_kg_file(path))
 
 
+def _write_into(out_dir, files: dict[str, str]) -> None:
+    """Create out_dir, then write each named file in it through one write_files."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vocab.write_files({out / name: text for name, text in files.items()})
+
+
 # ---------------------------------------------------------------------------
 # Sub-command handlers
 # ---------------------------------------------------------------------------
@@ -127,11 +133,12 @@ def _cmd_build_vocab(args) -> int:
         sentences = _read_sentences(args.corpus)
     wv = vocab.build_word_vocab(sentences, min_count=args.min_count)
     tv = vocab.build_kg_vocab(corpus.load_kg_file(args.kg))
-    vocab.check_symbols(wv.tokens + tv.entities + tv.predicates)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab.save_word_vocab(wv, out / "words.vocab")
-    vocab.save_triple_vocab(tv, out / "entities.vocab", out / "predicates.vocab")
+    files = {
+        "words.vocab": vocab.symbols_text(wv.tokens),
+        "entities.vocab": vocab.symbols_text(tv.entities),
+        "predicates.vocab": vocab.symbols_text(tv.predicates),
+    }
+    _write_into(args.out, files)
     print(f"words={len(wv)} entities={len(tv.entities)} predicates={len(tv.predicates)}")
     return 0
 
@@ -144,7 +151,7 @@ def _cmd_kg_embed(args) -> int:
     )
     vocab.check_symbols(sorted({symbol for tr in kg.triples for symbol in tr}))
     emb = embeddings.transe_train(kg, config)
-    embeddings.save_kg_embeddings(emb, args.out, config)
+    _write_into(args.out, embeddings.kg_embedding_files(emb, config))
     mean_rank, hits = embeddings.link_prediction_eval(emb, sorted(kg.triples), k=1)
     print(f"entities={len(emb.entity_symbols)} relations={len(emb.relation_symbols)} "
           f"mean_rank={mean_rank:.6f} hits@1={hits:.6f}")
@@ -166,16 +173,13 @@ def _cmd_ds_align(args) -> int:
     examples, ambiguous = corpus.distant_supervise(
         kg, counted(_read_sentences(args.sentences)), keep_ambiguous=args.keep_ambiguous
     )
-    corpus.save_examples(examples, args.out)
+    files = {args.out: corpus.examples_text(examples)}
     if args.ambiguity_report:
-        with open(args.ambiguity_report, "w", encoding="utf-8") as fh:
-            for entry in ambiguous:
-                rec = {
-                    "index": entry.index,
-                    "tokens": list(entry.tokens),
-                    "triples": [list(t) for t in entry.triples],
-                }
-                fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+        files[args.ambiguity_report] = corpus.jsonl_text(
+            {"index": e.index, "tokens": list(e.tokens), "triples": [list(t) for t in e.triples]}
+            for e in ambiguous
+        )
+    vocab.write_files(files)
     print(f"examples={len(examples)} ambiguous={len(ambiguous)} "
           f"sentences={n_sentences}")
     return 0
@@ -232,11 +236,12 @@ def _cmd_train(args) -> int:
         dev=corpus.load_examples(args.dev) if args.dev else [],
     )
     result, word_vocab, tvocab = _run_training(args, config, dataset)
-    model.save_checkpoint(args.out, result.params, config, word_vocab, tvocab)
     log_lines = [_format_epoch_line(s) for s in result.log]
+    files = {args.out: model.checkpoint_bytes(result.params, config, word_vocab, tvocab)}
     if args.log:
-        Path(args.log).write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    else:
+        files[args.log] = "\n".join(log_lines) + "\n"
+    vocab.write_files(files)
+    if not args.log:
         for line in log_lines:
             print(line)
     if result.aborted:
@@ -258,11 +263,9 @@ def _cmd_eval(args) -> int:
     golds = [ex.gold for ex in test]
     report = scoring.evaluate(preds, golds)
     report.error_counts = scoring.error_taxonomy(preds, golds, tvocab, kg)
-    print(scoring.format_report(report))
     if args.report:
-        Path(args.report).write_text(
-            "\n".join(scoring.report_records(report)) + "\n", encoding="utf-8"
-        )
+        vocab.write_files({args.report: "\n".join(scoring.report_records(report)) + "\n"})
+    print(scoring.format_report(report))
     return 0
 
 
@@ -341,9 +344,9 @@ def _cmd_ablation(args) -> int:
             logger.info("ablation %s seed %d: f1=%.4f", label, seed, report.f1)
         results[label] = {dataset_label: scores}
     grid_text = scoring.format_ablation_grid(results)
-    print(grid_text)
     if args.report:
-        Path(args.report).write_text(grid_text + "\n", encoding="utf-8")
+        vocab.write_files({args.report: grid_text + "\n"})
+    print(grid_text)
     return 0
 
 
@@ -354,22 +357,18 @@ def _cmd_make_synthetic(args) -> int:
         if args.hard
         else synthetic.make_easy_world(seed=args.seed, word_dim=args.word_dim)
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus.save_examples(world.train, out / "train.jsonl")
-    corpus.save_examples(world.dev, out / "dev.jsonl")
-    corpus.save_examples(world.test, out / "test.jsonl")
-    with (out / "kg.tsv").open("w", encoding="utf-8") as fh:
-        for tr in sorted(world.kg.triples):
-            fh.write("\t".join(tr) + "\n")
-    with (out / "surface.tsv").open("w", encoding="utf-8") as fh:
-        for ent, aliases in sorted(world.kg.surface_forms.items()):
-            for alias in aliases:
-                fh.write(f"{ent}\t{' '.join(alias)}\n")
     tokens = sorted(world.word_vectors)
-    embeddings.write_vector_file(
-        out / "words.vec", tokens, [world.word_vectors[t] for t in tokens]
-    )
+    _write_into(args.out, {
+        "train.jsonl": corpus.examples_text(world.train),
+        "dev.jsonl": corpus.examples_text(world.dev),
+        "test.jsonl": corpus.examples_text(world.test),
+        "kg.tsv": "".join("\t".join(tr) + "\n" for tr in sorted(world.kg.triples)),
+        "surface.tsv": "".join(
+            f"{ent}\t{' '.join(alias)}\n"
+            for ent, aliases in sorted(world.kg.surface_forms.items()) for alias in aliases
+        ),
+        "words.vec": embeddings.vector_text(tokens, [world.word_vectors[t] for t in tokens]),
+    })
     print(f"train={len(world.train)} dev={len(world.dev)} test={len(world.test)} "
           f"kg={len(world.kg.triples)}")
     return 0

@@ -34,10 +34,11 @@ __all__ = [
     "KnowledgeGraph",
     "Triple",
     "distant_supervise",
+    "examples_text",
+    "jsonl_text",
     "load_examples",
     "load_kg_file",
     "load_surface_forms",
-    "save_examples",
 ]
 
 
@@ -177,12 +178,17 @@ def load_examples(path) -> list[AnnotatedExample]:
     return examples
 
 
-def save_examples(examples: Iterable[AnnotatedExample], path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in examples:
-            rec = {"id": ex.source_id, "tokens": list(ex.tokens), "triple": list(ex.gold)}
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+def jsonl_text(records: Iterable[Mapping]) -> str:
+    """One JSON object per line, keys sorted, non-ASCII kept as is."""
+    return "".join(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n" for rec in records)
+
+
+def examples_text(examples: Iterable[AnnotatedExample]) -> str:
+    """A dataset file's text, read back by load_examples."""
+    return jsonl_text(
+        {"id": ex.source_id, "tokens": list(ex.tokens), "triple": list(ex.gold)}
+        for ex in examples
+    )
 
 
 def load_kg_file(path) -> frozenset[Triple]:

@@ -9,7 +9,7 @@ every batch. Word vectors are loaded from a textual file; vocabulary rows
 the file does not cover fall back to uniform random init.
 
 Word vectors and KG embeddings share one text format, read by
-``read_vector_file`` and written by ``write_vector_file``: an optional
+``read_vector_file`` and rendered by ``vector_text``: an optional
 ``count dim`` header whose count is the number of rows, then
 ``symbol v1 .. v_d`` per line with finite values. The reader returns every
 row in file order; each loader applies its own policy. ``load_word_vectors``
@@ -37,15 +37,15 @@ __all__ = [
     "KgEmbeddings",
     "TransEConfig",
     "decoder_init_table",
+    "kg_embedding_files",
     "link_prediction_eval",
     "load_kg_embeddings",
     "load_word_vectors",
     "negative_sample",
     "read_vector_file",
-    "save_kg_embeddings",
     "transe_score",
     "transe_train",
-    "write_vector_file",
+    "vector_text",
 ]
 
 logger = logging.getLogger(__name__)
@@ -356,16 +356,16 @@ def read_vector_file(path, dim: int | None = None) -> tuple[tuple[str, ...], np.
     return tuple(symbols), table
 
 
-def write_vector_file(path, symbols: Sequence[str], table) -> None:
-    """Write a ``count dim`` header, then one ``symbol v1 .. v_d`` line per row."""
+def vector_text(symbols: Sequence[str], table) -> str:
+    """A ``count dim`` header, then one ``symbol v1 .. v_d`` line per row."""
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or len(table) != len(symbols):
         raise ValueError(f"vector table shape {table.shape} does not fit {len(symbols)} symbols")
     check_symbols(symbols)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(symbols)} {table.shape[1]}\n")
-        for sym, row in zip(symbols, table):
-            fh.write(sym + " " + " ".join(repr(float(v)) for v in row) + "\n")
+    return f"{len(symbols)} {table.shape[1]}\n" + "".join(
+        sym + " " + " ".join(repr(float(v)) for v in row) + "\n"
+        for sym, row in zip(symbols, table)
+    )
 
 
 def load_word_vectors(
@@ -433,13 +433,9 @@ RELATIONS_FILE = "relations.vec"
 MANIFEST_FILE = "manifest.json"
 
 
-def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None:
-    """Write entities.vec, relations.vec and a manifest with the settings."""
-    check_symbols(emb.entity_symbols + emb.relation_symbols)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_vector_file(out / ENTITIES_FILE, emb.entity_symbols, emb.entity_table)
-    write_vector_file(out / RELATIONS_FILE, emb.relation_symbols, emb.relation_table)
+def kg_embedding_files(emb: KgEmbeddings, config: TransEConfig) -> dict[str, str]:
+    """File name -> text of entities.vec, relations.vec and a manifest with
+    the settings, the files load_kg_embeddings reads from one directory."""
     manifest = {
         "dim": emb.dim,
         "norm": emb.norm,
@@ -448,9 +444,11 @@ def save_kg_embeddings(emb: KgEmbeddings, out_dir, config: TransEConfig) -> None
         "entities": len(emb.entity_symbols),
         "relations": len(emb.relation_symbols),
     }
-    (out / MANIFEST_FILE).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    return {
+        ENTITIES_FILE: vector_text(emb.entity_symbols, emb.entity_table),
+        RELATIONS_FILE: vector_text(emb.relation_symbols, emb.relation_table),
+        MANIFEST_FILE: json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+    }
 
 
 def _read_manifest(path: Path) -> tuple[int, str]:
@@ -470,7 +468,7 @@ def _read_manifest(path: Path) -> tuple[int, str]:
 
 
 def load_kg_embeddings(in_dir) -> KgEmbeddings:
-    """Read tables written by save_kg_embeddings; every row is kept.
+    """Read the tables of kg_embedding_files from a directory; every row is kept.
 
     The manifest's dim must equal the width of both vector files.
     """

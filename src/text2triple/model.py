@@ -35,9 +35,12 @@ are batches of one.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
 import operator
+import struct
 import time
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
@@ -60,6 +63,7 @@ from .numerics import (
     uniform_init,
 )
 from .vocab import PAD_ID, UNK_ID, TripleVocab, WordVocab, decode_triple, encode_sentence
+from .vocab import write_files
 
 __all__ = [
     "DecodeResult",
@@ -68,6 +72,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "TrainResult",
+    "checkpoint_bytes",
     "decode_step",
     "encode",
     "forward_loss",
@@ -810,44 +815,46 @@ def train(
     aborted = False
     n = len(sources)
 
-    for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            batch_loss, grads = _loss_and_grads(
-                [sources[j] for j in batch], golds[batch], params, config, tvocab
+    # The finite-loss check below reports a diverging run; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            t0 = time.perf_counter()
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start:start + config.batch_size]
+                batch_loss, grads = _loss_and_grads(
+                    [sources[j] for j in batch], golds[batch], params, config, tvocab
+                )
+                grad_norm = clip_global_norm(grads.to_dict().values(), config.clip_norm)
+                if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):
+                    logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
+                    aborted = True
+                    break
+                adam_step(params.vec, grads.vec, state)
+                epoch_loss += batch_loss * len(batch)
+            if aborted:
+                break
+            train_loss = epoch_loss / n
+            dev_f1 = (
+                _dev_exact_match(dev_sources, dev_golds, params, config, tvocab)
+                if dev_sources
+                else None
             )
-            grad_norm = clip_global_norm(grads.to_dict().values(), config.clip_norm)
-            if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):
-                logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
-                aborted = True
-                break
-            adam_step(params.vec, grads.vec, state)
-            epoch_loss += batch_loss * len(batch)
-        if aborted:
-            break
-        train_loss = epoch_loss / n
-        dev_f1 = (
-            _dev_exact_match(dev_sources, dev_golds, params, config, tvocab)
-            if dev_sources
-            else None
-        )
-        log.append(EpochStats(epoch, train_loss, dev_f1, time.perf_counter() - t0))
-        logger.info(
-            "epoch %d: train_loss=%.4f dev_f1=%s", epoch, train_loss,
-            "n/a" if dev_f1 is None else f"{dev_f1:.4f}",
-        )
-        if dev_f1 is not None:
-            if best_f1 is None or dev_f1 > best_f1:
-                best_f1 = dev_f1
-                best_params = params.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-            if best_f1 >= 1.0 or bad_epochs >= config.patience:
-                break
+            log.append(EpochStats(epoch, train_loss, dev_f1, time.perf_counter() - t0))
+            logger.info(
+                "epoch %d: train_loss=%.4f dev_f1=%s", epoch, train_loss,
+                "n/a" if dev_f1 is None else f"{dev_f1:.4f}",
+            )
+            if dev_f1 is not None:
+                if best_f1 is None or dev_f1 > best_f1:
+                    best_f1 = dev_f1
+                    best_params = params.copy()
+                    bad_epochs = 0
+                else:
+                    bad_epochs += 1
+                if best_f1 >= 1.0 or bad_epochs >= config.patience:
+                    break
 
     final = params if best_params is None else best_params
     return TrainResult(
@@ -876,22 +883,17 @@ def _checkpoint_layout(config: ModelConfig, n_words: int, n_targets: int) -> Lay
     return table
 
 
-def save_checkpoint(
-    path,
+def checkpoint_bytes(
     params: ModelParams,
     config: ModelConfig,
     word_vocab: WordVocab,
     tvocab: TripleVocab,
-) -> None:
+) -> bytes:
     """Binary checkpoint: magic, JSON header, raw float64 payload.
 
-    The format has no timestamps, so identical inputs write identical bytes
+    The format has no timestamps, so identical inputs give identical bytes
     and load(save(x)) round-trips bit for bit.
     """
-    import hashlib
-    import json
-    import struct
-
     layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
     if [(k, v.shape) for k, v in params.to_dict().items()] != layout:
         raise ValueError("parameter shapes do not fit the config and vocabularies")
@@ -908,11 +910,13 @@ def save_checkpoint(
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+def save_checkpoint(path, params: ModelParams, config: ModelConfig, word_vocab: WordVocab,
+                    tvocab: TripleVocab) -> None:
+    """Write checkpoint_bytes to path."""
+    write_files({path: checkpoint_bytes(params, config, word_vocab, tvocab)})
 
 
 _HEADER_KEYS = ("arrays", "config", "entities", "payload_sha256", "predicates", "words")
@@ -925,10 +929,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     The table must equal the layout that the header's config and vocabs
     imply, entry for entry. Every defect in the file raises CheckpointError.
     """
-    import hashlib
-    import json
-    import struct
-
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(CHECKPOINT_MAGIC) + 8 or not data.startswith(CHECKPOINT_MAGIC):

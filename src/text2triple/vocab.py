@@ -7,16 +7,18 @@ entities, step 2 only predicates. Subjects and objects share one entity
 table, so the step-1 and step-3 masks are identical.
 
 Being the lowest module, it also holds what every file reader and writer
-shares: ``read_lines``, ``DataError`` and the symbol rule ``check_symbols``.
+shares: ``read_lines``, ``write_files``, ``DataError`` and ``check_symbols``.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 from collections import Counter
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,9 +41,9 @@ __all__ = [
     "load_triple_vocab",
     "load_word_vocab",
     "read_lines",
-    "save_triple_vocab",
-    "save_word_vocab",
+    "symbols_text",
     "tokenize",
+    "write_files",
 ]
 
 
@@ -62,6 +64,46 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
                 yield lineno, line.removesuffix("\n")
         except UnicodeDecodeError:
             raise DataError(f"{path}: not valid UTF-8") from None
+
+
+def write_files(files: Mapping[str | os.PathLike, str | bytes]) -> None:
+    """The one file writer: bytes as given, text as UTF-8 with its line breaks
+    as given, to every path or to none.
+
+    A regular file (or a symlink's target) is written to ``.NAME.partial``
+    beside it first; the temporaries replace their targets once all are
+    written. A failure before that, a directory target included, removes
+    them and names the caller's path. A device or FIFO is written in place
+    after the renames, never renamed over. No fsync: the aim is no partial
+    output on an error, not durability across a crash.
+    """
+    temps: dict[str, str] = {}  # temporary -> resolved target
+    in_place = []
+    try:
+        for path, data in files.items():
+            data = data.encode("utf-8") if isinstance(data, str) else data
+            mode = os.stat(path).st_mode if os.path.exists(path) else stat.S_IFREG
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISREG(mode):
+                in_place.append((path, data))
+                continue
+            real = os.path.realpath(path)
+            tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.partial")
+            with open(tmp, "wb") as fh:
+                temps[tmp] = real
+                fh.write(data)
+    except BaseException as exc:
+        for tmp in temps:
+            os.remove(tmp)
+        if isinstance(exc, OSError):  # name the caller's path, not a temporary
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
+    for tmp, real in temps.items():
+        os.replace(tmp, real)
+    for path, data in in_place:
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def check_symbols(symbols: Iterable[str]) -> None:
@@ -268,27 +310,18 @@ def decode_triple(ids: Sequence[int], vocab: TripleVocab) -> tuple[str, str, str
 # ---------------------------------------------------------------------------
 
 
-def _write_symbols(path, symbols: Sequence[str]) -> None:
+def symbols_text(symbols: Sequence[str]) -> str:
+    """A vocabulary file's text: one symbol per line, each checked first."""
     check_symbols(symbols)
-    Path(path).write_text("\n".join(symbols) + "\n", encoding="utf-8")
+    return "\n".join(symbols) + "\n"
 
 
 def _read_symbols(path) -> list[str]:
     return [line for _, line in read_lines(path) if line]
 
 
-def save_word_vocab(vocab: WordVocab, path) -> None:
-    _write_symbols(path, vocab.tokens)
-
-
 def load_word_vocab(path) -> WordVocab:
     return WordVocab(tuple(_read_symbols(path)))
-
-
-def save_triple_vocab(vocab: TripleVocab, entities_path, predicates_path) -> None:
-    check_symbols(vocab.entities + vocab.predicates)
-    _write_symbols(entities_path, vocab.entities)
-    _write_symbols(predicates_path, vocab.predicates)
 
 
 def load_triple_vocab(entities_path, predicates_path) -> TripleVocab:

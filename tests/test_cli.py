@@ -5,7 +5,6 @@ import hashlib
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
@@ -119,6 +118,59 @@ def test_unserializable_symbol_writes_nothing(command, table1_dir, tmp_path, cap
     assert not out.exists()
 
 
+def _tree(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+# Each multi-output command, with one output it cannot write: the last of an
+# --out directory's files is a directory already, or a second path is in a
+# directory that does not exist. (argv, the path the error names)
+ALL_OR_NOTHING = {
+    "ds-align": lambda d, ckpt, out: (
+        ["ds-align", "--kg", d / "kg.tsv", "--surface-forms", d / "surface.tsv",
+         "--sentences", d / "sentences.txt", "--out", out / "ds.jsonl",
+         "--ambiguity-report", out / "nodir" / "amb.jsonl"], out / "nodir" / "amb.jsonl"),
+    "train": lambda d, ckpt, out: (
+        ["train", "--config", d / "model.cfg", "--train", d / "train.jsonl", "--epochs", "1",
+         "--out", out / "m.ckpt", "--log", out / "nodir" / "m.log"], out / "nodir" / "m.log"),
+    "eval": lambda d, ckpt, out: (
+        ["eval", "--checkpoint", ckpt, "--test", d / "test.jsonl",
+         "--report", out / "nodir" / "report.tsv"], out / "nodir" / "report.tsv"),
+    "build-vocab": lambda d, ckpt, out: (
+        ["build-vocab", "--corpus", d / "sentences.txt", "--kg", d / "kg.tsv", "--out", out],
+        out / "predicates.vocab"),
+    "kg-embed": lambda d, ckpt, out: (
+        ["kg-embed", "--kg", d / "kg.tsv", "--dim", "4", "--epochs", "2", "--out", out],
+        out / "manifest.json"),
+    "make-synthetic": lambda d, ckpt, out: (
+        ["make-synthetic", "--out", out], out / "words.vec"),
+}
+
+
+@pytest.mark.parametrize("command", ALL_OR_NOTHING)
+def test_command_writes_all_outputs_or_none(command, table1_dir, table1_checkpoint, tmp_path,
+                                           capsys):
+    out = tmp_path / "out"
+    argv, blocked = ALL_OR_NOTHING[command](table1_dir, table1_checkpoint, out)
+    if blocked.parent == out:
+        blocked.mkdir(parents=True)
+        reason = "[Errno 21] Is a directory"
+    else:
+        out.mkdir()
+        reason = "[Errno 2] No such file or directory"
+    before = _tree(tmp_path)
+    code = cli.main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+        f"error: {reason}: {str(blocked)!r}"
+    ]
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
 class TestTrainAndTranslate:
     def test_translate_table1(self, table1_dir, table1_checkpoint):
         proc = run_cli("translate", "--checkpoint", str(table1_checkpoint),
@@ -175,14 +227,27 @@ class TestTrainAndTranslate:
         cfg = tmp_path / "huge-lr.cfg"
         cfg.write_text((table1_dir / "model.cfg").read_text() + "lr=1e300\n")
         ckpt = tmp_path / "m.ckpt"
-        with np.errstate(all="ignore"):
-            code = cli.main(["train", "--config", str(cfg),
-                             "--train", str(table1_dir / "train.jsonl"),
-                             "--epochs", "3", "--seed", "1", "--out", str(ckpt)])
+        code = cli.main(["train", "--config", str(cfg),
+                         "--train", str(table1_dir / "train.jsonl"),
+                         "--epochs", "3", "--seed", "1", "--out", str(ckpt)])
         err = capsys.readouterr().err
         assert code == 1
         assert "training aborted on non-finite loss; last good checkpoint kept" in err
         assert not [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert ckpt.exists()
+
+    def test_diverging_run_reports_only_the_abort(self, tmp_path):
+        # numpy's overflow warnings would repeat on stderr what the abort line says
+        proc = run_cli("make-synthetic", "--hard", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        cfg = tmp_path / "huge-lr.cfg"
+        cfg.write_text("lr=1e300\n", encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        proc = run_cli("train", "--config", str(cfg), "--train", str(tmp_path / "train.jsonl"),
+                       "--epochs", "2", "--out", str(ckpt))
+        assert proc.returncode == 1
+        assert "training aborted on non-finite loss; last good checkpoint kept" in proc.stderr
+        assert [ln for ln in proc.stderr.splitlines() if "Warning" in ln] == []
         assert ckpt.exists()
 
     def test_defective_checkpoint_header_one_line_error(self, table1_checkpoint,

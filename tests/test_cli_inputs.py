@@ -35,7 +35,7 @@ def seeds(table1_dir, table1_checkpoint, tmp_path_factory):
         shutil.copy(table1_dir / name, d / name)
     shutil.copy(table1_checkpoint, d / "model.ckpt")
     vectors = np.round(np.random.default_rng(0).uniform(-1, 1, (len(TABLE1_TOKENS), 12)), 3)
-    embeddings.write_vector_file(d / "words.vec", TABLE1_TOKENS, vectors)
+    (d / "words.vec").write_text(embeddings.vector_text(TABLE1_TOKENS, vectors), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["kg-embed", "--kg", str(d / "kg.tsv"), "--dim", "12",
                          "--epochs", "2", "--out", str(d / "emb")]) == 0

@@ -13,8 +13,8 @@ from text2triple.corpus import (
     distant_supervise,
     load_examples,
     load_kg_file,
+    examples_text,
     load_surface_forms,
-    save_examples,
 )
 from text2triple import vocab
 from text2triple.numerics import make_rng
@@ -74,7 +74,7 @@ class TestLoadExamples:
 
     def test_roundtrip_save_load(self, tmp_path):
         ex = AnnotatedExample(("a", "b"), Triple("s", "p", "o"), "src:1")
-        save_examples([ex], tmp_path / "d.jsonl")
+        (tmp_path / "d.jsonl").write_text(examples_text([ex]), encoding="utf-8")
         assert load_examples(tmp_path / "d.jsonl") == [ex]
 
 

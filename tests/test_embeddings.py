@@ -13,19 +13,24 @@ from text2triple.embeddings import (
     KgEmbeddings,
     TransEConfig,
     decoder_init_table,
+    kg_embedding_files,
     link_prediction_eval,
     load_kg_embeddings,
     load_word_vectors,
     negative_sample,
     read_vector_file,
-    save_kg_embeddings,
     transe_score,
     transe_train,
-    write_vector_file,
+    vector_text,
 )
 from text2triple.numerics import make_rng
 from text2triple.synthetic import make_hard_world
-from text2triple.vocab import build_kg_vocab, build_word_vocab
+from text2triple.vocab import build_kg_vocab, build_word_vocab, write_files
+
+
+def write_kg_embeddings(emb, out_dir, config):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_files({out_dir / name: text for name, text in kg_embedding_files(emb, config).items()})
 
 
 class TestTransEScore:
@@ -474,7 +479,7 @@ class TestKgEmbeddingIo:
         kg = rectangle_kg()
         config = TransEConfig(dim=8, epochs=10, seed=5)
         emb = transe_train(kg, config)
-        save_kg_embeddings(emb, tmp_path / "emb", config)
+        write_kg_embeddings(emb, tmp_path / "emb", config)
         loaded = load_kg_embeddings(tmp_path / "emb")
         assert loaded.entity_symbols == emb.entity_symbols
         assert loaded.relation_symbols == emb.relation_symbols
@@ -487,7 +492,7 @@ class TestKgEmbeddingIo:
         kg = rectangle_kg()
         config = TransEConfig(dim=2, epochs=1, seed=5)
         out = tmp_path / "emb"
-        save_kg_embeddings(transe_train(kg, config), out, config)
+        write_kg_embeddings(transe_train(kg, config), out, config)
         lines = (out / "relations.vec").read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].rsplit(" ", 1)[0] + " " + bad
         (out / "relations.vec").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -497,7 +502,7 @@ class TestKgEmbeddingIo:
     def saved(self, tmp_path):
         config = TransEConfig(dim=2, epochs=1, seed=5)
         out = tmp_path / "emb"
-        save_kg_embeddings(transe_train(rectangle_kg(), config), out, config)
+        write_kg_embeddings(transe_train(rectangle_kg(), config), out, config)
         return out
 
     def test_non_numeric_value_rejected_with_line(self, tmp_path):
@@ -523,7 +528,7 @@ class TestKgEmbeddingIo:
         ))
         config = TransEConfig(dim=4, epochs=1, seed=5)
         out = tmp_path / "emb"
-        save_kg_embeddings(transe_train(kg, config), out, config)
+        write_kg_embeddings(transe_train(kg, config), out, config)
         path = out / "entities.vec"
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "16 4"
@@ -541,7 +546,7 @@ class TestKgEmbeddingIo:
         kg = rectangle_kg()
         config = TransEConfig(dim=4, epochs=5, seed=6)
         for name in ("one", "two"):
-            save_kg_embeddings(transe_train(kg, config), tmp_path / name, config)
+            write_kg_embeddings(transe_train(kg, config), tmp_path / name, config)
         for fname in ("entities.vec", "relations.vec", "manifest.json"):
             assert (tmp_path / "one" / fname).read_bytes() == (
                 tmp_path / "two" / fname
@@ -554,7 +559,7 @@ class TestVectorFiles:
         table[0] = (1.0 / 3.0, -0.0, 5e-324)
         table[1] = (1e300, -2.5e-17, 123456789.0)
         symbols = ("b", "a", "ent:x_y", "rel:z", "b")
-        write_vector_file(tmp_path / "t.vec", symbols, table)
+        write_files({tmp_path / "t.vec": vector_text(symbols, table)})
         read_symbols, read_table = read_vector_file(tmp_path / "t.vec", 3)
         assert read_symbols == symbols
         assert read_table.tobytes() == table.tobytes()
@@ -572,15 +577,14 @@ class TestVectorFiles:
         symbols, table = read_vector_file(f, 4)
         assert symbols == () and table.shape == (0, 4)
 
-    def test_table_must_fit_symbols(self, tmp_path):
+    def test_table_must_fit_symbols(self):
         with pytest.raises(ValueError, match="does not fit"):
-            write_vector_file(tmp_path / "t.vec", ("a", "b"), np.zeros((3, 2)))
+            vector_text(("a", "b"), np.zeros((3, 2)))
 
     @pytest.mark.parametrize("bad", ["New York", "a\x0cb", "a\u2028b", ""])
-    def test_unserializable_symbol_rejected_before_writing(self, bad, tmp_path):
+    def test_unserializable_symbol_rejected_before_writing(self, bad):
         with pytest.raises(ValueError, match="not serializable"):
-            write_vector_file(tmp_path / "t.vec", ("a", bad), np.zeros((2, 2)))
-        assert not (tmp_path / "t.vec").exists()
+            vector_text(("a", bad), np.zeros((2, 2)))
 
 
 class TestDecoderInit:

@@ -50,45 +50,61 @@ def test_import_loads_no_scipy():
 SRC = Path(text2triple.__file__).parent
 
 
-def _read_kind(call: ast.Call):
+def _file_access(call: ast.Call):
     """'text' or 'bytes' if the call reads a file, the callee's name for other
-    loaders, None for anything else (writers included)."""
+    loaders, 'write' if it writes or replaces a file, None for anything else."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     if name in ("read_text", "read_bytes"):
         return name.removeprefix("read_")
     if name in ("load", "loadtxt", "genfromtxt", "fromfile"):
         return name
+    if name in ("write_text", "write_bytes", "save", "savez", "savetxt", "tofile"):
+        return "write"
+    if name in ("replace", "rename") and getattr(func.value, "id", None) == "os":
+        return "write"
     if name != "open":
         return None
     # open(path, mode) or path.open(mode)
     pos = call.args[1:] if isinstance(func, ast.Name) else call.args
     mode = next((k.value for k in call.keywords if k.arg == "mode"), pos[0] if pos else None)
     mode = mode.value if isinstance(mode, ast.Constant) else "r"
-    if set(mode) & set("wax"):
-        return None
+    if set(mode) & set("wax+"):
+        return "write"
     return "bytes" if "b" in mode else "text"
 
 
-def _file_reads(node, module, function=None):
-    """(module.function, kind) for each call under node that reads a file."""
+def _file_accesses(node, module, function=None):
+    """(module.function, kind) for each call under node that reads or writes a file."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _file_reads(child, module, child.name)
+            yield from _file_accesses(child, module, child.name)
             continue
-        kind = _read_kind(child) if isinstance(child, ast.Call) else None
+        kind = _file_access(child) if isinstance(child, ast.Call) else None
         if kind:
             yield f"{module}.{function}", kind
-        yield from _file_reads(child, module, function)
+        yield from _file_accesses(child, module, function)
+
+
+def _src_file_accesses():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(_file_accesses(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    return found
 
 
 def test_one_text_reader_and_one_byte_reader():
     # Input policy (UTF-8, BOM, line breaks, the error for a bad byte) lives
     # in vocab.read_lines; checkpoints are the one binary format.
-    reads = set()
-    for path in sorted(SRC.glob("*.py")):
-        reads.update(_file_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    reads = {access for access in _src_file_accesses() if access[1] != "write"}
     assert sorted(reads) == [("model.load_checkpoint", "bytes"), ("vocab.read_lines", "text")]
+
+
+def test_one_file_writer():
+    # Output policy (UTF-8, temporaries, all files or none) lives in
+    # vocab.write_files.
+    writers = {where for where, kind in _src_file_accesses() if kind == "write"}
+    assert writers == {"vocab.write_files"}
 
 
 def test_one_utf8_error_message():

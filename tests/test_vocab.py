@@ -1,6 +1,9 @@
 """Symbol tables, masks and serialization."""
 
+import os
 import re
+import stat
+import threading
 
 import pytest
 
@@ -19,10 +22,15 @@ from text2triple.vocab import (
     load_triple_vocab,
     load_word_vocab,
     read_lines,
-    save_triple_vocab,
-    save_word_vocab,
+    symbols_text,
     tokenize,
+    write_files,
 )
+
+
+def write_triple_vocab(tv, entities_path, predicates_path):
+    write_files({entities_path: symbols_text(tv.entities),
+                 predicates_path: symbols_text(tv.predicates)})
 
 
 class TestTokenize:
@@ -126,7 +134,7 @@ class TestTripleVocab:
         triples = [("b", "q", "a"), ("a", "p", "c")]
         for i in (1, 2):
             tv = build_kg_vocab(triples)
-            save_triple_vocab(tv, tmp_path / f"e{i}", tmp_path / f"p{i}")
+            write_triple_vocab(tv, tmp_path / f"e{i}", tmp_path / f"p{i}")
         assert (tmp_path / "e1").read_bytes() == (tmp_path / "e2").read_bytes()
         assert (tmp_path / "p1").read_bytes() == (tmp_path / "p2").read_bytes()
 
@@ -160,20 +168,20 @@ class TestDecodeTriple:
 class TestSerialization:
     def test_word_vocab_roundtrip(self, tmp_path):
         v = build_word_vocab([["berlin", "is", "berlin"]])
-        save_word_vocab(v, tmp_path / "w.vocab")
+        write_files({tmp_path / "w.vocab": symbols_text(v.tokens)})
         v2 = load_word_vocab(tmp_path / "w.vocab")
         assert v2.tokens == v.tokens
 
     def test_line_number_is_id(self, tmp_path):
         v = build_word_vocab([["zz", "aa"]])
-        save_word_vocab(v, tmp_path / "w.vocab")
+        write_files({tmp_path / "w.vocab": symbols_text(v.tokens)})
         lines = (tmp_path / "w.vocab").read_text().splitlines()
         for idx, line in enumerate(lines):
             assert v.id_of(line) == idx
 
     def test_triple_vocab_roundtrip(self, tmp_path):
         tv = build_kg_vocab([GERMANY, ("a", "p", "b")])
-        save_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
+        write_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
         tv2 = load_triple_vocab(tmp_path / "e", tmp_path / "p")
         assert tv2.entities == tv.entities
         assert tv2.predicates == tv.predicates
@@ -181,7 +189,7 @@ class TestSerialization:
     def test_symbol_with_space_rejected(self, tmp_path):
         tv = TripleVocab(("bad entity",), ("p",))
         with pytest.raises(ValueError, match="serializable"):
-            save_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
+            write_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
 
     @pytest.mark.parametrize("entities, predicates", [
         (("a\x0cb",), ("p",)),  # a form feed would split into "a" and "b" on reading
@@ -189,7 +197,7 @@ class TestSerialization:
     ])
     def test_any_whitespace_rejected_before_writing(self, entities, predicates, tmp_path):
         with pytest.raises(ValueError, match="serializable"):
-            save_triple_vocab(TripleVocab(entities, predicates), tmp_path / "e", tmp_path / "p")
+            write_triple_vocab(TripleVocab(entities, predicates), tmp_path / "e", tmp_path / "p")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("load", [
@@ -220,3 +228,64 @@ class TestReadLines:
         f.write_bytes(b"ok\n\xff\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(f))}: not valid UTF-8$"):
             list(read_lines(f))
+
+
+class TestWriteFiles:
+    def test_text_is_utf8_without_newline_translation(self, tmp_path):
+        write_files({tmp_path / "t.txt": "a\r\nb\u00e9\n", str(tmp_path / "b.bin"): b"\x00\xff"})
+        assert (tmp_path / "t.txt").read_bytes() == "a\r\nb\u00e9\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+
+    @pytest.mark.parametrize("first_existed", [False, True], ids=["new", "existing"])
+    def test_missing_directory_leaves_every_target_as_it_was(self, first_existed, tmp_path):
+        first = tmp_path / "first.txt"
+        if first_existed:
+            first.write_bytes(b"old\n")
+        second = os.path.join(tmp_path, "nodir", "second.txt")
+        with pytest.raises(FileNotFoundError) as info:
+            write_files({first: "new\n", second: "new\n"})
+        assert str(info.value) == f"[Errno 2] No such file or directory: {second!r}"
+        expect = ["first.txt"] if first_existed else []
+        assert sorted(p.name for p in tmp_path.iterdir()) == expect  # and no .partial
+        if first_existed:
+            assert first.read_bytes() == b"old\n"
+
+    def test_directory_target_fails_before_any_file_changes(self, tmp_path):
+        first = tmp_path / "first.txt"
+        first.write_bytes(b"old\n")
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(IsADirectoryError, match=re.escape(repr(str(tmp_path / "sub")))):
+            write_files({first: "new\n", tmp_path / "sub": "new\n"})
+        assert first.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt", "sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "data.txt"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write_files({link: "new\n"})
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.txt", "link.txt", "real"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_files({fifo: "through the pipe\n", tmp_path / "plain.txt": "x\n"})
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"through the pipe\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert (tmp_path / "plain.txt").read_bytes() == b"x\n"
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        with open(tmp_path / "opened.txt", "w"):
+            pass
+        write_files({tmp_path / "written.txt": "x\n"})
+        assert os.stat(tmp_path / "written.txt").st_mode == os.stat(tmp_path / "opened.txt").st_mode
