@@ -153,7 +153,7 @@ def _cmd_kg_embed(args) -> int:
     emb = embeddings.transe_train(kg, config)
     _write_into(args.out, embeddings.kg_embedding_files(emb, config))
     mean_rank, hits = embeddings.link_prediction_eval(emb, sorted(kg.triples), k=1)
-    print(f"entities={len(emb.entity_symbols)} relations={len(emb.relation_symbols)} "
+    print(f"entities={len(emb.vocab.entities)} relations={len(emb.vocab.predicates)} "
           f"mean_rank={mean_rank:.6f} hits@1={hits:.6f}")
     return 0
 
@@ -185,23 +185,16 @@ def _cmd_ds_align(args) -> int:
     return 0
 
 
-def _build_vocabs_for_training(dataset: Dataset, kg_emb, min_count: int):
-    word_vocab = vocab.build_word_vocab(
-        [list(ex.tokens) for ex in dataset.train], min_count=min_count
-    )
-    if kg_emb is not None:
-        # The KG embedding tables define the target vocabulary the decoder
-        # is aligned to; otherwise fall back to the gold triples seen.
-        tvocab = vocab.TripleVocab(kg_emb.entity_symbols, kg_emb.relation_symbols)
-    else:
-        gold = [ex.gold for ex in dataset.train + dataset.dev]
-        tvocab = vocab.build_kg_vocab(gold)
-    return word_vocab, tvocab
-
-
 def _run_training(args, config: ModelConfig, dataset: Dataset):
     kg_emb = embeddings.load_kg_embeddings(args.kg_embeddings) if args.kg_embeddings else None
-    word_vocab, tvocab = _build_vocabs_for_training(dataset, kg_emb, args.min_count)
+    word_vocab = vocab.build_word_vocab(
+        [list(ex.tokens) for ex in dataset.train], min_count=args.min_count
+    )
+    # The KG embeddings' vocabulary is the decoder's target vocabulary;
+    # without them it is built from the gold triples seen.
+    tvocab = kg_emb.vocab if kg_emb is not None else vocab.build_kg_vocab(
+        ex.gold for ex in dataset.train + dataset.dev
+    )
     rng = model.make_rng(config.seed + 1)  # init-table draws, separate from training
     word_init = None
     if config.use_word_init:
@@ -286,8 +279,7 @@ def _cmd_translate(args) -> int:
     def translate_line(line: str, verbose: bool) -> None:
         tokens = vocab.tokenize(line)
         if not tokens:
-            print("no tokens in input", file=sys.stderr)
-            return
+            raise ValueError("no tokens in input")
         result = model.translate_greedy(tokens, params, word_vocab, tvocab, config)
         if result.n_unk == len(tokens):
             print("warning: every input token is out of vocabulary", file=sys.stderr)
@@ -318,12 +310,16 @@ def _cmd_ablation(args) -> int:
         test=corpus.load_examples(args.test),
     )
     seeds = [int(s) for s in args.seeds.split(",")]
-    grid = [flag_set.strip() for flag_set in args.grid.split(";")]
+    grid = {}  # label -> flag set; a flag set sets all three flags, whatever --config says
+    for flag_set in args.grid.split(";"):
+        label = ModelConfig(**_parse_flags(flag_set)).flag_label()
+        if label in grid:
+            raise ValueError(f"ablation grid names flag set {label} twice")
+        grid[label] = flag_set
     results: dict[str, dict[str, list[float]]] = {}
     dataset_label = Path(args.test).stem
-    for flag_set in grid:
+    for label, flag_set in grid.items():
         scores: list[float] = []
-        label = None
         for seed in seeds:
             run_args = argparse.Namespace(
                 config=args.config, flags=flag_set, seed=seed, epochs=args.epochs,
@@ -331,7 +327,6 @@ def _cmd_ablation(args) -> int:
                 min_count=args.min_count,
             )
             config = resolve_model_config(run_args)
-            label = config.flag_label()
             result, word_vocab, tvocab = _run_training(run_args, config, dataset)
             preds = [
                 r.triple for r in model.translate_greedy_batch(

@@ -14,7 +14,7 @@ Word vectors and KG embeddings share one text format, read by
 ``symbol v1 .. v_d`` per line with finite values. The reader returns every
 row in file order; each loader applies its own policy. ``load_word_vectors``
 keeps the first row of a repeated token and accepts an empty file;
-``load_kg_embeddings`` keeps every row and rejects a file with no vectors.
+``load_kg_embeddings`` rejects a repeated symbol and a file with no vectors.
 """
 
 from __future__ import annotations
@@ -22,15 +22,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import KnowledgeGraph, Triple
-from .numerics import make_rng, uniform_init
-from .vocab import RESERVED_TOKENS, TripleVocab, WordVocab, build_kg_vocab
+from .numerics import as_int, make_rng, uniform_init
+from .vocab import RESERVED_TOKENS, SymbolError, TripleVocab, WordVocab, build_kg_vocab
 from .vocab import check_symbols, read_lines
 
 __all__ = [
@@ -64,6 +64,8 @@ class TransEConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "epochs", "batch_size", "seed"):
+            setattr(self, name, as_int(name, getattr(self, name)))
         for name in ("dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -76,32 +78,32 @@ class TransEConfig:
 
 @dataclass
 class KgEmbeddings:
-    """Entity and relation vector tables, row order = TripleVocab id order."""
+    """Entity and relation vector tables: row i of ``entity_table`` is
+    ``vocab.entities[i]``, row i of ``relation_table`` is ``vocab.predicates[i]``."""
 
-    entity_symbols: tuple[str, ...]
-    relation_symbols: tuple[str, ...]
+    vocab: TripleVocab
     entity_table: np.ndarray
     relation_table: np.ndarray
-    dim: int
     norm: str
-    _eidx: dict[str, int] = field(init=False, repr=False, compare=False)
-    _ridx: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {_NORMS}, got {self.norm!r}")
-        if self.entity_table.shape != (len(self.entity_symbols), self.dim):
-            raise ValueError("entity table shape does not match symbols/dim")
-        if self.relation_table.shape != (len(self.relation_symbols), self.dim):
-            raise ValueError("relation table shape does not match symbols/dim")
-        self._eidx = {s: i for i, s in enumerate(self.entity_symbols)}
-        self._ridx = {s: i for i, s in enumerate(self.relation_symbols)}
+        shapes = (self.entity_table.shape, self.relation_table.shape)
+        if shapes != ((len(self.vocab.entities), self.dim),
+                      (len(self.vocab.predicates), self.dim)):
+            raise ValueError(f"table shapes {shapes} do not give one row per symbol, "
+                             "all of one width")
+
+    @property
+    def dim(self) -> int:
+        return self.entity_table.shape[-1]
 
     def entity_vec(self, symbol: str) -> np.ndarray:
-        return self.entity_table[self._eidx[symbol]]
+        return self.entity_table[self.vocab.entity_rows[symbol]]
 
     def relation_vec(self, symbol: str) -> np.ndarray:
-        return self.relation_table[self._ridx[symbol]]
+        return self.relation_table[self.vocab.predicate_rows[symbol]]
 
 
 def _score_rows(rows: np.ndarray, norm: str) -> np.ndarray:
@@ -205,26 +207,21 @@ def transe_train(
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
-    tv = build_kg_vocab(kg.triples)
-    ents, rels = tv.entities, tv.predicates
     rng = make_rng(config.seed)
     if init is not None:
-        missing = (set(ents) - set(init.entity_symbols)) | (
-            set(rels) - set(init.relation_symbols)
-        )
-        if missing or init.dim != config.dim:
+        tv = init.vocab
+        if init.dim != config.dim or not all(tv.has_triple_symbols(*tr) for tr in kg.triples):
             raise ValueError("init tables do not cover this KG at the configured dim")
-        ents, rels = init.entity_symbols, init.relation_symbols
         ent_table = init.entity_table.copy()
         rel_table = init.relation_table.copy()
     else:
+        tv = build_kg_vocab(kg.triples)
         bound = 6.0 / math.sqrt(config.dim)
-        ent_table = rng.uniform(-bound, bound, (len(ents), config.dim))
-        rel_table = rng.uniform(-bound, bound, (len(rels), config.dim))
+        ent_table = rng.uniform(-bound, bound, (len(tv.entities), config.dim))
+        rel_table = rng.uniform(-bound, bound, (len(tv.predicates), config.dim))
         rel_table /= np.maximum(np.linalg.norm(rel_table, axis=1, keepdims=True), 1e-12)
         ent_table /= np.maximum(np.linalg.norm(ent_table, axis=1, keepdims=True), 1e-12)
-    eidx = {s: i for i, s in enumerate(ents)}
-    ridx = {s: i for i, s in enumerate(rels)}
+    eidx, ridx = tv.entity_rows, tv.predicate_rows
 
     triples = sorted(kg.triples)
     n = len(triples)
@@ -268,7 +265,7 @@ def transe_train(
             raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
         if (epoch + 1) % 50 == 0 or epoch == 0:
             logger.debug("transe epoch %d loss %.4f", epoch + 1, epoch_loss)
-    return KgEmbeddings(ents, rels, ent_table, rel_table, config.dim, config.norm)
+    return KgEmbeddings(tv, ent_table, rel_table, config.norm)
 
 
 def link_prediction_eval(
@@ -280,24 +277,23 @@ def link_prediction_eval(
     of (h, r, .), and the true head symmetrically; both ranks count.
     """
     triples = list(triples)
-    if len(emb.entity_symbols) < 2:
+    if not triples:
+        raise ValueError("link prediction needs at least one triple")
+    if len(emb.vocab.entities) < 2:
         raise ValueError("link prediction needs at least 2 entities")
     ranks = []
     E = emb.entity_table
+    erows, prows = emb.vocab.entity_rows, emb.vocab.predicate_rows
     for tr in triples:
-        for sym, table in ((tr.subject, emb._eidx), (tr.predicate, emb._ridx),
-                           (tr.object, emb._eidx)):
-            if sym not in table:
+        for sym, rows in ((tr.subject, erows), (tr.predicate, prows), (tr.object, erows)):
+            if sym not in rows:
                 raise ValueError(f"symbol {sym!r} has no embedding")
-        h = emb.entity_vec(tr.subject)
-        r = emb.relation_vec(tr.predicate)
-        t = emb.entity_vec(tr.object)
-        tail_scores = _score_rows(h + r - E, emb.norm)
-        true_tail = tail_scores[emb._eidx[tr.object]]
-        ranks.append(1 + int((tail_scores < true_tail).sum()))
-        head_scores = _score_rows(E + r - t, emb.norm)
-        true_head = head_scores[emb._eidx[tr.subject]]
-        ranks.append(1 + int((head_scores < true_head).sum()))
+        h, t = erows[tr.subject], erows[tr.object]
+        r = emb.relation_table[prows[tr.predicate]]
+        tail_scores = _score_rows(E[h] + r - E, emb.norm)
+        ranks.append(1 + int((tail_scores < tail_scores[t]).sum()))
+        head_scores = _score_rows(E + r - E[t], emb.norm)
+        ranks.append(1 + int((head_scores < head_scores[h]).sum()))
     ranks_arr = np.array(ranks, dtype=np.float64)
     return float(ranks_arr.mean()), float((ranks_arr <= k).mean())
 
@@ -411,17 +407,13 @@ def decoder_init_table(
     if emb.dim != dim:
         raise ValueError(f"KG embedding dim {emb.dim} != decoder embedding dim {dim}")
     table = uniform_init((tvocab.n_targets, dim), rng)
-    covered = 0
-    for sym in tvocab.entities:
-        if sym in emb._eidx:
-            table[tvocab.entity_id(sym)] = emb.entity_vec(sym)
-            covered += 1
-    for sym in tvocab.predicates:
-        if sym in emb._ridx:
-            table[tvocab.predicate_id(sym)] = emb.relation_vec(sym)
-            covered += 1
-    coverage = covered / (tvocab.n_targets - 1)
-    return table, coverage
+    rows = [(tvocab.entity_id(s), emb.entity_vec(s))
+            for s in tvocab.entities if emb.vocab.has_entity(s)]
+    rows += [(tvocab.predicate_id(s), emb.relation_vec(s))
+             for s in tvocab.predicates if emb.vocab.has_predicate(s)]
+    for idx, vec in rows:
+        table[idx] = vec
+    return table, len(rows) / (tvocab.n_targets - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +433,12 @@ def kg_embedding_files(emb: KgEmbeddings, config: TransEConfig) -> dict[str, str
         "norm": emb.norm,
         "margin": config.margin,
         "seed": config.seed,
-        "entities": len(emb.entity_symbols),
-        "relations": len(emb.relation_symbols),
+        "entities": len(emb.vocab.entities),
+        "relations": len(emb.vocab.predicates),
     }
     return {
-        ENTITIES_FILE: vector_text(emb.entity_symbols, emb.entity_table),
-        RELATIONS_FILE: vector_text(emb.relation_symbols, emb.relation_table),
+        ENTITIES_FILE: vector_text(emb.vocab.entities, emb.entity_table),
+        RELATIONS_FILE: vector_text(emb.vocab.predicates, emb.relation_table),
         MANIFEST_FILE: json.dumps(manifest, sort_keys=True, indent=2) + "\n",
     }
 
@@ -468,20 +460,25 @@ def _read_manifest(path: Path) -> tuple[int, str]:
 
 
 def load_kg_embeddings(in_dir) -> KgEmbeddings:
-    """Read the tables of kg_embedding_files from a directory; every row is kept.
+    """Read the tables of kg_embedding_files from a directory.
 
-    The manifest's dim must equal the width of both vector files.
+    The manifest's dim must equal the width of both vector files, and a
+    symbol may appear in a file only once.
     """
     in_dir = Path(in_dir)
     dim, norm = _read_manifest(in_dir / MANIFEST_FILE)
+    paths = {"entity": in_dir / ENTITIES_FILE, "predicate": in_dir / RELATIONS_FILE}
     tables = []
-    for name in (ENTITIES_FILE, RELATIONS_FILE):
-        symbols, table = read_vector_file(in_dir / name)
+    for path in paths.values():
+        symbols, table = read_vector_file(path)
         if not symbols:
-            raise ValueError(f"{in_dir / name}: no vectors found")
+            raise ValueError(f"{path}: no vectors found")
         if table.shape[1] != dim:
             raise ValueError(f"{in_dir / MANIFEST_FILE}: dim {dim} does not match "
-                             f"the {table.shape[1]}-wide vectors of {name}")
+                             f"the {table.shape[1]}-wide vectors of {path.name}")
         tables.append((symbols, table))
     (ents, etab), (rels, rtab) = tables
-    return KgEmbeddings(ents, rels, etab, rtab, dim, norm)
+    try:
+        return KgEmbeddings(TripleVocab(ents, rels), etab, rtab, norm)
+    except SymbolError as exc:
+        raise ValueError(f"{paths[exc.table]}: {exc}") from None

@@ -39,7 +39,6 @@ import hashlib
 import json
 import logging
 import math
-import operator
 import struct
 import time
 from dataclasses import asdict, dataclass, fields
@@ -55,6 +54,7 @@ from .numerics import (
     LstmWeights,
     Params,
     adam_step,
+    as_int,
     clip_global_norm,
     lstm_cell,
     lstm_sequence,
@@ -95,16 +95,6 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt or inconsistent."""
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int: ints and numpy integers pass, bools and floats do not."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class ModelConfig:
     """Dimensions, ablation flags and training hyperparameters.
@@ -136,7 +126,7 @@ class ModelConfig:
         sizes = ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len",
                  "epochs", "batch_size", "patience")
         for name in (*sizes, "seed"):
-            setattr(self, name, _as_int(name, getattr(self, name)))
+            setattr(self, name, as_int(name, getattr(self, name)))
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -152,16 +142,9 @@ class ModelConfig:
 
     def flag_label(self) -> str:
         """Ablation row label: 'Seq2Seq' when all flags are off, else S+..."""
-        flags = [
-            name
-            for name, on in (
-                ("A", self.use_attention),
-                ("W", self.use_word_init),
-                ("G", self.use_kg_init),
-            )
-            if on
-        ]
-        return "S+" + "+".join(flags) if flags else "Seq2Seq"
+        flags = (("A", self.use_attention), ("W", self.use_word_init), ("G", self.use_kg_init))
+        on = [name for name, flag in flags if flag]
+        return "S+" + "+".join(on) if on else "Seq2Seq"
 
 
 Layout = Sequence[tuple[str, tuple[int, ...]]]

@@ -21,6 +21,7 @@ Adam state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "LstmWeights",
     "Params",
     "adam_step",
+    "as_int",
     "clip_global_norm",
     "global_norm",
     "grad_check_fd",
@@ -57,6 +59,16 @@ LOG_FLOOR = 1e-12  # floor inside ln() so exact zeros stay finite
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator: a given seed yields the same stream on any platform."""
     return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int: ints and numpy integers pass, bools and floats do not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def uniform_init(shape, rng: np.random.Generator, scale: float = 0.08) -> np.ndarray:

@@ -29,6 +29,7 @@ __all__ = [
     "PAD_ID",
     "PAD_TOKEN",
     "RESERVED_TOKENS",
+    "SymbolError",
     "TripleVocab",
     "UNK_ID",
     "UNK_TOKEN",
@@ -177,6 +178,27 @@ def encode_sentence(tokens: Sequence[str], vocab: WordVocab) -> list[int]:
     return [vocab.id_of(t) for t in tokens]
 
 
+class SymbolError(ValueError):
+    """A non-string, empty or repeated symbol in the "entity" or "predicate" ``table``."""
+
+    def __init__(self, table: str, message: str):
+        super().__init__(message)
+        self.table = table
+
+
+def _symbol_rows(table: str, symbols: Sequence[str]) -> dict[str, int]:
+    """symbol -> 0-based position, after the checks of SymbolError."""
+    rows: dict[str, int] = {}
+    for i, s in enumerate(symbols):
+        if not isinstance(s, str):
+            raise SymbolError(table, f"{table} symbol {s!r} is not a string")
+        if not s:
+            raise SymbolError(table, f"empty {table} symbol")
+        if rows.setdefault(s, i) != i:
+            raise SymbolError(table, f"duplicate {table} symbol {s!r}")
+    return rows
+
+
 @dataclass
 class TripleVocab:
     """Entity and predicate tables sharing one target-id space.
@@ -184,26 +206,19 @@ class TripleVocab:
     Target ids: 0 is BOS, 1..E are entities, E+1..E+P are predicates. The
     entity and predicate ranges are disjoint and together cover every
     non-BOS id; masks 1 and 3 both select the entity range.
+
+    ``entity_rows`` and ``predicate_rows`` map a symbol to its 0-based
+    position: its row in a KG embedding table, from which its id follows.
     """
 
     entities: tuple[str, ...]
     predicates: tuple[str, ...]
-    _eids: dict[str, int] = field(init=False, repr=False, compare=False)
-    _pids: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    BOS = BOS_TOKEN
+    entity_rows: dict[str, int] = field(init=False, repr=False, compare=False)
+    predicate_rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, syms in (("entity", self.entities), ("predicate", self.predicates)):
-            for s in syms:
-                if not isinstance(s, str):
-                    raise ValueError(f"{name} symbol {s!r} is not a string")
-            if any(not s for s in syms):
-                raise ValueError(f"empty {name} symbol")
-            if len(set(syms)) != len(syms):
-                raise ValueError(f"duplicate {name} symbols")
-        self._eids = {s: i for i, s in enumerate(self.entities)}
-        self._pids = {s: i for i, s in enumerate(self.predicates)}
+        self.entity_rows = _symbol_rows("entity", self.entities)
+        self.predicate_rows = _symbol_rows("predicate", self.predicates)
 
     @property
     def n_targets(self) -> int:
@@ -214,20 +229,20 @@ class TripleVocab:
         return 0
 
     def entity_id(self, symbol: str) -> int:
-        if symbol not in self._eids:
+        if symbol not in self.entity_rows:
             raise KeyError(f"unknown entity symbol: {symbol!r}")
-        return 1 + self._eids[symbol]
+        return 1 + self.entity_rows[symbol]
 
     def predicate_id(self, symbol: str) -> int:
-        if symbol not in self._pids:
+        if symbol not in self.predicate_rows:
             raise KeyError(f"unknown predicate symbol: {symbol!r}")
-        return 1 + len(self.entities) + self._pids[symbol]
+        return 1 + len(self.entities) + self.predicate_rows[symbol]
 
     def has_entity(self, symbol: str) -> bool:
-        return symbol in self._eids
+        return symbol in self.entity_rows
 
     def has_predicate(self, symbol: str) -> bool:
-        return symbol in self._pids
+        return symbol in self.predicate_rows
 
     def is_entity_id(self, idx: int) -> bool:
         return 1 <= idx <= len(self.entities)
@@ -259,7 +274,8 @@ class TripleVocab:
         return (self.entity_id(subject), self.predicate_id(predicate), self.entity_id(obj))
 
     def has_triple_symbols(self, subject: str, predicate: str, obj: str) -> bool:
-        return subject in self._eids and obj in self._eids and predicate in self._pids
+        return (subject in self.entity_rows and obj in self.entity_rows
+                and predicate in self.predicate_rows)
 
 
 def build_kg_vocab(triples) -> TripleVocab:
@@ -298,11 +314,7 @@ def decode_triple(ids: Sequence[int], vocab: TripleVocab) -> tuple[str, str, str
         if not ok:
             kind = "an entity" if want_entity else "a predicate"
             raise ValueError(f"target id {idx} in slot {slot} is not {kind} id")
-    return (
-        vocab.target_symbol(ids[0]),
-        vocab.target_symbol(ids[1]),
-        vocab.target_symbol(ids[2]),
-    )
+    return tuple(vocab.target_symbol(idx) for idx in ids)
 
 
 # ---------------------------------------------------------------------------

@@ -198,12 +198,21 @@ class TestTrainAndTranslate:
         assert first.startswith("epoch=1\ttrain_loss=")
         assert "dev_f1=na" in first
 
+    def test_text_without_tokens_exits_1(self, table1_checkpoint, capsys):
+        code = cli.main(["translate", "--checkpoint", str(table1_checkpoint), "--text", "!!!"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+            "error: no tokens in input"
+        ]
+
     def test_repl_handles_empty_oov_and_eof(self, table1_checkpoint):
-        stdin = "\nzzz qqq vvv\n" + TABLE1_SENTENCE + "\n"
+        stdin = "\nzzz qqq vvv\n!!!\n" + TABLE1_SENTENCE + "\n"
         proc = run_cli("translate", "--checkpoint", str(table1_checkpoint),
                        "--interactive", stdin=stdin)
         assert proc.returncode == 0
         assert "out of vocabulary" in proc.stderr
+        assert "warning: no tokens in input" in proc.stderr
         assert "dbr:Germany\tdbo:capital\tdbr:Berlin" in proc.stdout
         assert "log-probs:" in proc.stdout
         assert "attention[subject]" in proc.stdout
@@ -333,6 +342,22 @@ class TestAblation:
         # W and G need vector files; all-off works, A,W,G fails actionably
         assert proc.returncode == 1
         assert "word-vectors" in proc.stderr
+
+    @pytest.mark.parametrize("grid, label", [("A;A", "S+A"), ("A;a", "S+A"),
+                                             ("none;", "Seq2Seq"), ("A,W;W,A", "S+A+W")])
+    def test_repeated_flag_set_rejected_before_training(self, grid, label, table1_dir,
+                                                        monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the grid was checked")
+
+        monkeypatch.setattr(cli.model, "train", no_training)
+        code = cli.main(["ablation", "--train", str(table1_dir / "train.jsonl"),
+                         "--test", str(table1_dir / "test.jsonl"), "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: ablation grid names flag set {label} twice"
+        ]
 
 
 class TestConfigResolution:
@@ -466,6 +491,28 @@ def test_defective_kg_manifest_one_line_error(text, message, kg_embeddings_dir, 
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert code == 1
     assert len(errors) == 1 and errors[0].startswith(f"error: {manifest}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("name", [embeddings.ENTITIES_FILE, embeddings.RELATIONS_FILE])
+def test_repeated_kg_embedding_symbol_one_line_error(name, kg_embeddings_dir, table1_dir,
+                                                     tmp_path, capsys):
+    emb = tmp_path / "emb"
+    shutil.copytree(kg_embeddings_dir, emb)
+    path = emb / name
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows.append(rows[0])
+    path.write_text("\n".join([f"{len(rows)} {header.split()[1]}", *rows]) + "\n",
+                    encoding="utf-8")
+    code = cli.main(["train", "--train", str(table1_dir / "train.jsonl"),
+                     "--kg-embeddings", str(emb), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    kind = "entity" if name == embeddings.ENTITIES_FILE else "predicate"
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: {path}: duplicate {kind} symbol {rows[0].split()[0]!r}"
+    ]
     assert "Traceback" not in err
     assert not (tmp_path / "m.ckpt").exists()
 

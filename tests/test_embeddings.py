@@ -25,7 +25,7 @@ from text2triple.embeddings import (
 )
 from text2triple.numerics import make_rng
 from text2triple.synthetic import make_hard_world
-from text2triple.vocab import build_kg_vocab, build_word_vocab, write_files
+from text2triple.vocab import TripleVocab, build_kg_vocab, build_word_vocab, write_files
 
 
 def write_kg_embeddings(emb, out_dir, config):
@@ -130,7 +130,7 @@ def rectangle_embeddings():
     rtable = np.zeros((2, dim))
     rtable[0, 0] = 2 * x
     rtable[1, 1] = 2 * y
-    return KgEmbeddings(ents, rels, table, rtable, dim, "L2")
+    return KgEmbeddings(TripleVocab(ents, rels), table, rtable, "L2")
 
 
 def rectangle_kg():
@@ -182,10 +182,19 @@ class TestTransETrain:
         ("epochs", -1, "epochs must be >= 1"),
         ("epochs", 0, "epochs must be >= 1"),
         ("batch_size", 0, "batch_size must be >= 1"),
+        ("dim", True, "dim must be an integer, got True"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("batch_size", 8.0, "batch_size must be an integer, got 8.0"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
     ])
     def test_nonsense_config_rejected(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises((TypeError, ValueError), match=message):
             TransEConfig(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = TransEConfig(dim=np.int64(4), seed=np.int32(3))
+        assert type(config.dim) is int and type(config.seed) is int
 
 
 def oracle_transe_train(kg, config, init=None):
@@ -201,7 +210,7 @@ def oracle_transe_train(kg, config, init=None):
     ents, rels = tv.entities, tv.predicates
     rng = make_rng(config.seed)
     if init is not None:
-        ents, rels = init.entity_symbols, init.relation_symbols
+        ents, rels = init.vocab.entities, init.vocab.predicates
         ent_table = init.entity_table.copy()
         rel_table = init.relation_table.copy()
     else:
@@ -251,12 +260,11 @@ def oracle_transe_train(kg, config, init=None):
                 ent_table[idx] = row / max(float(np.linalg.norm(row)), 1e-12)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
-    return KgEmbeddings(ents, rels, ent_table, rel_table, config.dim, config.norm)
+    return KgEmbeddings(TripleVocab(ents, rels), ent_table, rel_table, config.norm)
 
 
 def assert_same_tables(got, want):
-    assert got.entity_symbols == want.entity_symbols
-    assert got.relation_symbols == want.relation_symbols
+    assert got.vocab == want.vocab
     for a, b in ((got.entity_table, want.entity_table),
                  (got.relation_table, want.relation_table)):
         assert np.array_equal(a, b)
@@ -295,7 +303,7 @@ def transe_cases(draw):
         for table in tables:
             table[rng.random(table.shape) < 0.2] = 0.0
             table[rng.random(table.shape) < 0.2] = -0.0
-        init = KgEmbeddings(ent_syms, rel_syms, *tables, config.dim, config.norm)
+        init = KgEmbeddings(TripleVocab(ent_syms, rel_syms), *tables, config.norm)
     return kg, config, init
 
 
@@ -321,9 +329,8 @@ class TestTransEFastPath:
         # entries of ~1e308 square to inf, so every hinge is inf - inf = NaN
         emb = rectangle_embeddings()
         signs = np.where(make_rng(0).random(emb.entity_table.shape) < 0.5, -1.0, 1.0)
-        init = KgEmbeddings(emb.entity_symbols, emb.relation_symbols,
-                            1e308 * signs, np.full(emb.relation_table.shape, 1e308),
-                            emb.dim, emb.norm)
+        init = KgEmbeddings(emb.vocab, 1e308 * signs,
+                            np.full(emb.relation_table.shape, 1e308), emb.norm)
         config = TransEConfig(dim=emb.dim, epochs=1, seed=3)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite at epoch 1"):
             train(rectangle_kg(), config, init=init)
@@ -359,7 +366,7 @@ class TestLinkPrediction:
         ranks = []
         for trial in range(60):
             table = rng.standard_normal((10, 6))
-            emb = KgEmbeddings(ents, ("r",), table, rng.standard_normal((1, 6)), 6, "L2")
+            emb = KgEmbeddings(TripleVocab(ents, ("r",)), table, rng.standard_normal((1, 6)), "L2")
             triples = [Triple(ents[int(rng.integers(10))], "r",
                               ents[int(rng.integers(10))]) for _ in range(10)]
             mean_rank, _ = link_prediction_eval(emb, triples)
@@ -379,9 +386,13 @@ class TestLinkPrediction:
             link_prediction_eval(emb, [triple])
 
     def test_single_entity_rejected(self):
-        emb = KgEmbeddings(("a",), ("r",), np.ones((1, 2)), np.ones((1, 2)), 2, "L2")
+        emb = KgEmbeddings(TripleVocab(("a",), ("r",)), np.ones((1, 2)), np.ones((1, 2)), "L2")
         with pytest.raises(ValueError, match="entities"):
             link_prediction_eval(emb, [Triple("a", "r", "a")])
+
+    def test_no_triples_rejected(self):
+        with pytest.raises(ValueError, match="at least one triple"):
+            link_prediction_eval(rectangle_embeddings(), [])
 
 
 class TestWordVectors:
@@ -473,7 +484,13 @@ class TestWordVectors:
 class TestKgEmbeddingIo:
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError, match="norm must be one of"):
-            KgEmbeddings(("a",), ("r",), np.ones((1, 2)), np.ones((1, 2)), 2, "L3")
+            KgEmbeddings(TripleVocab(("a",), ("r",)), np.ones((1, 2)), np.ones((1, 2)), "L3")
+
+    @pytest.mark.parametrize("shapes", [((2, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 2))],
+                             ids=["entity-rows", "widths", "relation-rows"])
+    def test_table_shapes_must_fit_the_vocab(self, shapes):
+        with pytest.raises(ValueError, match="one row per symbol"):
+            KgEmbeddings(TripleVocab(("a",), ("r",)), *map(np.ones, shapes), "L2")
 
     def test_roundtrip_exact(self, tmp_path):
         kg = rectangle_kg()
@@ -481,8 +498,7 @@ class TestKgEmbeddingIo:
         emb = transe_train(kg, config)
         write_kg_embeddings(emb, tmp_path / "emb", config)
         loaded = load_kg_embeddings(tmp_path / "emb")
-        assert loaded.entity_symbols == emb.entity_symbols
-        assert loaded.relation_symbols == emb.relation_symbols
+        assert loaded.vocab == emb.vocab
         assert (loaded.entity_table == emb.entity_table).all()
         assert (loaded.relation_table == emb.relation_table).all()
         assert loaded.norm == emb.norm
@@ -541,6 +557,20 @@ class TestKgEmbeddingIo:
         (out / "relations.vec").write_text("", encoding="utf-8")
         with pytest.raises(ValueError, match=r"relations\.vec: no vectors found"):
             load_kg_embeddings(out)
+
+    @pytest.mark.parametrize("name, kind", [("entities.vec", "entity"),
+                                            ("relations.vec", "predicate")])
+    def test_repeated_symbol_rejected_naming_file_and_symbol(self, tmp_path, name, kind):
+        out = self.saved(tmp_path)
+        path = out / name
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        repeated = rows[1].split()[0]
+        rows.append(rows[1])
+        dim = header.split()[1]
+        path.write_text("\n".join([f"{len(rows)} {dim}", *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_kg_embeddings(out)
+        assert str(info.value) == f"{path}: duplicate {kind} symbol {repeated!r}"
 
     def test_save_is_deterministic(self, tmp_path):
         kg = rectangle_kg()

@@ -12,6 +12,7 @@ from text2triple.vocab import (
     PAD_ID,
     DataError,
     RESERVED_TOKENS,
+    SymbolError,
     UNK_ID,
     TripleVocab,
     WordVocab,
@@ -120,6 +121,23 @@ class TestTripleVocab:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_kg_vocab([])
+
+    @pytest.mark.parametrize("entities, predicates, table, message", [
+        (("a", "b", "a"), ("p",), "entity", "duplicate entity symbol 'a'"),
+        (("a",), ("p", "q", "q"), "predicate", "duplicate predicate symbol 'q'"),
+        (("a", ""), ("p",), "entity", "empty entity symbol"),
+        (("a",), (7,), "predicate", "predicate symbol 7 is not a string"),
+    ])
+    def test_bad_symbol_names_it_and_its_table(self, entities, predicates, table, message):
+        with pytest.raises(SymbolError, match=f"^{message}$") as info:
+            TripleVocab(entities, predicates)
+        assert info.value.table == table
+
+    def test_rows_are_zero_based_positions(self):
+        tv = TripleVocab(("b", "a"), ("q", "p"))
+        assert tv.entity_rows == {"b": 0, "a": 1}
+        assert tv.predicate_rows == {"q": 0, "p": 1}
+        assert [tv.predicate_id(p) for p in tv.predicates] == [3, 4]
 
     def test_masks_partition_target_space(self):
         tv = build_kg_vocab([("a", "p", "b"), ("c", "q", "a")])
