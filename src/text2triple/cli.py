@@ -146,8 +146,7 @@ def _cmd_build_vocab(args) -> int:
 def _cmd_kg_embed(args) -> int:
     kg = _load_kg(args.kg)
     config = embeddings.TransEConfig(
-        dim=args.dim, margin=args.margin, lr=args.lr, epochs=args.epochs,
-        batch_size=args.batch_size, norm=args.norm, seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in fields(embeddings.TransEConfig)}
     )
     vocab.check_symbols(sorted({symbol for tr in kg.triples for symbol in tr}))
     emb = embeddings.transe_train(kg, config)
@@ -304,12 +303,15 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_ablation(args) -> int:
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     dataset = Dataset(
         train=corpus.load_examples(args.train),
         dev=corpus.load_examples(args.dev) if args.dev else [],
         test=corpus.load_examples(args.test),
     )
-    seeds = [int(s) for s in args.seeds.split(",")]
     grid = {}  # label -> flag set; a flag set sets all three flags, whatever --config says
     for flag_set in args.grid.split(";"):
         label = ModelConfig(**_parse_flags(flag_set)).flag_label()
@@ -390,13 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kg-embed", help="train TransE embeddings on a KG")
     p.add_argument("--kg", required=True)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch-size", type=int, default=32, dest="batch_size")
-    p.add_argument("--norm", choices=("L1", "L2"), default="L2")
-    p.add_argument("--seed", type=int, default=0)
+    for f in fields(embeddings.TransEConfig):  # one flag per field, defaults and all
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default, dest=f.name,
+                       choices=("L1", "L2") if f.name == "norm" else None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_kg_embed)
 

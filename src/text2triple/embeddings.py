@@ -69,6 +69,8 @@ class TransEConfig:
         for name in ("dim", "epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("margin", "lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -30,7 +30,9 @@ sequence). Dev scoring, `translate_greedy_batch` (the `eval` and `ablation`
 sub-commands) decode greedily in batches of DECODE_BATCH sources; beam
 search runs each step's live hypotheses as one batch; `encode`,
 `init_decoder_state`, `decode_step`, `translate_greedy` and `forward_loss`
-are batches of one.
+are batches of one. Every path turns decoder states into log-probabilities
+through one readout, `_readout`: attention, the output layer and the
+log-softmax masked to each step's slot.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class ModelConfig:
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("lr", "clip_norm", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -265,16 +269,6 @@ _LSTM_FIELDS = tuple(name for name, kind in get_type_hints(ModelParams).items()
 
 
 @dataclass
-class EncoderOutputs:
-    """Per-step concatenated hidden states, the concatenated final state
-    and the states' attention projection."""
-
-    H: np.ndarray          # (T, 2*enc_hidden): [fwd_h[t]; bwd_h[t]]
-    final: np.ndarray      # (2*enc_hidden,): [fwd_h[T-1]; bwd_h[0]]
-    AH: np.ndarray | None  # (T, dec_hidden) = H @ attn_w.T, iff attention
-
-
-@dataclass
 class DecodeResult:
     """One decoded triple with per-step log-probabilities and attention."""
 
@@ -319,7 +313,11 @@ DECODE_BATCH = 64  # sources per greedy-decoding batch
 
 
 @dataclass
-class _EncodedBatch:
+class EncoderOutputs:
+    """A padded batch of B encoded sources, T positions each: per-position
+    concatenated hidden states, the concatenated final states, the padding
+    mask and the states' attention projection."""
+
     H: np.ndarray            # (B, T, 2*enc_hidden); finite filler on padding
     final: np.ndarray        # (B, 2*enc_hidden): [fwd state at end; bwd state at start]
     pad: np.ndarray | None   # (B, 1, T), True on padding; None when no row is padded
@@ -359,7 +357,7 @@ def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config:
     H[:, :, :nh] = hs[:, 0].transpose(1, 0, 2)
     for b, n in enumerate(lengths):
         H[b, :n, nh:] = hs[n - 1::-1, 1, b]
-    enc = _EncodedBatch(
+    enc = EncoderOutputs(
         H=H,
         final=np.concatenate([hs[-1, 0], hs[-1, 1]], axis=1),
         pad=~live.T[:, None, :] if padded else None,
@@ -369,17 +367,11 @@ def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config:
     return enc, (both_ids, lengths, live, lstm_cache)
 
 
-def _batch_of_one(enc: EncoderOutputs) -> _EncodedBatch:
-    """A single sentence's encoder outputs as a batch of one."""
-    return _EncodedBatch(enc.H[None], enc.final[None], None,
-                         None if enc.AH is None else enc.AH[None])
-
-
 def _bridge(final: np.ndarray, params: ModelParams) -> np.ndarray:
     return final @ params.bridge_w.T + params.bridge_b
 
 
-def _attention(q: np.ndarray, enc: _EncodedBatch) -> tuple[np.ndarray, np.ndarray]:
+def _attention(q: np.ndarray, enc: EncoderOutputs) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative attention of queries q (B, K, dec_hidden) over enc.H:
     weights (B, K, T), exactly 0 on padding, and contexts (B, K, 2*enc_hidden).
     A batch of one encoding broadcasts against K queries of many rows."""
@@ -399,46 +391,55 @@ def _masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
 
 
+def _readout(S: np.ndarray, steps: Sequence[int], enc: EncoderOutputs, params: ModelParams,
+             config: ModelConfig, tvocab: TripleVocab):
+    """The output layer over decoder states S (B, K, dec_hidden), state k at
+    decoding step steps[k]: (log-probs (B, K, n_targets) masked to each
+    step's slot, attention (B, K, T) or None, the output layer's input
+    (B*K, feat))."""
+    B, K, _ = S.shape
+    feat, alpha = S, None
+    if config.use_attention:
+        alpha, ctx = _attention(S, enc)
+        feat = np.concatenate([S, ctx], axis=2)
+    feat2 = feat.reshape(B * K, -1)
+    logits = (feat2 @ params.out_w.T + params.out_b).reshape(B, K, -1)
+    logp = _masked_log_softmax(logits, np.array([tvocab.step_mask(k) for k in steps]))
+    return logp, alpha, feat2
+
+
 def _decode_batch_step(
     step: int,
     prev_ids: np.ndarray,
     state: tuple[np.ndarray, np.ndarray],
-    enc: _EncodedBatch,
+    enc: EncoderOutputs,
     params: ModelParams,
     config: ModelConfig,
     tvocab: TripleVocab,
 ):
     """One decoder step for B rows: (logp (B, n_targets), new state,
     attention (B, T) or None). Step 1 reads the BOS target, not prev_ids."""
-    if step not in (1, 2, 3):
-        raise ValueError(f"invalid decoding step {step}")
     if step == 1:
         prev_ids = np.full(len(state[0]), tvocab.bos_id)
     h, c, _ = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
-    feat, alpha = h, None
-    if config.use_attention:
-        alpha, ctx = _attention(h[:, None, :], enc)
-        alpha = alpha[:, 0]
-        feat = np.concatenate([h, ctx[:, 0]], axis=1)
-    logits = feat @ params.out_w.T + params.out_b
-    return _masked_log_softmax(logits, tvocab.step_mask(step)), (h, c), alpha
+    logp, alpha, _ = _readout(h[:, None], (step,), enc, params, config, tvocab)
+    return logp[:, 0], (h, c), None if alpha is None else alpha[:, 0]
 
 
 def encode(src_ids: Sequence[int], params: ModelParams, config: ModelConfig) -> EncoderOutputs:
-    """Bidirectional encoder pass. H[t] concatenates the forward and backward
-    hidden states at position t; `final` concatenates the two last outputs;
-    AH is H projected by attn_w, once per sentence, when attention is on."""
-    enc, _ = _encode_batch([src_ids], params, config)
-    return EncoderOutputs(H=enc.H[0], final=enc.final[0],
-                          AH=None if enc.AH is None else enc.AH[0])
+    """Bidirectional encoder pass over one sentence, as a batch of one.
+    H[0, t] concatenates the forward and backward hidden states at position
+    t; `final` concatenates the two last outputs; AH is H projected by
+    attn_w, once per sentence, when attention is on."""
+    return _encode_batch([src_ids], params, config)[0]
 
 
 def init_decoder_state(
     enc: EncoderOutputs, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bridge the concatenated final encoder state to the decoder's initial
-    hidden state; the initial cell is zeros."""
-    return _bridge(enc.final, params), np.zeros(params.bridge_w.shape[0])
+    """Bridge the concatenated final encoder state of encode's one sentence
+    to the decoder's initial hidden state; the initial cell is zeros."""
+    return _bridge(enc.final[0], params), np.zeros(params.bridge_w.shape[0])
 
 
 def decode_step(
@@ -458,7 +459,7 @@ def decode_step(
     and reads the BOS target, tvocab.bos_id.
     """
     logp, (h, c), alpha = _decode_batch_step(
-        step, np.array([prev_id]), (state[0][None], state[1][None]), _batch_of_one(enc),
+        step, np.array([prev_id]), (state[0][None], state[1][None]), enc,
         params, config, tvocab,
     )
     return logp[0], (h[0], c[0]), None if alpha is None else alpha[0]
@@ -492,14 +493,7 @@ def _loss_and_grads(
         params.dec_embed[prev][:, None], (params.dec_lstm,), h0=_bridge(enc.final, params)
     )
     S = dec_h[:, 0].transpose(1, 0, 2)                                  # (B, 3, dh)
-    if config.use_attention:
-        alpha, ctx = _attention(S, enc)
-        feat = np.concatenate([S, ctx], axis=2)
-    else:
-        feat = S
-    feat2 = feat.reshape(B * 3, -1)
-    logits = (feat2 @ params.out_w.T + params.out_b).reshape(B, 3, -1)
-    logp = _masked_log_softmax(logits, np.stack([tvocab.step_mask(k) for k in (1, 2, 3)]))
+    logp, alpha, feat2 = _readout(S, (1, 2, 3), enc, params, config, tvocab)
     # Weighted cross-entropy and its logits gradient w * (p - onehot(gold)),
     # from the log-probs, so a non-finite forward pass reaches train's abort.
     w = np.asarray(config.step_weights)
@@ -809,7 +803,7 @@ def train(
                 batch_loss, grads = _loss_and_grads(
                     [sources[j] for j in batch], golds[batch], params, config, tvocab
                 )
-                grad_norm = clip_global_norm(grads.to_dict().values(), config.clip_norm)
+                grad_norm = clip_global_norm(grads.vec, config.clip_norm)
                 if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):
                     logger.error("non-finite loss at epoch %d; keeping last good params", epoch)
                     aborted = True

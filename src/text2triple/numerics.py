@@ -14,7 +14,7 @@ All public operations work on float64 numpy arrays, validate their inputs,
 and are deterministic: identical inputs give bit-identical outputs. They are
 pure, except three that write in place: lstm_sequence_backward writes the
 weight gradients into the LstmWeights it is given, clip_global_norm scales
-the gradient arrays, and adam_step updates one flat parameter vector and its
+the gradient vector, and adam_step updates one flat parameter vector and its
 Adam state.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "adam_step",
     "as_int",
     "clip_global_norm",
-    "global_norm",
     "grad_check_fd",
     "lstm_cell",
     "lstm_cell_backward",
@@ -57,7 +56,10 @@ LOG_FLOOR = 1e-12  # floor inside ln() so exact zeros stay finite
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator: a given seed yields the same stream on any platform."""
+    """PCG64 generator: a given seed, an integer >= 0, yields the same stream
+    on any platform."""
+    if as_int("seed", seed) < 0:
+        raise ValueError("seed must be >= 0")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -417,25 +419,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
     params -= b
 
 
-def global_norm(grads: Iterable[np.ndarray]) -> float:
-    """L2 norm over every element of every array, summed array by array."""
-    total = 0.0
-    for g in grads:
-        total += float((g * g).sum())
-    return math.sqrt(total)
-
-
-def clip_global_norm(grads: Iterable[np.ndarray], max_norm: float) -> float:
-    """Scale the gradient arrays in place by max_norm/norm when their global
-    norm exceeds max_norm. Returns the global norm before clipping."""
+def clip_global_norm(vec: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place by max_norm/norm when its L2 norm
+    exceeds max_norm. Returns the norm before clipping."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    grads = list(grads)
-    norm = global_norm(grads)
+    norm = math.sqrt(float(vec @ vec))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        vec *= max_norm / norm
     return norm
 
 

@@ -93,6 +93,8 @@ def _render(
 def _word_vectors(
     rng: np.random.Generator, examples: list[AnnotatedExample], dim: int
 ) -> dict[str, np.ndarray]:
+    if dim < 1:
+        raise ValueError("word_dim must be >= 1")
     tokens = sorted({t for ex in examples for t in ex.tokens})
     return {t: rng.normal(0.0, 0.3, dim) for t in tokens}
 

@@ -139,12 +139,12 @@ class WordVocab:
     def __post_init__(self):
         if tuple(self.tokens[:3]) != RESERVED_TOKENS:
             raise ValueError(f"word vocab must start with {RESERVED_TOKENS}")
-        for tok in self.tokens:
+        self._ids = {}
+        for i, tok in enumerate(self.tokens):
             if not isinstance(tok, str):
                 raise ValueError(f"word vocab token {tok!r} is not a string")
-        self._ids = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self._ids) != len(self.tokens):
-            raise ValueError("word vocab contains duplicate tokens")
+            if self._ids.setdefault(tok, i) != i:
+                raise ValueError(f"duplicate word vocab token {tok!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -209,16 +209,22 @@ class TripleVocab:
 
     ``entity_rows`` and ``predicate_rows`` map a symbol to its 0-based
     position: its row in a KG embedding table, from which its id follows.
+    The three step masks are built once, read-only.
     """
 
     entities: tuple[str, ...]
     predicates: tuple[str, ...]
     entity_rows: dict[str, int] = field(init=False, repr=False, compare=False)
     predicate_rows: dict[str, int] = field(init=False, repr=False, compare=False)
+    _step_masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entity_rows = _symbol_rows("entity", self.entities)
         self.predicate_rows = _symbol_rows("predicate", self.predicates)
+        self._step_masks = np.zeros((3, self.n_targets), dtype=bool)
+        self._step_masks[[0, 2], 1:1 + len(self.entities)] = True
+        self._step_masks[1, 1 + len(self.entities):] = True
+        self._step_masks.setflags(write=False)
 
     @property
     def n_targets(self) -> int:
@@ -260,15 +266,10 @@ class TripleVocab:
         raise IndexError(f"target id {idx} out of range [0, {self.n_targets})")
 
     def step_mask(self, step: int) -> np.ndarray:
-        """Boolean mask over target ids allowed at decoding step 1, 2 or 3."""
+        """Read-only boolean mask over target ids allowed at decoding step 1, 2 or 3."""
         if step not in (1, 2, 3):
             raise ValueError(f"decoding step must be 1, 2 or 3, got {step}")
-        mask = np.zeros(self.n_targets, dtype=bool)
-        if step == 2:
-            mask[1 + len(self.entities):] = True
-        else:
-            mask[1:1 + len(self.entities)] = True
-        return mask
+        return self._step_masks[step - 1]
 
     def encode_triple(self, subject: str, predicate: str, obj: str) -> tuple[int, int, int]:
         return (self.entity_id(subject), self.predicate_id(predicate), self.entity_id(obj))
@@ -333,11 +334,17 @@ def _read_symbols(path) -> list[str]:
 
 
 def load_word_vocab(path) -> WordVocab:
-    return WordVocab(tuple(_read_symbols(path)))
+    tokens = tuple(_read_symbols(path))
+    try:
+        return WordVocab(tokens)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_triple_vocab(entities_path, predicates_path) -> TripleVocab:
-    return TripleVocab(
-        tuple(_read_symbols(entities_path)),
-        tuple(_read_symbols(predicates_path)),
-    )
+    paths = {"entity": entities_path, "predicate": predicates_path}
+    tables = [tuple(_read_symbols(path)) for path in paths.values()]
+    try:
+        return TripleVocab(*tables)
+    except SymbolError as exc:
+        raise ValueError(f"{paths[exc.table]}: {exc}") from None

@@ -10,6 +10,7 @@ may differ).
 
 import logging
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +19,6 @@ import pytest
 from text2triple import model
 from text2triple.corpus import AnnotatedExample, Triple
 from text2triple.model import (
-    EncoderOutputs,
     ModelConfig,
     ModelParams,
     forward_loss,
@@ -48,6 +48,15 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # Oracle: the per-example path, verbatim
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class EncoderOutputs:
+    """One sentence's encoder outputs, unbatched."""
+
+    H: np.ndarray          # (T, 2*enc_hidden): [fwd_h[t]; bwd_h[t]]
+    final: np.ndarray      # (2*enc_hidden,): [fwd_h[T-1]; bwd_h[0]]
+    AH: np.ndarray | None  # unused by the oracle, which projects H itself
 
 
 def _zeros(n: int) -> np.ndarray:

@@ -73,14 +73,17 @@ KINDS = {
 }
 
 
-def _run(kind, d, out):
-    """cli.main on the kind's argv over input directory d, writing under out;
-    (exit code, stdout, stderr)."""
-    argv = [str(a) for a in KINDS[kind][1](d, out)]
+def _main(argv):
+    """cli.main on argv; (exit code, stdout, stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
+        code = cli.main([str(a) for a in argv])
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _run(kind, d, out):
+    """cli.main on the kind's argv over input directory d, writing under out."""
+    return _main(KINDS[kind][1](d, out))
 
 
 def _mutations(data: bytes, kind: str):
@@ -137,3 +140,31 @@ def test_mutated_file_exits_0_or_one_error_line(kind, seeds, tmp_path_factory, d
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert "Traceback" not in err
     assert code == 0 or (code == 1 and len(errors) == 1), err
+
+
+# A nonsense value -> (argv over the seeds directory d writing under out, the
+# field or flag the one error line starts with).
+NONSENSE = {
+    "train seed": (lambda d, out: _train(d, out, "--seed", "-1"), "seed"),
+    "kg-embed seed": (lambda d, out: ["kg-embed", "--kg", d / "kg.tsv", "--seed", "-4",
+                                      "--out", out / "emb"], "seed"),
+    "make-synthetic seed": (lambda d, out: ["make-synthetic", "--seed", "-1",
+                                            "--out", out / "world"], "seed"),
+    "make-synthetic zero word dim": (lambda d, out: ["make-synthetic", "--word-dim", "0",
+                                                     "--out", out / "world"], "word_dim"),
+    "make-synthetic negative word dim": (lambda d, out: ["make-synthetic", "--word-dim", "-3",
+                                                         "--out", out / "world"], "word_dim"),
+    "ablation seeds": (lambda d, out: ["ablation", "--train", d / "train.jsonl",
+                                       "--test", d / "train.jsonl", "--seeds", "",
+                                       "--epochs", "1"], "--seeds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONSENSE))
+def test_nonsense_value_names_the_field(case, seeds, tmp_path):
+    argv, name = NONSENSE[case]
+    code, stdout, err = _main(argv(seeds, tmp_path))
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and len(errors) == 1 and "Traceback" not in err, err
+    assert errors[0].startswith(f"error: {name} "), errors[0]
+    assert stdout == "" and list(tmp_path.iterdir()) == []

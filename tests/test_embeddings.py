@@ -187,6 +187,7 @@ class TestTransETrain:
         ("batch_size", 8.0, "batch_size must be an integer, got 8.0"),
         ("seed", False, "seed must be an integer, got False"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -4, "seed must be >= 0"),
     ])
     def test_nonsense_config_rejected(self, field, value, message):
         with pytest.raises((TypeError, ValueError), match=message):

@@ -78,6 +78,7 @@ class TestModelConfig:
         ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
         ("beta2", 1.5, r"beta2 must be in \[0, 1\)"),
         ("lr", float("nan"), "lr must be positive"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_nonsense_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -142,8 +143,9 @@ class TestEncode:
         params = tiny_params()
         for T in (1, 3, 7):
             enc = encode(list(range(T)), params, TINY)
-            assert enc.H.shape == (T, 2 * TINY.enc_hidden)
-            assert enc.final.shape == (2 * TINY.enc_hidden,)
+            assert enc.H.shape == (1, T, 2 * TINY.enc_hidden)
+            assert enc.final.shape == (1, 2 * TINY.enc_hidden)
+            assert enc.pad is None
 
     def test_zero_params_give_zero_states(self):
         params = tiny_params()
@@ -162,13 +164,14 @@ class TestEncode:
         src = [4, 9, 2]
         h = TINY.enc_hidden
         enc = encode(src, params, TINY)
+        H, final = enc.H[0], enc.final[0]
         enc_rev = encode(src[::-1], params_swapped, TINY)
         T = len(src)
         for t in range(T):
-            mirrored = np.concatenate([enc.H[T - 1 - t, h:], enc.H[T - 1 - t, :h]])
-            np.testing.assert_allclose(enc_rev.H[t], mirrored, atol=1e-12)
+            mirrored = np.concatenate([H[T - 1 - t, h:], H[T - 1 - t, :h]])
+            np.testing.assert_allclose(enc_rev.H[0, t], mirrored, atol=1e-12)
         np.testing.assert_allclose(
-            enc_rev.final, np.concatenate([enc.final[h:], enc.final[:h]]), atol=1e-12
+            enc_rev.final[0], np.concatenate([final[h:], final[:h]]), atol=1e-12
         )
 
     def test_empty_input_rejected(self):
@@ -178,7 +181,7 @@ class TestEncode:
     def test_long_input_truncated(self):
         params = tiny_params()
         enc = encode(list(range(3)) * 10, params, TINY)  # 30 > max_src_len 16
-        assert enc.H.shape[0] == TINY.max_src_len
+        assert enc.H.shape[1] == TINY.max_src_len
 
 
 class TestAttend:
@@ -186,7 +189,7 @@ class TestAttend:
 
     @staticmethod
     def attend(dec_hidden, enc):
-        alpha, ctx = model._attention(dec_hidden[None, None], model._batch_of_one(enc))
+        alpha, ctx = model._attention(dec_hidden[None, None], enc)
         return ctx[0, 0], alpha[0, 0]
 
     def test_singleton_weight_one(self):
@@ -194,13 +197,13 @@ class TestAttend:
         enc = encode([5], params, TINY)
         ctx, weights = self.attend(make_rng(0).standard_normal(16), enc)
         np.testing.assert_allclose(weights, [1.0], atol=1e-15)
-        np.testing.assert_allclose(ctx, enc.H[0], atol=1e-15)
+        np.testing.assert_allclose(ctx, enc.H[0, 0], atol=1e-15)
 
     def test_identical_rows_uniform(self):
         params = tiny_params()
         enc = encode([5], params, TINY)
-        row = enc.H[0]
-        enc.H = np.vstack([row, row, row])
+        row = enc.H[0, 0]
+        enc.H = np.stack([row, row, row])[None]
         enc.AH = enc.H @ params.attn_w.T
         ctx, weights = self.attend(make_rng(1).standard_normal(16), enc)
         np.testing.assert_allclose(weights, np.full(3, 1 / 3), atol=1e-12)
@@ -213,10 +216,11 @@ class TestAttend:
         dec_hidden = rng.standard_normal(16)
         ctx, weights = self.attend(dec_hidden, enc)
         # scalar oracle
-        scores = [float(dec_hidden @ (params.attn_w @ enc.H[t])) for t in range(3)]
+        H = enc.H[0]
+        scores = [float(dec_hidden @ (params.attn_w @ H[t])) for t in range(3)]
         exps = [math.exp(s - max(scores)) for s in scores]
         w_oracle = [e / sum(exps) for e in exps]
-        ctx_oracle = sum(w * enc.H[t] for t, w in enumerate(w_oracle))
+        ctx_oracle = sum(w * H[t] for t, w in enumerate(w_oracle))
         np.testing.assert_allclose(weights, w_oracle, atol=1e-12)
         np.testing.assert_allclose(ctx, ctx_oracle, atol=1e-12)
         assert abs(weights.sum() - 1.0) < 1e-12
@@ -591,7 +595,7 @@ class TestTrain:
 TRAJECTORY_DIGESTS = {
     "attention": "b842913f7d7be34701a8507ad53cb8ae59b92a5fc08a957a22da678a650a60b2",
     "no attention": "03592e5b84410592ceb19483cbe2900e277c34eb5506bee476ebb0aa03a66b82",
-    "A+W+G": "ca2362fa424e04a87c0d940d45a360dc9c0706dc8a2960ec91b1f7112b3f705f",
+    "A+W+G": "fe25b2fbf06ca3abc1993a30153fdaaa443d6dbe327bcd86c7d0983008c7e4bf",
     "CLI defaults": "9b45786212b837af10e516b3b87785548f11341b127e5aca293abc7d6a7b2ec6",
 }
 

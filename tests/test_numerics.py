@@ -11,7 +11,6 @@ from text2triple.numerics import (
     LstmWeights,
     adam_step,
     clip_global_norm,
-    global_norm,
     grad_check_fd,
     lstm_cell,
     lstm_cell_backward,
@@ -308,28 +307,24 @@ class TestAdam:
 class TestClipGlobalNorm:
     def test_scales_when_over(self):
         vec = np.array([6.0, 8.0])  # norm 10
-        views = [vec[:1], vec[1:]]
-        norm = clip_global_norm(views, 5.0)
-        assert norm == global_norm([np.array([6.0]), np.array([8.0])]) == 10.0
+        view = vec[1:]
+        assert clip_global_norm(vec, 5.0) == 10.0
         np.testing.assert_allclose(vec, [3.0, 4.0], rtol=1e-15)
-        np.testing.assert_allclose(views[0], [3.0], rtol=1e-15)
+        np.testing.assert_allclose(view, [4.0], rtol=1e-15)
 
     def test_untouched_when_under(self):
-        grads = [np.array([3.0])]
-        assert clip_global_norm(grads, 5.0) == 3.0
-        np.testing.assert_array_equal(grads[0], [3.0])
+        vec = np.array([3.0, 0.0])
+        assert clip_global_norm(vec, 5.0) == 3.0
+        np.testing.assert_array_equal(vec, [3.0, 0.0])
 
     def test_zero_grads_unchanged(self):
-        grads = [np.zeros(4)]
-        assert clip_global_norm(grads, 5.0) == 0.0
-        np.testing.assert_array_equal(grads[0], np.zeros(4))
+        vec = np.zeros(4)
+        assert clip_global_norm(vec, 5.0) == 0.0
+        np.testing.assert_array_equal(vec, np.zeros(4))
 
     def test_bad_max_norm_rejected(self):
         with pytest.raises(ValueError, match="max_norm"):
-            clip_global_norm([np.ones(2)], 0.0)
-
-    def test_global_norm_value(self):
-        assert abs(global_norm([np.array([3.0, 4.0])]) - 5.0) < 1e-15
+            clip_global_norm(np.ones(2), 0.0)
 
 
 class TestGradCheckFd:

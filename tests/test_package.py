@@ -110,3 +110,21 @@ def test_one_file_writer():
 def test_one_utf8_error_message():
     texts = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py")]
     assert sum(text.count("not valid UTF-8") for text in texts) == 1
+
+
+def _callers(tree, names):
+    """(enclosing function, callee) for each call in tree to one of names."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in names):
+                    yield fn.name, node.func.id
+
+
+def test_one_decoder_readout():
+    # Attention, the output layer and the step masks are stated once, in
+    # model._readout; training, greedy, beam and decode_step all go through it.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    callers = set(_callers(tree, {"_attention", "_masked_log_softmax"}))
+    assert callers == {("_readout", "_attention"), ("_readout", "_masked_log_softmax")}

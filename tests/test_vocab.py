@@ -5,6 +5,7 @@ import re
 import stat
 import threading
 
+import numpy as np
 import pytest
 
 from text2triple.vocab import (
@@ -148,6 +149,12 @@ class TestTripleVocab:
         assert not union[0]  # BOS is never an output
         assert union[1:].all()
 
+    def test_masks_are_shared_and_read_only(self):
+        tv = build_kg_vocab([("a", "p", "b")])
+        assert np.shares_memory(tv.step_mask(1), tv.step_mask(1))
+        with pytest.raises(ValueError, match="read-only"):
+            tv.step_mask(2)[0] = True
+
     def test_deterministic_byte_identical_serialization(self, tmp_path):
         triples = [("b", "q", "a"), ("a", "p", "c")]
         for i in (1, 2):
@@ -217,6 +224,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="serializable"):
             write_triple_vocab(TripleVocab(entities, predicates), tmp_path / "e", tmp_path / "p")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("repeated, table", [("entities", "entity"),
+                                                 ("predicates", "predicate")])
+    def test_repeated_symbol_names_the_file(self, repeated, table, tmp_path):
+        paths = {name: tmp_path / f"{name}.vocab" for name in ("entities", "predicates")}
+        write_files({path: "a\nb\n" for path in paths.values()})
+        write_files({paths[repeated]: "x\ny\nx\n"})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(paths[repeated]))}: "
+                                             f"duplicate {table} symbol 'x'$"):
+            load_triple_vocab(paths["entities"], paths["predicates"])
+
+    def test_repeated_word_names_the_file_and_token(self, tmp_path):
+        path = tmp_path / "w.vocab"
+        write_files({path: symbols_text(RESERVED_TOKENS + ("x", "y", "x"))})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f"duplicate word vocab token 'x'$"):
+            load_word_vocab(path)
 
     @pytest.mark.parametrize("load", [
         lambda bad, good: load_word_vocab(bad),
