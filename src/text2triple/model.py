@@ -14,8 +14,12 @@ vector; `ModelParams` names views into it. Initialization fills the vector
 with one draw, the gradients fill a vector with the same views, Adam and
 clipping update them in place, and a checkpoint's payload is its bytes.
 
-Gradients are hand-derived and exact; `grad_check_fd` in `numerics` is the
-independent oracle. Training is mini-batch Adam with global-norm clipping,
+Gradients are hand-derived and exact. Every LSTM runs forward as a
+`numerics.lstm_sequence` scan and backward through `lstm_sequence_backward`;
+decoding steps the decoder with the forward-only `lstm_cell`. The
+gradients of `forward_loss` come as a dict of arrays named as in
+`ModelParams.to_dict`. `grad_check_fd` in `numerics` is the independent
+oracle. Training is mini-batch Adam with global-norm clipping,
 teacher forcing, per-epoch dev evaluation, best-checkpoint keeping and
 patience-based early stopping. Everything is deterministic given the seed.
 
@@ -54,7 +58,6 @@ from .numerics import (
     GATES,
     Adam,
     LstmWeights,
-    Params,
     adam_step,
     as_int,
     clip_global_norm,
@@ -134,15 +137,19 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name in ("lr", "clip_norm", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("lr", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.clip_norm > 0:  # inf never clips
+            raise ValueError("clip_norm must be positive")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
         self.step_weights = tuple(float(w) for w in self.step_weights)
         if len(self.step_weights) != 3:
             raise ValueError("step_weights must have exactly 3 entries")
+        if not all(0 <= w < math.inf for w in self.step_weights) or not any(self.step_weights):
+            raise ValueError("step_weights must be finite and >= 0, with at least one > 0")
 
     def flag_label(self) -> str:
         """Ablation row label: 'Seq2Seq' when all flags are off, else S+..."""
@@ -240,9 +247,9 @@ class ModelParams:
                 embed[...] = table
         return params
 
-    def to_dict(self) -> Params:
+    def to_dict(self) -> dict[str, np.ndarray]:
         """The views by name, in layout order; attn_w is absent when it is None."""
-        d: Params = {}
+        d = {}
         for name in _ARRAY_FIELDS:
             value = getattr(self, name)
             if name in _LSTM_FIELDS:
@@ -421,7 +428,7 @@ def _decode_batch_step(
     attention (B, T) or None). Step 1 reads the BOS target, not prev_ids."""
     if step == 1:
         prev_ids = np.full(len(state[0]), tvocab.bos_id)
-    h, c, _ = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
+    h, c = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
     logp, alpha, _ = _readout(h[:, None], (step,), enc, params, config, tvocab)
     return logp[:, 0], (h, c), None if alpha is None else alpha[:, 0]
 
@@ -556,7 +563,7 @@ def forward_loss(
     config: ModelConfig,
     word_vocab: WordVocab,
     tvocab: TripleVocab,
-) -> tuple[float, Params]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients, named as in ModelParams.to_dict, for one
     example under teacher forcing."""
     src_ids = encode_sentence(example.tokens, word_vocab)

@@ -1,12 +1,13 @@
 """Dense float64 numerics underneath the triple translator.
 
 Hand-derived building blocks: weighted cross-entropy fused with its softmax
-gradient, an LSTM cell over LstmWeights(W, b) (gates stacked) with exact
-backward, a padded, length-masked LSTM sequence scan with exact backward,
-bias-corrected Adam, global-norm clipping, and a central-difference gradient
-checker that serves as the independent oracle for every backward pass in the
-package. The cross-entropy takes optional leading batch axes, the cell one.
-The cell activates its sigmoid gates and its tanh candidate with one
+gradient; LSTM weights, LstmWeights(W, b) with the gates stacked; one
+forward-only LSTM step over a batch, lstm_cell; one padded, length-masked
+LSTM sequence scan, lstm_sequence, with the package's one LSTM backward,
+lstm_sequence_backward; bias-corrected Adam; global-norm clipping; and a
+central-difference gradient checker over one array, the independent oracle
+for every backward pass. The cross-entropy takes optional leading batch
+axes. The LSTM activates its sigmoid gates and its tanh candidate with one
 np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the
 only dependency.
 
@@ -30,27 +31,19 @@ import numpy as np
 __all__ = [
     "Adam",
     "GATES",
-    "LstmCache",
     "LstmSequenceCache",
     "LstmWeights",
-    "Params",
     "adam_step",
     "as_int",
     "clip_global_norm",
     "grad_check_fd",
     "lstm_cell",
-    "lstm_cell_backward",
     "lstm_sequence",
     "lstm_sequence_backward",
     "make_rng",
     "uniform_init",
     "weighted_cross_entropy",
 ]
-
-# A named collection of float64 arrays, in the order whoever built the dict
-# chose: the gradient checker's dict form, and the named views of a model's
-# parameter vector.
-Params = dict[str, np.ndarray]
 
 LOG_FLOOR = 1e-12  # floor inside ln() so exact zeros stay finite
 
@@ -167,17 +160,6 @@ class LstmWeights:
 
 
 @dataclass
-class LstmCache:
-    """Forward intermediates of one lstm_cell call; exactly what the
-    backward pass needs."""
-
-    z: np.ndarray       # [x; h_prev]
-    c_prev: np.ndarray
-    gates: np.ndarray   # (4, [B,] H): activated i, f, o, g, gate-major
-    tc: np.ndarray      # tanh(c)
-
-
-@dataclass
 class LstmSequenceCache:
     """Forward intermediates of one lstm_sequence call, time-major."""
 
@@ -211,71 +193,28 @@ def _cell_update(gates, c_prev, tc=None, c=None, h=None):
     return tc, c, np.multiply(gates[2], tc, out=h)
 
 
-def _gate_derivs(gates: np.ndarray, tc: np.ndarray, axis: int = 0):
-    """Local derivatives of activated gates, laid out like them: i(1-i),
-    f(1-f), o(1-o), 1-g^2; and o * (1 - tanh(c)^2), the path from h back
-    to c. `axis` is the gate axis of `gates`."""
-    derivs = np.empty_like(gates)
-    g4, d4 = gates.swapaxes(0, axis), derivs.swapaxes(0, axis)
-    np.multiply(g4[:3], 1.0 - g4[:3], out=d4[:3])
-    np.subtract(1.0, g4[3] * g4[3], out=d4[3])
-    return derivs, g4[2] * (1.0 - tc * tc)
-
-
-def _pre_grad(dh, dc, gates, c_prev, tc, derivs, o_dtc, d_pre) -> np.ndarray:
-    """Write the gate-major pre-activation gradient of one step into d_pre
-    and return the gradient reaching the step's new cell state."""
-    dc_total = dc + dh * o_dtc
-    np.multiply(dc_total, gates[3], out=d_pre[0])
-    np.multiply(dc_total, c_prev, out=d_pre[1])
-    np.multiply(dh, tc, out=d_pre[2])
-    np.multiply(dc_total, gates[0], out=d_pre[3])
-    d_pre *= derivs
-    return dc_total
-
-
 def lstm_cell(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, w: LstmWeights
-) -> tuple[np.ndarray, np.ndarray, LstmCache]:
-    """One LSTM step: sigmoid input/forget/output gates, tanh candidate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step over a batch: sigmoid input/forget/output gates, tanh
+    candidate, c = f*c_prev + i*g and h = o*tanh(c).
 
-    c = f*c_prev + i*g,  h = o*tanh(c). Returns (h, c, cache), where the
-    cache suffices for exact gradients w.r.t. x, h_prev, c_prev and weights.
-    x is (input_dim,) or a batch (B, input_dim); the states match it.
+    x is (B, input_dim) and the states are (B, hidden_dim). Returns (h, c).
+    The step has no backward of its own: training differentiates every LSTM
+    through lstm_sequence_backward.
     """
-    lead = x.shape[:-1]
-    if x.shape[-1:] != (w.input_dim,) or len(lead) > 1:
-        raise ValueError(f"lstm_cell: x has shape {x.shape}, expected ([B,] {w.input_dim})")
-    if h_prev.shape != lead + (w.hidden_dim,) or c_prev.shape != h_prev.shape:
+    if x.ndim != 2 or x.shape[1] != w.input_dim:
+        raise ValueError(f"lstm_cell: x has shape {x.shape}, expected (B, {w.input_dim})")
+    if h_prev.shape != (len(x), w.hidden_dim) or c_prev.shape != h_prev.shape:
         raise ValueError(
             f"lstm_cell: state shapes {h_prev.shape}/{c_prev.shape}, "
-            f"expected {lead + (w.hidden_dim,)}"
+            f"expected {(len(x), w.hidden_dim)}"
         )
-    z = np.concatenate([x, h_prev], axis=-1)
-    # (4H,) or (B, 4H) -> gate-major (4, H) or (4, B, H)
-    gates = (z @ w.W.T + w.b).reshape(lead + (4, w.hidden_dim)).swapaxes(0, -2)
-    tc, c, h = _cell_update(gates, c_prev)
-    return h, c, LstmCache(z, c_prev, gates, tc)
-
-
-def lstm_cell_backward(
-    dh: np.ndarray, dc: np.ndarray, cache: LstmCache, w: LstmWeights
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Params]:
-    """Exact backward for one lstm_cell step.
-
-    dh, dc are the upstream gradients on the step's h and c outputs.
-    Returns (dx, dh_prev, dc_prev, dw) with dw keyed by LstmWeights'
-    fields, W and b; over a batch, dw sums the rows.
-    """
-    n_in = w.input_dim
-    d_pre = np.empty(cache.gates.shape)
-    dc_total = _pre_grad(dh, dc, cache.gates, cache.c_prev, cache.tc,
-                         *_gate_derivs(cache.gates, cache.tc), d_pre)
-    d_rows = d_pre.swapaxes(0, -2).reshape(-1, 4 * w.hidden_dim)
-    z_rows = cache.z.reshape(-1, cache.z.shape[-1])
-    dz = (d_rows @ w.W).reshape(cache.z.shape)
-    dw = {"W": d_rows.T @ z_rows, "b": d_rows.sum(axis=0)}
-    return dz[..., :n_in], dz[..., n_in:], dc_total * cache.gates[1], dw
+    z = np.concatenate([x, h_prev], axis=1)
+    # (B, 4H) -> gate-major (4, B, H)
+    gates = (z @ w.W.T + w.b).reshape(len(x), 4, w.hidden_dim).swapaxes(0, 1)
+    _, c, h = _cell_update(gates, c_prev)
+    return h, c
 
 
 def lstm_sequence(
@@ -342,7 +281,12 @@ def lstm_sequence_backward(
     T, G, B, n = dhs.shape
     d = ws[0].input_dim
     gates = cache.gates
-    derivs, o_dtc = _gate_derivs(gates, cache.tc, axis=1)
+    # Local derivatives of the activated gates, laid out like them: i(1-i),
+    # f(1-f), o(1-o), 1-g^2; and o * (1 - tanh(c)^2), the path from h to c.
+    derivs = np.empty_like(gates)
+    np.multiply(gates[:, :3], 1.0 - gates[:, :3], out=derivs[:, :3])
+    np.subtract(1.0, gates[:, 3] * gates[:, 3], out=derivs[:, 3])
+    o_dtc = gates[:, 2] * (1.0 - cache.tc * cache.tc)
     d_pre = np.empty((T, 4, G, B, n))
     w_hT = np.empty((4, G, n, n))  # w_hT[k, g] maps gate k's gradient back to h
     for g, w in enumerate(ws):
@@ -351,10 +295,15 @@ def lstm_sequence_backward(
     dc = np.zeros((G, B, n))
     for t in range(T - 1, -1, -1):
         dh += dhs[t]
-        dp = d_pre[t]
-        dc_total = _pre_grad(dh, dc, gates[t], cache.c[t], cache.tc[t], derivs[t], o_dtc[t], dp)
+        gt, dp = gates[t], d_pre[t]
+        dc_total = dc + dh * o_dtc[t]  # the gradient reaching step t's new cell
+        np.multiply(dc_total, gt[3], out=dp[0])
+        np.multiply(dc_total, cache.c[t], out=dp[1])
+        np.multiply(dh, cache.tc[t], out=dp[2])
+        np.multiply(dc_total, gt[0], out=dp[3])
+        dp *= derivs[t]
         dh_new = (dp @ w_hT).sum(axis=0)
-        dc_new = dc_total * gates[t, 1]
+        dc_new = dc_total * gt[1]
         if t >= cache.n_full:
             frozen = ~cache.live[t][:, None]
             dp[:, :, frozen[:, 0]] = 0.0
@@ -435,42 +384,35 @@ def clip_global_norm(vec: np.ndarray, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def grad_check_fd(loss_and_grad, params, eps: float = 1e-5) -> float:
-    """Compare analytic gradients against central finite differences.
+def grad_check_fd(loss_and_grad, param: np.ndarray, eps: float = 1e-5) -> float:
+    """Compare an analytic gradient against central finite differences.
 
-    ``loss_and_grad(params) -> (loss, grads)`` must be deterministic; params
-    is either one float64 array or a dict of named arrays, and grads mirrors
-    it with finite values. Every coordinate is perturbed by +/-eps and the
-    relative error |a - n| / max(|a|, |n|, 1e-8) is returned at its maximum.
+    ``loss_and_grad(p) -> (loss, grad)`` must be deterministic; param is one
+    float64 array, and grad must be finite and shaped like it. Every
+    coordinate is perturbed by +/-eps and the relative error
+    |a - n| / max(|a|, |n|, 1e-8) is returned at its maximum.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    single = isinstance(params, np.ndarray)
-    pdict: Params = {"param": params} if single else dict(params)
 
-    def call(p: Params):
-        loss, grads = loss_and_grad(p["param"] if single else p)
+    def call(p: np.ndarray):
+        loss, grad = loss_and_grad(p)
         if not np.isfinite(loss):
             raise ValueError("loss_and_grad returned a non-finite loss")
-        return float(loss), ({"param": grads} if single else grads)
+        return float(loss), grad
 
-    _, analytic = call(pdict)
+    base = np.asarray(param, dtype=np.float64)
+    grad = require_finite(np.asarray(call(param)[1], dtype=np.float64), "gradient")
+    if grad.shape != base.shape:
+        raise ValueError(f"gradient of shape {grad.shape} for a parameter of shape {base.shape}")
     worst = 0.0
-    for name, base in pdict.items():
-        base = np.asarray(base, dtype=np.float64)
-        grad = require_finite(np.asarray(analytic[name], dtype=np.float64), f"gradient {name}")
-        for idx in range(base.size):
-            bumped = dict(pdict)
-            plus = base.copy()
-            plus.flat[idx] += eps
-            bumped[name] = plus
-            loss_plus, _ = call(bumped)
-            minus = base.copy()
-            minus.flat[idx] -= eps
-            bumped[name] = minus
-            loss_minus, _ = call(bumped)
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            a = float(grad.flat[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    for idx in range(base.size):
+        plus = base.copy()
+        plus.flat[idx] += eps
+        minus = base.copy()
+        minus.flat[idx] -= eps
+        numeric = (call(plus)[0] - call(minus)[0]) / (2.0 * eps)
+        a = float(grad.flat[idx])
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst

@@ -2,10 +2,11 @@
 
 The functions between the two rulers below are the per-example encoder,
 decoder step and `_loss_and_grads` that training ran before every minibatch
-became one padded pass, kept verbatim as the oracle. Agreement is
-norm-wise relative: max|batched - oracle| <= 1e-10 * max|oracle| for the
-loss and for every gradient array (sums run in another order, so the bits
-may differ).
+became one padded pass, kept as the oracle. The oracle steps its LSTMs
+through its own one-example cell and exact cell backward, so it shares no
+LSTM code with the batched core it checks. Agreement is norm-wise
+relative: max|batched - oracle| <= 1e-10 * max|oracle| for the loss and for
+every gradient array (sums run in another order, so the bits may differ).
 """
 
 import logging
@@ -26,14 +27,7 @@ from text2triple.model import (
     translate_greedy,
     translate_greedy_batch,
 )
-from text2triple.numerics import (
-    LstmWeights,
-    Params,
-    lstm_cell,
-    lstm_cell_backward,
-    make_rng,
-    weighted_cross_entropy,
-)
+from text2triple.numerics import LstmWeights, make_rng, weighted_cross_entropy
 from text2triple.synthetic import make_hard_world
 from text2triple.vocab import (
     PAD_ID,
@@ -46,7 +40,7 @@ from text2triple.vocab import (
 logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
-# Oracle: the per-example path, verbatim
+# Oracle: the per-example path
 # ---------------------------------------------------------------------------
 
 
@@ -61,6 +55,36 @@ class EncoderOutputs:
 
 def _zeros(n: int) -> np.ndarray:
     return np.zeros(n, dtype=np.float64)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))  # 1 / (1 + exp(-x)), without overflow
+
+
+def lstm_cell(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, w: LstmWeights):
+    """One LSTM step on one example: c = f*c_prev + i*g, h = o*tanh(c), with
+    W's row blocks in the order i, f, o, g. Returns (h, c, cache)."""
+    z = np.concatenate([x, h_prev])
+    i, f, o, g = (w.W @ z + w.b).reshape(4, w.hidden_dim)
+    i, f, o, g = _sigmoid(i), _sigmoid(f), _sigmoid(o), np.tanh(g)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (z, c_prev, i, f, o, g, tc)
+
+
+def lstm_cell_backward(dh: np.ndarray, dc: np.ndarray, cache, w: LstmWeights):
+    """Exact backward of one lstm_cell step, given the upstream gradients on
+    its h and c. Returns (dx, dh_prev, dc_prev, dW, db)."""
+    z, c_prev, i, f, o, g, tc = cache
+    dc = dc + dh * o * (1.0 - tc * tc)
+    d_pre = np.concatenate([
+        dc * g * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        dh * tc * o * (1.0 - o),
+        dc * i * (1.0 - g * g),
+    ])
+    dz = w.W.T @ d_pre
+    return dz[:w.input_dim], dz[w.input_dim:], dc * f, np.outer(d_pre, z), d_pre
 
 
 def _run_lstm(xs: np.ndarray, w: LstmWeights):
@@ -165,7 +189,7 @@ def _loss_and_grads(
     params: ModelParams,
     config: ModelConfig,
     tvocab: TripleVocab,
-) -> tuple[float, Params]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) and exact grads."""
     enc, enc_cache = _encode_full(src_ids, params, config)
     src_ids = enc_cache["src_ids"]
@@ -188,7 +212,7 @@ def _loss_and_grads(
         steps.append(fwd)
         dlogits_list.append(dlogits)
 
-    grads: Params = {k: np.zeros_like(v) for k, v in params.to_dict().items()}
+    grads = {k: np.zeros_like(v) for k, v in params.to_dict().items()}
     dH = np.zeros_like(enc.H)
     ds_next = _zeros(config.dec_hidden)
     dc_next = _zeros(config.dec_hidden)
@@ -211,11 +235,11 @@ def _loss_and_grads(
         else:
             ds = dfeat.copy()
         ds += ds_next
-        dx, ds_next, dc_next, dw = lstm_cell_backward(
+        dx, ds_next, dc_next, dW, db = lstm_cell_backward(
             ds, dc_next, fwd["cell_cache"], params.dec_lstm
         )
-        for key, val in dw.items():
-            grads[f"dec_lstm.{key}"] += val
+        grads["dec_lstm.W"] += dW
+        grads["dec_lstm.b"] += db
         grads["dec_embed"][fwd["prev_id"]] += dx
 
     # Bridge and encoder final state.
@@ -231,19 +255,19 @@ def _loss_and_grads(
     dx_enc = np.zeros((T, config.word_dim))
     carry_h, carry_c = _zeros(nh), _zeros(nh)
     for t in range(T - 1, -1, -1):
-        dx, carry_h, carry_c, dw = lstm_cell_backward(
+        dx, carry_h, carry_c, dW, db = lstm_cell_backward(
             dfh[t] + carry_h, carry_c, enc_cache["fwd_caches"][t], params.enc_fwd
         )
-        for key, val in dw.items():
-            grads[f"enc_fwd.{key}"] += val
+        grads["enc_fwd.W"] += dW
+        grads["enc_fwd.b"] += db
         dx_enc[t] += dx
     carry_h, carry_c = _zeros(nh), _zeros(nh)
     for t in range(T):  # backward LSTM processed positions T-1..0
-        dx, carry_h, carry_c, dw = lstm_cell_backward(
+        dx, carry_h, carry_c, dW, db = lstm_cell_backward(
             dbh[t] + carry_h, carry_c, enc_cache["bwd_caches"][t], params.enc_bwd
         )
-        for key, val in dw.items():
-            grads[f"enc_bwd.{key}"] += val
+        grads["enc_bwd.W"] += dW
+        grads["enc_bwd.b"] += db
         dx_enc[t] += dx
     np.add.at(grads["enc_embed"], src_ids, dx_enc)
     return loss, grads

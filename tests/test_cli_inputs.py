@@ -168,3 +168,30 @@ def test_nonsense_value_names_the_field(case, seeds, tmp_path):
     assert code == 1 and len(errors) == 1 and "Traceback" not in err, err
     assert errors[0].startswith(f"error: {name} "), errors[0]
     assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+# A model config line -> the field the one error line starts with. Each of
+# these used to train and exit 0, or abort after writing the checkpoint.
+NONSENSE_CONFIG = {
+    "negative step weight": ("step_weights=-1,1,1", "step_weights"),
+    "zero step weights": ("step_weights=0,0,0", "step_weights"),
+    "nan step weight": ("step_weights=nan,1,1", "step_weights"),
+    "infinite step weight": ("step_weights=1,inf,1", "step_weights"),
+    "infinite adam_eps": ("adam_eps=inf", "adam_eps"),
+    "infinite lr": ("lr=inf", "lr"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONSENSE_CONFIG))
+def test_nonsense_model_config_rejected(case, seeds, tmp_path):
+    line, name = NONSENSE_CONFIG[case]
+    config = tmp_path / "model.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = _main(["train", "--config", config, "--train", seeds / "train.jsonl",
+                               "--epochs", "1", "--out", out / "m.ckpt"])
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and len(errors) == 1 and "Traceback" not in err, err
+    assert errors[0].startswith(f"error: {name} "), errors[0]
+    assert stdout == "" and list(out.iterdir()) == []

@@ -78,7 +78,13 @@ class TestModelConfig:
         ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
         ("beta2", 1.5, r"beta2 must be in \[0, 1\)"),
         ("lr", float("nan"), "lr must be positive"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("adam_eps", float("inf"), "adam_eps must be positive and finite"),
         ("seed", -1, "seed must be >= 0"),
+        ("step_weights", (-1.0, 1.0, 1.0), "step_weights must be finite and >= 0"),
+        ("step_weights", (0.0, 0.0, 0.0), "with at least one > 0"),
+        ("step_weights", (float("nan"), 1.0, 1.0), "step_weights must be finite"),
+        ("step_weights", (1.0, float("inf"), 1.0), "step_weights must be finite"),
     ])
     def test_nonsense_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

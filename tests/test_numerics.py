@@ -13,7 +13,6 @@ from text2triple.numerics import (
     clip_global_norm,
     grad_check_fd,
     lstm_cell,
-    lstm_cell_backward,
     lstm_sequence,
     lstm_sequence_backward,
     make_rng,
@@ -83,15 +82,15 @@ class TestWeightedCrossEntropy:
 class TestLstmCell:
     def test_zero_everything(self):
         w = zero_weights(3, 2)
-        h, c, _ = lstm_cell(np.zeros(3), np.zeros(2), np.zeros(2), w)
-        np.testing.assert_array_equal(h, np.zeros(2))
-        np.testing.assert_array_equal(c, np.zeros(2))
+        h, c = lstm_cell(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)), w)
+        np.testing.assert_array_equal(h, np.zeros((1, 2)))
+        np.testing.assert_array_equal(c, np.zeros((1, 2)))
 
     def test_zero_weights_carry_half_cell(self):
         # sigmoid(0)=0.5 and tanh(0)=0 give c = 0.5*c_prev, h = 0.5*tanh(0.5*c_prev)
         w = zero_weights(3, 4)
-        c_prev = np.array([1.0, -2.0, 0.5, 3.0])
-        h, c, _ = lstm_cell(np.zeros(3), np.zeros(4), c_prev, w)
+        c_prev = np.array([[1.0, -2.0, 0.5, 3.0]])
+        h, c = lstm_cell(np.zeros((1, 3)), np.zeros((1, 4)), c_prev, w)
         np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-15)
         np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
@@ -101,13 +100,14 @@ class TestLstmCell:
         w = zero_weights(3, 4)
         w.b[:] = np.concatenate([np.full(4, -50.0), np.full(4, 50.0),
                                  np.full(4, -50.0), np.full(4, 0.7)])
-        c_prev = np.array([1.0, -2.0, 0.5, 3.0])
-        h, c, _ = lstm_cell(np.ones(3), np.ones(4), c_prev, w)
+        c_prev = np.array([[1.0, -2.0, 0.5, 3.0]])
+        h, c = lstm_cell(np.ones((1, 3)), np.ones((1, 4)), c_prev, w)
         np.testing.assert_allclose(c, c_prev, atol=1e-12)
-        np.testing.assert_allclose(h, np.zeros(4), atol=1e-12)
+        np.testing.assert_allclose(h, np.zeros((1, 4)), atol=1e-12)
 
     def test_activations_match_scalar_oracles(self):
-        # each pre-activation x reaches all four gates of its own batch row
+        # each pre-activation x reaches all four gates of its own batch row;
+        # the scan's cache holds the activated gates
         rng = make_rng(14)
         x = np.concatenate([
             [-np.inf, np.inf, 0.0, -0.0],
@@ -120,8 +120,7 @@ class TestLstmCell:
         w = LstmWeights(np.array([[1.0, 0.0]] * 4), np.zeros(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gates = lstm_cell(x[:, None], np.zeros((x.size, 1)), np.zeros((x.size, 1)),
-                              w)[2].gates[:, :, 0]
+            gates = lstm_sequence(x[None, None, :, None], (w,))[1].gates[0, :, 0, :, 0]
 
         def logistic(v):
             if v < 0:  # math.exp(-v) overflows below -709
@@ -138,7 +137,11 @@ class TestLstmCell:
     def test_dimension_mismatch(self):
         w = zero_weights(3, 2)
         with pytest.raises(ValueError, match="lstm_cell"):
-            lstm_cell(np.zeros(4), np.zeros(2), np.zeros(2), w)
+            lstm_cell(np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 2)), w)
+        with pytest.raises(ValueError, match="lstm_cell"):  # batches only
+            lstm_cell(np.zeros(3), np.zeros(2), np.zeros(2), w)
+        with pytest.raises(ValueError, match="lstm_cell"):
+            lstm_cell(np.zeros((2, 3)), np.zeros((1, 2)), np.zeros((1, 2)), w)
 
     def test_forget_bias_init(self):
         w = LstmWeights.init(3, 5, make_rng(0))
@@ -173,54 +176,8 @@ class TestLstmCell:
         for got, want in zip(np.split(w.W, 4) + np.split(w.b, 4), per_gate):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("hidden", [4, 8])
-    def test_backward_matches_finite_differences(self, hidden):
-        rng = make_rng(41 + hidden)
-        n_in = 5
-        w = LstmWeights.init(n_in, hidden, rng, scale=0.5)
-        base = {
-            "x": rng.standard_normal(n_in),
-            "h_prev": rng.standard_normal(hidden),
-            "c_prev": rng.standard_normal(hidden),
-            "w.W": w.W.copy(),
-            "w.b": w.b.copy(),
-        }
-        proj_h = rng.standard_normal(hidden)
-        proj_c = rng.standard_normal(hidden)
-
-        def loss_and_grad(p):
-            weights = LstmWeights(p["w.W"], p["w.b"])
-            h, c, cache = lstm_cell(p["x"], p["h_prev"], p["c_prev"], weights)
-            loss = float(proj_h @ h + proj_c @ c)
-            dx, dh_prev, dc_prev, dw = lstm_cell_backward(proj_h, proj_c, cache, weights)
-            grads = {"x": dx, "h_prev": dh_prev, "c_prev": dc_prev}
-            grads.update({f"w.{k}": v for k, v in dw.items()})
-            return loss, grads
-
-        assert grad_check_fd(loss_and_grad, base, eps=1e-5) < 1e-6
-
 
 class TestBatchedLstm:
-    def test_cell_rows_equal_single_calls(self):
-        rng = make_rng(11)
-        w = LstmWeights.init(5, 4, rng, scale=0.5)
-        x, h, c = (rng.standard_normal((3, n)) for n in (5, 4, 4))
-        hb, cb, cache = lstm_cell(x, h, c, w)
-        dh, dc = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-        dx, dh_prev, dc_prev, dw = lstm_cell_backward(dh, dc, cache, w)
-        dw_sum = {"W": 0.0, "b": 0.0}
-        for r in range(3):
-            h1, c1, cache1 = lstm_cell(x[r], h[r], c[r], w)
-            np.testing.assert_allclose(hb[r], h1, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(cb[r], c1, rtol=0, atol=1e-15)
-            dx1, dh1, dc1, dw1 = lstm_cell_backward(dh[r], dc[r], cache1, w)
-            np.testing.assert_allclose(dx[r], dx1, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(dh_prev[r], dh1, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(dc_prev[r], dc1, rtol=0, atol=1e-14)
-            dw_sum = {k: dw_sum[k] + dw1[k] for k in dw_sum}
-        for k in dw:
-            np.testing.assert_allclose(dw[k], dw_sum[k], rtol=0, atol=1e-14)
-
     def test_sequence_equals_cell_loop_and_freezes_past_length(self):
         rng = make_rng(12)
         ws = (LstmWeights.init(3, 4, rng, scale=0.5), LstmWeights.init(3, 4, rng, scale=0.5))
@@ -230,11 +187,11 @@ class TestBatchedLstm:
         hs, _ = lstm_sequence(X, ws, h0=h0, lengths=lengths)
         for g in range(2):
             for b, n in enumerate(lengths):
-                h, c = h0[g, b], np.zeros(4)
+                h, c = h0[g, b][None], np.zeros((1, 4))
                 for t in range(5):
                     if t < n:
-                        h, c, _ = lstm_cell(X[t, g, b], h, c, ws[g])
-                    np.testing.assert_allclose(hs[t, g, b], h, rtol=0, atol=1e-14)
+                        h, c = lstm_cell(X[t, g, b][None], h, c, ws[g])
+                    np.testing.assert_allclose(hs[t, g, b], h[0], rtol=0, atol=1e-14)
 
     def test_sequence_backward_matches_finite_differences(self):
         rng = make_rng(13)
@@ -244,7 +201,7 @@ class TestBatchedLstm:
         base = {"X": rng.standard_normal((4, 2, 3, 3)), "h0": rng.standard_normal((2, 3, 4)),
                 "a.W": ws[0].W, "a.b": ws[0].b, "b.W": ws[1].W, "b.b": ws[1].b}
 
-        def loss_and_grad(p):
+        def loss_and_grads(p):
             pair = (LstmWeights(p["a.W"], p["a.b"]), LstmWeights(p["b.W"], p["b.b"]))
             hs, cache = lstm_sequence(p["X"], pair, h0=p["h0"], lengths=lengths)
             da, db = (LstmWeights(np.full_like(w.W, np.nan), np.full_like(w.b, np.nan))
@@ -253,9 +210,14 @@ class TestBatchedLstm:
             grads = {"X": dX, "h0": dh0, "a.W": da.W, "a.b": da.b, "b.W": db.W, "b.b": db.b}
             return float((proj * hs).sum()), grads
 
-        assert grad_check_fd(loss_and_grad, base, eps=1e-5) < 1e-6
+        for name in base:  # one array at a time, the others held at base
+            def loss_and_grad(a, name=name):
+                loss, grads = loss_and_grads({**base, name: a})
+                return loss, grads[name]
+
+            assert grad_check_fd(loss_and_grad, base[name], eps=1e-5) < 1e-6, name
         # padded steps take no gradient at all
-        _, grads = loss_and_grad(base)
+        _, grads = loss_and_grads(base)
         for b, n in enumerate(lengths):
             assert (grads["X"][n:, :, b] == 0.0).all()
 
@@ -347,9 +309,12 @@ class TestGradCheckFd:
 
     def test_rejects_non_finite_gradient(self):
         # a NaN would otherwise vanish from the maximum, since max(0.0, nan) is 0.0
-        with pytest.raises(ValueError, match="gradient w contains non-finite values"):
-            grad_check_fd(lambda p: (0.0, {"w": np.array([0.0, np.nan])}),
-                          {"w": np.zeros(2)}, eps=1e-4)
+        with pytest.raises(ValueError, match="gradient contains non-finite values"):
+            grad_check_fd(lambda w: (0.0, np.array([0.0, np.nan])), np.zeros(2), eps=1e-4)
+
+    def test_rejects_gradient_of_another_shape(self):
+        with pytest.raises(ValueError, match="gradient of shape"):
+            grad_check_fd(lambda w: (0.0, np.zeros(3)), np.zeros((3, 1)), eps=1e-4)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -113,13 +113,17 @@ def test_one_utf8_error_message():
 
 
 def _callers(tree, names):
-    """(enclosing function, callee) for each call in tree to one of names."""
+    """(enclosing function, callee) for each call in tree to one of names,
+    called bare or as an attribute."""
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(fn):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                        and node.func.id in names):
-                    yield fn.name, node.func.id
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    yield fn.name, name
 
 
 def test_one_decoder_readout():
@@ -128,3 +132,45 @@ def test_one_decoder_readout():
     tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
     callers = set(_callers(tree, {"_attention", "_masked_log_softmax"}))
     assert callers == {("_readout", "_attention"), ("_readout", "_masked_log_softmax")}
+
+
+def test_one_lstm_backward():
+    # Every LSTM is differentiated by the sequence scan's exact backward;
+    # no per-step cell backward sits beside it.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    backwards = {f"{module}.{node.name}" for module, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name.endswith("_backward")}
+    assert backwards == {"numerics.lstm_sequence_backward"}
+    callers = {(f"{module}.{fn}", callee) for module, tree in trees.items()
+               for fn, callee in _callers(tree, {"lstm_sequence_backward"})}
+    assert callers == {("model._loss_and_grads", "lstm_sequence_backward")}
+
+
+def _top_level_imports(tree):
+    """Each name a module's top-level imports bind (__future__ aside)."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _exports(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_unused_imports(module):
+    # What a deletion leaves behind: an import nothing reads any more.
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _top_level_imports(tree)
+              if name not in used and name not in _exports(tree)]
+    assert unused == []
