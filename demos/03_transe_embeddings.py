@@ -26,9 +26,7 @@ kg = KnowledgeGraph(frozenset({
 }))
 
 print("== filtered negative sampling ==")
-rng = make_rng(1)
-for _ in range(4):
-    neg = negative_sample(Triple("a", "r1", "b"), kg, rng)
+for neg in negative_sample([Triple("a", "r1", "b")] * 4, kg, make_rng(1)):
     print(f"  corruption: {neg.subject} {neg.predicate} {neg.object} "
           f"(in KG: {neg in kg.triples})")
 

@@ -72,8 +72,8 @@ class TransEConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for name in ("margin", "lr"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.norm not in _NORMS:
             raise ValueError(f"norm must be one of {_NORMS}")
 
@@ -156,28 +156,56 @@ def _summed_rows(
     return rows, acc.reshape(len(rows), dim)
 
 
-def negative_sample(
-    triple: Triple, kg: KnowledgeGraph, rng: np.random.Generator
-) -> Triple:
-    """Corrupt head or tail (fair coin) with a uniform entity, filtered.
+_MAX_DRAWS = 100  # rejected draws of one triple before it enumerates instead
 
-    Resamples while the corrupted triple is a KG member, so no negative is
-    ever a true fact. The predicate is never altered.
+
+def negative_sample(
+    triples: Sequence[Triple], kg: KnowledgeGraph, rng: np.random.Generator
+) -> list[Triple]:
+    """One negative per triple, in order: corrupt head or tail (fair coin)
+    with a uniform entity, filtered.
+
+    A candidate that is a KG member is redrawn for the same triple, so no
+    negative is ever a true fact; the predicate is never altered. After
+    ``_MAX_DRAWS`` rejected draws a triple picks uniformly among its valid
+    corruptions instead, and raises ``ValueError`` when it has none.
+
+    The result and the generator's end state equal those of sampling each
+    triple in turn with a scalar ``rng.integers(2)`` coin and
+    ``rng.integers(len(entities))`` entity per draw. (coin, entity) pairs
+    come from one ``integers`` call per chunk over tiled bounds, which
+    yields the same values as the alternating scalar calls. A chunk holds
+    no more pairs than the open triples can accept, nor than the current
+    triple can reject before its fallback, so every pair drawn is used and
+    each fallback starts where the per-triple loop would.
     """
     entities = kg.entity_list()
     if len(entities) < 2:
         raise ValueError("negative sampling needs at least 2 entities")
-    for _ in range(100):
-        head_side = bool(rng.integers(2) == 0)
-        ent = entities[int(rng.integers(len(entities)))]
-        cand = (
-            Triple(ent, triple.predicate, triple.object)
-            if head_side
-            else Triple(triple.subject, triple.predicate, ent)
-        )
-        if cand not in kg.triples:
-            return cand
-    # Dense KG: enumerate the valid corruptions instead of resampling.
+    members = kg.triples
+    negs: list[Triple] = []
+    rejected = 0
+    while len(negs) < len(triples):
+        size = min(len(triples) - len(negs), _MAX_DRAWS - rejected)
+        draws = rng.integers(0, np.tile((2, len(entities)), size)).tolist()
+        for coin, ent in zip(draws[::2], draws[1::2]):
+            s, p, o = triples[len(negs)]
+            cand = Triple(entities[ent], p, o) if coin == 0 else Triple(s, p, entities[ent])
+            if cand in members:
+                rejected += 1
+            else:
+                negs.append(cand)
+                rejected = 0
+        if rejected >= _MAX_DRAWS:
+            negs.append(_any_corruption(triples[len(negs)], entities, kg, rng))
+            rejected = 0
+    return negs
+
+
+def _any_corruption(
+    triple: Triple, entities: Sequence[str], kg: KnowledgeGraph, rng: np.random.Generator
+) -> Triple:
+    """A uniform pick among the triple's corruptions that are not KG members."""
     valid = [
         cand
         for ent in entities
@@ -197,15 +225,15 @@ def transe_train(
 ) -> KgEmbeddings:
     """Margin-ranking SGD over the KG; deterministic given config.seed.
 
-    Each minibatch is one numpy pass. Negatives are drawn per triple, in
-    batch order, through ``negative_sample``; the batch is then scored and
-    differentiated at once, and each touched row's gradients are summed in
-    per-triple order, so the tables equal a loop over the triples bit for
-    bit. Entity rows touched in a batch are renormalized to unit L2
-    afterwards, so a batch with no active hinge leaves the tables
-    bit-identical. Passing ``init`` warm-starts from existing tables instead
-    of random init (the uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows
-    normalized once).
+    Each minibatch is one numpy pass. One ``negative_sample`` call draws the
+    batch's negatives, in batch order and on the same RNG stream as one
+    draw per triple; the batch is then scored and differentiated at once,
+    and each touched row's gradients are summed in per-triple order, so the
+    tables equal a loop over the triples bit for bit. Entity rows touched in
+    a batch are renormalized to unit L2 afterwards, so a batch with no
+    active hinge leaves the tables bit-identical. Passing ``init``
+    warm-starts from existing tables instead of random init (the
+    uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows normalized once).
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
@@ -229,44 +257,44 @@ def transe_train(
     n = len(triples)
     pos_ends = np.array([(eidx[tr.subject], eidx[tr.object]) for tr in triples], dtype=np.intp)
     pos_rels = np.array([ridx[tr.predicate] for tr in triples], dtype=np.intp)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            negs = [negative_sample(triples[j], kg, rng) for j in batch]
-            # ends[k, i] = (head, tail) ids of triple i's positive (k=0) or negative (k=1)
-            ends = np.stack([
-                pos_ends[batch],
-                np.array([(eidx[neg.subject], eidx[neg.object]) for neg in negs], dtype=np.intp),
-            ])
-            r = pos_rels[batch]
-            diffs = ent_table[ends[..., 0]] + rel_table[r] - ent_table[ends[..., 1]]
-            s_pos, s_neg = _score_rows(diffs, config.norm)
-            hinge = config.margin + s_pos - s_neg
-            active = ~(hinge <= 0.0)  # a NaN hinge stays active, so the loss check sees it
-            if not active.any():
-                continue
-            for value in hinge[active].tolist():
-                epoch_loss += value
-            diffs = diffs[:, active]
-            if config.norm == "L1":
-                g_pos, g_neg = np.sign(diffs)
-            else:
-                g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
-            rows, step = _summed_rows(r[active], g_pos - g_neg, len(rel_table))
-            rel_table[rows] -= config.lr * step
-            rows, step = _summed_rows(
-                ends[:, active].transpose(1, 0, 2).ravel(),  # h, t, hn, tn per triple
-                np.stack([g_pos, -g_pos, -g_neg, g_neg], axis=1).reshape(-1, config.dim),
-                len(ent_table),
-            )
-            moved = ent_table[rows] - config.lr * step
-            ent_table[rows] = moved / np.maximum(_row_norms(moved), 1e-12)[:, None]
-        if not math.isfinite(epoch_loss):
-            raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
-        if (epoch + 1) % 50 == 0 or epoch == 0:
-            logger.debug("transe epoch %d loss %.4f", epoch + 1, epoch_loss)
+    # The finite-loss check below reports a diverging run; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start:start + config.batch_size]
+                negs = negative_sample([triples[j] for j in batch], kg, rng)
+                neg_ends = [(eidx[neg.subject], eidx[neg.object]) for neg in negs]
+                # ends[k, i] = (head, tail) ids of triple i's positive (k=0) or negative (k=1)
+                ends = np.stack([pos_ends[batch], np.array(neg_ends, dtype=np.intp)])
+                r = pos_rels[batch]
+                diffs = ent_table[ends[..., 0]] + rel_table[r] - ent_table[ends[..., 1]]
+                s_pos, s_neg = _score_rows(diffs, config.norm)
+                hinge = config.margin + s_pos - s_neg
+                active = ~(hinge <= 0.0)  # a NaN hinge stays active, so the loss check sees it
+                if not active.any():
+                    continue
+                for value in hinge[active].tolist():
+                    epoch_loss += value
+                diffs = diffs[:, active]
+                if config.norm == "L1":
+                    g_pos, g_neg = np.sign(diffs)
+                else:
+                    g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
+                rows, step = _summed_rows(r[active], g_pos - g_neg, len(rel_table))
+                rel_table[rows] -= config.lr * step
+                rows, step = _summed_rows(
+                    ends[:, active].transpose(1, 0, 2).ravel(),  # h, t, hn, tn per triple
+                    np.stack([g_pos, -g_pos, -g_neg, g_neg], axis=1).reshape(-1, config.dim),
+                    len(ent_table),
+                )
+                moved = ent_table[rows] - config.lr * step
+                ent_table[rows] = moved / np.maximum(_row_norms(moved), 1e-12)[:, None]
+            if not math.isfinite(epoch_loss):
+                raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
+            if (epoch + 1) % 50 == 0 or epoch == 0:
+                logger.debug("transe epoch %d loss %.4f", epoch + 1, epoch_loss)
     return KgEmbeddings(tv, ent_table, rel_table, config.norm)
 
 

@@ -370,10 +370,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
 
 def clip_global_norm(vec: np.ndarray, max_norm: float) -> float:
     """Scale the gradient vector in place by max_norm/norm when its L2 norm
-    exceeds max_norm. Returns the norm before clipping."""
+    exceeds max_norm. Returns the norm before clipping.
+
+    The sum of squares is numpy's own loop, not a BLAS dot: OpenBLAS splits
+    a long dot across its threads, so its bits would follow the thread count.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    norm = math.sqrt(float(vec @ vec))
+    norm = math.sqrt(float(np.einsum("i,i->", vec, vec)))
     if norm > max_norm:
         vec *= max_norm / norm
     return norm

@@ -118,6 +118,24 @@ def test_unserializable_symbol_writes_nothing(command, table1_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--lr", "inf", "lr must be positive and finite"),
+    ("--margin", "inf", "margin must be positive and finite"),
+    ("--lr", "1e300", "TransE loss became non-finite at epoch 2"),  # finite, but diverges
+])
+def test_nonfinite_transe_setting_one_line_error(option, value, message, tmp_path, capsys):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("a\tr\tb\nb\tr\tc\nc\tq\ta\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(["kg-embed", "--kg", str(kg), "--dim", "4", "--epochs", "3",
+                     option, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [f"error: {message}"]
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _tree(root):
     """Every path under root, with the bytes of each file (None for a directory)."""
     return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None

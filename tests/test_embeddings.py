@@ -62,21 +62,48 @@ def two_entity_kg():
     return KnowledgeGraph(frozenset({Triple("A", "r", "B")}))
 
 
+def oracle_negative_sample(triple, kg, rng):
+    """The per-triple sampler that ``negative_sample`` replaced: a scalar coin
+    and a scalar entity draw per candidate, up to 100 candidates, then a
+    uniform pick among the enumerated valid corruptions."""
+    entities = kg.entity_list()
+    if len(entities) < 2:
+        raise ValueError("negative sampling needs at least 2 entities")
+    for _ in range(100):
+        head_side = bool(rng.integers(2) == 0)
+        ent = entities[int(rng.integers(len(entities)))]
+        cand = (
+            Triple(ent, triple.predicate, triple.object)
+            if head_side
+            else Triple(triple.subject, triple.predicate, ent)
+        )
+        if cand not in kg.triples:
+            return cand
+    valid = [
+        cand
+        for ent in entities
+        for cand in (
+            Triple(ent, triple.predicate, triple.object),
+            Triple(triple.subject, triple.predicate, ent),
+        )
+        if cand not in kg.triples
+    ]
+    if not valid:
+        raise ValueError(f"no valid corruption exists for {triple}")
+    return valid[int(rng.integers(len(valid)))]
+
+
 class TestNegativeSample:
     def test_two_entity_outcomes(self):
         kg = two_entity_kg()
-        rng = make_rng(0)
-        seen = {negative_sample(Triple("A", "r", "B"), kg, rng) for _ in range(50)}
+        seen = set(negative_sample([Triple("A", "r", "B")] * 50, kg, make_rng(0)))
         # (A,r,B) itself is filtered; only the reflexive corruptions remain
-        assert seen <= {Triple("B", "r", "B"), Triple("A", "r", "A")}
-        assert len(seen) == 2
+        assert seen == {Triple("B", "r", "B"), Triple("A", "r", "A")}
 
     def test_deterministic_sequence(self):
         kg = two_entity_kg()
-        seq1 = [negative_sample(Triple("A", "r", "B"), kg, make_rng(9)) for _ in range(1)]
-        a = [negative_sample(Triple("A", "r", "B"), kg, rng) for rng in [make_rng(9)]][0]
-        b = [negative_sample(Triple("A", "r", "B"), kg, rng) for rng in [make_rng(9)]][0]
-        assert a == b == seq1[0]
+        batch = [Triple("A", "r", "B")] * 5
+        assert negative_sample(batch, kg, make_rng(9)) == negative_sample(batch, kg, make_rng(9))
 
     def test_never_returns_kg_member(self):
         rng = make_rng(1)
@@ -88,17 +115,18 @@ class TestNegativeSample:
             triples.add(Triple(s, "r", o))
         kg = KnowledgeGraph(frozenset(triples))
         pool = sorted(kg.triples)
-        for _ in range(1000):
-            pos = pool[int(rng.integers(len(pool)))]
-            neg = negative_sample(pos, kg, rng)
+        batch = [pool[int(rng.integers(len(pool)))] for _ in range(1000)]
+        negs = negative_sample(batch, kg, rng)
+        assert len(negs) == len(batch)
+        for pos, neg in zip(batch, negs):
             assert neg not in kg.triples
             assert neg.predicate == pos.predicate
+            assert neg.subject == pos.subject or neg.object == pos.object
 
     def test_predicate_never_altered(self):
-        rng = make_rng(2)
         kg = two_entity_kg()
-        for _ in range(20):
-            assert negative_sample(Triple("A", "r", "B"), kg, rng).predicate == "r"
+        negs = negative_sample([Triple("A", "r", "B")] * 20, kg, make_rng(2))
+        assert {neg.predicate for neg in negs} == {"r"}
 
     def test_no_valid_corruption_rejected(self):
         # complete graph over 2 entities for relation r: nothing to corrupt to
@@ -107,12 +135,112 @@ class TestNegativeSample:
             Triple("A", "r", "A"), Triple("B", "r", "B"),
         }))
         with pytest.raises(ValueError, match="corruption"):
-            negative_sample(Triple("A", "r", "B"), kg, make_rng(0))
+            negative_sample([Triple("A", "r", "B")], kg, make_rng(0))
 
     def test_single_entity_rejected(self):
         kg = KnowledgeGraph(frozenset({Triple("A", "r", "A")}))
         with pytest.raises(ValueError, match="entities"):
-            negative_sample(Triple("A", "r", "A"), kg, make_rng(0))
+            negative_sample([Triple("A", "r", "A")], kg, make_rng(0))
+
+
+def one_relation_kg(n_entities, keep, relation="r"):
+    """One relation over entities e00.., holding each (s, o) pair keep accepts."""
+    ents = [f"e{i:02d}" for i in range(n_entities)]
+    return frozenset(Triple(s, relation, o) for s in ents for o in ents if keep(s, o))
+
+
+def random_kg(n_entities, n_triples, relations, seed):
+    rng = make_rng(seed)
+    triples = set()
+    while len(triples) < n_triples:
+        s, o = (f"e{int(rng.integers(n_entities)):02d}" for _ in range(2))
+        triples.add(Triple(s, relations[int(rng.integers(len(relations)))], o))
+    return frozenset(triples)
+
+
+# Near-complete: r over 30 entities misses only (e00, e01) and (e05, e07).
+# Triples in those heads' rows or those tails' columns have one or two valid
+# corruptions among 60 candidates, so about one in five rejects 100 draws
+# and enumerates; every other triple has none and would raise.
+NEAR_COMPLETE_HOLES = {("e00", "e01"), ("e05", "e07")}
+# Partly complete: sparse r triples beside a relation q complete over the
+# same 8 entities, whose one pooled triple raises wherever a batch holds it.
+RAISING_Q = Triple("e00", "q", "e01")
+
+
+def negative_sample_cases():
+    """name -> (KG, the triples a batch is drawn from)."""
+    sparse_r = random_kg(8, 20, ("r",), seed=6)
+    cases = {
+        "sparse": (random_kg(40, 60, ("r0", "r1", "r2"), seed=4), None),
+        "dense": (random_kg(8, 48, ("r",), seed=5), None),
+        "near-complete": (
+            one_relation_kg(30, lambda s, o: (s, o) not in NEAR_COMPLETE_HOLES),
+            lambda tr: any(tr.subject == s or tr.object == o for s, o in NEAR_COMPLETE_HOLES),
+        ),
+        "partly-complete": (sparse_r | one_relation_kg(8, lambda s, o: True, "q"),
+                            lambda tr: tr in sparse_r or tr == RAISING_Q),
+        "complete": (one_relation_kg(3, lambda s, o: True), None),
+        "single-entity": (one_relation_kg(1, lambda s, o: True), None),
+    }
+    return {name: (KnowledgeGraph(triples), [tr for tr in sorted(triples) if not keep or keep(tr)])
+            for name, (triples, keep) in cases.items()}
+
+
+def sampled(sample):
+    """sample()'s negatives, or the ValueError it raised, as a comparable value."""
+    try:
+        return sample()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestNegativeSampleMatchesPerTriple:
+    """``negative_sample`` on a batch against the per-triple oracle: the same
+    negatives or the same error, and the generator left in the same state."""
+
+    CASES = negative_sample_cases()
+    ERRORS = {
+        "complete": "ValueError: no valid corruption exists",
+        "partly-complete": f"ValueError: no valid corruption exists for {RAISING_Q}",
+        "single-entity": "ValueError: negative sampling needs at least 2 entities",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batches_match_per_triple_oracle(self, name, monkeypatch):
+        kg, pool = self.CASES[name]
+        fallbacks, raised = [], 0
+        enumerate_valid = embeddings._any_corruption
+        monkeypatch.setattr(embeddings, "_any_corruption",
+                            lambda triple, *rest: fallbacks.append(triple)
+                            or enumerate_valid(triple, *rest))
+        pick = make_rng(100)
+        for size in range(1, 41):
+            batch = [pool[int(pick.integers(len(pool)))] for _ in range(size)]
+            batched, looped = make_rng(size), make_rng(size)
+            got = sampled(lambda: negative_sample(batch, kg, batched))
+            want = sampled(lambda: [oracle_negative_sample(tr, kg, looped) for tr in batch])
+            assert got == want, f"batch of {size}"
+            assert batched.integers(2**63) == looped.integers(2**63), f"batch of {size}"
+            if isinstance(got, str):
+                assert got.startswith(self.ERRORS[name])
+                raised += 1
+            else:
+                assert len(got) == size
+        if name == "partly-complete":
+            assert 0 < raised < 40  # some batches raise, after negatives for earlier triples
+        else:
+            assert raised == (40 if name in self.ERRORS else 0)
+        if name == "near-complete":
+            assert len(fallbacks) >= 10  # the 100-draw enumeration really ran
+
+    @pytest.mark.parametrize("bound", [2, 3, 30, 1000, 2**31, 2**32 - 1])
+    def test_tiled_bounds_draw_like_alternating_scalars(self, bound):
+        # negative_sample depends on this numpy identity for its stream
+        tiled, scalar = make_rng(bound), make_rng(bound)
+        values = tiled.integers(0, np.tile((2, bound), 25)).tolist()
+        assert values == [int(scalar.integers(b)) for _ in range(25) for b in (2, bound)]
+        assert tiled.integers(2**63) == scalar.integers(2**63)
 
 
 def rectangle_embeddings():
@@ -179,6 +307,9 @@ class TestTransETrain:
     @pytest.mark.parametrize("field, value, message", [
         ("lr", -1.0, "lr must be positive"),
         ("lr", 0.0, "lr must be positive"),
+        ("lr", math.inf, "lr must be positive and finite"),
+        ("margin", math.inf, "margin must be positive and finite"),
+        ("margin", math.nan, "margin must be positive and finite"),
         ("epochs", -1, "epochs must be >= 1"),
         ("epochs", 0, "epochs must be >= 1"),
         ("batch_size", 0, "batch_size must be >= 1"),
@@ -198,9 +329,10 @@ class TestTransETrain:
         assert type(config.dim) is int and type(config.seed) is int
 
 
-def oracle_transe_train(kg, config, init=None):
-    """The per-triple TransE loop that ``transe_train`` replaced: score, hinge
-    and a dict update per touched row, one triple at a time."""
+def oracle_transe_train(kg, config, init=None, sample=oracle_negative_sample):
+    """The per-triple TransE loop that ``transe_train`` replaced: a negative
+    from ``sample``, score, hinge and a dict update per touched row, one
+    triple at a time."""
 
     def norm_grad(diff, norm):
         if norm == "L1":
@@ -236,7 +368,7 @@ def oracle_transe_train(kg, config, init=None):
 
             for j in order[start:start + config.batch_size]:
                 pos = triples[j]
-                neg = embeddings.negative_sample(pos, kg, rng)
+                neg = sample(pos, kg, rng)
                 h, r, t = eidx[pos.subject], ridx[pos.predicate], eidx[pos.object]
                 hn, tn = eidx[neg.subject], eidx[neg.object]
                 v_pos = ent_table[h] + rel_table[r] - ent_table[t]
@@ -337,20 +469,24 @@ class TestTransEFastPath:
             train(rectangle_kg(), config, init=init)
 
     def test_negatives_drawn_per_triple_in_loop_order(self, monkeypatch):
-        calls = []
+        batches, looped = [], []
         original = embeddings.negative_sample
 
-        def recording(triple, kg, rng):
-            calls.append(triple)
-            return original(triple, kg, rng)
+        def recording(triples, kg, rng):
+            batches.append(list(triples))
+            return original(triples, kg, rng)
+
+        def oracle_recording(triple, kg, rng):
+            looped.append(triple)
+            return oracle_negative_sample(triple, kg, rng)
 
         monkeypatch.setattr(embeddings, "negative_sample", recording)
         kg = rectangle_kg()
         config = TransEConfig(dim=4, epochs=3, batch_size=3, seed=8)
         transe_train(kg, config)
-        batched, calls[:] = list(calls), []
-        oracle_transe_train(kg, config)
-        assert batched == calls and len(calls) == 3 * len(kg.triples)
+        oracle_transe_train(kg, config, sample=oracle_recording)
+        assert [len(batch) for batch in batches] == [3, 1] * 3  # one call per minibatch
+        assert sum(batches, []) == looped and len(looped) == 3 * len(kg.triples)
 
 
 class TestLinkPrediction:

@@ -3,7 +3,11 @@
 import hashlib
 import logging
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,47 +600,73 @@ class TestTrain:
 
 # SHA-256 of the checkpoint that train writes on the hard world, one per run.
 # They pin every bit of the training trajectory: init draws, gradients,
-# clipping and Adam. The digests hold for numpy 2.4.6 with OpenBLAS; another
-# BLAS or numpy build may round differently.
+# clipping and Adam. The digests hold for numpy 2.4.6 with OpenBLAS at any
+# thread count; another BLAS or numpy build may round differently.
 TRAJECTORY_DIGESTS = {
-    "attention": "b842913f7d7be34701a8507ad53cb8ae59b92a5fc08a957a22da678a650a60b2",
+    "attention": "a5724e6267d88e87d23ce8ec3c6290efea4a25dc4d50f5f8da21666af870ea05",
     "no attention": "03592e5b84410592ceb19483cbe2900e277c34eb5506bee476ebb0aa03a66b82",
-    "A+W+G": "fe25b2fbf06ca3abc1993a30153fdaaa443d6dbe327bcd86c7d0983008c7e4bf",
+    "A+W+G": "0dba08e1532d63aea728c487036c573a2f3955f534af6634c8fe0f3151ce6d32",
     "CLI defaults": "9b45786212b837af10e516b3b87785548f11341b127e5aca293abc7d6a7b2ec6",
 }
+
+
+def trajectory_world():
+    world = make_hard_world(seed=17, word_dim=16)
+    word_vocab = build_word_vocab([list(ex.tokens) for ex in world.train])
+    return world, word_vocab, build_kg_vocab(world.kg.triples)
+
+
+def save_trajectory(run, world, path):
+    """Train the pinned ``run`` on ``trajectory_world()`` and save its checkpoint."""
+    world, word_vocab, tvocab = world
+    dataset = Dataset(train=world.train, dev=world.dev)
+    small = dict(word_dim=16, kg_dim=16, enc_hidden=16, dec_hidden=32, seed=1,
+                 epochs=20, batch_size=4, patience=35, lr=3e-3)
+    tables = {}
+    if run == "CLI defaults":
+        config, dataset = ModelConfig(seed=0, epochs=3), Dataset(train=world.train)
+    elif run == "A+W+G":
+        config = ModelConfig(**small, use_word_init=True, use_kg_init=True)
+        emb = transe_train(world.kg, TransEConfig(dim=16, epochs=30, seed=17))
+        rng = make_rng(1001)
+        tables["word_init"] = np.vstack([
+            world.word_vectors[tok] if tok in world.word_vectors else uniform_init(16, rng)
+            for tok in word_vocab.tokens
+        ])
+        tables["kg_init"] = decoder_init_table(emb, tvocab, 16, rng)[0]
+    else:
+        config = ModelConfig(**small, use_attention=run == "attention")
+    result = train(dataset, word_vocab, tvocab, config, **tables)
+    save_checkpoint(path, result.params, config, word_vocab, tvocab)
 
 
 class TestTrainingTrajectory:
     @pytest.fixture(scope="class")
     def world(self):
-        world = make_hard_world(seed=17, word_dim=16)
-        word_vocab = build_word_vocab([list(ex.tokens) for ex in world.train])
-        return world, word_vocab, build_kg_vocab(world.kg.triples)
+        return trajectory_world()
 
     @pytest.mark.parametrize("run", sorted(TRAJECTORY_DIGESTS))
     def test_checkpoint_digest_pinned(self, run, world, tmp_path):
-        world, word_vocab, tvocab = world
-        dataset = Dataset(train=world.train, dev=world.dev)
-        small = dict(word_dim=16, kg_dim=16, enc_hidden=16, dec_hidden=32, seed=1,
-                     epochs=20, batch_size=4, patience=35, lr=3e-3)
-        tables = {}
-        if run == "CLI defaults":
-            config, dataset = ModelConfig(seed=0, epochs=3), Dataset(train=world.train)
-        elif run == "A+W+G":
-            config = ModelConfig(**small, use_word_init=True, use_kg_init=True)
-            emb = transe_train(world.kg, TransEConfig(dim=16, epochs=30, seed=17))
-            rng = make_rng(1001)
-            tables["word_init"] = np.vstack([
-                world.word_vectors[tok] if tok in world.word_vectors else uniform_init(16, rng)
-                for tok in word_vocab.tokens
-            ])
-            tables["kg_init"] = decoder_init_table(emb, tvocab, 16, rng)[0]
-        else:
-            config = ModelConfig(**small, use_attention=run == "attention")
-        result = train(dataset, word_vocab, tvocab, config, **tables)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, result.params, config, word_vocab, tvocab)
+        save_trajectory(run, world, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAJECTORY_DIGESTS[run]
+
+    def test_clipping_run_does_not_depend_on_blas_threads(self, tmp_path):
+        # The attention run clips 22 of its 260 batches over a 14,725-scalar
+        # gradient, long enough for OpenBLAS to split a dot across threads.
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import test_model as t; "
+                  "t.save_trajectory('attention', t.trajectory_world(), sys.argv[2])")
+        saved = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"threads{threads}.ckpt"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(Path(__file__).parent), str(path)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
 
 def _set_array(array, **changes):
