@@ -17,18 +17,9 @@ from text2triple.numerics import (
     lstm_sequence,
     lstm_sequence_backward,
     make_rng,
-    weighted_cross_entropy,
 )
 
 rng = make_rng(0)
-
-print("== weighted cross-entropy and its fused gradient ==")
-logits = np.array([0.2, 1.3, -0.5])
-probs = np.exp(logits - logits.max())
-probs /= probs.sum()
-loss, grad = weighted_cross_entropy(probs, target=1, weight=1.0)
-print(f"softmax {np.round(probs, 4)}")
-print(f"loss {loss:.4f}, gradient w.r.t. logits {np.round(grad, 4)}\n")
 
 print("== one LSTM step over a batch of two ==")
 w = LstmWeights.init(input_dim=3, hidden_dim=4, rng=rng, scale=0.5)

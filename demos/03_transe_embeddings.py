@@ -46,6 +46,6 @@ bad = transe_score(emb.entity_vec("a"), emb.relation_vec("r1"),
 print(f"  a r1 c (false): {bad:.3f}")
 
 print("\n== link prediction over all entities ==")
-mean_rank, hits1 = link_prediction_eval(emb, sorted(kg.triples), k=1)
+mean_rank, hits1 = link_prediction_eval(emb, sorted(kg.triples))
 print(f"mean rank {mean_rank:.2f}, hits@1 {hits1:.2f}")
 print("these vectors later initialize the decoder's embedding table.")

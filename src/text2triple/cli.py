@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,7 +42,7 @@ def _parse_flags(flag_spec: str) -> dict[str, bool]:
 
 def parse_config_file(path) -> dict[str, tuple[int, str]]:
     """Flat key=value lines as key -> (line number, value); blank lines and
-    # comments are ignored."""
+    # comments are ignored, and a key may appear once."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in vocab.read_lines(path):
         line = line.strip()
@@ -50,7 +51,10 @@ def parse_config_file(path) -> dict[str, tuple[int, str]]:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = (lineno, value.strip())
+        key = key.strip()
+        if key in out:
+            raise DataError(f"{path}:{lineno}: key {key!r} repeated (first at line {out[key][0]})")
+        out[key] = (lineno, value.strip())
     return out
 
 
@@ -151,7 +155,7 @@ def _cmd_kg_embed(args) -> int:
     vocab.check_symbols(sorted({symbol for tr in kg.triples for symbol in tr}))
     emb = embeddings.transe_train(kg, config)
     _write_into(args.out, embeddings.kg_embedding_files(emb, config))
-    mean_rank, hits = embeddings.link_prediction_eval(emb, sorted(kg.triples), k=1)
+    mean_rank, hits = embeddings.link_prediction_eval(emb, sorted(kg.triples))
     print(f"entities={len(emb.vocab.entities)} relations={len(emb.vocab.predicates)} "
           f"mean_rank={mean_rank:.6f} hits@1={hits:.6f}")
     return 0
@@ -376,6 +380,18 @@ def _cmd_make_synthetic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_distinct_outputs(args) -> None:
+    """Refuse a run two of whose outputs resolve to one file, before it starts."""
+    seen: dict[str, str] = {}  # resolved path -> the option and path that named it
+    for dest in ("out", "log", "ambiguity_report", "report"):  # every output option
+        path = getattr(args, dest, None)
+        if path is not None:
+            named, real = f"--{dest.replace('_', '-')} {path}", os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{seen[real]} and {named} name the same file")
+            seen[real] = named
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="text2triple",
@@ -461,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     """Parse argv and run the sub-command; exit code 0/1/2, never raises."""
     logging.basicConfig(
         level=logging.INFO, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
@@ -474,11 +490,8 @@ def cmd_dispatch(argv=None) -> int:
     settings = {k: v for k, v in vars(args).items() if k != "handler"}
     logger.info("run settings: %s", " ".join(f"{k}={v}" for k, v in sorted(settings.items())))
     try:
+        _check_distinct_outputs(args)
         return args.handler(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return cmd_dispatch(argv)

@@ -298,10 +298,8 @@ def transe_train(
     return KgEmbeddings(tv, ent_table, rel_table, config.norm)
 
 
-def link_prediction_eval(
-    emb: KgEmbeddings, triples: Iterable[Triple], k: int = 1
-) -> tuple[float, float]:
-    """Mean rank and hits@k over head and tail prediction.
+def link_prediction_eval(emb: KgEmbeddings, triples: Iterable[Triple]) -> tuple[float, float]:
+    """Mean rank and hits@1 over head and tail prediction.
 
     For each triple the true tail is ranked among all entities by the score
     of (h, r, .), and the true head symmetrically; both ranks count.
@@ -325,7 +323,7 @@ def link_prediction_eval(
         head_scores = _score_rows(E + r - E[t], emb.norm)
         ranks.append(1 + int((head_scores < head_scores[h]).sum()))
     ranks_arr = np.array(ranks, dtype=np.float64)
-    return float(ranks_arr.mean()), float((ranks_arr <= k).mean())
+    return float(ranks_arr.mean()), float((ranks_arr == 1).mean())
 
 
 # ---------------------------------------------------------------------------

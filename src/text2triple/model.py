@@ -16,12 +16,14 @@ clipping update them in place, and a checkpoint's payload is its bytes.
 
 Gradients are hand-derived and exact. Every LSTM runs forward as a
 `numerics.lstm_sequence` scan and backward through `lstm_sequence_backward`;
-decoding steps the decoder with the forward-only `lstm_cell`. The
-gradients of `forward_loss` come as a dict of arrays named as in
-`ModelParams.to_dict`. `grad_check_fd` in `numerics` is the independent
-oracle. Training is mini-batch Adam with global-norm clipping,
-teacher forcing, per-epoch dev evaluation, best-checkpoint keeping and
-patience-based early stopping. Everything is deterministic given the seed.
+decoding steps the decoder with the forward-only `lstm_cell`. The loss, a
+cross-entropy weighted per step, and its logits gradient are formed from the
+log-probs in `_loss_and_grads`. The gradients of `forward_loss` come as a
+dict of arrays named as in `ModelParams.to_dict`. `grad_check_fd` in
+`numerics` is the independent oracle. Training is mini-batch Adam with
+global-norm clipping, teacher forcing, per-epoch dev evaluation,
+best-checkpoint keeping and patience-based early stopping. Everything is
+deterministic given the seed.
 
 One batched core serves every caller. A batch of B sources is padded to its
 longest row, T ids. Both encoder LSTMs run in one scan over the (T, B)

@@ -1,14 +1,14 @@
 """Dense float64 numerics underneath the triple translator.
 
-Hand-derived building blocks: weighted cross-entropy fused with its softmax
-gradient; LSTM weights, LstmWeights(W, b) with the gates stacked; one
-forward-only LSTM step over a batch, lstm_cell; one padded, length-masked
-LSTM sequence scan, lstm_sequence, with the package's one LSTM backward,
-lstm_sequence_backward; bias-corrected Adam; global-norm clipping; and a
-central-difference gradient checker over one array, the independent oracle
-for every backward pass. The cross-entropy takes optional leading batch
-axes. The LSTM activates its sigmoid gates and its tanh candidate with one
-np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the
+Hand-derived building blocks: LSTM weights, LstmWeights(W, b) with the gates
+stacked; one forward-only LSTM step over a batch, lstm_cell; one padded,
+length-masked LSTM sequence scan, lstm_sequence, with the package's one LSTM
+backward, lstm_sequence_backward; bias-corrected Adam; global-norm clipping;
+and a central-difference gradient checker over one array, the independent
+oracle for every backward pass. The loss, a weighted cross-entropy, is not
+here: model._loss_and_grads forms it and its logits gradient from the
+log-probs. The LSTM activates its sigmoid gates and its tanh candidate with
+one np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the
 only dependency.
 
 All public operations work on float64 numpy arrays, validate their inputs,
@@ -42,10 +42,7 @@ __all__ = [
     "lstm_sequence_backward",
     "make_rng",
     "uniform_init",
-    "weighted_cross_entropy",
 ]
-
-LOG_FLOOR = 1e-12  # floor inside ln() so exact zeros stay finite
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -69,42 +66,6 @@ def as_int(name: str, value) -> int:
 def uniform_init(shape, rng: np.random.Generator, scale: float = 0.08) -> np.ndarray:
     """Uniform(-scale, scale) init used for all non-embedding weights."""
     return rng.uniform(-scale, scale, size=shape)
-
-
-def require_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return a
-
-
-def weighted_cross_entropy(probs: np.ndarray, target, weight):
-    """Loss -weight*ln(probs[target] + floor) and its logits gradient.
-
-    The returned row is the gradient with respect to the *logits* that
-    produced ``probs`` through a softmax, i.e. the fused form
-    weight * (probs - onehot(target)). The log floor only matters when the
-    target probability is exactly 0; it does not enter the gradient.
-
-    probs may carry leading batch axes, (..., n_classes); target then has
-    the leading shape, weight broadcasts to it, and the loss is an array of
-    that shape instead of a float.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim < 1:
-        raise ValueError(f"probs must have a class axis, got shape {probs.shape}")
-    require_finite(probs, "probs")
-    target = np.asarray(target)
-    if target.shape != probs.shape[:-1]:
-        raise ValueError(f"target shape {target.shape}, expected {probs.shape[:-1]}")
-    n = probs.shape[-1]
-    if ((target < 0) | (target >= n)).any():
-        raise ValueError(f"target {target} out of range [0, {n})")
-    weight = np.broadcast_to(np.asarray(weight, dtype=np.float64), target.shape)
-    rows = np.indices(target.shape, sparse=True)
-    loss = -weight * np.log(probs[(*rows, target)] + LOG_FLOOR)
-    grad = weight[..., None] * probs
-    grad[(*rows, target)] -= weight
-    return (float(loss) if probs.ndim == 1 else loss), grad
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +367,9 @@ def grad_check_fd(loss_and_grad, param: np.ndarray, eps: float = 1e-5) -> float:
         return float(loss), grad
 
     base = np.asarray(param, dtype=np.float64)
-    grad = require_finite(np.asarray(call(param)[1], dtype=np.float64), "gradient")
+    grad = np.asarray(call(param)[1], dtype=np.float64)
+    if not np.isfinite(grad).all():
+        raise ValueError("gradient contains non-finite values")
     if grad.shape != base.shape:
         raise ValueError(f"gradient of shape {grad.shape} for a parameter of shape {base.shape}")
     worst = 0.0

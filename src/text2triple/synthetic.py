@@ -41,9 +41,6 @@ class SyntheticWorld:
     test: list[AnnotatedExample]
     word_vectors: dict[str, np.ndarray]
 
-    def all_examples(self) -> list[AnnotatedExample]:
-        return self.train + self.dev + self.test
-
 
 def _entity_symbol(alias: tuple[str, ...]) -> str:
     return "ent:" + "_".join(alias)
@@ -170,9 +167,7 @@ def make_hard_world(
     ]
     test_triples = triples[:n_test - n_unseen] + triples[n_train:]
     test = [render_example(tr, f"hard:test:{i}") for i, tr in enumerate(test_triples)]
-    world = SyntheticWorld(
+    return SyntheticWorld(
         kg=kg, train=train, dev=dev, test=test,
-        word_vectors={},
+        word_vectors=_word_vectors(rng, train + dev + test, word_dim),
     )
-    world.word_vectors = _word_vectors(rng, world.all_examples(), word_dim)
-    return world

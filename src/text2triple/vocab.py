@@ -39,8 +39,6 @@ __all__ = [
     "check_symbols",
     "decode_triple",
     "encode_sentence",
-    "load_triple_vocab",
-    "load_word_vocab",
     "read_lines",
     "symbols_text",
     "tokenize",
@@ -154,9 +152,6 @@ class WordVocab:
 
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
-
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
 
 
 def build_word_vocab(corpus: Iterable[Sequence[str]], min_count: int = 1) -> WordVocab:
@@ -319,7 +314,8 @@ def decode_triple(ids: Sequence[int], vocab: TripleVocab) -> tuple[str, str, str
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one symbol per line, line number = id offset, UTF-8
+# Vocabulary files: one symbol per line, line number = id offset, UTF-8.
+# build-vocab writes them for people to inspect; no command reads them back.
 # ---------------------------------------------------------------------------
 
 
@@ -327,24 +323,3 @@ def symbols_text(symbols: Sequence[str]) -> str:
     """A vocabulary file's text: one symbol per line, each checked first."""
     check_symbols(symbols)
     return "\n".join(symbols) + "\n"
-
-
-def _read_symbols(path) -> list[str]:
-    return [line for _, line in read_lines(path) if line]
-
-
-def load_word_vocab(path) -> WordVocab:
-    tokens = tuple(_read_symbols(path))
-    try:
-        return WordVocab(tokens)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def load_triple_vocab(entities_path, predicates_path) -> TripleVocab:
-    paths = {"entity": entities_path, "predicate": predicates_path}
-    tables = [tuple(_read_symbols(path)) for path in paths.values()]
-    try:
-        return TripleVocab(*tables)
-    except SymbolError as exc:
-        raise ValueError(f"{paths[exc.table]}: {exc}") from None

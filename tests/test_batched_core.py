@@ -27,7 +27,7 @@ from text2triple.model import (
     translate_greedy,
     translate_greedy_batch,
 )
-from text2triple.numerics import LstmWeights, make_rng, weighted_cross_entropy
+from text2triple.numerics import LstmWeights, make_rng
 from text2triple.synthetic import make_hard_world
 from text2triple.vocab import (
     PAD_ID,
@@ -204,11 +204,12 @@ def _loss_and_grads(
     for k in range(3):
         fwd = _step_forward(k + 1, prevs[k], state, enc, params, config, tvocab)
         state = fwd["state"]
+        # Weighted cross-entropy -w*ln p[gold] and its logits gradient w*(p - onehot(gold)).
+        w, gold = config.step_weights[k], gold_ids[k]
         probs = np.exp(fwd["logp"])
-        step_loss, dlogits = weighted_cross_entropy(
-            probs, gold_ids[k], config.step_weights[k]
-        )
-        loss += step_loss
+        loss -= w * math.log(probs[gold])
+        dlogits = w * probs
+        dlogits[gold] -= w
         steps.append(fwd)
         dlogits_list.append(dlogits)
 

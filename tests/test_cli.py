@@ -189,6 +189,39 @@ def test_command_writes_all_outputs_or_none(command, table1_dir, table1_checkpoi
     assert _tree(tmp_path) == before
 
 
+# Each command with two output options: argv with the two given paths, and
+# the second option's name.
+TWO_OUTPUTS = {
+    "train": (lambda d, first, second: [
+        "train", "--config", d / "model.cfg", "--train", d / "train.jsonl", "--epochs", "1",
+        "--out", first, "--log", second], "--log"),
+    "ds-align": (lambda d, first, second: [
+        "ds-align", "--kg", d / "kg.tsv", "--surface-forms", d / "surface.tsv",
+        "--sentences", d / "sentences.txt", "--out", first, "--ambiguity-report", second],
+        "--ambiguity-report"),
+}
+
+
+@pytest.mark.parametrize("second", ["out.dat", "./out.dat", "link.dat"],
+                         ids=["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("command", TWO_OUTPUTS)
+def test_two_outputs_naming_one_file_write_nothing(command, second, table1_dir, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.dat").write_bytes(b"old\n")
+    (tmp_path / "link.dat").symlink_to("out.dat")
+    before = _tree(tmp_path)
+    argv, option = TWO_OUTPUTS[command]
+    code = cli.main([str(arg) for arg in argv(table1_dir, "out.dat", second)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+        f"error: --out out.dat and {option} {second} name the same file"
+    ]
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
 class TestTrainAndTranslate:
     def test_translate_table1(self, table1_dir, table1_checkpoint):
         proc = run_cli("translate", "--checkpoint", str(table1_checkpoint),
@@ -252,7 +285,8 @@ class TestTrainAndTranslate:
     def test_diverging_forward_pass_aborts_and_keeps_checkpoint(self, table1_dir, tmp_path,
                                                                  capsys):
         cfg = tmp_path / "huge-lr.cfg"
-        cfg.write_text((table1_dir / "model.cfg").read_text() + "lr=1e300\n")
+        # a config file names each key once, so the file's own lr gives way
+        cfg.write_text((table1_dir / "model.cfg").read_text().replace("lr=0.005\n", "lr=1e300\n"))
         ckpt = tmp_path / "m.ckpt"
         code = cli.main(["train", "--config", str(cfg),
                          "--train", str(table1_dir / "train.jsonl"),
@@ -436,6 +470,22 @@ class TestConfigResolution:
         assert errors == [f"error: {cfg}:1: use_attention: expected a boolean "
                           f"(1/0, true/false, yes/no, on/off), got 'ture'"]
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("text, line, key, first", [
+        ("lr=0.5\nepochs=2\nlr=0.01\n", 3, "lr", 1),
+        ("# ablation\nflags=A\n\n flags = none\n", 4, "flags", 2),
+    ], ids=["lr", "flags"])
+    def test_repeated_key_names_both_lines(self, text, line, key, first, table1_dir, tmp_path,
+                                           capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        ckpt = tmp_path / "m.ckpt"
+        code = cli.main(["train", "--config", str(cfg), "--train", str(table1_dir / "train.jsonl"),
+                         "--epochs", "1", "--out", str(ckpt)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == 1
+        assert errors == [f"error: {cfg}:{line}: key {key!r} repeated (first at line {first})"]
+        assert not ckpt.exists()
 
     @pytest.mark.parametrize("raw, value", [
         ("off", False), ("OFF", False), ("0", False), ("No", False), ("false", False),

@@ -283,7 +283,7 @@ class TestTransETrain:
         kg = rectangle_kg()
         config = TransEConfig(dim=8, margin=1.0, lr=0.05, epochs=200, seed=0)
         emb = transe_train(kg, config)
-        _, hits = link_prediction_eval(emb, sorted(kg.triples), k=1)
+        _, hits = link_prediction_eval(emb, sorted(kg.triples))
         assert hits >= 0.9
 
     def test_same_seed_bit_identical(self):
@@ -492,7 +492,7 @@ class TestTransEFastPath:
 class TestLinkPrediction:
     def test_perfect_embeddings_rank_one(self):
         emb = rectangle_embeddings()
-        mean_rank, hits = link_prediction_eval(emb, sorted(rectangle_kg().triples), k=1)
+        mean_rank, hits = link_prediction_eval(emb, sorted(rectangle_kg().triples))
         assert mean_rank == 1.0
         assert hits == 1.0
 

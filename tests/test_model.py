@@ -57,7 +57,7 @@ def tiny_params(config=TINY, seed=0, n_words=20, n_targets=10):
 
 def random_example(rng, word_vocab, tvocab, length=5):
     tokens = tuple(
-        word_vocab.token_of(int(rng.integers(3, len(word_vocab))))
+        word_vocab.tokens[int(rng.integers(3, len(word_vocab)))]
         for _ in range(length)
     )
     gold = Triple(
@@ -416,7 +416,7 @@ class TestInference:
         for trial in range(50):
             params = tiny_params(seed=1000 + trial)
             tokens = tuple(
-                self.word_vocab.token_of(int(rng.integers(3, len(self.word_vocab))))
+                self.word_vocab.tokens[int(rng.integers(3, len(self.word_vocab)))]
                 for _ in range(int(rng.integers(1, 8)))
             )
             result = translate_greedy(tokens, params, self.word_vocab, self.tvocab, TINY)

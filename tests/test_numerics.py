@@ -17,66 +17,11 @@ from text2triple.numerics import (
     lstm_sequence_backward,
     make_rng,
     uniform_init,
-    weighted_cross_entropy,
 )
 
 
 def zero_weights(n_in, hidden):
     return LstmWeights(np.zeros((4 * hidden, n_in + hidden)), np.zeros(4 * hidden))
-
-
-class TestWeightedCrossEntropy:
-    def test_onehot_correct_is_zero(self):
-        probs = np.array([0.0, 1.0, 0.0])
-        loss, _ = weighted_cross_entropy(probs, 1, 1.0)
-        assert abs(loss) < 1e-9
-
-    def test_uniform_four_classes(self):
-        loss, _ = weighted_cross_entropy(np.full(4, 0.25), 2, 1.0)
-        assert abs(loss - math.log(4)) < 1e-9
-        assert abs(loss - 1.386294) < 1e-6
-
-    def test_zero_weight_annihilates(self):
-        loss, grad = weighted_cross_entropy(np.array([0.2, 0.8]), 0, 0.0)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(2))
-
-    def test_grad_is_fused_softmax_form(self):
-        probs = np.array([0.1, 0.6, 0.3])
-        _, grad = weighted_cross_entropy(probs, 1, 2.0)
-        np.testing.assert_allclose(grad, 2.0 * (probs - np.array([0, 1, 0])), atol=1e-15)
-
-    def test_weight_linearity(self):
-        rng = make_rng(3)
-        e = np.exp(rng.standard_normal(5))
-        probs = e / e.sum()
-        for w1, w2 in [(0.3, 0.7), (1.5, 2.5), (0.0, 1.0)]:
-            l1, _ = weighted_cross_entropy(probs, 2, w1)
-            l2, _ = weighted_cross_entropy(probs, 2, w2)
-            l12, _ = weighted_cross_entropy(probs, 2, w1 + w2)
-            assert abs(l12 - (l1 + l2)) < 1e-12
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            weighted_cross_entropy(np.array([1.0]), 3, 1.0)
-
-    def test_batch_equals_rows(self):
-        rng = make_rng(5)
-        e = np.exp(rng.standard_normal((2, 3, 4)))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        target = np.array([[0, 3, 1], [2, 2, 0]])
-        weight = np.array([1.0, 0.5, 2.0])
-        loss, grad = weighted_cross_entropy(probs, target, weight)
-        assert loss.shape == (2, 3) and grad.shape == (2, 3, 4)
-        for b in range(2):
-            for k in range(3):
-                row_loss, row_grad = weighted_cross_entropy(probs[b, k], target[b, k], weight[k])
-                assert loss[b, k] == row_loss
-                np.testing.assert_array_equal(grad[b, k], row_grad)
-
-    def test_batch_target_shape_checked(self):
-        with pytest.raises(ValueError, match="target shape"):
-            weighted_cross_entropy(np.full((2, 3), 1 / 3), np.array([0]), 1.0)
 
 
 class TestLstmCell:

@@ -174,3 +174,38 @@ def test_no_unused_imports(module):
     unused = [name for name in _top_level_imports(tree)
               if name not in used and name not in _exports(tree)]
     assert unused == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _public_defs(tree):
+    """(qualified name, name) for each public module-level function and class,
+    and for each public method of such a class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, functions) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.name
+
+
+def test_library_code_has_a_caller():
+    # Library code is what a command, the benchmark, a demo or another module
+    # reaches; a name that only tests reach is to be deleted. A reference is a
+    # Name or an Attribute node, so neither a string (__all__ included) nor
+    # the name's own def counts.
+    referenced = set()
+    for path in sorted(p for d in ("src", "perfbench", "demos") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreached = [f"{path.stem}.{qualified}"
+                 for path in sorted((ROOT / "src" / "text2triple").glob("*.py"))
+                 for qualified, name in _public_defs(ast.parse(path.read_text(encoding="utf-8")))
+                 if name not in referenced]
+    assert unreached == []

@@ -21,8 +21,6 @@ from text2triple.vocab import (
     build_word_vocab,
     decode_triple,
     encode_sentence,
-    load_triple_vocab,
-    load_word_vocab,
     read_lines,
     symbols_text,
     tokenize,
@@ -80,12 +78,16 @@ class TestWordVocab:
         with pytest.raises(ValueError):
             build_word_vocab([], min_count=0)
 
+    def test_repeated_token_is_named(self):
+        with pytest.raises(ValueError, match="^duplicate word vocab token 'x'$"):
+            WordVocab(RESERVED_TOKENS + ("x", "y", "x"))
+
 
 class TestEncodeSentence:
     def test_roundtrip_known(self):
         v = build_word_vocab([["alpha", "beta"]])
         ids = encode_sentence(["alpha", "beta"], v)
-        assert [v.token_of(i) for i in ids] == ["alpha", "beta"]
+        assert [v.tokens[i] for i in ids] == ["alpha", "beta"]
 
     def test_unknown_maps_to_unk(self):
         v = build_word_vocab([["alpha"]])
@@ -194,8 +196,7 @@ class TestSerialization:
     def test_word_vocab_roundtrip(self, tmp_path):
         v = build_word_vocab([["berlin", "is", "berlin"]])
         write_files({tmp_path / "w.vocab": symbols_text(v.tokens)})
-        v2 = load_word_vocab(tmp_path / "w.vocab")
-        assert v2.tokens == v.tokens
+        assert tuple(line for _, line in read_lines(tmp_path / "w.vocab")) == v.tokens
 
     def test_line_number_is_id(self, tmp_path):
         v = build_word_vocab([["zz", "aa"]])
@@ -207,9 +208,8 @@ class TestSerialization:
     def test_triple_vocab_roundtrip(self, tmp_path):
         tv = build_kg_vocab([GERMANY, ("a", "p", "b")])
         write_triple_vocab(tv, tmp_path / "e", tmp_path / "p")
-        tv2 = load_triple_vocab(tmp_path / "e", tmp_path / "p")
-        assert tv2.entities == tv.entities
-        assert tv2.predicates == tv.predicates
+        assert tuple(line for _, line in read_lines(tmp_path / "e")) == tv.entities
+        assert tuple(line for _, line in read_lines(tmp_path / "p")) == tv.predicates
 
     def test_symbol_with_space_rejected(self, tmp_path):
         tv = TripleVocab(("bad entity",), ("p",))
@@ -224,36 +224,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match="serializable"):
             write_triple_vocab(TripleVocab(entities, predicates), tmp_path / "e", tmp_path / "p")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("repeated, table", [("entities", "entity"),
-                                                 ("predicates", "predicate")])
-    def test_repeated_symbol_names_the_file(self, repeated, table, tmp_path):
-        paths = {name: tmp_path / f"{name}.vocab" for name in ("entities", "predicates")}
-        write_files({path: "a\nb\n" for path in paths.values()})
-        write_files({paths[repeated]: "x\ny\nx\n"})
-        with pytest.raises(ValueError, match=f"^{re.escape(str(paths[repeated]))}: "
-                                             f"duplicate {table} symbol 'x'$"):
-            load_triple_vocab(paths["entities"], paths["predicates"])
-
-    def test_repeated_word_names_the_file_and_token(self, tmp_path):
-        path = tmp_path / "w.vocab"
-        write_files({path: symbols_text(RESERVED_TOKENS + ("x", "y", "x"))})
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
-                                             f"duplicate word vocab token 'x'$"):
-            load_word_vocab(path)
-
-    @pytest.mark.parametrize("load", [
-        lambda bad, good: load_word_vocab(bad),
-        lambda bad, good: load_triple_vocab(bad, good),
-        lambda bad, good: load_triple_vocab(good, bad),
-    ], ids=["words", "entities", "predicates"])
-    def test_non_utf8_file_names_the_file(self, load, tmp_path):
-        good = tmp_path / "good.vocab"
-        good.write_text("a\n", encoding="utf-8")
-        bad = tmp_path / "bad.vocab"
-        bad.write_bytes(b"\xff\xfe not text\n")
-        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not valid UTF-8$"):
-            load(bad, good)
 
 
 class TestReadLines:
