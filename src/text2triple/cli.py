@@ -85,6 +85,9 @@ def resolve_model_config(args) -> ModelConfig:
     for key, (lineno, raw) in file_cfg.items():
         if key != "flags" and key not in _CONFIG_DEFAULTS:
             raise DataError(f"unknown config key {key!r} in {args.config}")
+        if key in _FLAG_NAMES.values() and "flags" in file_cfg:
+            raise DataError(f"{args.config}:{lineno}: key {key!r} conflicts with 'flags' "
+                            f"(line {file_cfg['flags'][0]})")
         try:
             if key == "flags":
                 values.update(_parse_flags(raw))
@@ -381,15 +384,20 @@ def _cmd_make_synthetic(args) -> int:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Refuse a run two of whose outputs resolve to one file, before it starts."""
-    seen: dict[str, str] = {}  # resolved path -> the option and path that named it
-    for dest in ("out", "log", "ambiguity_report", "report"):  # every output option
+    """Refuse a run one of whose outputs resolves to another output or to an
+    input file, before it starts."""
+    outputs = ("out", "log", "ambiguity_report", "report")
+    inputs = ("train", "dev", "test", "kg", "surface_forms", "sentences", "corpus", "checkpoint",
+              "config", "word_vectors")
+    seen: dict[str, str] = {}  # resolved output path -> the option and path that named it
+    for dest in (*outputs, *inputs):
         path = getattr(args, dest, None)
         if path is not None:
             named, real = f"--{dest.replace('_', '-')} {path}", os.path.realpath(path)
             if real in seen:
                 raise ValueError(f"{seen[real]} and {named} name the same file")
-            seen[real] = named
+            if dest in outputs:
+                seen[real] = named
 
 
 def build_parser() -> argparse.ArgumentParser:

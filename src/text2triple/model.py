@@ -38,7 +38,10 @@ search runs each step's live hypotheses as one batch; `encode`,
 `init_decoder_state`, `decode_step`, `translate_greedy` and `forward_loss`
 are batches of one. Every path turns decoder states into log-probabilities
 through one readout, `_readout`: attention, the output layer and the
-log-softmax masked to each step's slot.
+log-softmax masked to each step's slot. Sentences come in through
+`_sources` (ids, UNK counts and one warning per call for the sources that
+`_encode_batch` cuts to max_src_len), and every decoded row, greedy or
+beam, goes out as a `DecodeResult` through `_result`.
 """
 
 from __future__ import annotations
@@ -286,7 +289,7 @@ class DecodeResult:
     step_logprobs: tuple[float, float, float]
     total_logprob: float
     attention: np.ndarray | None     # (3, T) rows summing to 1, iff attention
-    n_unk: int = 0                   # source tokens that mapped to UNK
+    n_unk: int                       # source tokens that mapped to UNK
 
 
 @dataclass
@@ -333,20 +336,27 @@ class EncoderOutputs:
     AH: np.ndarray | None    # (B, T, dec_hidden) = H @ attn_w.T, iff attention
 
 
-def _clip_sources(sources: Sequence[Sequence[int]], max_len: int) -> tuple[list[list[int]], int]:
-    """Cut every source to max_len ids; returns them and how many were cut."""
-    return [list(s[:max_len]) for s in sources], sum(len(s) > max_len for s in sources)
+def _sources(token_lists: Sequence[Sequence[str]], word_vocab: WordVocab, config: ModelConfig,
+             what: str) -> tuple[list[list[int]], list[int]]:
+    """Each sentence's word ids and its UNK count, over the whole sentence.
+    The sources longer than max_src_len are counted in one warning; each
+    batch's _encode_batch cuts them."""
+    sources = [encode_sentence(tokens, word_vocab) for tokens in token_lists]
+    n_cut = sum(len(s) > config.max_src_len for s in sources)
+    if n_cut:
+        logger.warning("truncated %d of %d %s sources to max_src_len=%d",
+                       n_cut, len(sources), what, config.max_src_len)
+    return sources, [s.count(UNK_ID) for s in sources]
 
 
 def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config: ModelConfig):
-    """Bidirectional encoder over a batch of id lists; returns (enc, cache).
+    """Bidirectional encoder over a batch of id lists, each cut to
+    max_src_len; returns (enc, cache).
 
     Both LSTMs run in one scan. The backward one reads each row reversed,
     so it too meets the row's padding last.
     """
-    sources, n_cut = _clip_sources(sources, config.max_src_len)
-    if n_cut:
-        logger.warning("truncating %d source(s) to max_src_len=%d", n_cut, config.max_src_len)
+    sources = [list(s[:config.max_src_len]) for s in sources]
     lengths = [len(s) for s in sources]
     if min(lengths) < 1:
         raise ValueError("cannot encode an empty sentence")
@@ -568,9 +578,9 @@ def forward_loss(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients, named as in ModelParams.to_dict, for one
     example under teacher forcing."""
-    src_ids = encode_sentence(example.tokens, word_vocab)
+    sources, _ = _sources([example.tokens], word_vocab, config, "input")
     gold = np.array([_gold_ids(example, tvocab)])
-    loss, grads = _loss_and_grads([src_ids], gold, params, config, tvocab)
+    loss, grads = _loss_and_grads(sources, gold, params, config, tvocab)
     return loss, grads.to_dict()
 
 
@@ -579,25 +589,22 @@ def forward_loss(
 # ---------------------------------------------------------------------------
 
 
-def _prepare_source(
-    tokens: Sequence[str], word_vocab: WordVocab
-) -> tuple[list[int], int]:
-    src_ids = encode_sentence(tokens, word_vocab)
-    return src_ids, sum(1 for i in src_ids if i == UNK_ID)
+def _result(ids: np.ndarray, logps: np.ndarray, total: float, attention: np.ndarray | None,
+            n_unk: int, tvocab: TripleVocab) -> DecodeResult:
+    """A decoded row, greedy or beam: its three target ids and their log-probs."""
+    ids = tuple(int(i) for i in ids)
+    return DecodeResult(ids, Triple(*decode_triple(ids, tvocab)),
+                        tuple(float(v) for v in logps), float(total), attention, n_unk)
 
 
-def _greedy_decode(
-    sources: Sequence[Sequence[int]],
-    params: ModelParams,
-    config: ModelConfig,
-    tvocab: TripleVocab,
-) -> list[tuple[tuple[int, int, int], tuple[float, float, float], np.ndarray | None]]:
-    """Greedy decoding in batches of DECODE_BATCH sources; per source the
-    target ids, their log-probs and the (3, T) attention rows (or None)."""
+def _greedy_decode(sources: Sequence[Sequence[int]], n_unks: Sequence[int], params: ModelParams,
+                   config: ModelConfig, tvocab: TripleVocab) -> list[DecodeResult]:
+    """Greedy decoding in batches of DECODE_BATCH sources; attention rows
+    are cropped to each source's encoded length."""
     out = []
     for start in range(0, len(sources), DECODE_BATCH):
         chunk = sources[start:start + DECODE_BATCH]
-        enc, _ = _encode_batch(chunk, params, config)
+        enc, (_, lengths, _, _) = _encode_batch(chunk, params, config)
         B = len(chunk)
         state = (_bridge(enc.final, params), np.zeros((B, config.dec_hidden)))
         prev = None  # step 1 reads BOS
@@ -613,13 +620,10 @@ def _greedy_decode(
             logps[:, k] = logp[np.arange(B), prev]
             if attn is not None:
                 attn[:, k] = alpha
-        for b, src in enumerate(chunk):
-            n = min(len(src), config.max_src_len)
-            out.append((
-                tuple(int(i) for i in ids[b]),
-                tuple(float(v) for v in logps[b]),
-                None if attn is None else attn[b, :, :n],
-            ))
+        for b, n in enumerate(lengths):
+            out.append(_result(ids[b], logps[b], sum(logps[b].tolist()),
+                               None if attn is None else attn[b, :, :n],
+                               n_unks[start + b], tvocab))
     return out
 
 
@@ -631,19 +635,8 @@ def translate_greedy_batch(
     config: ModelConfig,
 ) -> list[DecodeResult]:
     """translate_greedy for many sentences, decoded in padded batches."""
-    prepared = [_prepare_source(tokens, word_vocab) for tokens in token_lists]
-    decoded = _greedy_decode([src for src, _ in prepared], params, config, tvocab)
-    return [
-        DecodeResult(
-            ids=ids,
-            triple=Triple(*decode_triple(list(ids), tvocab)),
-            step_logprobs=logps,
-            total_logprob=float(sum(logps)),
-            attention=attn,
-            n_unk=n_unk,
-        )
-        for (ids, logps, attn), (_, n_unk) in zip(decoded, prepared)
-    ]
+    return _greedy_decode(*_sources(token_lists, word_vocab, config, "input"),
+                          params, config, tvocab)
 
 
 def translate_greedy(
@@ -678,8 +671,8 @@ def translate_beam(
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    src_ids, n_unk = _prepare_source(tokens, word_vocab)
-    enc, _ = _encode_batch([src_ids], params, config)
+    sources, (n_unk,) = _sources([tokens], word_vocab, config, "input")
+    enc, _ = _encode_batch(sources, params, config)
     state = (_bridge(enc.final, params), np.zeros((1, config.dec_hidden)))
     # Live hypotheses, one row each.
     totals = np.zeros(1)
@@ -704,14 +697,8 @@ def translate_beam(
         if alpha is not None:
             attn = np.concatenate([attn[parent], alpha[parent][:, None]], axis=1)
     return [
-        DecodeResult(
-            ids=tuple(int(i) for i in ids[k]),
-            triple=Triple(*decode_triple(list(ids[k]), tvocab)),
-            step_logprobs=tuple(float(v) for v in logps[k]),
-            total_logprob=float(totals[k]),
-            attention=attn[k] if config.use_attention else None,
-            n_unk=n_unk,
-        )
+        _result(ids[k], logps[k], totals[k], attn[k] if config.use_attention else None,
+                n_unk, tvocab)
         for k in range(len(totals))
     ]
 
@@ -719,33 +706,6 @@ def translate_beam(
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
-
-
-def _dev_exact_match(
-    sources: Sequence[Sequence[int]],
-    golds: Sequence[Triple],
-    params: ModelParams,
-    config: ModelConfig,
-    tvocab: TripleVocab,
-) -> float:
-    """Exact-match fraction; equals F1 when every example gets a prediction."""
-    decoded = _greedy_decode(sources, params, config, tvocab)
-    correct = sum(
-        Triple(*decode_triple(list(ids), tvocab)) == gold
-        for (ids, _, _), gold in zip(decoded, golds)
-    )
-    return correct / len(golds)
-
-
-def _prepare_split(examples, word_vocab: WordVocab, config: ModelConfig, split: str):
-    """Encode a split's sources once, cut to max_src_len with one warning."""
-    sources, n_cut = _clip_sources(
-        [encode_sentence(ex.tokens, word_vocab) for ex in examples], config.max_src_len
-    )
-    if n_cut:
-        logger.warning("truncated %d of %d %s sources to max_src_len=%d",
-                       n_cut, len(sources), split, config.max_src_len)
-    return sources
 
 
 def train(
@@ -760,9 +720,10 @@ def train(
 
     Shuffling, init and everything downstream draw from config.seed only.
     Examples whose gold triple falls outside the target vocabulary are
-    dropped up front and counted; sources longer than max_src_len are cut
-    once, up front. Each minibatch is one padded forward/backward pass.
-    After each epoch the dev split is scored by exact match; the best-dev
+    dropped up front and counted; sources longer than max_src_len are
+    counted once, up front. Each minibatch is one padded forward/backward
+    pass. After each epoch the dev split is scored by exact match, which
+    equals F1 since every example gets a prediction; the best-dev
     checkpoint is kept and training stops early after `patience` epochs
     without improvement (or at a perfect dev score). A non-finite batch
     loss aborts training and the last good parameters are returned.
@@ -787,10 +748,9 @@ def train(
         logger.warning("dropped %d training examples with out-of-vocabulary gold", dropped)
     if not kept:
         raise ValueError("no training examples left after out-of-vocabulary filtering")
-    sources = _prepare_split(kept, word_vocab, config, "training")
+    sources, _ = _sources([ex.tokens for ex in kept], word_vocab, config, "training")
     golds = np.array([_gold_ids(ex, tvocab) for ex in kept])
-    dev_sources = _prepare_split(dataset.dev, word_vocab, config, "dev")
-    dev_golds = [ex.gold for ex in dataset.dev]
+    dev_sources = _sources([ex.tokens for ex in dataset.dev], word_vocab, config, "dev")
 
     state = Adam(params.vec.size, lr=config.lr, beta1=config.beta1,
                  beta2=config.beta2, eps=config.adam_eps)
@@ -822,11 +782,11 @@ def train(
             if aborted:
                 break
             train_loss = epoch_loss / n
-            dev_f1 = (
-                _dev_exact_match(dev_sources, dev_golds, params, config, tvocab)
-                if dev_sources
-                else None
-            )
+            dev_f1 = None
+            if dataset.dev:
+                results = _greedy_decode(*dev_sources, params, config, tvocab)
+                dev_f1 = sum(r.triple == ex.gold
+                             for r, ex in zip(results, dataset.dev)) / len(dataset.dev)
             log.append(EpochStats(epoch, train_loss, dev_f1, time.perf_counter() - t0))
             logger.info(
                 "epoch %d: train_loss=%.4f dev_f1=%s", epoch, train_loss,

@@ -222,6 +222,42 @@ def test_two_outputs_naming_one_file_write_nothing(command, second, table1_dir, 
     assert _tree(tmp_path) == before
 
 
+# Each command with an output that may name one of its inputs: the input's
+# file in table1_dir, argv with the input's and the output's paths, and the
+# output's and the input's option names.
+OUTPUT_IS_INPUT = {
+    "eval": ("model.ckpt", lambda d, inp, out: [
+        "eval", "--checkpoint", inp, "--test", d / "test.jsonl", "--report", out],
+        "--report", "--checkpoint"),
+    "ds-align": ("sentences.txt", lambda d, inp, out: [
+        "ds-align", "--kg", d / "kg.tsv", "--surface-forms", d / "surface.tsv",
+        "--sentences", inp, "--out", out], "--out", "--sentences"),
+    "train": ("train.jsonl", lambda d, inp, out: [
+        "train", "--config", d / "model.cfg", "--train", inp, "--epochs", "1",
+        "--out", "m.ckpt", "--log", out], "--log", "--train"),
+}
+
+
+@pytest.mark.parametrize("second", ["in.dat", "./in.dat", "link.dat"],
+                         ids=["same", "dot-slash", "symlink"])
+@pytest.mark.parametrize("command", OUTPUT_IS_INPUT)
+def test_output_naming_an_input_writes_nothing(command, second, table1_dir, table1_checkpoint,
+                                               tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name, argv, output, input_ = OUTPUT_IS_INPUT[command]
+    shutil.copyfile(table1_dir / name, tmp_path / "in.dat")
+    (tmp_path / "link.dat").symlink_to("in.dat")
+    before = _tree(tmp_path)
+    code = cli.main([str(arg) for arg in argv(table1_dir, "in.dat", second)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+        f"error: {output} {second} and {input_} in.dat name the same file"
+    ]
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
 class TestTrainAndTranslate:
     def test_translate_table1(self, table1_dir, table1_checkpoint):
         proc = run_cli("translate", "--checkpoint", str(table1_checkpoint),
@@ -486,6 +522,30 @@ class TestConfigResolution:
         assert code == 1
         assert errors == [f"error: {cfg}:{line}: key {key!r} repeated (first at line {first})"]
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("text, line, key, flags_line", [
+        ("use_attention=0\nflags=A\n", 1, "use_attention", 2),
+        ("flags=A\n# no kg init\nuse_kg_init = off\n", 3, "use_kg_init", 1),
+    ], ids=["key-first", "flags-first"])
+    def test_flags_and_a_flag_key_conflict(self, text, line, key, flags_line, table1_dir,
+                                           tmp_path, capsys):
+        # Either order would otherwise let the later line win silently.
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(text)
+        ckpt = tmp_path / "m.ckpt"
+        code = cli.main(["train", "--config", str(cfg), "--train", str(table1_dir / "train.jsonl"),
+                         "--epochs", "1", "--out", str(ckpt)])
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert code == 1
+        assert errors == [f"error: {cfg}:{line}: key {key!r} conflicts with 'flags' "
+                          f"(line {flags_line})"]
+        assert not ckpt.exists()
+
+    def test_flags_option_overrides_a_flag_key_in_the_file(self, tmp_path):
+        cfg = tmp_path / "attention.cfg"
+        cfg.write_text("use_attention=0\n")
+        config = cli.resolve_model_config(argparse.Namespace(config=str(cfg), flags="A"))
+        assert config.use_attention is True
 
     @pytest.mark.parametrize("raw, value", [
         ("off", False), ("OFF", False), ("0", False), ("No", False), ("false", False),

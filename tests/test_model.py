@@ -452,6 +452,31 @@ class TestInference:
         assert result.n_unk == 2
         assert isinstance(result, DecodeResult)
 
+    def test_batch_counts_its_cut_sources_in_one_warning(self, caplog):
+        # 130 sentences over max_src_len=16 fill three decoding batches, yet
+        # the cut is reported once. Each row's UNK count covers the whole
+        # sentence, and its attention is cropped to the cut, as when it is
+        # decoded alone.
+        rng = make_rng(7)
+        known = self.word_vocab.tokens[3:]
+        sentences = [
+            tuple("zzz" if rng.random() < 0.2 else known[int(rng.integers(len(known)))]
+                  for _ in range(int(rng.integers(17, 30))))
+            for _ in range(130)
+        ]
+        assert len(sentences) > 2 * model.DECODE_BATCH
+        with caplog.at_level(logging.WARNING, logger="text2triple.model"):
+            batched = model.translate_greedy_batch(sentences, self.params, self.word_vocab,
+                                                   self.tvocab, TINY)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["truncated 130 of 130 input sources to max_src_len=16"]
+        for tokens, got in zip(sentences, batched):
+            alone = translate_greedy(tokens, self.params, self.word_vocab, self.tvocab, TINY)
+            assert got.ids == alone.ids
+            assert got.n_unk == alone.n_unk == tokens.count("zzz")
+            assert got.attention.shape == (3, TINY.max_src_len)
+            np.testing.assert_allclose(got.attention, alone.attention, rtol=0, atol=1e-12)
+
     def test_beam_width_one_equals_greedy(self):
         tokens = ("w1", "w2", "w3")
         greedy = translate_greedy(tokens, self.params, self.word_vocab, self.tvocab, TINY)

@@ -134,6 +134,15 @@ def test_one_decoder_readout():
     assert callers == {("_readout", "_attention"), ("_readout", "_masked_log_softmax")}
 
 
+def test_one_way_into_the_model_and_one_way_out():
+    # Sentences become ids, with their UNK counts and one truncation warning
+    # per call, only in model._sources; a decoded row becomes a DecodeResult
+    # only in model._result.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    callers = set(_callers(tree, {"encode_sentence", "DecodeResult"}))
+    assert callers == {("_sources", "encode_sentence"), ("_result", "DecodeResult")}
+
+
 def test_one_lstm_backward():
     # Every LSTM is differentiated by the sequence scan's exact backward;
     # no per-step cell backward sits beside it.
