@@ -22,7 +22,7 @@ from .embeddings import (
     transe_score,
     transe_train,
 )
-from .scoring import ErrorCategory, EvalReport, error_taxonomy, evaluate, exact_match
+from .scoring import ErrorCategory, EvalReport, error_taxonomy, evaluate
 from .model import (
     DecodeResult,
     ModelConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "encode_sentence",
     "error_taxonomy",
     "evaluate",
-    "exact_match",
     "forward_loss",
     "grad_check_fd",
     "link_prediction_eval",

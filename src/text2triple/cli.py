@@ -1,7 +1,9 @@
 """Command-line entry point wiring the whole pipeline.
 
-Sub-commands: build-vocab, kg-embed, ds-align, train, eval, translate and
-ablation. Every run resolves its configuration from defaults, then an
+Sub-commands: build-vocab, kg-embed, ds-align, train, eval, translate,
+ablation and make-synthetic. ablation takes train's training options and
+trains and scores each cell of its flag grid with train's and eval's own
+code. Every run resolves its configuration from defaults, then an
 optional flat key=value config file, then command-line flags (flags win),
 logs the resolved result to stderr, and draws all randomness from --seed,
 so identical inputs produce byte-identical outputs. Progress and wall-clock
@@ -14,29 +16,28 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator
 
 from . import corpus, embeddings, model, scoring, synthetic, vocab
-from .corpus import DataError, Dataset, KnowledgeGraph
+from .corpus import DataError, Dataset, KnowledgeGraph, Triple
 from .model import ModelConfig
 
 logger = logging.getLogger("text2triple")
 
-_FLAG_NAMES = {"A": "use_attention", "W": "use_word_init", "G": "use_kg_init"}
-
 
 def _parse_flags(flag_spec: str) -> dict[str, bool]:
     """--flags A,W,G (or 'none') -> ModelConfig flag overrides."""
-    values = {name: False for name in _FLAG_NAMES.values()}
+    values = {name: False for name in ModelConfig.FLAGS.values()}
     flag_spec = flag_spec.strip()
     if flag_spec and flag_spec.lower() != "none":
         for part in flag_spec.split(","):
             key = part.strip().upper()
-            if key not in _FLAG_NAMES:
-                raise ValueError(f"unknown ablation flag {part!r} (expected A, W, G)")
-            values[_FLAG_NAMES[key]] = True
+            if key not in ModelConfig.FLAGS:
+                raise ValueError(f"unknown ablation flag {part!r} "
+                                 f"(expected {', '.join(ModelConfig.FLAGS)})")
+            values[ModelConfig.FLAGS[key]] = True
     return values
 
 
@@ -85,7 +86,7 @@ def resolve_model_config(args) -> ModelConfig:
     for key, (lineno, raw) in file_cfg.items():
         if key != "flags" and key not in _CONFIG_DEFAULTS:
             raise DataError(f"unknown config key {key!r} in {args.config}")
-        if key in _FLAG_NAMES.values() and "flags" in file_cfg:
+        if key in ModelConfig.FLAGS.values() and "flags" in file_cfg:
             raise DataError(f"{args.config}:{lineno}: key {key!r} conflicts with 'flags' "
                             f"(line {file_cfg['flags'][0]})")
         try:
@@ -117,10 +118,6 @@ def _read_sentences(path) -> Iterator[list[str]]:
                 yield vocab.tokenize(part)
 
 
-def _load_kg(path) -> KnowledgeGraph:
-    return KnowledgeGraph(corpus.load_kg_file(path))
-
-
 def _write_into(out_dir, files: dict[str, str]) -> None:
     """Create out_dir, then write each named file in it through one write_files."""
     out = Path(out_dir)
@@ -133,6 +130,10 @@ def _write_into(out_dir, files: dict[str, str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+_VOCAB_FILES = ("words.vocab", "entities.vocab", "predicates.vocab")
+_SYNTHETIC_FILES = ("train.jsonl", "dev.jsonl", "test.jsonl", "kg.tsv", "surface.tsv", "words.vec")
+
+
 def _cmd_build_vocab(args) -> int:
     if str(args.corpus).endswith(".jsonl"):
         sentences = [list(ex.tokens) for ex in corpus.load_examples(args.corpus)]
@@ -140,18 +141,15 @@ def _cmd_build_vocab(args) -> int:
         sentences = _read_sentences(args.corpus)
     wv = vocab.build_word_vocab(sentences, min_count=args.min_count)
     tv = vocab.build_kg_vocab(corpus.load_kg_file(args.kg))
-    files = {
-        "words.vocab": vocab.symbols_text(wv.tokens),
-        "entities.vocab": vocab.symbols_text(tv.entities),
-        "predicates.vocab": vocab.symbols_text(tv.predicates),
-    }
-    _write_into(args.out, files)
+    tables = (wv.tokens, tv.entities, tv.predicates)
+    _write_into(args.out, {name: vocab.symbols_text(table)
+                           for name, table in zip(_VOCAB_FILES, tables, strict=True)})
     print(f"words={len(wv)} entities={len(tv.entities)} predicates={len(tv.predicates)}")
     return 0
 
 
 def _cmd_kg_embed(args) -> int:
-    kg = _load_kg(args.kg)
+    kg = KnowledgeGraph(corpus.load_kg_file(args.kg))
     config = embeddings.TransEConfig(
         **{f.name: getattr(args, f.name) for f in fields(embeddings.TransEConfig)}
     )
@@ -191,6 +189,14 @@ def _cmd_ds_align(args) -> int:
     return 0
 
 
+def _check_flag_inputs(args, config: ModelConfig) -> None:
+    """Refuse a run that sets a flag without the vector file it initializes from."""
+    for letter, name in ModelConfig.FLAGS.items():
+        dest = {"use_word_init": "word_vectors", "use_kg_init": "kg_embeddings"}.get(name)
+        if dest and getattr(config, name) and not getattr(args, dest):
+            raise DataError(f"flag {letter} set but --{dest.replace('_', '-')} not given")
+
+
 def _run_training(args, config: ModelConfig, dataset: Dataset):
     kg_emb = embeddings.load_kg_embeddings(args.kg_embeddings) if args.kg_embeddings else None
     word_vocab = vocab.build_word_vocab(
@@ -204,16 +210,12 @@ def _run_training(args, config: ModelConfig, dataset: Dataset):
     rng = model.make_rng(config.seed + 1)  # init-table draws, separate from training
     word_init = None
     if config.use_word_init:
-        if not args.word_vectors:
-            raise DataError("flag W set but --word-vectors not given")
         word_init, coverage = embeddings.load_word_vectors(
             args.word_vectors, word_vocab, config.word_dim, rng
         )
         logger.info("word-vector coverage: %.1f%%", 100 * coverage)
     kg_init = None
     if config.use_kg_init:
-        if kg_emb is None:
-            raise DataError("flag G set but --kg-embeddings not given")
         kg_init, coverage = embeddings.decoder_init_table(
             kg_emb, tvocab, config.kg_dim, rng
         )
@@ -230,6 +232,7 @@ def _format_epoch_line(stats: model.EpochStats) -> str:
 
 def _cmd_train(args) -> int:
     config = resolve_model_config(args)
+    _check_flag_inputs(args, config)
     dataset = Dataset(
         train=corpus.load_examples(args.train),
         dev=corpus.load_examples(args.dev) if args.dev else [],
@@ -250,15 +253,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _predict(examples, params, word_vocab, tvocab, config) -> list[Triple]:
+    """The greedy triple for each example's sentence."""
+    return [r.triple for r in model.translate_greedy_batch(
+        [ex.tokens for ex in examples], params, word_vocab, tvocab, config)]
+
+
 def _cmd_eval(args) -> int:
     params, config, word_vocab, tvocab = model.load_checkpoint(args.checkpoint)
     test = corpus.load_examples(args.test)
-    kg = _load_kg(args.kg) if args.kg else None
-    preds = [
-        r.triple for r in model.translate_greedy_batch(
-            [ex.tokens for ex in test], params, word_vocab, tvocab, config
-        )
-    ]
+    kg = KnowledgeGraph(corpus.load_kg_file(args.kg)) if args.kg else None
+    preds = _predict(test, params, word_vocab, tvocab, config)
     golds = [ex.gold for ex in test]
     report = scoring.evaluate(preds, golds)
     report.error_counts = scoring.error_taxonomy(preds, golds, tvocab, kg)
@@ -314,38 +319,32 @@ def _cmd_ablation(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    base = resolve_model_config(args)
+    # label -> one config per seed; a flag set sets all three flags, whatever --config says
+    grid: dict[str, list[ModelConfig]] = {}
+    for flag_set in args.grid.split(";"):
+        configs = [replace(base, **_parse_flags(flag_set), seed=seed) for seed in seeds]
+        label = configs[0].flag_label()
+        if label in grid:
+            raise ValueError(f"ablation grid names flag set {label} twice")
+        grid[label] = configs
+    for configs in grid.values():
+        _check_flag_inputs(args, configs[0])
     dataset = Dataset(
         train=corpus.load_examples(args.train),
         dev=corpus.load_examples(args.dev) if args.dev else [],
         test=corpus.load_examples(args.test),
     )
-    grid = {}  # label -> flag set; a flag set sets all three flags, whatever --config says
-    for flag_set in args.grid.split(";"):
-        label = ModelConfig(**_parse_flags(flag_set)).flag_label()
-        if label in grid:
-            raise ValueError(f"ablation grid names flag set {label} twice")
-        grid[label] = flag_set
+    golds = [ex.gold for ex in dataset.test]
     results: dict[str, dict[str, list[float]]] = {}
     dataset_label = Path(args.test).stem
-    for label, flag_set in grid.items():
+    for label, configs in grid.items():
         scores: list[float] = []
-        for seed in seeds:
-            run_args = argparse.Namespace(
-                config=args.config, flags=flag_set, seed=seed, epochs=args.epochs,
-                word_vectors=args.word_vectors, kg_embeddings=args.kg_embeddings,
-                min_count=args.min_count,
-            )
-            config = resolve_model_config(run_args)
-            result, word_vocab, tvocab = _run_training(run_args, config, dataset)
-            preds = [
-                r.triple for r in model.translate_greedy_batch(
-                    [ex.tokens for ex in dataset.test], result.params, word_vocab,
-                    tvocab, config,
-                )
-            ]
-            report = scoring.evaluate(preds, [ex.gold for ex in dataset.test])
-            scores.append(report.f1)
-            logger.info("ablation %s seed %d: f1=%.4f", label, seed, report.f1)
+        for config in configs:
+            result, word_vocab, tvocab = _run_training(args, config, dataset)
+            preds = _predict(dataset.test, result.params, word_vocab, tvocab, config)
+            scores.append(scoring.evaluate(preds, golds).f1)
+            logger.info("ablation %s seed %d: f1=%.4f", label, config.seed, scores[-1])
         results[label] = {dataset_label: scores}
     grid_text = scoring.format_ablation_grid(results)
     if args.report:
@@ -362,17 +361,18 @@ def _cmd_make_synthetic(args) -> int:
         else synthetic.make_easy_world(seed=args.seed, word_dim=args.word_dim)
     )
     tokens = sorted(world.word_vectors)
-    _write_into(args.out, {
-        "train.jsonl": corpus.examples_text(world.train),
-        "dev.jsonl": corpus.examples_text(world.dev),
-        "test.jsonl": corpus.examples_text(world.test),
-        "kg.tsv": "".join("\t".join(tr) + "\n" for tr in sorted(world.kg.triples)),
-        "surface.tsv": "".join(
+    texts = (
+        corpus.examples_text(world.train),
+        corpus.examples_text(world.dev),
+        corpus.examples_text(world.test),
+        "".join("\t".join(tr) + "\n" for tr in sorted(world.kg.triples)),
+        "".join(
             f"{ent}\t{' '.join(alias)}\n"
             for ent, aliases in sorted(world.kg.surface_forms.items()) for alias in aliases
         ),
-        "words.vec": embeddings.vector_text(tokens, [world.word_vectors[t] for t in tokens]),
-    })
+        embeddings.vector_text(tokens, [world.word_vectors[t] for t in tokens]),
+    )
+    _write_into(args.out, dict(zip(_SYNTHETIC_FILES, texts, strict=True)))
     print(f"train={len(world.train)} dev={len(world.dev)} test={len(world.test)} "
           f"kg={len(world.kg.triples)}")
     return 0
@@ -383,17 +383,32 @@ def _cmd_make_synthetic(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_KG_FILES = (embeddings.ENTITIES_FILE, embeddings.RELATIONS_FILE, embeddings.MANIFEST_FILE)
+# (command, dest) -> the files the command writes or reads in that directory option
+_DIRECTORY_FILES = {
+    ("build-vocab", "out"): _VOCAB_FILES, ("kg-embed", "out"): _KG_FILES,
+    ("make-synthetic", "out"): _SYNTHETIC_FILES,
+    ("train", "kg_embeddings"): _KG_FILES, ("ablation", "kg_embeddings"): _KG_FILES,
+}
+
+
 def _check_distinct_outputs(args) -> None:
-    """Refuse a run one of whose outputs resolves to another output or to an
-    input file, before it starts."""
+    """Refuse a run one of whose output files resolves to another output or
+    to an input file, before it starts. A directory option stands for itself
+    and for each file the command writes or reads in it."""
     outputs = ("out", "log", "ambiguity_report", "report")
     inputs = ("train", "dev", "test", "kg", "surface_forms", "sentences", "corpus", "checkpoint",
-              "config", "word_vectors")
+              "config", "word_vectors", "kg_embeddings")
     seen: dict[str, str] = {}  # resolved output path -> the option and path that named it
     for dest in (*outputs, *inputs):
         path = getattr(args, dest, None)
-        if path is not None:
-            named, real = f"--{dest.replace('_', '-')} {path}", os.path.realpath(path)
+        if path is None:
+            continue
+        option = f"--{dest.replace('_', '-')} {path}"
+        files = [(option, path)] + [(f"{option} ({name})", os.path.join(path, name))
+                                    for name in _DIRECTORY_FILES.get((args.command, dest), ())]
+        for named, file in files:
+            real = os.path.realpath(file)
             if real in seen:
                 raise ValueError(f"{seen[real]} and {named} name the same file")
             if dest in outputs:
@@ -432,16 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambiguity-report", default=None, dest="ambiguity_report")
     p.set_defaults(handler=_cmd_ds_align)
 
-    p = sub.add_parser("train", help="train the translator")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
-    p.add_argument("--word-vectors", default=None, dest="word_vectors")
-    p.add_argument("--kg-embeddings", default=None, dest="kg_embeddings")
+    # train's training inputs, which ablation takes too
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--config", default=None, help="flat key=value config file")
+    training.add_argument("--train", required=True)
+    training.add_argument("--dev", default=None)
+    training.add_argument("--word-vectors", default=None, dest="word_vectors")
+    training.add_argument("--kg-embeddings", default=None, dest="kg_embeddings")
+    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--min-count", type=int, default=1, dest="min_count")
+
+    p = sub.add_parser("train", parents=[training], help="train the translator")
     p.add_argument("--flags", default=None, help="ablation flags, e.g. A,W,G or none")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", default=None, help="training log path (default stdout)")
     p.set_defaults(handler=_cmd_train)
@@ -460,18 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--interactive", action="store_true")
     p.set_defaults(handler=_cmd_translate)
 
-    p = sub.add_parser("ablation", help="train/evaluate a flag grid")
-    p.add_argument("--train", required=True)
-    p.add_argument("--dev", default=None)
+    p = sub.add_parser("ablation", parents=[training], help="train/evaluate a flag grid")
     p.add_argument("--test", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--grid", default="none;A;A,W;A,W,G",
                    help="semicolon-separated flag sets")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--word-vectors", default=None, dest="word_vectors")
-    p.add_argument("--kg-embeddings", default=None, dest="kg_embeddings")
-    p.add_argument("--min-count", type=int, default=1, dest="min_count")
     p.add_argument("--report", default=None)
     p.set_defaults(handler=_cmd_ablation)
 

@@ -54,7 +54,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
-from typing import Sequence, get_type_hints
+from typing import ClassVar, Sequence, get_type_hints
 
 import numpy as np
 
@@ -109,9 +109,11 @@ class CheckpointError(RuntimeError):
 class ModelConfig:
     """Dimensions, ablation flags and training hyperparameters.
 
-    Flags: use_attention (A), use_word_init (W), use_kg_init (G). All off is
-    the plain Seq2Seq configuration, all on the full model.
+    FLAGS maps each ablation letter to its flag field. All off is the plain
+    Seq2Seq configuration, all on the full model.
     """
+
+    FLAGS: ClassVar[dict] = {"A": "use_attention", "W": "use_word_init", "G": "use_kg_init"}
 
     word_dim: int = 64
     kg_dim: int = 64
@@ -158,8 +160,7 @@ class ModelConfig:
 
     def flag_label(self) -> str:
         """Ablation row label: 'Seq2Seq' when all flags are off, else S+..."""
-        flags = (("A", self.use_attention), ("W", self.use_word_init), ("G", self.use_kg_init))
-        on = [name for name, flag in flags if flag]
+        on = [letter for letter, name in self.FLAGS.items() if getattr(self, name)]
         return "S+" + "+".join(on) if on else "Seq2Seq"
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "EvalReport",
     "error_taxonomy",
     "evaluate",
-    "exact_match",
     "format_ablation_grid",
     "format_report",
     "report_records",
@@ -49,15 +48,6 @@ class EvalReport:
     error_counts: dict[ErrorCategory, int] = field(default_factory=dict)
 
 
-def exact_match(pred: Triple, gold: Triple) -> bool:
-    """True iff all three components are equal as symbols."""
-    return (
-        pred.subject == gold.subject
-        and pred.predicate == gold.predicate
-        and pred.object == gold.object
-    )
-
-
 def evaluate(preds: Sequence[Triple | None], golds: Sequence[Triple]) -> EvalReport:
     """All-or-nothing P/R/F1 over aligned predictions and golds.
 
@@ -67,9 +57,7 @@ def evaluate(preds: Sequence[Triple | None], golds: Sequence[Triple]) -> EvalRep
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
     n_predicted = sum(1 for p in preds if p is not None)
-    n_correct = sum(
-        1 for p, g in zip(preds, golds) if p is not None and exact_match(p, g)
-    )
+    n_correct = sum(1 for p, g in zip(preds, golds) if p == g)
     n_gold = len(golds)
     precision = n_correct / n_predicted if n_predicted else 0.0
     recall = n_correct / n_gold if n_gold else 0.0
@@ -105,7 +93,7 @@ def error_taxonomy(
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
     counts = {cat: 0 for cat in ErrorCategory}
     for pred, gold in zip(preds, golds):
-        if pred is not None and exact_match(pred, gold):
+        if pred == gold:
             continue
         if not (tvocab.has_entity(gold.subject) and tvocab.has_entity(gold.object)):
             counts[ErrorCategory.OOV_ENTITY] += 1

@@ -258,6 +258,39 @@ def test_output_naming_an_input_writes_nothing(command, second, table1_dir, tabl
     assert _tree(tmp_path) == before
 
 
+# Each command with a directory option one of whose files another option
+# names: the input to copy into place (a file or a directory) and where,
+# argv, and the error.
+DIRECTORY_FILE_NAMED = {
+    "build-vocab": (lambda d, emb: d / "sentences.txt", "bv/words.vocab", lambda d: [
+        "build-vocab", "--corpus", "bv/words.vocab", "--kg", d / "kg.tsv", "--out", "bv"],
+        "--out bv (words.vocab) and --corpus bv/words.vocab"),
+    "train": (lambda d, emb: emb, "e", lambda d: [
+        "train", "--train", d / "train.jsonl", "--kg-embeddings", "e",
+        "--out", "e/manifest.json"],
+        "--out e/manifest.json and --kg-embeddings e (manifest.json)"),
+}
+
+
+@pytest.mark.parametrize("command", DIRECTORY_FILE_NAMED)
+def test_file_in_a_directory_option_named_twice_writes_nothing(
+        command, table1_dir, kg_embeddings_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    source, target, argv, names = DIRECTORY_FILE_NAMED[command]
+    source = source(table1_dir, kg_embeddings_dir)
+    (tmp_path / target).parent.mkdir(parents=True, exist_ok=True)
+    (shutil.copytree if source.is_dir() else shutil.copyfile)(source, tmp_path / target)
+    before = _tree(tmp_path)
+    code = cli.main([str(arg) for arg in argv(table1_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert [ln for ln in captured.err.splitlines() if ln.startswith("error:")] == [
+        f"error: {names} name the same file"
+    ]
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
 class TestTrainAndTranslate:
     def test_translate_table1(self, table1_dir, table1_checkpoint):
         proc = run_cli("translate", "--checkpoint", str(table1_checkpoint),
@@ -446,6 +479,142 @@ class TestAblation:
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
             f"error: ablation grid names flag set {label} twice"
         ]
+
+    @pytest.mark.parametrize("grid, flag, option", [("none;A,W,G", "W", "--word-vectors"),
+                                                    ("none;A;A,G", "G", "--kg-embeddings")])
+    def test_cell_without_its_vectors_rejected_before_training(self, grid, flag, option,
+                                                              table1_dir, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before every cell's inputs were checked")
+
+        monkeypatch.setattr(cli.model, "train", no_training)
+        code = cli.main(["ablation", "--train", str(table1_dir / "train.jsonl"),
+                         "--test", str(table1_dir / "test.jsonl"), "--grid", grid])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: flag {flag} set but {option} not given"
+        ]
+
+
+ABLATION_CONFIG = """\
+word_dim=16
+kg_dim=8
+enc_hidden=8
+dec_hidden=16
+batch_size=8
+lr=0.01
+"""
+
+
+@pytest.fixture(scope="module")
+def hard_world(tmp_path_factory):
+    """make-synthetic --hard files and a small config for two-by-two grids."""
+    d = tmp_path_factory.mktemp("hard")
+    proc = run_cli("make-synthetic", "--hard", "--out", str(d))
+    assert proc.returncode == 0, proc.stderr
+    (d / "model.cfg").write_text(ABLATION_CONFIG, encoding="utf-8")
+    return d
+
+
+def _ablation_argv(d, *extra):
+    return ["ablation", "--config", str(d / "model.cfg"), "--train", str(d / "train.jsonl"),
+            "--dev", str(d / "dev.jsonl"), "--test", str(d / "test.jsonl"),
+            "--grid", "none;A,W", "--seeds", "1,2", "--epochs", "15",
+            "--word-vectors", str(d / "words.vec"), *extra]
+
+
+def _per_seed_f1(stdout):
+    """'  LABEL / DATASET: [f, ...]' lines of the ablation table as label -> values."""
+    out = {}
+    for line in stdout.splitlines():
+        if line.startswith("  ") and ": [" in line:
+            key, _, values = line.strip().partition(": [")
+            out[key.split(" / ")[0]] = [float(v) for v in values.rstrip("]").split(", ")]
+    return out
+
+
+# SHA-256 of the ablation table on a 2x2 grid (flag sets none and A,W; seeds
+# 1 and 2) over make-synthetic --hard, as printed and as --report writes it.
+# Pinned like PIPELINE_DIGESTS below.
+ABLATION_DIGESTS = {
+    "ablation.stdout": "aea6305696832e81364c1e12583ef652fe25248394ac0d2596396ea5e7d7b093",
+    "grid.txt": "aea6305696832e81364c1e12583ef652fe25248394ac0d2596396ea5e7d7b093",
+}
+
+
+def test_ablation_outputs_pinned(hard_world, tmp_path, capsys):
+    report = tmp_path / "grid.txt"
+    capsys.readouterr()
+    assert cli.main(_ablation_argv(hard_world, "--report", str(report))) == 0
+    stdout = capsys.readouterr().out
+    per_seed = _per_seed_f1(stdout)
+    assert list(per_seed) == ["Seq2Seq", "S+A+W"]
+    assert any(v > 0 for values in per_seed.values() for v in values)
+    assert per_seed["Seq2Seq"] != per_seed["S+A+W"]
+    digests = {"ablation.stdout": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+               "grid.txt": hashlib.sha256(report.read_bytes()).hexdigest()}
+    assert digests == ABLATION_DIGESTS
+
+
+def test_ablation_cell_scores_like_train_then_eval(hard_world, tmp_path, capsys):
+    d = hard_world
+    capsys.readouterr()
+    assert cli.main(_ablation_argv(d)) == 0
+    per_seed = _per_seed_f1(capsys.readouterr().out)
+    for flags, label in (("none", "Seq2Seq"), ("A,W", "S+A+W")):
+        for i, seed in enumerate((1, 2)):
+            ckpt = tmp_path / f"{label}-{seed}.ckpt"
+            assert cli.main(["train", "--config", str(d / "model.cfg"),
+                             "--train", str(d / "train.jsonl"), "--dev", str(d / "dev.jsonl"),
+                             "--word-vectors", str(d / "words.vec"), "--flags", flags,
+                             "--seed", str(seed), "--epochs", "15",
+                             "--out", str(ckpt), "--log", str(tmp_path / "log")]) == 0
+            assert cli.main(["eval", "--checkpoint", str(ckpt),
+                             "--test", str(d / "test.jsonl")]) == 0
+            f1_line = next(ln for ln in capsys.readouterr().out.splitlines()
+                           if ln.startswith("F1"))
+            assert round(float(f1_line.split()[1]), 4) == per_seed[label][i]
+
+
+def test_ablation_resolves_its_config_once(hard_world, monkeypatch):
+    calls = []
+    resolve = cli.resolve_model_config
+
+    def counted(args):
+        calls.append(args)
+        return resolve(args)
+
+    monkeypatch.setattr(cli, "resolve_model_config", counted)
+    argv = _ablation_argv(hard_world)
+    argv[argv.index("--epochs") + 1] = "1"
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+
+
+# train's and ablation's options as dest -> default, after the argv that
+# gives their required paths.
+TRAINING_OPTIONS = {
+    "train": (["--train", "t", "--out", "o"], {
+        "config": None, "train": "t", "dev": None, "word_vectors": None, "kg_embeddings": None,
+        "epochs": None, "min_count": 1, "flags": None, "seed": None, "out": "o", "log": None}),
+    "ablation": (["--train", "t", "--test", "x"], {
+        "config": None, "train": "t", "dev": None, "word_vectors": None, "kg_embeddings": None,
+        "epochs": None, "min_count": 1, "test": "x", "grid": "none;A;A,W;A,W,G",
+        "seeds": "0,1,2,3,4", "report": None}),
+}
+
+
+@pytest.mark.parametrize("command", TRAINING_OPTIONS)
+def test_training_command_options(command):
+    required, defaults = TRAINING_OPTIONS[command]
+    parser = cli.build_parser()
+    args = vars(parser.parse_args([command, *required]))
+    assert {k: v for k, v in args.items() if k not in ("command", "handler")} == defaults
+    # each option is spelled as its dest with dashes
+    argv = [word for dest in defaults for word in (f"--{dest.replace('_', '-')}", "7")]
+    args = vars(parser.parse_args([command, *argv]))
+    assert all(args[dest] in ("7", 7) for dest in defaults)
 
 
 class TestConfigResolution:

@@ -61,7 +61,8 @@ def _file_access(call: ast.Call):
         return name
     if name in ("write_text", "write_bytes", "save", "savez", "savetxt", "tofile"):
         return "write"
-    if name in ("replace", "rename") and getattr(func.value, "id", None) == "os":
+    if (name in ("replace", "rename") and isinstance(func, ast.Attribute)
+            and getattr(func.value, "id", None) == "os"):
         return "write"
     if name != "open":
         return None
@@ -141,6 +142,15 @@ def test_one_way_into_the_model_and_one_way_out():
     tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
     callers = set(_callers(tree, {"encode_sentence", "DecodeResult"}))
     assert callers == {("_sources", "encode_sentence"), ("_result", "DecodeResult")}
+
+
+def test_ablation_letters_stated_once():
+    # The A/W/G letters name ModelConfig's flag fields in ModelConfig.FLAGS
+    # only; flag_label, the CLI's flag parser and its checks read them there.
+    letters = {(path.stem, node.value) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and node.value in ("A", "W", "G")}
+    assert letters == {("model", "A"), ("model", "W"), ("model", "G")}
 
 
 def test_one_lstm_backward():

@@ -7,7 +7,6 @@ from text2triple.scoring import (
     ErrorCategory,
     error_taxonomy,
     evaluate,
-    exact_match,
     format_ablation_grid,
     format_report,
     report_records,
@@ -20,15 +19,15 @@ TABLE1 = Triple("dbr:Germany", "dbo:capital", "dbr:Berlin")
 
 class TestExactMatch:
     def test_identical(self):
-        assert exact_match(TABLE1, TABLE1)
+        assert evaluate([TABLE1], [TABLE1]).n_correct == 1
 
     def test_wrong_predicate_fails(self):
         pred = Triple("dbr:Germany", "dbo:largestCity", "dbr:Berlin")
-        assert not exact_match(pred, TABLE1)
+        assert evaluate([pred], [TABLE1]).n_correct == 0
 
     def test_capital_city_gold(self):
         pred = Triple("dbr:Germany", "dbo:capital", "dbr:Berlin")
-        assert exact_match(pred, TABLE1)
+        assert evaluate([pred], [TABLE1]).n_correct == 1
 
 
 def t(i):
@@ -144,7 +143,7 @@ class TestErrorTaxonomy:
                 ))
         counts = error_taxonomy(preds, golds, tv)
         n_wrong = sum(
-            1 for p, g in zip(preds, golds) if p is None or not exact_match(p, g)
+            1 for p, g in zip(preds, golds) if p != g
         )
         assert sum(counts.values()) == n_wrong
 
