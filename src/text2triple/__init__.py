@@ -17,10 +17,10 @@ from .embeddings import (
     KgEmbeddings,
     TransEConfig,
     link_prediction_eval,
-    load_word_vectors,
     negative_sample,
     transe_score,
     transe_train,
+    word_init_table,
 )
 from .scoring import ErrorCategory, EvalReport, error_taxonomy, evaluate
 from .model import (
@@ -73,7 +73,6 @@ __all__ = [
     "grad_check_fd",
     "link_prediction_eval",
     "load_checkpoint",
-    "load_word_vectors",
     "make_rng",
     "negative_sample",
     "save_checkpoint",
@@ -84,4 +83,5 @@ __all__ = [
     "translate_beam",
     "translate_greedy",
     "translate_greedy_batch",
+    "word_init_table",
 ]

@@ -3,11 +3,13 @@
 Sub-commands: build-vocab, kg-embed, ds-align, train, eval, translate,
 ablation and make-synthetic. ablation takes train's training options and
 trains and scores each cell of its flag grid with train's and eval's own
-code. Every run resolves its configuration from defaults, then an
-optional flat key=value config file, then command-line flags (flags win),
-logs the resolved result to stderr, and draws all randomness from --seed,
-so identical inputs produce byte-identical outputs. Progress and wall-clock
-chatter go to stderr only; files and stdout stay deterministic.
+code; it reads its inputs once, and its cells differ only in their flags
+and their seeded init draws. Every run resolves its configuration from
+defaults, then an optional flat key=value config file, then command-line
+flags (flags win), logs the resolved result to stderr, and draws all
+randomness from --seed, so identical inputs produce byte-identical outputs.
+Progress and wall-clock chatter go to stderr only; files and stdout stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import corpus, embeddings, model, scoring, synthetic, vocab
 from .corpus import DataError, Dataset, KnowledgeGraph, Triple
@@ -197,7 +199,19 @@ def _check_flag_inputs(args, config: ModelConfig) -> None:
             raise DataError(f"flag {letter} set but --{dest.replace('_', '-')} not given")
 
 
-def _run_training(args, config: ModelConfig, dataset: Dataset):
+class _TrainingInputs(NamedTuple):
+    """What every training run of one command shares, loaded once."""
+
+    word_vocab: vocab.WordVocab
+    tvocab: vocab.TripleVocab
+    kg_emb: embeddings.KgEmbeddings | None
+    word_vectors: tuple | None  # read_vector_file's (symbols, table)
+
+
+def _training_inputs(args, dataset: Dataset, configs: list[ModelConfig]) -> _TrainingInputs:
+    """Load --kg-embeddings, build the vocabularies and, when a run
+    initializes from them, read --word-vectors. The configs differ only in
+    flags and seed."""
     kg_emb = embeddings.load_kg_embeddings(args.kg_embeddings) if args.kg_embeddings else None
     word_vocab = vocab.build_word_vocab(
         [list(ex.tokens) for ex in dataset.train], min_count=args.min_count
@@ -207,12 +221,18 @@ def _run_training(args, config: ModelConfig, dataset: Dataset):
     tvocab = kg_emb.vocab if kg_emb is not None else vocab.build_kg_vocab(
         ex.gold for ex in dataset.train + dataset.dev
     )
+    word_vectors = None
+    if any(config.use_word_init for config in configs):
+        word_vectors = embeddings.read_vector_file(args.word_vectors, configs[0].word_dim)
+    return _TrainingInputs(word_vocab, tvocab, kg_emb, word_vectors)
+
+
+def _run_training(inputs: _TrainingInputs, config: ModelConfig, dataset: Dataset):
+    word_vocab, tvocab, kg_emb, word_vectors = inputs
     rng = model.make_rng(config.seed + 1)  # init-table draws, separate from training
     word_init = None
     if config.use_word_init:
-        word_init, coverage = embeddings.load_word_vectors(
-            args.word_vectors, word_vocab, config.word_dim, rng
-        )
+        word_init, coverage = embeddings.word_init_table(*word_vectors, word_vocab, rng)
         logger.info("word-vector coverage: %.1f%%", 100 * coverage)
     kg_init = None
     if config.use_kg_init:
@@ -220,9 +240,8 @@ def _run_training(args, config: ModelConfig, dataset: Dataset):
             kg_emb, tvocab, config.kg_dim, rng
         )
         logger.info("kg-embedding coverage: %.1f%%", 100 * coverage)
-    result = model.train(dataset, word_vocab, tvocab, config,
-                         word_init=word_init, kg_init=kg_init)
-    return result, word_vocab, tvocab
+    return model.train(dataset, word_vocab, tvocab, config,
+                       word_init=word_init, kg_init=kg_init)
 
 
 def _format_epoch_line(stats: model.EpochStats) -> str:
@@ -237,9 +256,11 @@ def _cmd_train(args) -> int:
         train=corpus.load_examples(args.train),
         dev=corpus.load_examples(args.dev) if args.dev else [],
     )
-    result, word_vocab, tvocab = _run_training(args, config, dataset)
+    inputs = _training_inputs(args, dataset, [config])
+    result = _run_training(inputs, config, dataset)
     log_lines = [_format_epoch_line(s) for s in result.log]
-    files = {args.out: model.checkpoint_bytes(result.params, config, word_vocab, tvocab)}
+    files = {args.out: model.checkpoint_bytes(result.params, config, inputs.word_vocab,
+                                              inputs.tvocab)}
     if args.log:
         files[args.log] = "\n".join(log_lines) + "\n"
     vocab.write_files(files)
@@ -319,6 +340,9 @@ def _cmd_ablation(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError:
         raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"--seeds names seed {seed} twice")
     base = resolve_model_config(args)
     # label -> one config per seed; a flag set sets all three flags, whatever --config says
     grid: dict[str, list[ModelConfig]] = {}
@@ -335,14 +359,16 @@ def _cmd_ablation(args) -> int:
         dev=corpus.load_examples(args.dev) if args.dev else [],
         test=corpus.load_examples(args.test),
     )
+    inputs = _training_inputs(args, dataset, [c for configs in grid.values() for c in configs])
     golds = [ex.gold for ex in dataset.test]
     results: dict[str, dict[str, list[float]]] = {}
     dataset_label = Path(args.test).stem
     for label, configs in grid.items():
         scores: list[float] = []
         for config in configs:
-            result, word_vocab, tvocab = _run_training(args, config, dataset)
-            preds = _predict(dataset.test, result.params, word_vocab, tvocab, config)
+            result = _run_training(inputs, config, dataset)
+            preds = _predict(dataset.test, result.params, inputs.word_vocab, inputs.tvocab,
+                             config)
             scores.append(scoring.evaluate(preds, golds).f1)
             logger.info("ablation %s seed %d: f1=%.4f", label, config.seed, scores[-1])
         results[label] = {dataset_label: scores}

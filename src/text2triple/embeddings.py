@@ -12,7 +12,7 @@ Word vectors and KG embeddings share one text format, read by
 ``read_vector_file`` and rendered by ``vector_text``: an optional
 ``count dim`` header whose count is the number of rows, then
 ``symbol v1 .. v_d`` per line with finite values. The reader returns every
-row in file order; each loader applies its own policy. ``load_word_vectors``
+row in file order; each user applies its own policy. ``word_init_table``
 keeps the first row of a repeated token and accepts an empty file;
 ``load_kg_embeddings`` rejects a repeated symbol and a file with no vectors.
 """
@@ -40,12 +40,12 @@ __all__ = [
     "kg_embedding_files",
     "link_prediction_eval",
     "load_kg_embeddings",
-    "load_word_vectors",
     "negative_sample",
     "read_vector_file",
     "transe_score",
     "transe_train",
     "vector_text",
+    "word_init_table",
 ]
 
 logger = logging.getLogger(__name__)
@@ -392,25 +392,26 @@ def vector_text(symbols: Sequence[str], table) -> str:
     )
 
 
-def load_word_vectors(
-    path, vocab: WordVocab, dim: int, rng: np.random.Generator
+def word_init_table(
+    symbols: Sequence[str], vectors: np.ndarray, vocab: WordVocab, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
-    """Encoder embedding table: file rows where covered, random elsewhere.
+    """Encoder embedding table from a word-vector file's rows, as
+    read_vector_file returns them: file rows where covered, random elsewhere.
 
     Returns (table, coverage). Coverage is the fraction of non-reserved
     vocabulary tokens found in the file; PAD/UNK/BOS are always random-init.
     The first row of a repeated token wins, and an empty file covers nothing.
     """
-    table = uniform_init((len(vocab), dim), rng)
-    vectors: dict[str, np.ndarray] = {}
-    for token, row in zip(*read_vector_file(path, dim)):
-        vectors.setdefault(token, row)
+    table = uniform_init((len(vocab), vectors.shape[1]), rng)
+    by_token: dict[str, np.ndarray] = {}
+    for token, row in zip(symbols, vectors):
+        by_token.setdefault(token, row)
     covered = 0
     non_reserved = len(vocab) - len(RESERVED_TOKENS)
     for idx, token in enumerate(vocab.tokens):
         if idx < len(RESERVED_TOKENS):
             continue
-        vec = vectors.get(token)
+        vec = by_token.get(token)
         if vec is not None:
             table[idx] = vec
             covered += 1

@@ -11,8 +11,9 @@ vectors (encoder) and TransE vectors (decoder).
 
 The parameters are stated once, by `_param_layout`, and live in one float64
 vector; `ModelParams` names views into it. Initialization fills the vector
-with one draw, the gradients fill a vector with the same views, Adam and
-clipping update them in place, and a checkpoint's payload is its bytes.
+with one draw, the gradients fill a vector with the same views (`train`
+keeps one such vector for the whole run), Adam and clipping update them in
+place, and a checkpoint's payload is its bytes.
 
 Gradients are hand-derived and exact. Every LSTM runs forward as a
 `numerics.lstm_sequence` scan and backward through `lstm_sequence_backward`;
@@ -496,15 +497,23 @@ def _loss_and_grads(
     params: ModelParams,
     config: ModelConfig,
     tvocab: TripleVocab,
+    out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
     """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) averaged over a
     batch of sources with gold target ids (B, 3), and its exact gradients,
-    written into a fresh vector with params' layout."""
+    written into `out` (params' layout over another vector) when given, else
+    into a fresh vector; returns (loss, the gradients).
+
+    The two embedding views are zeroed and then accumulated into; every
+    other view is overwritten whole by a GEMM or a sum, so whatever `out`
+    held before does not reach the result.
+    """
     enc, (both_ids, lengths, live, enc_cache) = _encode_batch(sources, params, config)
     T, B = live.shape
     nh, dh = config.enc_hidden, config.dec_hidden
-    grads = ModelParams.view(np.zeros(params.vec.size), _param_layout(
-        config, params.enc_embed.shape[0], params.out_b.shape[0]))
+    grads = params.like(np.empty(params.vec.size)) if out is None else out
+    grads.enc_embed.fill(0.0)
+    grads.dec_embed.fill(0.0)
 
     # The decoder's three inputs are known under teacher forcing, so it runs
     # as one sequence and the output layer as one GEMM over all B*3 steps.
@@ -546,7 +555,7 @@ def _loss_and_grads(
         dS.transpose(1, 0, 2)[:, None], dec_cache, (params.dec_lstm,), (grads.dec_lstm,)
     )
     dh0 = dh0[0]
-    np.add.at(grads.dec_embed, prev, dx_dec[:, 0])
+    _add_rows(grads.dec_embed, prev, dx_dec[:, 0])
 
     # Bridge, then the encoder: the final state feeds the last forward step
     # and the last step of the reversed backward scan.
@@ -558,8 +567,18 @@ def _loss_and_grads(
         d_hs, enc_cache, (params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd)
     )
     valid = np.broadcast_to(live[:, None, :], both_ids.shape)
-    np.add.at(grads.enc_embed, both_ids[valid], dx_enc[valid])
+    _add_rows(grads.enc_embed, both_ids[valid], dx_enc[valid])
     return float(losses.sum()) * scale, grads
+
+
+def _add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """table[ids[i]] += rows[i] for each i in order, repeats included, as one
+    np.add.at on flat element indices of the C-contiguous table: the same
+    additions in the same order as on whole rows, and faster for more than a
+    handful of rows."""
+    dim = table.shape[1]
+    np.add.at(table.reshape(-1), (ids.reshape(-1, 1) * dim + np.arange(dim)).ravel(),
+              rows.ravel())
 
 
 def _gold_ids(example: AnnotatedExample, tvocab: TripleVocab) -> tuple[int, int, int]:
@@ -755,6 +774,7 @@ def train(
 
     state = Adam(params.vec.size, lr=config.lr, beta1=config.beta1,
                  beta2=config.beta2, eps=config.adam_eps)
+    grads_out = params.like(np.empty(params.vec.size))  # every minibatch's gradients
     best_params: ModelParams | None = None
     best_f1: float | None = None
     bad_epochs = 0
@@ -771,7 +791,8 @@ def train(
             for start in range(0, n, config.batch_size):
                 batch = order[start:start + config.batch_size]
                 batch_loss, grads = _loss_and_grads(
-                    [sources[j] for j in batch], golds[batch], params, config, tvocab
+                    [sources[j] for j in batch], golds[batch], params, config, tvocab,
+                    out=grads_out,
                 )
                 grad_norm = clip_global_norm(grads.vec, config.clip_norm)
                 if not math.isfinite(batch_loss) or not math.isfinite(grad_norm):

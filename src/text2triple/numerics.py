@@ -16,7 +16,7 @@ and are deterministic: identical inputs give bit-identical outputs. They are
 pure, except three that write in place: lstm_sequence_backward writes the
 weight gradients into the LstmWeights it is given, clip_global_norm scales
 the gradient vector, and adam_step updates one flat parameter vector and its
-Adam state.
+Adam state, one cache-sized block of ADAM_BLOCK elements at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "ADAM_BLOCK",
     "Adam",
     "GATES",
     "LstmSequenceCache",
@@ -286,17 +287,23 @@ def lstm_sequence_backward(
 # ---------------------------------------------------------------------------
 
 
+# Elements per block of adam_step. Adam's six arrays take 6 * 8 bytes per
+# element, so a block of them (768 KB) stays in a 2 MB L2 cache between the
+# update's passes, where whole vectors of CLI-default size do not.
+ADAM_BLOCK = 16_384
+
+
 class Adam:
     """Adam's state over one flat parameter vector of `size` values: the
     moments m and v, the step count t, the hyperparameters, and two scratch
-    vectors that adam_step computes in."""
+    rows of one block each, min(size, ADAM_BLOCK), that adam_step computes in."""
 
     def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m, self.v = np.zeros(size), np.zeros(size)
-        self.scratch = np.empty((2, size))
+        self.scratch = np.empty((2, min(size, ADAM_BLOCK)))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
@@ -305,7 +312,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
     params, state.m, state.v and state.t change; grads does not. Every
     element goes through b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
     p - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result has the
-    bits those expressions give with temporaries.
+    bits those expressions give with temporaries. The passes run over one
+    block of ADAM_BLOCK elements at a time, so each block's arrays stay in
+    cache from the first pass to the last; elements do not mix, so the
+    blocking moves no bit.
     """
     if not params.shape == grads.shape == state.m.shape:
         raise ValueError(f"adam_step: shape mismatch: params {params.shape}, "
@@ -313,20 +323,23 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
-    m, v, (a, b) = state.m, state.v, state.scratch
-    m *= state.beta1
-    m += np.multiply(grads, 1.0 - state.beta1, out=a)
-    v *= state.beta2
-    np.multiply(grads, grads, out=a)
-    a *= 1.0 - state.beta2
-    v += a
-    np.divide(v, c2, out=a)
-    np.sqrt(a, out=a)
-    a += state.eps
-    np.divide(m, c1, out=b)
-    b *= state.lr
-    b /= a
-    params -= b
+    for lo in range(0, params.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
+        a, b = state.scratch[:, :p.size]
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
+        v *= state.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - state.beta2
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, c1, out=b)
+        b *= state.lr
+        b /= a
+        p -= b
 
 
 def clip_global_norm(vec: np.ndarray, max_norm: float) -> float:

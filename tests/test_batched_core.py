@@ -394,6 +394,56 @@ class TestPadding:
             np.testing.assert_allclose(got.attention, alone.attention, rtol=0, atol=1e-12)
 
 
+class TestGradientBuffer:
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("batch", ["equal lengths", "mixed lengths"])
+    def test_buffer_contents_do_not_reach_the_gradients(self, attention, batch):
+        # Only the two embedding views are zeroed before they are accumulated
+        # into; every other view must be overwritten whole, so NaN left in
+        # the buffer reaches nothing.
+        config = tiny_config(attention, max_src_len=10)
+        tvocab = tiny_vocab()
+        params = ModelParams.init(config, 12, tvocab.n_targets, make_rng(5))
+        sources, gold = random_batch(make_rng(6), BATCHES[batch], 12, tvocab)
+        want_loss, want = model._loss_and_grads(sources, gold, params, config, tvocab)
+        for fill in (0.0, np.nan):
+            out = params.like(np.full(params.vec.size, fill))
+            loss, grads = model._loss_and_grads(sources, gold, params, config, tvocab, out=out)
+            assert grads.vec is out.vec
+            assert loss == want_loss
+            assert grads.vec.tobytes() == want.vec.tobytes()
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_one_buffer_for_two_batches_equals_two_fresh_calls(self, attention):
+        # The first batch reads words the second does not, so an embedding
+        # gradient carried over would show.
+        config = tiny_config(attention)
+        tvocab = tiny_vocab()
+        params = ModelParams.init(config, 12, tvocab.n_targets, make_rng(7))
+        first = random_batch(make_rng(12), [6, 1, 3, 9], 12, tvocab)
+        second = random_batch(make_rng(13), [2, 5], 12, tvocab)
+        assert {w for s in first[0] for w in s} - {w for s in second[0] for w in s}
+        assert {int(i) for i in first[1].flat} - {int(i) for i in second[1].flat}
+        out = params.like(np.empty(params.vec.size))
+        for sources, gold in (first, second):
+            loss, grads = model._loss_and_grads(sources, gold, params, config, tvocab, out=out)
+            want_loss, want = model._loss_and_grads(sources, gold, params, config, tvocab)
+            assert loss == want_loss
+            assert grads.vec.tobytes() == want.vec.tobytes()
+
+    def test_flat_scatter_adds_like_add_at_on_rows(self):
+        # Repeated ids, addends of mixed magnitude and a nonzero table, so
+        # any change in the order of the additions would show in the bits.
+        rng = make_rng(3)
+        ids = rng.integers(0, 5, (3, 4))
+        rows = rng.standard_normal((3, 4, 6)) * 10.0 ** rng.integers(-8, 8, (3, 4, 6))
+        want = rng.standard_normal((5, 6))
+        got = want.copy()
+        np.add.at(want, ids, rows)
+        model._add_rows(got, ids, rows)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBeamBatch:
     def test_ties_break_toward_lower_id_sequences(self):
         # zero weights make every sequence equally likely, so the beam keeps

@@ -496,6 +496,22 @@ class TestAblation:
             f"error: flag {flag} set but {option} not given"
         ]
 
+    @pytest.mark.parametrize("seeds, seed", [("1,1", 1), ("0,2,0", 0), ("3,03", 3)])
+    def test_repeated_seed_rejected_before_training(self, seeds, seed, table1_dir,
+                                                    monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the seeds were checked")
+
+        monkeypatch.setattr(cli.model, "train", no_training)
+        code = cli.main(["ablation", "--train", str(table1_dir / "train.jsonl"),
+                         "--test", str(table1_dir / "test.jsonl"), "--grid", "A",
+                         "--seeds", seeds])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: --seeds names seed {seed} twice"
+        ]
+
 
 ABLATION_CONFIG = """\
 word_dim=16
@@ -590,6 +606,33 @@ def test_ablation_resolves_its_config_once(hard_world, monkeypatch):
     argv[argv.index("--epochs") + 1] = "1"
     assert cli.main(argv) == 0
     assert len(calls) == 1
+
+
+def test_ablation_loads_its_inputs_once(hard_world, tmp_path, monkeypatch):
+    # A 2x2 grid whose cells initialize from both vector inputs reads each
+    # once; only the seeded init draws are per cell.
+    emb = tmp_path / "emb"
+    assert cli.main(["kg-embed", "--kg", str(hard_world / "kg.tsv"), "--dim", "8",
+                     "--epochs", "1", "--out", str(emb)]) == 0
+    loads, reads = [], []
+    load_kg, read_vectors = embeddings.load_kg_embeddings, embeddings.read_vector_file
+
+    def counted_load(path):
+        loads.append(path)
+        return load_kg(path)
+
+    def counted_read(path, dim=None):
+        reads.append(path)
+        return read_vectors(path, dim)
+
+    monkeypatch.setattr(embeddings, "load_kg_embeddings", counted_load)
+    monkeypatch.setattr(embeddings, "read_vector_file", counted_read)
+    argv = _ablation_argv(hard_world, "--kg-embeddings", str(emb))
+    argv[argv.index("--grid") + 1] = "A,W;A,W,G"
+    argv[argv.index("--epochs") + 1] = "1"
+    assert cli.main(argv) == 0
+    assert loads == [str(emb)]
+    assert reads.count(str(hard_world / "words.vec")) == 1
 
 
 # train's and ablation's options as dest -> default, after the argv that

@@ -16,12 +16,12 @@ from text2triple.embeddings import (
     kg_embedding_files,
     link_prediction_eval,
     load_kg_embeddings,
-    load_word_vectors,
     negative_sample,
     read_vector_file,
     transe_score,
     transe_train,
     vector_text,
+    word_init_table,
 )
 from text2triple.numerics import make_rng
 from text2triple.synthetic import make_hard_world
@@ -530,6 +530,11 @@ class TestLinkPrediction:
     def test_no_triples_rejected(self):
         with pytest.raises(ValueError, match="at least one triple"):
             link_prediction_eval(rectangle_embeddings(), [])
+
+
+def load_word_vectors(path, vocab, dim, rng):
+    """A word-vector file read and made into an encoder table, as train does."""
+    return word_init_table(*read_vector_file(path, dim), vocab, rng)
 
 
 class TestWordVectors:

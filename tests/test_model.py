@@ -547,6 +547,21 @@ class TestTrain:
         loss, _ = forward_loss(examples[0], result.params, config, word_vocab, tvocab)
         assert loss < 0.01
 
+    def test_every_minibatch_writes_one_gradient_buffer(self, monkeypatch):
+        real = model._loss_and_grads
+        buffers = []
+
+        def recording(*args, out=None, **kwargs):
+            buffers.append(out.vec)
+            return real(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(model, "_loss_and_grads", recording)
+        word_vocab, tvocab, examples = self.small_world()
+        result = train(Dataset(train=examples), word_vocab, tvocab, self.config())
+        assert len(buffers) == 9  # 3 epochs of 3 batches
+        assert all(vec is buffers[0] for vec in buffers)
+        assert not np.shares_memory(buffers[0], result.params.vec)
+
     def test_same_seed_identical_logs_and_params(self):
         word_vocab, tvocab, examples = self.small_world()
         dataset = Dataset(train=examples[:4], dev=examples[4:])

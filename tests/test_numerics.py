@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from text2triple.numerics import (
+    ADAM_BLOCK,
     Adam,
     LstmWeights,
     adam_step,
@@ -184,25 +185,31 @@ class TestAdam:
             assert abs(update + 1e-3 * math.copysign(1.0, g)) < 1e-8
 
     def test_in_place_update_equals_the_expressions_bit_for_bit(self):
-        rng = make_rng(7)
-        n = 1000
-        state = Adam(n, lr=3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
-        state.t = 4
-        state.m[:] = rng.standard_normal(n)
-        state.v[:] = rng.random(n)
-        p, g = rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
-        m0, v0, p0, g0 = state.m.copy(), state.v.copy(), p.copy(), g.copy()
-        b1, b2, t = 0.8, 0.99, 5
-        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-        m = b1 * m0 + (1.0 - b1) * g0
-        v = b2 * v0 + (1.0 - b2) * (g0 * g0)
-        want = p0 - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-7)
-        adam_step(p, g, state)
-        assert state.t == t
-        np.testing.assert_array_equal(g, g0)
-        assert p.tobytes() == want.tobytes()
-        assert state.m.tobytes() == m.tobytes()
-        assert state.v.tobytes() == v.tobytes()
+        # One element, less than a block, one block, a block and one, and
+        # three blocks with a ragged fourth; several steps each.
+        b1, b2 = 0.8, 0.99
+        for n in (1, 1000, ADAM_BLOCK, ADAM_BLOCK + 1, 3 * ADAM_BLOCK + 17):
+            rng = make_rng(7)
+            state = Adam(n, lr=3e-3, beta1=b1, beta2=b2, eps=1e-7)
+            assert state.scratch.shape == (2, min(n, ADAM_BLOCK))
+            state.t = 4
+            state.m[:] = rng.standard_normal(n)
+            state.v[:] = rng.random(n)
+            p = rng.standard_normal(n)
+            m, v, want = state.m.copy(), state.v.copy(), p.copy()
+            for t in (5, 6, 7):
+                g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+                g0 = g.copy()
+                c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+                m = b1 * m + (1.0 - b1) * g0
+                v = b2 * v + (1.0 - b2) * (g0 * g0)
+                want = want - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-7)
+                adam_step(p, g, state)
+                assert state.t == t
+                np.testing.assert_array_equal(g, g0)
+                assert p.tobytes() == want.tobytes(), (n, t)
+                assert state.m.tobytes() == m.tobytes(), (n, t)
+                assert state.v.tobytes() == v.tobytes(), (n, t)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
