@@ -211,8 +211,11 @@ class _TrainingInputs(NamedTuple):
 def _training_inputs(args, dataset: Dataset, configs: list[ModelConfig]) -> _TrainingInputs:
     """Load --kg-embeddings, build the vocabularies and, when a run
     initializes from them, read --word-vectors. The configs differ only in
-    flags and seed."""
+    flags and seed, so one check of the KG embeddings' dim covers them all."""
     kg_emb = embeddings.load_kg_embeddings(args.kg_embeddings) if args.kg_embeddings else None
+    kg_dim = configs[0].kg_dim
+    if any(config.use_kg_init for config in configs) and kg_emb.dim != kg_dim:
+        raise ValueError(f"KG embedding dim {kg_emb.dim} != decoder embedding dim {kg_dim}")
     word_vocab = vocab.build_word_vocab(
         [list(ex.tokens) for ex in dataset.train], min_count=args.min_count
     )

@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
@@ -496,6 +497,22 @@ class TestAblation:
             f"error: flag {flag} set but {option} not given"
         ]
 
+    def test_kg_dim_mismatch_rejected_before_training(self, table1_dir, kg_embeddings_dir,
+                                                      tmp_path):
+        # 4-wide KG vectors against model.cfg's kg_dim=12, for the grid's second cell
+        report = tmp_path / "grid.txt"
+        proc = run_cli("ablation", "--config", str(table1_dir / "model.cfg"),
+                       "--train", str(table1_dir / "train.jsonl"),
+                       "--test", str(table1_dir / "test.jsonl"), "--grid", "none;A,G",
+                       "--seeds", "4", "--epochs", "1",
+                       "--kg-embeddings", str(kg_embeddings_dir), "--report", str(report))
+        assert proc.returncode == 1
+        assert [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")] == [
+            "error: KG embedding dim 4 != decoder embedding dim 12"
+        ]
+        assert "f1=" not in proc.stderr and proc.stdout == ""
+        assert not report.exists()
+
     @pytest.mark.parametrize("seeds, seed", [("1,1", 1), ("0,2,0", 0), ("3,03", 3)])
     def test_repeated_seed_rejected_before_training(self, seeds, seed, table1_dir,
                                                     monkeypatch, capsys):
@@ -873,6 +890,25 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_link_prediction_does_not_depend_on_thread_count(self, tmp_path):
+        # 3,000 triples over ~1,000 entities: each chunk's (256, 64) @ (64, ~1000)
+        # scoring GEMM is large enough for OpenBLAS to split across threads.
+        rng = np.random.default_rng(5)
+        triples = set()
+        while len(triples) < 3000:
+            s, o = rng.integers(1000, size=2)
+            triples.add(f"e{s}\tr{rng.integers(30)}\te{o}\n")
+        kg = tmp_path / "kg.tsv"
+        kg.write_text("".join(sorted(triples)), encoding="utf-8")
+        stdouts = []
+        for threads in ("1", "2"):
+            proc = run_cli("kg-embed", "--kg", str(kg), "--epochs", "1",
+                           "--out", str(tmp_path / f"emb{threads}"),
+                           env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            stdouts.append(proc.stdout)
+        assert stdouts[0] == stdouts[1]
 
 
 # SHA-256 of every stdout and output file of criterion 10's pipeline, run once

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from text2triple import embeddings
@@ -515,6 +515,14 @@ class TestLinkPrediction:
         with pytest.raises(ValueError, match="embedding"):
             link_prediction_eval(emb, [Triple("nope", "r1", "b")])
 
+    def test_every_symbol_resolved_before_scoring(self):
+        # The tables are gone, so scoring any triple would raise TypeError.
+        emb = rectangle_embeddings()
+        emb.entity_table = emb.relation_table = None
+        triples = sorted(rectangle_kg().triples) + [Triple("a", "r1", "nope")]
+        with pytest.raises(ValueError, match="^symbol 'nope' has no embedding$"):
+            link_prediction_eval(emb, triples)
+
     @pytest.mark.parametrize("triple", [Triple("r1", "r1", "a"), Triple("a", "b", "c")],
                              ids=["relation-as-entity", "entity-as-relation"])
     def test_symbol_in_the_wrong_table_rejected(self, triple):
@@ -530,6 +538,59 @@ class TestLinkPrediction:
     def test_no_triples_rejected(self):
         with pytest.raises(ValueError, match="at least one triple"):
             link_prediction_eval(rectangle_embeddings(), [])
+
+
+def oracle_link_ranks(emb, triples):
+    """The per-query loop that ``_link_ranks`` replaced: the direct distance
+    from each query to every entity, one (E, d) pass per query. Row i holds
+    triple i's tail rank, then its head rank."""
+    E = emb.entity_table
+    erows, prows = emb.vocab.entity_rows, emb.vocab.predicate_rows
+    ranks = []
+    for tr in triples:
+        h, t = erows[tr.subject], erows[tr.object]
+        r = emb.relation_table[prows[tr.predicate]]
+        tail_scores = embeddings._score_rows(E[h] + r - E, emb.norm)
+        head_scores = embeddings._score_rows(E + r - E[t], emb.norm)
+        ranks.append((1 + int((tail_scores < tail_scores[t]).sum()),
+                      1 + int((head_scores < head_scores[h]).sum())))
+    return np.array(ranks)
+
+
+@st.composite
+def link_cases(draw):
+    """Random tables holding exact zeros of both signs, and 1, chunk - 1,
+    chunk or chunk + 1 query triples over them."""
+    norm = draw(st.sampled_from(["L1", "L2"]))
+    n_ents, n_rels = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([1, 2, 5, 16]))
+    chunk = embeddings.LINK_CHUNK
+    n_triples = draw(st.sampled_from([1, chunk - 1, chunk, chunk + 1]))
+    rng = make_rng(draw(st.integers(0, 2**16)))
+    tables = [rng.standard_normal((n, dim)) for n in (n_ents, n_rels)]
+    for table in tables:
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table[rng.random(table.shape) < 0.2] = -0.0
+    ents = tuple(f"e{i}" for i in range(n_ents))
+    rels = tuple(f"r{i}" for i in range(n_rels))
+    triples = [Triple(ents[s], rels[p], ents[o]) for s, p, o in zip(
+        *(rng.integers(n, size=n_triples) for n in (n_ents, n_rels, n_ents)))]
+    return KgEmbeddings(TripleVocab(ents, rels), *tables, norm), triples
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(link_cases())
+@example((rectangle_embeddings(), sorted(rectangle_kg().triples)))
+def test_link_ranks_match_per_query_loop(case):
+    """L1 evaluates the loop's own expressions, so its ranks are equal by
+    construction. L2 ranks by ||e||^2 - 2e.a, whose rounding differs from
+    the direct distance's: only entities whose distances are equal to within
+    rounding may rank differently, and in the seeded cases none does. The
+    rectangle, whose ranks are all 1, is one explicit case."""
+    emb, triples = case
+    ranks = embeddings._link_ranks(emb, triples)
+    assert ranks.shape == (len(triples), 2)
+    assert np.array_equal(ranks, oracle_link_ranks(emb, triples))
 
 
 def load_word_vectors(path, vocab, dim, rng):
