@@ -33,16 +33,19 @@ row's state past its end, so the last step holds every final state.
 Attention gives padded positions weight exactly 0, and the backward pass
 gives them gradient exactly 0. Training runs one padded forward/backward
 pass per minibatch (under teacher forcing the three decoder steps are one
-sequence). Dev scoring, `translate_greedy_batch` (the `eval` and `ablation`
-sub-commands) decode greedily in batches of DECODE_BATCH sources; beam
-search runs each step's live hypotheses as one batch; `encode`,
-`init_decoder_state`, `decode_step`, `translate_greedy` and `forward_loss`
-are batches of one. Every path turns decoder states into log-probabilities
-through one readout, `_readout`: attention, the output layer and the
-log-softmax masked to each step's slot. Sentences come in through
-`_sources` (ids, UNK counts and one warning per call for the sources that
-`_encode_batch` cuts to max_src_len), and every decoded row, greedy or
-beam, goes out as a `DecodeResult` through `_result`.
+sequence). One loop, `_decode`, decodes: beam search over chunks of
+DECODE_BATCH sources, each step running all their live hypotheses as one
+batch, with greedy decoding as its width-1 case. Dev scoring and
+`translate_greedy_batch` (the `eval` and `ablation` sub-commands) decode
+many sources at once; `translate_greedy`, `translate_beam`, `encode`,
+`init_decoder_state`, `decode_step` (the step-by-step reference) and
+`forward_loss` are batches of one. Every path turns decoder states into
+log-probabilities through one readout, `_readout`: attention, the output
+layer and the log-softmax masked to each step's slot. Sentences come in
+through `_sources` (ids, UNK counts and one warning per call for the
+sources that `_encode_batch` cuts to max_src_len), and every decoded row,
+greedy or beam, goes out as a `DecodeResult` through `_result`, whose total
+is the sum of its three log-probs.
 """
 
 from __future__ import annotations
@@ -323,7 +326,7 @@ class TrainResult:
 # gradients are exactly 0. The single-sentence functions below are B=1 views
 # of this core.
 
-DECODE_BATCH = 64  # sources per greedy-decoding batch
+DECODE_BATCH = 64  # sources per decoding chunk, each with up to `width` hypotheses
 
 
 @dataclass
@@ -412,12 +415,11 @@ def _masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
 
 
-def _readout(S: np.ndarray, steps: Sequence[int], enc: EncoderOutputs, params: ModelParams,
-             config: ModelConfig, tvocab: TripleVocab):
-    """The output layer over decoder states S (B, K, dec_hidden), state k at
-    decoding step steps[k]: (log-probs (B, K, n_targets) masked to each
-    step's slot, attention (B, K, T) or None, the output layer's input
-    (B*K, feat))."""
+def _readout(S: np.ndarray, mask: np.ndarray, enc: EncoderOutputs, params: ModelParams,
+             config: ModelConfig):
+    """The output layer over decoder states S (B, K, dec_hidden): (log-probs
+    (B, K, n_targets) masked to `mask`, which broadcasts against them,
+    attention (B, K, T) or None, the output layer's input (B*K, feat))."""
     B, K, _ = S.shape
     feat, alpha = S, None
     if config.use_attention:
@@ -425,26 +427,7 @@ def _readout(S: np.ndarray, steps: Sequence[int], enc: EncoderOutputs, params: M
         feat = np.concatenate([S, ctx], axis=2)
     feat2 = feat.reshape(B * K, -1)
     logits = (feat2 @ params.out_w.T + params.out_b).reshape(B, K, -1)
-    logp = _masked_log_softmax(logits, np.array([tvocab.step_mask(k) for k in steps]))
-    return logp, alpha, feat2
-
-
-def _decode_batch_step(
-    step: int,
-    prev_ids: np.ndarray,
-    state: tuple[np.ndarray, np.ndarray],
-    enc: EncoderOutputs,
-    params: ModelParams,
-    config: ModelConfig,
-    tvocab: TripleVocab,
-):
-    """One decoder step for B rows: (logp (B, n_targets), new state,
-    attention (B, T) or None). Step 1 reads the BOS target, not prev_ids."""
-    if step == 1:
-        prev_ids = np.full(len(state[0]), tvocab.bos_id)
-    h, c = lstm_cell(params.dec_embed[prev_ids], state[0], state[1], params.dec_lstm)
-    logp, alpha, _ = _readout(h[:, None], (step,), enc, params, config, tvocab)
-    return logp[:, 0], (h, c), None if alpha is None else alpha[:, 0]
+    return _masked_log_softmax(logits, mask), alpha, feat2
 
 
 def encode(src_ids: Sequence[int], params: ModelParams, config: ModelConfig) -> EncoderOutputs:
@@ -477,13 +460,14 @@ def decode_step(
     recurrent state, and the attention row when attention is enabled.
 
     prev_id is the target id emitted at the step before; step 1 ignores it
-    and reads the BOS target, tvocab.bos_id.
+    and reads the BOS target, tvocab.bos_id. The decoders step whole batches
+    of hypotheses in _decode; this one-row step is their step-by-step
+    reference.
     """
-    logp, (h, c), alpha = _decode_batch_step(
-        step, np.array([prev_id]), (state[0][None], state[1][None]), enc,
-        params, config, tvocab,
-    )
-    return logp[0], (h[0], c[0]), None if alpha is None else alpha[0]
+    prev = tvocab.bos_id if step == 1 else prev_id
+    h, c = lstm_cell(params.dec_embed[[prev]], state[0][None], state[1][None], params.dec_lstm)
+    logp, alpha, _ = _readout(h[:, None], tvocab.step_mask(step), enc, params, config)
+    return logp[0, 0], (h[0], c[0]), None if alpha is None else alpha[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +506,8 @@ def _loss_and_grads(
         params.dec_embed[prev][:, None], (params.dec_lstm,), h0=_bridge(enc.final, params)
     )
     S = dec_h[:, 0].transpose(1, 0, 2)                                  # (B, 3, dh)
-    logp, alpha, feat2 = _readout(S, (1, 2, 3), enc, params, config, tvocab)
+    masks = np.array([tvocab.step_mask(step) for step in (1, 2, 3)])
+    logp, alpha, feat2 = _readout(S, masks, enc, params, config)
     # Weighted cross-entropy and its logits gradient w * (p - onehot(gold)),
     # from the log-probs, so a non-finite forward pass reaches train's abort.
     w = np.asarray(config.step_weights)
@@ -609,41 +594,71 @@ def forward_loss(
 # ---------------------------------------------------------------------------
 
 
-def _result(ids: np.ndarray, logps: np.ndarray, total: float, attention: np.ndarray | None,
-            n_unk: int, tvocab: TripleVocab) -> DecodeResult:
-    """A decoded row, greedy or beam: its three target ids and their log-probs."""
+def _result(ids: np.ndarray, logps: np.ndarray, attention: np.ndarray | None, n_unk: int,
+            tvocab: TripleVocab) -> DecodeResult:
+    """A decoded row, greedy or beam: its three target ids and their log-probs,
+    whose sum is its total."""
     ids = tuple(int(i) for i in ids)
-    return DecodeResult(ids, Triple(*decode_triple(ids, tvocab)),
-                        tuple(float(v) for v in logps), float(total), attention, n_unk)
+    logps = tuple(float(v) for v in logps)
+    return DecodeResult(ids, Triple(*decode_triple(ids, tvocab)), logps, sum(logps),
+                        attention, n_unk)
 
 
-def _greedy_decode(sources: Sequence[Sequence[int]], n_unks: Sequence[int], params: ModelParams,
-                   config: ModelConfig, tvocab: TripleVocab) -> list[DecodeResult]:
-    """Greedy decoding in batches of DECODE_BATCH sources; attention rows
-    are cropped to each source's encoded length."""
+def _decode(sources: Sequence[Sequence[int]], n_unks: Sequence[int], params: ModelParams,
+            config: ModelConfig, tvocab: TripleVocab, width: int) -> list[list[DecodeResult]]:
+    """Beam search by summed log-probability over the three steps, in chunks
+    of DECODE_BATCH sources with up to `width` live hypotheses each; every
+    step runs the chunk's (B, K) hypotheses as one batch. Returns each
+    source's hypotheses, best first: total descending, ties toward lower id
+    sequences. Width 1 is greedy decoding: each step takes the first
+    maximum, the lowest id on ties. Attention rows are cropped to each
+    source's encoded length."""
     out = []
     for start in range(0, len(sources), DECODE_BATCH):
-        chunk = sources[start:start + DECODE_BATCH]
-        enc, (_, lengths, _, _) = _encode_batch(chunk, params, config)
-        B = len(chunk)
-        state = (_bridge(enc.final, params), np.zeros((B, config.dec_hidden)))
-        prev = None  # step 1 reads BOS
-        ids = np.empty((B, 3), dtype=np.int64)
-        logps = np.empty((B, 3))
-        attn = np.empty((B, 3, enc.H.shape[1])) if config.use_attention else None
+        enc, (_, lengths, _, _) = _encode_batch(sources[start:start + DECODE_BATCH],
+                                                params, config)
+        B = len(lengths)
+        rows = np.arange(B)[:, None]
+        # The live hypotheses, (B, K), kept in id-sequence order until step 3;
+        # the LSTM state holds them as B*K rows.
+        h = _bridge(enc.final, params)
+        c = np.zeros_like(h)
+        token = np.full((B, 1), tvocab.bos_id)
+        totals = np.zeros((B, 1))
+        ids = np.empty((B, 1, 3), dtype=np.int64)
+        logps = np.empty((B, 1, 3))
+        attn = np.empty((B, 1, 3, enc.H.shape[1])) if config.use_attention else None
         for k, step in enumerate((1, 2, 3)):
-            logp, state, alpha = _decode_batch_step(
-                step, prev, state, enc, params, config, tvocab
-            )
-            prev = logp.argmax(axis=1)  # first max wins: lowest id on ties
-            ids[:, k] = prev
-            logps[:, k] = logp[np.arange(B), prev]
+            K = token.shape[1]
+            h, c = lstm_cell(params.dec_embed[token.ravel()], h, c, params.dec_lstm)
+            mask = tvocab.step_mask(step)
+            logp, alpha, _ = _readout(h.reshape(B, K, -1), mask, enc, params, config)
+            if width == 1:  # every row is its own parent
+                token = logp.argmax(axis=2)
+                picked = logp[rows, 0, token]
+            else:
+                # A stable sort of the flat (parent, token) candidates breaks
+                # ties toward lower id sequences; off-mask ones are -inf.
+                cand = (totals[:, :, None] + logp).reshape(B, -1)
+                keep = np.argsort(-cand, axis=1, kind="stable")[:, :min(width, K * mask.sum())]
+                if step < 3:
+                    keep.sort(axis=1)
+                totals = cand[rows, keep]
+                parent, token = np.divmod(keep, logp.shape[2])
+                picked = logp[rows, parent, token]
+                state_rows = (rows * K + parent).ravel()
+                h, c = h[state_rows], c[state_rows]
+                ids, logps = ids[rows, parent], logps[rows, parent]
+                if attn is not None:
+                    attn, alpha = attn[rows, parent], alpha[rows, parent]
+            ids[:, :, k] = token
+            logps[:, :, k] = picked
             if attn is not None:
-                attn[:, k] = alpha
+                attn[:, :, k] = alpha
         for b, n in enumerate(lengths):
-            out.append(_result(ids[b], logps[b], sum(logps[b].tolist()),
-                               None if attn is None else attn[b, :, :n],
-                               n_unks[start + b], tvocab))
+            out.append([_result(ids[b, k], logps[b, k],
+                                None if attn is None else attn[b, k, :, :n],
+                                n_unks[start + b], tvocab) for k in range(ids.shape[1])])
     return out
 
 
@@ -655,8 +670,9 @@ def translate_greedy_batch(
     config: ModelConfig,
 ) -> list[DecodeResult]:
     """translate_greedy for many sentences, decoded in padded batches."""
-    return _greedy_decode(*_sources(token_lists, word_vocab, config, "input"),
-                          params, config, tvocab)
+    results = _decode(*_sources(token_lists, word_vocab, config, "input"), params, config,
+                      tvocab, 1)
+    return [hyps[0] for hyps in results]
 
 
 def translate_greedy(
@@ -686,41 +702,13 @@ def translate_beam(
 
     Results come back sorted by total log-probability, non-increasing, ties
     toward lower id sequences. A width of at least |entities|^2*|predicates|
-    makes the top hypothesis the exhaustive argmax. Each step runs the live
-    hypotheses as one batch.
+    makes the top hypothesis the exhaustive argmax. Width 1 is exactly
+    translate_greedy.
     """
     if width < 1:
         raise ValueError("beam width must be >= 1")
-    sources, (n_unk,) = _sources([tokens], word_vocab, config, "input")
-    enc, _ = _encode_batch(sources, params, config)
-    state = (_bridge(enc.final, params), np.zeros((1, config.dec_hidden)))
-    # Live hypotheses, one row each.
-    totals = np.zeros(1)
-    ids = np.zeros((1, 0), dtype=np.int64)
-    logps = np.zeros((1, 0))
-    attn = np.zeros((1, 0, enc.H.shape[1]))
-    for step in (1, 2, 3):
-        prev = ids[:, -1] if step > 1 else None
-        logp, state, alpha = _decode_batch_step(step, prev, state, enc, params, config, tvocab)
-        allowed = np.flatnonzero(tvocab.step_mask(step))
-        K, V = len(totals), len(allowed)
-        cand = (totals[:, None] + logp[:, allowed]).ravel()
-        parent = np.repeat(np.arange(K), V)
-        token = np.tile(allowed, K)
-        # by total descending, then by id sequence ascending
-        keep = np.lexsort((token, *ids[parent].T[::-1], -cand))[:width]
-        parent, token = parent[keep], token[keep]
-        totals = cand[keep]
-        ids = np.column_stack([ids[parent], token])
-        logps = np.column_stack([logps[parent], logp[parent, token]])
-        state = (state[0][parent], state[1][parent])
-        if alpha is not None:
-            attn = np.concatenate([attn[parent], alpha[parent][:, None]], axis=1)
-    return [
-        _result(ids[k], logps[k], totals[k], attn[k] if config.use_attention else None,
-                n_unk, tvocab)
-        for k in range(len(totals))
-    ]
+    return _decode(*_sources([tokens], word_vocab, config, "input"), params, config, tvocab,
+                   width)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +794,9 @@ def train(
             train_loss = epoch_loss / n
             dev_f1 = None
             if dataset.dev:
-                results = _greedy_decode(*dev_sources, params, config, tvocab)
-                dev_f1 = sum(r.triple == ex.gold
-                             for r, ex in zip(results, dataset.dev)) / len(dataset.dev)
+                results = _decode(*dev_sources, params, config, tvocab, 1)
+                dev_f1 = sum(hyps[0].triple == ex.gold
+                             for hyps, ex in zip(results, dataset.dev)) / len(dataset.dev)
             log.append(EpochStats(epoch, train_loss, dev_f1, time.perf_counter() - t0))
             logger.info(
                 "epoch %d: train_loss=%.4f dev_f1=%s", epoch, train_loss,

@@ -459,6 +459,61 @@ class TestBeamBatch:
         ]
         assert len({r.total_logprob for r in beam}) == 1
 
+    def test_ties_across_paths_break_toward_lower_id_sequences(self):
+        # Only out_b is nonzero and it favours entity id 2, so (1, p, 2) and
+        # (2, p, 1) tie though their first steps do not. The full-width beam
+        # must list all 75 triples by total, then by id sequence.
+        config = tiny_config(True)
+        word_vocab = build_word_vocab([[f"w{i}" for i in range(9)]])
+        tvocab = tiny_vocab()
+        params = ModelParams.init(config, len(word_vocab), tvocab.n_targets, make_rng(0))
+        biased = params.like(np.zeros(params.vec.size))
+        biased.out_b[2] = 1.0
+        enc = model.encode(encode_sentence(("w1",), word_vocab), biased, config)
+        state0 = model.init_decoder_state(enc, biased)
+        logp1, state1, _ = model.decode_step(1, tvocab.bos_id, state0, enc, biased, config,
+                                             tvocab)
+        totals = {}
+        for s in range(1, 6):
+            logp2, state2, _ = model.decode_step(2, s, state1, enc, biased, config, tvocab)
+            for p in range(6, 9):
+                logp3, _, _ = model.decode_step(3, p, state2, enc, biased, config, tvocab)
+                for o in range(1, 6):
+                    totals[s, p, o] = float(logp1[s]) + float(logp2[p]) + float(logp3[o])
+        assert logp1[1] != logp1[2] and totals[1, 6, 2] == totals[2, 6, 1]
+        beam = translate_beam(("w1",), biased, word_vocab, tvocab, config, 75)
+        assert [r.ids for r in beam] == sorted(totals, key=lambda ids: (-totals[ids], ids))
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_batched_beam_equals_single_sentence(self, attention):
+        # Mixed lengths, so all rows but the longest are padded. There are
+        # 5*3*5 = 75 triples, so width 100 keeps every one of them.
+        config = tiny_config(attention)
+        word_vocab = build_word_vocab([[f"w{i}" for i in range(9)]])
+        tvocab = tiny_vocab()
+        params = ModelParams.init(config, len(word_vocab), tvocab.n_targets, make_rng(21))
+        rng = make_rng(22)
+        sentences = [tuple(f"w{int(rng.integers(9))}" for _ in range(n))
+                     for n in (6, 1, 3, 9, 2, 5, 3)]
+        sources = [encode_sentence(tokens, word_vocab) for tokens in sentences]
+        for width in (2, 4, 100):
+            batched = model._decode(sources, [0] * len(sources), params, config, tvocab, width)
+            assert len(batched) == len(sentences)
+            for tokens, hyps in zip(sentences, batched):
+                alone = translate_beam(tokens, params, word_vocab, tvocab, config, width)
+                assert len(hyps) == min(width, 75)
+                assert [r.ids for r in hyps] == [r.ids for r in alone]
+                for got, want in zip(hyps, alone):
+                    np.testing.assert_allclose(got.step_logprobs, want.step_logprobs,
+                                               rtol=0, atol=1e-12)
+                    assert abs(got.total_logprob - want.total_logprob) <= 1e-12
+                    if attention:
+                        assert got.attention.shape == (3, len(tokens))
+                        np.testing.assert_allclose(got.attention, want.attention,
+                                                   rtol=0, atol=1e-12)
+                    else:
+                        assert got.attention is None and want.attention is None
+
 
 class TestHardWorldDecoding:
     @pytest.fixture(scope="class")
@@ -491,4 +546,6 @@ class TestHardWorldDecoding:
             greedy = translate_greedy(ex.tokens, params, word_vocab, tvocab, config)
             (beam,) = translate_beam(ex.tokens, params, word_vocab, tvocab, config, 1)
             assert beam.ids == greedy.ids
-            assert abs(beam.total_logprob - greedy.total_logprob) < 1e-12
+            assert beam.step_logprobs == greedy.step_logprobs
+            assert beam.total_logprob == greedy.total_logprob
+            assert beam.attention.tobytes() == greedy.attention.tobytes()

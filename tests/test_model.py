@@ -483,7 +483,9 @@ class TestInference:
         beam = translate_beam(tokens, self.params, self.word_vocab, self.tvocab, TINY, 1)
         assert len(beam) == 1
         assert beam[0].ids == greedy.ids
-        assert abs(beam[0].total_logprob - greedy.total_logprob) < 1e-12
+        assert beam[0].step_logprobs == greedy.step_logprobs
+        assert beam[0].total_logprob == greedy.total_logprob
+        assert beam[0].attention.tobytes() == greedy.attention.tobytes()
 
     def test_beam_exhaustive_equivalence(self):
         # width 6*3*6=108 covers the whole sequence space
@@ -511,6 +513,21 @@ class TestInference:
         assert beam[0].ids == best_ids
         assert abs(beam[0].total_logprob - best_total) < 1e-9
         assert len(beam) == 108
+
+    def test_beam_rows_follow_their_own_paths(self):
+        # Each hypothesis carries the log-probs and attention rows that
+        # decode_step gives when fed that hypothesis's own ids.
+        tokens = ("w3", "w1", "w4")
+        beam = translate_beam(tokens, self.params, self.word_vocab, self.tvocab, TINY, 5)
+        enc = encode([self.word_vocab.id_of(t) for t in tokens], self.params, TINY)
+        for r in beam:
+            state, prev = init_decoder_state(enc, self.params), BOS_ID
+            for k, step in enumerate((1, 2, 3)):
+                logp, state, alpha = decode_step(step, prev, state, enc, self.params, TINY,
+                                                 self.tvocab)
+                prev = r.ids[k]
+                assert abs(logp[prev] - r.step_logprobs[k]) <= 1e-12
+                np.testing.assert_allclose(r.attention[k], alpha, rtol=0, atol=1e-12)
 
     def test_beam_sorted_non_increasing(self):
         beam = translate_beam(("w0",), self.params, self.word_vocab, self.tvocab,

@@ -135,6 +135,14 @@ def test_one_decoder_readout():
     assert callers == {("_readout", "_attention"), ("_readout", "_masked_log_softmax")}
 
 
+def test_one_decode_loop():
+    # Greedy and beam decoding, batched or not, are one loop, model._decode;
+    # decode_step is the only other code that steps the decoder LSTM.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    callers = set(_callers(tree, {"lstm_cell"}))
+    assert callers == {("_decode", "lstm_cell"), ("decode_step", "lstm_cell")}
+
+
 def test_one_way_into_the_model_and_one_way_out():
     # Sentences become ids, with their UNK counts and one truncation warning
     # per call, only in model._sources; a decoded row becomes a DecodeResult
