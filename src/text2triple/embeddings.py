@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import KnowledgeGraph, Triple
-from .numerics import as_int, make_rng, uniform_init
+from .numerics import add_rows, as_int, make_rng, uniform_init
 from .vocab import RESERVED_TOKENS, SymbolError, TripleVocab, WordVocab, build_kg_vocab
 from .vocab import check_symbols, read_lines
 
@@ -150,18 +150,16 @@ def _summed_rows(
     -0.0, so a row's first addend passes through exactly (sign of zero
     included) and the rounding matches a sequential per-triple sum. ``ids``
     index a table of ``n_rows`` rows; a mask over it finds the distinct ones
-    without the sort ``np.unique`` would do. The sums run on flat element
-    indices, where ``np.add.at`` is about twice as fast as on whole rows.
+    without the sort ``np.unique`` would do.
     """
     touched = np.zeros(n_rows, dtype=bool)
     touched[ids] = True
     rows = np.flatnonzero(touched)
     slot = np.empty(n_rows, dtype=np.intp)
     slot[rows] = np.arange(len(rows))
-    dim = grads.shape[1]
-    acc = np.full(len(rows) * dim, -0.0, dtype=grads.dtype)
-    np.add.at(acc, (slot[ids][:, None] * dim + np.arange(dim)).ravel(), grads.ravel())
-    return rows, acc.reshape(len(rows), dim)
+    acc = np.full((len(rows), grads.shape[1]), -0.0, dtype=grads.dtype)
+    add_rows(acc, slot[ids], grads)
+    return rows, acc
 
 
 _MAX_DRAWS = 100  # rejected draws of one triple before it enumerates instead

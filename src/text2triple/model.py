@@ -68,6 +68,7 @@ from .numerics import (
     Adam,
     LstmWeights,
     adam_step,
+    add_rows,
     as_int,
     clip_global_norm,
     lstm_cell,
@@ -506,8 +507,7 @@ def _loss_and_grads(
         params.dec_embed[prev][:, None], (params.dec_lstm,), h0=_bridge(enc.final, params)
     )
     S = dec_h[:, 0].transpose(1, 0, 2)                                  # (B, 3, dh)
-    masks = np.array([tvocab.step_mask(step) for step in (1, 2, 3)])
-    logp, alpha, feat2 = _readout(S, masks, enc, params, config)
+    logp, alpha, feat2 = _readout(S, tvocab.step_masks, enc, params, config)
     # Weighted cross-entropy and its logits gradient w * (p - onehot(gold)),
     # from the log-probs, so a non-finite forward pass reaches train's abort.
     w = np.asarray(config.step_weights)
@@ -540,7 +540,7 @@ def _loss_and_grads(
         dS.transpose(1, 0, 2)[:, None], dec_cache, (params.dec_lstm,), (grads.dec_lstm,)
     )
     dh0 = dh0[0]
-    _add_rows(grads.dec_embed, prev, dx_dec[:, 0])
+    add_rows(grads.dec_embed, prev, dx_dec[:, 0])
 
     # Bridge, then the encoder: the final state feeds the last forward step
     # and the last step of the reversed backward scan.
@@ -552,18 +552,8 @@ def _loss_and_grads(
         d_hs, enc_cache, (params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd)
     )
     valid = np.broadcast_to(live[:, None, :], both_ids.shape)
-    _add_rows(grads.enc_embed, both_ids[valid], dx_enc[valid])
+    add_rows(grads.enc_embed, both_ids[valid], dx_enc[valid])
     return float(losses.sum()) * scale, grads
-
-
-def _add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """table[ids[i]] += rows[i] for each i in order, repeats included, as one
-    np.add.at on flat element indices of the C-contiguous table: the same
-    additions in the same order as on whole rows, and faster for more than a
-    handful of rows."""
-    dim = table.shape[1]
-    np.add.at(table.reshape(-1), (ids.reshape(-1, 1) * dim + np.arange(dim)).ravel(),
-              rows.ravel())
 
 
 def _gold_ids(example: AnnotatedExample, tvocab: TripleVocab) -> tuple[int, int, int]:

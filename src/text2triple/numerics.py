@@ -13,10 +13,11 @@ only dependency.
 
 All public operations work on float64 numpy arrays, validate their inputs,
 and are deterministic: identical inputs give bit-identical outputs. They are
-pure, except three that write in place: lstm_sequence_backward writes the
-weight gradients into the LstmWeights it is given, clip_global_norm scales
-the gradient vector, and adam_step updates one flat parameter vector and its
-Adam state, one cache-sized block of ADAM_BLOCK elements at a time.
+pure, except four that write in place: lstm_sequence_backward writes the
+weight gradients into the LstmWeights it is given, add_rows scatter-adds rows
+into a table, clip_global_norm scales the gradient vector, and adam_step
+updates one flat parameter vector and its Adam state, one cache-sized block
+of ADAM_BLOCK elements at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "LstmSequenceCache",
     "LstmWeights",
     "adam_step",
+    "add_rows",
     "as_int",
     "clip_global_norm",
     "grad_check_fd",
@@ -340,6 +342,17 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
         b *= state.lr
         b /= a
         p -= b
+
+
+def add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """table[ids[i]] += rows[i] for each i in order, repeats included, as one
+    np.add.at on flat element indices of the C-contiguous table: the same
+    additions in the same order as on whole rows, and faster for more than a
+    handful of rows. Unlike the other operations it does not check its
+    inputs: its callers index tables they built themselves."""
+    dim = table.shape[1]
+    np.add.at(table.reshape(-1), (ids.reshape(-1, 1) * dim + np.arange(dim)).ravel(),
+              rows.ravel())
 
 
 def clip_global_norm(vec: np.ndarray, max_norm: float) -> float:

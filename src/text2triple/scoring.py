@@ -4,12 +4,15 @@ A prediction counts only if subject, predicate and object are all correct.
 Precision runs over emitted predictions (abstentions excluded from the
 denominator), recall over gold triples, F1 is their harmonic mean; when
 every example has exactly one prediction this reduces to accuracy.
+One classifier, ``_category``, puts each example in its error category,
+and ``error_taxonomy`` counts them; both renderers read one ``_summary``.
 """
 
 from __future__ import annotations
 
 import enum
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -77,52 +80,48 @@ def _pair_overlaps(pred: Triple, kg: KnowledgeGraph | None) -> bool:
     return n >= 2
 
 
+_WRONG_SLOT = (ErrorCategory.WRONG_SUBJECT, ErrorCategory.WRONG_PREDICATE,
+               ErrorCategory.WRONG_OBJECT)
+
+
+def _category(
+    pred: Triple | None, gold: Triple, tvocab: TripleVocab, kg: KnowledgeGraph | None
+) -> ErrorCategory | None:
+    """The error category of one example, or None when it is correct.
+
+    Precedence: an out-of-vocabulary gold entity, then an out-of-vocabulary
+    gold predicate; an abstention is MULTIPLE_WRONG; then an overlapping
+    relation (right entity pair, wrong predicate, and the pair holds more
+    than one KG relation), then a single wrong slot, then MULTIPLE_WRONG.
+    """
+    if pred == gold:
+        return None
+    if not (tvocab.has_entity(gold.subject) and tvocab.has_entity(gold.object)):
+        return ErrorCategory.OOV_ENTITY
+    if not tvocab.has_predicate(gold.predicate):
+        return ErrorCategory.OOV_PREDICATE
+    if pred is None:
+        return ErrorCategory.MULTIPLE_WRONG
+    wrong = [p != g for p, g in zip(pred, gold)]
+    if wrong == [False, True, False] and _pair_overlaps(pred, kg):
+        return ErrorCategory.OVERLAPPING_RELATION
+    if sum(wrong) == 1:
+        return _WRONG_SLOT[wrong.index(True)]
+    return ErrorCategory.MULTIPLE_WRONG
+
+
 def error_taxonomy(
     preds: Sequence[Triple | None],
     golds: Sequence[Triple],
     tvocab: TripleVocab,
     kg: KnowledgeGraph | None = None,
 ) -> dict[ErrorCategory, int]:
-    """Assign each incorrect example exactly one category.
-
-    Precedence: out-of-vocabulary gold symbols first, then overlapping
-    relations (right entity pair, wrong predicate, and the pair holds more
-    than one KG relation), then single-slot errors, then MULTIPLE_WRONG.
-    """
+    """The number of incorrect examples in each category, every category
+    listed; each example is classified once, by ``_category``."""
     if len(preds) != len(golds):
         raise ValueError(f"{len(preds)} predictions vs {len(golds)} golds")
-    counts = {cat: 0 for cat in ErrorCategory}
-    for pred, gold in zip(preds, golds):
-        if pred == gold:
-            continue
-        if not (tvocab.has_entity(gold.subject) and tvocab.has_entity(gold.object)):
-            counts[ErrorCategory.OOV_ENTITY] += 1
-            continue
-        if not tvocab.has_predicate(gold.predicate):
-            counts[ErrorCategory.OOV_PREDICATE] += 1
-            continue
-        if pred is None:
-            counts[ErrorCategory.MULTIPLE_WRONG] += 1
-            continue
-        wrong = [
-            pred.subject != gold.subject,
-            pred.predicate != gold.predicate,
-            pred.object != gold.object,
-        ]
-        if wrong[1] and not wrong[0] and not wrong[2] and _pair_overlaps(pred, kg):
-            counts[ErrorCategory.OVERLAPPING_RELATION] += 1
-        elif sum(wrong) == 1:
-            slot = wrong.index(True)
-            counts[
-                (
-                    ErrorCategory.WRONG_SUBJECT,
-                    ErrorCategory.WRONG_PREDICATE,
-                    ErrorCategory.WRONG_OBJECT,
-                )[slot]
-            ] += 1
-        else:
-            counts[ErrorCategory.MULTIPLE_WRONG] += 1
-    return counts
+    counts = Counter(_category(pred, gold, tvocab, kg) for pred, gold in zip(preds, golds))
+    return {cat: counts[cat] for cat in ErrorCategory}
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +129,21 @@ def error_taxonomy(
 # ---------------------------------------------------------------------------
 
 
+def _summary(report: EvalReport) -> list[tuple[str, str, str]]:
+    """(table label, record key, value) of each summary row, in order."""
+    return [
+        ("gold triples", "n_gold", f"{report.n_gold}"),
+        ("predictions", "n_predicted", f"{report.n_predicted}"),
+        ("correct", "n_correct", f"{report.n_correct}"),
+        ("precision", "precision", f"{report.precision:.6f}"),
+        ("recall", "recall", f"{report.recall:.6f}"),
+        ("F1", "f1", f"{report.f1:.6f}"),
+    ]
+
+
 def format_report(report: EvalReport) -> str:
     """Human-readable summary table."""
-    lines = [
-        f"{'gold triples':<22}{report.n_gold}",
-        f"{'predictions':<22}{report.n_predicted}",
-        f"{'correct':<22}{report.n_correct}",
-        f"{'precision':<22}{report.precision:.6f}",
-        f"{'recall':<22}{report.recall:.6f}",
-        f"{'F1':<22}{report.f1:.6f}",
-    ]
+    lines = [f"{label:<22}{value}" for label, _, value in _summary(report)]
     if report.error_counts:
         lines.append("errors by category:")
         for cat in ErrorCategory:
@@ -149,14 +153,7 @@ def format_report(report: EvalReport) -> str:
 
 def report_records(report: EvalReport) -> list[str]:
     """Line-oriented machine records, fixed key order."""
-    recs = [
-        f"n_gold\t{report.n_gold}",
-        f"n_predicted\t{report.n_predicted}",
-        f"n_correct\t{report.n_correct}",
-        f"precision\t{report.precision:.6f}",
-        f"recall\t{report.recall:.6f}",
-        f"f1\t{report.f1:.6f}",
-    ]
+    recs = [f"{key}\t{value}" for _, key, value in _summary(report)]
     for cat in ErrorCategory:
         recs.append(f"error.{cat.value}\t{report.error_counts.get(cat, 0)}")
     return recs

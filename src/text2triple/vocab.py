@@ -2,9 +2,11 @@
 
 The word vocabulary maps source tokens to ids with PAD/UNK/BOS reserved. The
 triple vocabulary unifies entity and predicate symbols into one target-id
-space and hands the decoder a per-step mask: step 1 and 3 may only emit
-entities, step 2 only predicates. Subjects and objects share one entity
-table, so the step-1 and step-3 masks are identical.
+space. It states the partition of that space once, as two tables built
+with it: ``symbols``, the id -> symbol table that ``decode_triple`` reads,
+and ``step_masks``, the decoder's three step masks stacked: step 1 and 3
+may only emit entities, step 2 only predicates. Subjects and objects share
+one entity table, so the step-1 and step-3 masks are identical.
 
 Being the lowest module, it also holds what every file reader and writer
 shares: ``read_lines``, ``write_files``, ``DataError`` and ``check_symbols``.
@@ -204,22 +206,26 @@ class TripleVocab:
 
     ``entity_rows`` and ``predicate_rows`` map a symbol to its 0-based
     position: its row in a KG embedding table, from which its id follows.
-    The three step masks are built once, read-only.
+    ``symbols`` is the inverse, id -> symbol, with BOS_TOKEN at id 0.
+    ``step_masks`` is the (3, n_targets) read-only stack of the step masks,
+    row k - 1 for step k; ``step_mask(k)`` is its checked row view.
     """
 
     entities: tuple[str, ...]
     predicates: tuple[str, ...]
     entity_rows: dict[str, int] = field(init=False, repr=False, compare=False)
     predicate_rows: dict[str, int] = field(init=False, repr=False, compare=False)
-    _step_masks: np.ndarray = field(init=False, repr=False, compare=False)
+    symbols: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    step_masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entity_rows = _symbol_rows("entity", self.entities)
         self.predicate_rows = _symbol_rows("predicate", self.predicates)
-        self._step_masks = np.zeros((3, self.n_targets), dtype=bool)
-        self._step_masks[[0, 2], 1:1 + len(self.entities)] = True
-        self._step_masks[1, 1 + len(self.entities):] = True
-        self._step_masks.setflags(write=False)
+        self.symbols = (BOS_TOKEN, *self.entities, *self.predicates)
+        self.step_masks = np.zeros((3, self.n_targets), dtype=bool)
+        self.step_masks[[0, 2], 1:1 + len(self.entities)] = True
+        self.step_masks[1, 1 + len(self.entities):] = True
+        self.step_masks.setflags(write=False)
 
     @property
     def n_targets(self) -> int:
@@ -251,20 +257,11 @@ class TripleVocab:
     def is_predicate_id(self, idx: int) -> bool:
         return len(self.entities) < idx < self.n_targets
 
-    def target_symbol(self, idx: int) -> str:
-        if idx == 0:
-            return BOS_TOKEN
-        if self.is_entity_id(idx):
-            return self.entities[idx - 1]
-        if self.is_predicate_id(idx):
-            return self.predicates[idx - 1 - len(self.entities)]
-        raise IndexError(f"target id {idx} out of range [0, {self.n_targets})")
-
     def step_mask(self, step: int) -> np.ndarray:
         """Read-only boolean mask over target ids allowed at decoding step 1, 2 or 3."""
         if step not in (1, 2, 3):
             raise ValueError(f"decoding step must be 1, 2 or 3, got {step}")
-        return self._step_masks[step - 1]
+        return self.step_masks[step - 1]
 
     def encode_triple(self, subject: str, predicate: str, obj: str) -> tuple[int, int, int]:
         return (self.entity_id(subject), self.predicate_id(predicate), self.entity_id(obj))
@@ -310,7 +307,7 @@ def decode_triple(ids: Sequence[int], vocab: TripleVocab) -> tuple[str, str, str
         if not ok:
             kind = "an entity" if want_entity else "a predicate"
             raise ValueError(f"target id {idx} in slot {slot} is not {kind} id")
-    return tuple(vocab.target_symbol(idx) for idx in ids)
+    return tuple(vocab.symbols[idx] for idx in ids)
 
 
 # ---------------------------------------------------------------------------

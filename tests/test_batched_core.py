@@ -27,7 +27,7 @@ from text2triple.model import (
     translate_greedy,
     translate_greedy_batch,
 )
-from text2triple.numerics import LstmWeights, make_rng
+from text2triple.numerics import LstmWeights, add_rows, make_rng
 from text2triple.synthetic import make_hard_world
 from text2triple.vocab import (
     PAD_ID,
@@ -440,7 +440,7 @@ class TestGradientBuffer:
         want = rng.standard_normal((5, 6))
         got = want.copy()
         np.add.at(want, ids, rows)
-        model._add_rows(got, ids, rows)
+        add_rows(got, ids, rows)
         assert got.tobytes() == want.tobytes()
 
 

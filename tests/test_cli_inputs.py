@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TABLE1_SENTENCE, TABLE1_TOKENS
+from conftest import TABLE1_SENTENCE, TABLE1_TOKENS, rewrite_checkpoint_header
 
 from text2triple import cli, embeddings
 
@@ -179,6 +179,7 @@ NONSENSE_CONFIG = {
     "infinite step weight": ("step_weights=1,inf,1", "step_weights"),
     "infinite adam_eps": ("adam_eps=inf", "adam_eps"),
     "infinite lr": ("lr=inf", "lr"),
+    "two step weights": ("step_weights=1,1", "step_weights"),
 }
 
 
@@ -194,4 +195,46 @@ def test_nonsense_model_config_rejected(case, seeds, tmp_path):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 1 and len(errors) == 1 and "Traceback" not in err, err
     assert errors[0].startswith(f"error: {name} "), errors[0]
+    assert stdout == "" and list(out.iterdir()) == []
+
+
+def _write(text):
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+# A refusal -> (the KINDS entry whose argv runs, the seed file replaced, its
+# edit, the end of the one error line).
+REFUSALS = {
+    "checkpoint version 2": (
+        "checkpoint", "model.ckpt",
+        lambda path: rewrite_checkpoint_header(path, path, lambda h: {**h, "version": 2}),
+        "model.ckpt: checkpoint version 2, expected 1",
+    ),
+    "jsonl array record": ("jsonl", "train.jsonl", _write("[1, 2]\n"),
+                           "train.jsonl:1: record is not an object"),
+    "jsonl non-string triple element": (
+        "jsonl", "train.jsonl", _write('{"tokens": ["a"], "triple": ["s", 7, "o"]}\n'),
+        "train.jsonl:1: 'triple' elements must be non-empty strings",
+    ),
+    "alias with no tokens": ("surface forms", "surface.tsv", _write("dbr:Berlin\t?!\n"),
+                             "surface.tsv:1: alias has no tokens"),
+    "every gold out of the KG vocabulary": (
+        "manifest", "train.jsonl",
+        _write('{"tokens": ["a"], "triple": ["dbr:Paris", "dbo:capital", "dbr:Berlin"]}\n'),
+        "no training examples left after out-of-vocabulary filtering",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusal_one_error_line(case, seeds, tmp_path):
+    kind, name, edit, message = REFUSALS[case]
+    shutil.copytree(seeds, tmp_path / "in")
+    edit(tmp_path / "in" / name)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = _run(kind, tmp_path / "in", out)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 1 and len(errors) == 1 and "Traceback" not in err, err
+    assert errors[0].endswith(message), errors[0]
     assert stdout == "" and list(out.iterdir()) == []

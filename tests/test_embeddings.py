@@ -304,6 +304,17 @@ class TestTransETrain:
         with pytest.raises(ValueError, match="empty"):
             transe_train(KnowledgeGraph(frozenset()), TransEConfig(dim=4))
 
+    @pytest.mark.parametrize("dim, extra", [(4, Triple("a", "r3", "b")),
+                                            (4, Triple("a", "r1", "e")),
+                                            (8, None)])
+    def test_init_that_does_not_cover_the_kg_rejected(self, dim, extra):
+        kg = rectangle_kg()
+        if extra is not None:
+            kg = KnowledgeGraph(kg.triples | {extra})
+        with pytest.raises(ValueError, match="^init tables do not cover this KG "
+                                             "at the configured dim$"):
+            transe_train(kg, TransEConfig(dim=dim, epochs=1), init=rectangle_embeddings())
+
     @pytest.mark.parametrize("field, value, message", [
         ("lr", -1.0, "lr must be positive"),
         ("lr", 0.0, "lr must be positive"),

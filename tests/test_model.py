@@ -140,6 +140,13 @@ class TestParamLayout:
                                              rf"and \({n},\) for this layout"):
             ModelParams.view(np.zeros(n + size_delta, dtype=dtype), layout)
 
+    @pytest.mark.parametrize("which", ["word", "kg"])
+    def test_init_table_of_the_wrong_shape_rejected(self, which):
+        table = np.zeros((20 if which == "word" else 10, 7))
+        with pytest.raises(ValueError, match=rf"^{which} init table shape \(\d+, 7\), "
+                                             rf"expected \(\d+, 8\)$"):
+            ModelParams.init(TINY, 20, 10, make_rng(0), **{f"{which}_init": table})
+
     def test_copy_owns_its_vector(self):
         params = tiny_params()
         copy = params.copy()
@@ -579,6 +586,11 @@ class TestTrain:
         assert all(vec is buffers[0] for vec in buffers)
         assert not np.shares_memory(buffers[0], result.params.vec)
 
+    def test_kg_init_flag_without_a_table_rejected(self):
+        word_vocab, tvocab, examples = self.small_world()
+        with pytest.raises(ValueError, match="^use_kg_init set but no kg_init table provided$"):
+            train(Dataset(train=examples), word_vocab, tvocab, self.config(use_kg_init=True))
+
     def test_same_seed_identical_logs_and_params(self):
         word_vocab, tvocab, examples = self.small_world()
         dataset = Dataset(train=examples[:4], dev=examples[4:])
@@ -835,6 +847,13 @@ class TestCheckpoint:
         assert config == TINY
         assert wv.tokens == word_vocab.tokens
         assert tv.entities == tvocab.entities
+
+    def test_params_that_do_not_fit_the_config_rejected(self):
+        word_vocab, tvocab = tiny_vocabs()
+        params = tiny_params(n_targets=tvocab.n_targets + 1)
+        with pytest.raises(ValueError, match="^parameter shapes do not fit the config "
+                                             "and vocabularies$"):
+            model.checkpoint_bytes(params, TINY, word_vocab, tvocab)
 
     def test_save_is_deterministic(self, tmp_path):
         word_vocab, tvocab = tiny_vocabs()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import text2triple
+from text2triple.scoring import ErrorCategory
 
 LIBRARY_MODULES = sorted(
     info.name for info in pkgutil.iter_modules(text2triple.__path__)
@@ -133,6 +134,26 @@ def test_one_decoder_readout():
     tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
     callers = set(_callers(tree, {"_attention", "_masked_log_softmax"}))
     assert callers == {("_readout", "_attention"), ("_readout", "_masked_log_softmax")}
+
+
+def _top_level_name(node):
+    """The name a module-level statement defines or assigns, else None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+        return node.targets[0].id
+    return None
+
+
+def test_one_error_classifier():
+    # An example's error category is picked once, in scoring._category, with
+    # the single-slot categories in the table it reads; error_taxonomy and
+    # the renderers only count or list the enum.
+    tree = ast.parse((SRC / "scoring.py").read_text(encoding="utf-8"))
+    namers = {_top_level_name(top) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.Attribute) and getattr(node.value, "id", None)
+              == "ErrorCategory" and node.attr in ErrorCategory.__members__}
+    assert namers == {"_category", "_WRONG_SLOT"}
 
 
 def test_one_decode_loop():

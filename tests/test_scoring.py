@@ -1,7 +1,10 @@
 """Strict exact-match scoring and the error taxonomy."""
 
+from collections import Counter
+
 import pytest
 
+from text2triple import scoring
 from text2triple.corpus import KnowledgeGraph, Triple
 from text2triple.scoring import (
     ErrorCategory,
@@ -12,7 +15,8 @@ from text2triple.scoring import (
     report_records,
 )
 from text2triple.numerics import make_rng
-from text2triple.vocab import TripleVocab
+from text2triple.synthetic import make_hard_world
+from text2triple.vocab import TripleVocab, build_kg_vocab
 
 TABLE1 = Triple("dbr:Germany", "dbo:capital", "dbr:Berlin")
 
@@ -146,6 +150,31 @@ class TestErrorTaxonomy:
             1 for p, g in zip(preds, golds) if p != g
         )
         assert sum(counts.values()) == n_wrong
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="^2 predictions vs 1 golds$"):
+            error_taxonomy([t(0), t(1)], [t(0)], make_vocab())
+
+    def test_counts_are_the_per_example_categories(self):
+        # The hard world's KG, a vocabulary without its first entity and
+        # predicate, and against each test gold: an abstention, every KG
+        # triple and the gold under every predicate. Every category occurs.
+        world = make_hard_world(seed=17, word_dim=16)
+        full = build_kg_vocab(world.kg.triples)
+        tv = TripleVocab(full.entities[1:], full.predicates[1:])
+        preds, golds = [], []
+        for gold in (ex.gold for ex in world.test):
+            for pred in (None, *sorted(world.kg.triples),
+                         *(gold._replace(predicate=p) for p in full.predicates)):
+                preds.append(pred)
+                golds.append(gold)
+        per_example = Counter(scoring._category(p, g, tv, world.kg)
+                              for p, g in zip(preds, golds))
+        counts = error_taxonomy(preds, golds, tv, world.kg)
+        assert list(counts) == list(ErrorCategory)
+        assert counts == {cat: per_example[cat] for cat in ErrorCategory}
+        assert all(counts.values())
+        assert per_example[None] == sum(p == g for p, g in zip(preds, golds))
 
 
 class TestRendering:

@@ -10,6 +10,7 @@ import pytest
 
 from text2triple.vocab import (
     BOS_ID,
+    BOS_TOKEN,
     PAD_ID,
     DataError,
     RESERVED_TOKENS,
@@ -157,6 +158,35 @@ class TestTripleVocab:
         with pytest.raises(ValueError, match="read-only"):
             tv.step_mask(2)[0] = True
 
+    def test_stacked_masks_are_the_step_masks_read_only(self):
+        tv = build_kg_vocab([("a", "p", "b"), ("c", "q", "a")])
+        assert tv.step_masks.shape == (3, tv.n_targets)
+        for k in (1, 2, 3):
+            assert np.array_equal(tv.step_masks[k - 1], tv.step_mask(k))
+            assert np.shares_memory(tv.step_masks, tv.step_mask(k))
+        with pytest.raises(ValueError, match="read-only"):
+            tv.step_masks[1, 0] = True
+
+    def test_symbols_follow_the_id_partition(self):
+        tv = TripleVocab(("b", "a", "c"), ("q", "p"))
+        E = len(tv.entities)
+
+        def dispatch(idx):  # the per-id branches the table replaced
+            if idx == 0:
+                return BOS_TOKEN
+            if tv.is_entity_id(idx):
+                return tv.entities[idx - 1]
+            assert tv.is_predicate_id(idx)
+            return tv.predicates[idx - 1 - E]
+
+        assert len(tv.symbols) == tv.n_targets
+        assert list(tv.symbols) == [dispatch(i) for i in range(tv.n_targets)]
+
+    def test_unknown_predicate_symbol_rejected(self):
+        tv = build_kg_vocab([("a", "p", "b")])
+        with pytest.raises(KeyError, match="unknown predicate symbol: 'a'"):
+            tv.predicate_id("a")
+
     def test_deterministic_byte_identical_serialization(self, tmp_path):
         triples = [("b", "q", "a"), ("a", "p", "c")]
         for i in (1, 2):
@@ -190,6 +220,19 @@ class TestDecodeTriple:
         tv = build_kg_vocab([GERMANY])
         with pytest.raises(ValueError, match="exactly 3"):
             decode_triple([1, 2], tv)
+
+    @pytest.mark.parametrize("slot, kind", [(0, "an entity"), (1, "a predicate"),
+                                            (2, "an entity")])
+    @pytest.mark.parametrize("outside", ["below", "above"])
+    def test_id_outside_the_target_space_rejected(self, slot, kind, outside):
+        # symbols[-1] is a predicate and symbols[n_targets] is past the end:
+        # the partition check refuses both before the table is read
+        tv = build_kg_vocab([GERMANY])
+        ids = list(tv.encode_triple(*GERMANY))
+        ids[slot] = -1 if outside == "below" else tv.n_targets
+        with pytest.raises(ValueError, match=f"^target id {ids[slot]} in slot {slot} "
+                                             f"is not {kind} id$"):
+            decode_triple(ids, tv)
 
 
 class TestSerialization:
