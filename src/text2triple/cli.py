@@ -462,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     for f in fields(embeddings.TransEConfig):  # one flag per field, defaults and all
         p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
-                       default=f.default, dest=f.name,
-                       choices=("L1", "L2") if f.name == "norm" else None)
+                       default=f.default, dest=f.name)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_kg_embed)
 

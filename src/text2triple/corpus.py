@@ -21,7 +21,7 @@ import json
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .vocab import DataError, read_lines, tokenize
 
@@ -191,34 +191,34 @@ def examples_text(examples: Iterable[AnnotatedExample]) -> str:
     )
 
 
-def load_kg_file(path) -> frozenset[Triple]:
-    """TSV subject<TAB>predicate<TAB>object, one triple per line."""
-    triples = set()
+def _tsv_rows(path, n_fields: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-empty line of a TSV file. A line
+    that does not split at tabs into exactly ``n_fields`` non-empty fields
+    raises DataError ``path:line: expected <expected>``."""
     for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated non-empty fields")
-        triples.add(Triple(*parts))
-    return frozenset(triples)
+        if len(parts) != n_fields or not all(parts):
+            raise DataError(f"{path}:{lineno}: expected {expected}")
+        yield lineno, parts
+
+
+def load_kg_file(path) -> frozenset[Triple]:
+    """TSV subject<TAB>predicate<TAB>object rows; a repeated triple counts once."""
+    return frozenset(Triple(*parts) for _, parts in
+                     _tsv_rows(path, 3, "3 tab-separated non-empty fields"))
 
 
 def load_surface_forms(path) -> dict[str, tuple[tuple[str, ...], ...]]:
-    """TSV entity<TAB>alias; aliases are tokenized, multiple lines per entity."""
-    forms: dict[str, list[tuple[str, ...]]] = {}
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise DataError(f"{path}:{lineno}: expected entity<TAB>alias")
-        alias = tuple(tokenize(parts[1]))
+    """TSV entity<TAB>alias rows, several per entity; each alias is tokenized,
+    must hold a token and counts once, in first-seen order."""
+    forms: dict[str, dict[tuple[str, ...], None]] = {}  # entity -> ordered set of aliases
+    for lineno, (entity, text) in _tsv_rows(path, 2, "entity<TAB>alias"):
+        alias = tuple(tokenize(text))
         if not alias:
             raise DataError(f"{path}:{lineno}: alias has no tokens")
-        forms.setdefault(parts[0], [])
-        if alias not in forms[parts[0]]:
-            forms[parts[0]].append(alias)
+        forms.setdefault(entity, {})[alias] = None
     return {ent: tuple(aliases) for ent, aliases in forms.items()}
 
 

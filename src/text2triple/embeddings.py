@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import KnowledgeGraph, Triple
-from .numerics import add_rows, as_int, make_rng, uniform_init
+from .numerics import add_rows, check_fields, make_rng, uniform_init
 from .vocab import RESERVED_TOKENS, SymbolError, TripleVocab, WordVocab, build_kg_vocab
 from .vocab import check_symbols, read_lines
 
@@ -61,6 +61,11 @@ logger = logging.getLogger(__name__)
 _NORMS = ("L1", "L2")
 
 
+def _check_norm(norm) -> None:
+    if norm not in _NORMS:
+        raise ValueError(f"norm must be one of {_NORMS}, got {norm!r}")
+
+
 @dataclass
 class TransEConfig:
     dim: int = 64
@@ -72,18 +77,8 @@ class TransEConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("dim", "epochs", "batch_size", "seed"):
-            setattr(self, name, as_int(name, getattr(self, name)))
-        for name in ("dim", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for name in ("margin", "lr"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.norm not in _NORMS:
-            raise ValueError(f"norm must be one of {_NORMS}")
+        check_fields(self, positive=("margin", "lr"))
+        _check_norm(self.norm)
 
 
 @dataclass
@@ -97,8 +92,7 @@ class KgEmbeddings:
     norm: str
 
     def __post_init__(self):
-        if self.norm not in _NORMS:
-            raise ValueError(f"norm must be one of {_NORMS}, got {self.norm!r}")
+        _check_norm(self.norm)
         shapes = (self.entity_table.shape, self.relation_table.shape)
         if shapes != ((len(self.vocab.entities), self.dim),
                       (len(self.vocab.predicates), self.dim)):
@@ -124,8 +118,7 @@ def _score_rows(rows: np.ndarray, norm: str) -> np.ndarray:
 
 def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") -> float:
     """Dissimilarity ||h + r - t|| under the given norm; 0 means exact fit."""
-    if norm not in _NORMS:
-        raise ValueError(f"norm must be one of {_NORMS}")
+    _check_norm(norm)
     h, r, t = (np.asarray(v, dtype=np.float64) for v in (h, r, t))
     if not (h.shape == r.shape == t.shape) or h.ndim != 1:
         raise ValueError(f"vector shapes differ: {h.shape}, {r.shape}, {t.shape}")

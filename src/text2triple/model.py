@@ -56,9 +56,9 @@ import logging
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
-from typing import ClassVar, Sequence, get_type_hints
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from .numerics import (
     LstmWeights,
     adam_step,
     add_rows,
-    as_int,
+    check_fields,
     clip_global_norm,
     lstm_cell,
     lstm_sequence,
@@ -140,18 +140,7 @@ class ModelConfig:
     step_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        sizes = ("word_dim", "kg_dim", "enc_hidden", "dec_hidden", "max_src_len",
-                 "epochs", "batch_size", "patience")
-        for name in (*sizes, "seed"):
-            setattr(self, name, as_int(name, getattr(self, name)))
-        for name in sizes:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        for name in ("lr", "adam_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        check_fields(self, positive=("lr", "adam_eps"))
         if not self.clip_norm > 0:  # inf never clips
             raise ValueError("clip_norm must be positive")
         for name in ("beta1", "beta2"):
@@ -197,9 +186,10 @@ def _param_layout(config: ModelConfig, n_words: int, n_targets: int) -> Layout:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All trainable tensors, as named views into one float64 vector `vec`,
-    laid out in _param_layout's order. `to_dict` gives the views flat and
-    named, an LSTM field as name.W and name.b."""
+    """All trainable tensors, as named views into one float64 vector `vec`.
+    `layout` (not compared or shown) is the _param_layout they were viewed
+    with, which `like`, `to_dict` and checkpoint_bytes read; an LSTM field
+    holds the layout's name.W and name.b."""
 
     vec: np.ndarray
     enc_embed: np.ndarray
@@ -212,6 +202,7 @@ class ModelParams:
     bridge_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
+    layout: Layout = field(compare=False, repr=False)
 
     @classmethod
     def view(cls, vec: np.ndarray, layout: Layout) -> "ModelParams":
@@ -220,16 +211,10 @@ class ModelParams:
         if vec.dtype != np.float64 or vec.shape != (_size(layout),):
             raise ValueError(f"parameter vector of dtype {vec.dtype} and shape {vec.shape}, "
                              f"expected float64 and ({_size(layout)},) for this layout")
-        arrays, pos = {}, 0
-        for name, shape in layout:
-            n = math.prod(shape)
-            arrays[name] = vec[pos:pos + n].reshape(shape)
-            pos += n
-        return cls(vec, **{
-            name: LstmWeights(arrays[f"{name}.W"], arrays[f"{name}.b"])
-            if name in _LSTM_FIELDS else arrays.get(name)
-            for name in _ARRAY_FIELDS
-        })
+        arrays = {"attn_w": None, **_views(vec, layout)}
+        for lstm in [name.split(".")[0] for name in arrays if name.endswith(".W")]:
+            arrays[lstm] = LstmWeights(arrays.pop(f"{lstm}.W"), arrays.pop(f"{lstm}.b"))
+        return cls(vec, layout=layout, **arrays)
 
     @classmethod
     def init(
@@ -247,8 +232,8 @@ class ModelParams:
         table is copied row-for-row."""
         layout = _param_layout(config, n_words, n_targets)
         params = cls.view(uniform_init(_size(layout), rng), layout)
-        for name in _LSTM_FIELDS:
-            getattr(params, name).init_forget_bias()
+        for lstm in (v for v in vars(params).values() if isinstance(v, LstmWeights)):
+            lstm.init_forget_bias()
         for what, table, embed in (("word", word_init, params.enc_embed),
                                    ("kg", kg_init, params.dec_embed)):
             if table is not None:
@@ -259,19 +244,12 @@ class ModelParams:
         return params
 
     def to_dict(self) -> dict[str, np.ndarray]:
-        """The views by name, in layout order; attn_w is absent when it is None."""
-        d = {}
-        for name in _ARRAY_FIELDS:
-            value = getattr(self, name)
-            if name in _LSTM_FIELDS:
-                d[f"{name}.W"], d[f"{name}.b"] = value.W, value.b
-            elif value is not None:
-                d[name] = value
-        return d
+        """The views flat, named and ordered as in the layout."""
+        return _views(self.vec, self.layout)
 
     def like(self, vec: np.ndarray) -> "ModelParams":
         """The same named views into another vector."""
-        return self.view(vec, [(k, v.shape) for k, v in self.to_dict().items()])
+        return self.view(vec, self.layout)
 
     def copy(self) -> "ModelParams":
         return self.like(self.vec.copy())
@@ -281,9 +259,14 @@ def _size(layout: Layout) -> int:
     return sum(math.prod(shape) for _, shape in layout)
 
 
-_ARRAY_FIELDS = tuple(f.name for f in fields(ModelParams))[1:]
-_LSTM_FIELDS = tuple(name for name, kind in get_type_hints(ModelParams).items()
-                     if kind is LstmWeights)
+def _views(vec: np.ndarray, layout: Layout) -> dict[str, np.ndarray]:
+    """vec cut into the layout's arrays, by name in layout order."""
+    views, pos = {}, 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        views[name] = vec[pos:pos + n].reshape(shape)
+        pos += n
+    return views
 
 
 @dataclass
@@ -840,8 +823,7 @@ def checkpoint_bytes(
     The format has no timestamps, so identical inputs give identical bytes
     and load(save(x)) round-trips bit for bit.
     """
-    layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
-    if [(k, v.shape) for k, v in params.to_dict().items()] != layout:
+    if list(params.layout) != _param_layout(config, len(word_vocab), tvocab.n_targets):
         raise ValueError("parameter shapes do not fit the config and vocabularies")
     payload = params.vec.astype("<f8", copy=False).tobytes()
     header = {

@@ -5,11 +5,12 @@ stacked; one forward-only LSTM step over a batch, lstm_cell; one padded,
 length-masked LSTM sequence scan, lstm_sequence, with the package's one LSTM
 backward, lstm_sequence_backward; bias-corrected Adam; global-norm clipping;
 and a central-difference gradient checker over one array, the independent
-oracle for every backward pass. The loss, a weighted cross-entropy, is not
-here: model._loss_and_grads forms it and its logits gradient from the
-log-probs. The LSTM activates its sigmoid gates and its tanh candidate with
-one np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the
-only dependency.
+oracle for every backward pass. check_fields checks every config's fields by
+their declared types. The loss, a weighted cross-entropy, is not here:
+model._loss_and_grads forms it and its logits gradient from the log-probs.
+The LSTM activates its sigmoid gates and its tanh candidate with one np.tanh
+call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the only
+dependency.
 
 All public operations work on float64 numpy arrays, validate their inputs,
 and are deterministic: identical inputs give bit-identical outputs. They are
@@ -23,8 +24,9 @@ of ADAM_BLOCK elements at a time.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "adam_step",
     "add_rows",
     "as_int",
+    "check_fields",
     "clip_global_norm",
     "grad_check_fd",
     "lstm_cell",
@@ -64,6 +67,29 @@ def as_int(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_fields(config, positive: Sequence[str] = ()) -> None:
+    """Check the dataclass ``config``'s fields by declared type, in order: an
+    int goes through as_int and must be >= 1 (``seed`` >= 0); a bool must be
+    a bool; a float must be a real number, not a bool, and positive and
+    finite if named in ``positive``. No value is converted but by as_int.
+    Other fields are the caller's to check."""
+    for f in fields(config):
+        name, value = f.name, getattr(config, f.name)
+        kind = getattr(f.type, "__name__", f.type)
+        if kind == "int":
+            setattr(config, name, value := as_int(name, value))
+            low = 0 if name == "seed" else 1
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{name} must be a bool, got {value!r}")
+        elif kind == "float":
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if name in positive and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def uniform_init(shape, rng: np.random.Generator, scale: float = 0.08) -> np.ndarray:

@@ -149,9 +149,6 @@ class WordVocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 

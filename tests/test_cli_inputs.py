@@ -148,6 +148,8 @@ NONSENSE = {
     "train seed": (lambda d, out: _train(d, out, "--seed", "-1"), "seed"),
     "kg-embed seed": (lambda d, out: ["kg-embed", "--kg", d / "kg.tsv", "--seed", "-4",
                                       "--out", out / "emb"], "seed"),
+    "kg-embed norm": (lambda d, out: ["kg-embed", "--kg", d / "kg.tsv", "--norm", "L3",
+                                      "--out", out / "emb"], "norm"),
     "make-synthetic seed": (lambda d, out: ["make-synthetic", "--seed", "-1",
                                             "--out", out / "world"], "seed"),
     "make-synthetic zero word dim": (lambda d, out: ["make-synthetic", "--word-dim", "0",

@@ -330,6 +330,9 @@ class TestTransETrain:
         ("seed", False, "seed must be an integer, got False"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("seed", -4, "seed must be >= 0"),
+        ("margin", True, "margin must be a real number, got True"),
+        ("lr", "0.1", "lr must be a real number, got '0.1'"),
+        ("norm", "L3", r"norm must be one of \('L1', 'L2'\), got 'L3'"),
     ])
     def test_nonsense_config_rejected(self, field, value, message):
         with pytest.raises((TypeError, ValueError), match=message):

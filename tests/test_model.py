@@ -89,6 +89,10 @@ class TestModelConfig:
         ("step_weights", (0.0, 0.0, 0.0), "with at least one > 0"),
         ("step_weights", (float("nan"), 1.0, 1.0), "step_weights must be finite"),
         ("step_weights", (1.0, float("inf"), 1.0), "step_weights must be finite"),
+        ("use_attention", "no", "use_attention must be a bool, got 'no'"),
+        ("use_kg_init", 1, "use_kg_init must be a bool, got 1"),
+        ("lr", True, "lr must be a real number, got True"),
+        ("clip_norm", "5", "clip_norm must be a real number, got '5'"),
     ])
     def test_nonsense_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -807,6 +811,13 @@ HEADER_DEFECTS = {
         "config keys",
     ),
     "bad config value": (_config(word_dim="8"), r"m\.ckpt: "),
+    "string flag": (_config(use_attention="no"),
+                    r"m\.ckpt: use_attention must be a bool, got 'no'"),
+    "integer flag": (_config(use_attention=1), r"m\.ckpt: use_attention must be a bool, got 1"),
+    "null flag": (_config(use_word_init=None),
+                  r"m\.ckpt: use_word_init must be a bool, got None"),
+    "boolean rate": (_config(lr=True), r"m\.ckpt: lr must be a real number, got True"),
+    "string beta": (_config(beta1="0.5"), r"m\.ckpt: beta1 must be a real number, got '0\.5'"),
     "float dimension": (
         _config(enc_hidden=float(TINY.enc_hidden)),
         r"m\.ckpt: enc_hidden must be an integer, got 8\.0",

@@ -49,7 +49,7 @@ class TestTokenize:
 class TestWordVocab:
     def test_threshold_filter(self):
         v = build_word_vocab([["a", "b", "a"]], min_count=2)
-        assert "a" in v and "b" not in v
+        assert "a" in v.tokens and "b" not in v.tokens
         assert len(v) == 4
         assert v == WordVocab(v.tokens)  # as reloaded from a checkpoint's word list
 
@@ -61,7 +61,7 @@ class TestWordVocab:
     def test_capital_sentence_all_present(self):
         toks = tokenize("Berlin is the capital city of Germany.")
         v = build_word_vocab([toks], min_count=1)
-        assert all(t in v for t in toks)
+        assert all(t in v.tokens for t in toks)
         assert len(v) == 3 + 7
 
     def test_id_order_frequency_then_lexicographic(self):

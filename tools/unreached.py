@@ -82,14 +82,23 @@ def unreached_report() -> list[str]:
     return out
 
 
-def pytest_configure(config):
+def start() -> None:
+    """Record the lines run under src/, in this thread and in new ones."""
     sys.settrace(_global)
     threading.settrace(_global)
 
 
-def pytest_terminal_summary(terminalreporter):
+def stop() -> None:
     sys.settrace(None)
     threading.settrace(None)
+
+
+def pytest_configure(config):
+    start()
+
+
+def pytest_terminal_summary(terminalreporter):
+    stop()
     terminalreporter.section("lines under src/ that no test ran")
     for line in unreached_report():
         terminalreporter.write_line(line)
