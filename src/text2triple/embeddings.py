@@ -8,9 +8,13 @@ uniform corruption and renormalizes entity rows to the unit sphere after
 every batch. Word vectors are loaded from a textual file; vocabulary rows
 the file does not cover fall back to uniform random init.
 
+``KgEmbeddings`` is frozen and makes its tables read-only, so a value
+derived from them and cached on the instance cannot go stale.
+
 Link prediction ranks every entity for each head and tail query. Under L2
 it ranks by ``||e||^2 - 2 e.a``, which orders entities as the distance
-``||a - e||`` does, and scores ``LINK_CHUNK`` triples' queries with one GEMM.
+``||a - e||`` does, and scores ``LINK_CHUNK`` triples' queries with one GEMM;
+``||e||^2`` is computed once per ``KgEmbeddings``, on first use.
 Under L1 it evaluates the direct distances one query at a time into one
 reused ``(E, d)`` buffer. The L2 form rounds differently from the direct
 distance, so entities whose distances agree to within rounding may swap.
@@ -26,6 +30,7 @@ keeps the first row of a repeated token and accepts an empty file;
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -81,10 +86,14 @@ class TransEConfig:
         _check_norm(self.norm)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KgEmbeddings:
     """Entity and relation vector tables: row i of ``entity_table`` is
-    ``vocab.entities[i]``, row i of ``relation_table`` is ``vocab.predicates[i]``."""
+    ``vocab.entities[i]``, row i of ``relation_table`` is ``vocab.predicates[i]``.
+
+    Frozen, and the arrays passed in are made read-only, not copied, so
+    ``entity_sq_norms``, cached on first use, can never go stale.
+    """
 
     vocab: TripleVocab
     entity_table: np.ndarray
@@ -93,6 +102,8 @@ class KgEmbeddings:
 
     def __post_init__(self):
         _check_norm(self.norm)
+        self.entity_table.setflags(write=False)
+        self.relation_table.setflags(write=False)
         shapes = (self.entity_table.shape, self.relation_table.shape)
         if shapes != ((len(self.vocab.entities), self.dim),
                       (len(self.vocab.predicates), self.dim)):
@@ -102,6 +113,13 @@ class KgEmbeddings:
     @property
     def dim(self) -> int:
         return self.entity_table.shape[-1]
+
+    @functools.cached_property
+    def entity_sq_norms(self) -> np.ndarray:
+        """Read-only ``||e||^2`` of every entity row, computed on first use."""
+        sq = np.einsum("ij,ij->i", self.entity_table, self.entity_table)
+        sq.setflags(write=False)
+        return sq
 
     def entity_vec(self, symbol: str) -> np.ndarray:
         return self.entity_table[self.vocab.entity_rows[symbol]]
@@ -328,7 +346,7 @@ def _link_ranks(emb: KgEmbeddings, triples: Sequence[Triple]) -> np.ndarray:
             ranks[i] = (1 + np.count_nonzero(tail_scores < tail_scores[t]),
                         1 + np.count_nonzero(head_scores < head_scores[h]))
         return ranks
-    sq = np.einsum("ij,ij->i", E, E)
+    sq = emb.entity_sq_norms
     for lo in range(0, len(ids), LINK_CHUNK):
         chunk = ids[lo:lo + LINK_CHUNK]
         # Rows alternate tail and head query: -2a for a = h + r, then a = t - r.
@@ -355,7 +373,8 @@ def link_prediction_eval(emb: KgEmbeddings, triples: Iterable[Triple]) -> tuple[
     L1 scores are the direct ``|(h + r) - e|`` and ``|(e + r) - t|``. L2
     ranks by ``||e||^2 - 2 e.a``, which orders entities as ``||a - e||``
     does (``||a||^2`` is the same for every candidate), with ``a = h + r``
-    for tails and ``a = t - r`` for heads, one GEMM per chunk of queries.
+    for tails and ``a = t - r`` for heads, one GEMM per chunk of queries,
+    with ``||e||^2`` read from ``emb.entity_sq_norms``.
     Its rounding is not that of the direct distance, so two entities whose
     distances agree to within rounding may rank in either order.
     """
@@ -520,8 +539,10 @@ def _read_manifest(path: Path) -> tuple[int, str]:
     dim, norm = manifest.get("dim"), manifest.get("norm")
     if type(dim) is not int:  # not isinstance: JSON true would pass as 1
         raise ValueError(f"{path}: dim must be an integer, got {dim!r}")
-    if norm not in _NORMS:
-        raise ValueError(f"{path}: norm must be one of {_NORMS}, got {norm!r}")
+    try:
+        _check_norm(norm)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return dim, norm
 
 

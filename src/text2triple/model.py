@@ -71,6 +71,7 @@ from .numerics import (
     add_rows,
     check_fields,
     clip_global_norm,
+    is_real,
     lstm_cell,
     lstm_sequence,
     lstm_sequence_backward,
@@ -146,9 +147,10 @@ class ModelConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
-        self.step_weights = tuple(float(w) for w in self.step_weights)
-        if len(self.step_weights) != 3:
-            raise ValueError("step_weights must have exactly 3 entries")
+        w = self.step_weights
+        if not (isinstance(w, (tuple, list)) and len(w) == 3 and all(map(is_real, w))):
+            raise ValueError(f"step_weights must be 3 real numbers, got {w!r}")
+        self.step_weights = tuple(float(v) for v in w)
         if not all(0 <= w < math.inf for w in self.step_weights) or not any(self.step_weights):
             raise ValueError("step_weights must be finite and >= 0, with at least one > 0")
 
@@ -905,7 +907,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     if not isinstance(cfg_dict, dict) or cfg_dict.keys() != _CONFIG_KEYS:
         raise CheckpointError(f"{path}: config keys differ from ModelConfig fields")
     try:
-        config = ModelConfig(**{**cfg_dict, "step_weights": tuple(cfg_dict["step_weights"])})
+        config = ModelConfig(**cfg_dict)
         word_vocab = WordVocab(tuple(header["words"]))
         tvocab = TripleVocab(tuple(header["entities"]), tuple(header["predicates"]))
     except (TypeError, ValueError) as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "check_fields",
     "clip_global_norm",
     "grad_check_fd",
+    "is_real",
     "lstm_cell",
     "lstm_sequence",
     "lstm_sequence_backward",
@@ -69,6 +70,11 @@ def as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool; numpy floats and integers count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_fields(config, positive: Sequence[str] = ()) -> None:
     """Check the dataclass ``config``'s fields by declared type, in order: an
     int goes through as_int and must be >= 1 (``seed`` >= 0); a bool must be
@@ -86,7 +92,7 @@ def check_fields(config, positive: Sequence[str] = ()) -> None:
         elif kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name} must be a bool, got {value!r}")
         elif kind == "float":
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if name in positive and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -1,5 +1,6 @@
 """TransE scoring/training, negative sampling and vector-file loading."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -530,9 +531,11 @@ class TestLinkPrediction:
             link_prediction_eval(emb, [Triple("nope", "r1", "b")])
 
     def test_every_symbol_resolved_before_scoring(self):
-        # The tables are gone, so scoring any triple would raise TypeError.
+        # The tables are gone (rebound past the frozen guard), so scoring any
+        # triple would raise TypeError.
         emb = rectangle_embeddings()
-        emb.entity_table = emb.relation_table = None
+        for name in ("entity_table", "relation_table"):
+            object.__setattr__(emb, name, None)
         triples = sorted(rectangle_kg().triples) + [Triple("a", "r1", "nope")]
         with pytest.raises(ValueError, match="^symbol 'nope' has no embedding$"):
             link_prediction_eval(emb, triples)
@@ -696,6 +699,54 @@ class TestWordVectors:
         f.write_text("berlin 9 9\n", encoding="utf-8")
         table, _ = load_word_vectors(f, self.vocab(), 2, make_rng(0))
         assert (np.abs(table[:3]) <= 0.08).all()
+
+
+class TestFrozenKgEmbeddings:
+    @pytest.mark.parametrize("name", ["entity_table", "relation_table", "entity_sq_norms"])
+    def test_arrays_are_read_only(self, name):
+        array = getattr(rectangle_embeddings(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["vocab", "entity_table", "relation_table", "norm",
+                                      "entity_sq_norms"])
+    def test_fields_cannot_be_reassigned(self, name):
+        emb = rectangle_embeddings()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(emb, name, None)
+
+    def test_norms_computed_once(self, monkeypatch):
+        emb = rectangle_embeddings()
+        calls = []
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        triples = sorted(rectangle_kg().triples)
+        for i in range(50):
+            link_prediction_eval(emb, [triples[i % len(triples)]])
+        assert calls == ["ij,ij->i"]
+
+    def test_norms_equal_a_fresh_einsum_bit_for_bit(self):
+        rng = make_rng(8)
+        table = rng.standard_normal((40, 16))
+        table[rng.random(table.shape) < 0.2] = -0.0
+        emb = KgEmbeddings(TripleVocab(tuple(f"e{i}" for i in range(40)), ("r",)),
+                           table, rng.standard_normal((1, 16)), "L2")
+        assert emb.entity_sq_norms.tobytes() == np.einsum("ij,ij->i", table, table).tobytes()
+
+    def test_frozen_init_warm_starts(self):
+        kg = rectangle_kg()
+        rng = make_rng(9)
+        init = KgEmbeddings(build_kg_vocab(kg.triples), rng.standard_normal((4, 4)),
+                            rng.standard_normal((2, 4)), "L2")
+        out = transe_train(kg, TransEConfig(dim=4, epochs=3, seed=2), init=init)
+        assert out.vocab is init.vocab
+        assert not (out.entity_table == init.entity_table).all()
+        assert not out.entity_table.flags.writeable
 
 
 class TestKgEmbeddingIo:

@@ -89,6 +89,11 @@ class TestModelConfig:
         ("step_weights", (0.0, 0.0, 0.0), "with at least one > 0"),
         ("step_weights", (float("nan"), 1.0, 1.0), "step_weights must be finite"),
         ("step_weights", (1.0, float("inf"), 1.0), "step_weights must be finite"),
+        ("step_weights", 5, "step_weights must be 3 real numbers, got 5"),
+        ("step_weights", "abc", "step_weights must be 3 real numbers, got 'abc'"),
+        ("step_weights", (1.0, 1.0), r"step_weights must be 3 real numbers, got \(1\.0, 1\.0\)"),
+        ("step_weights", (True, 1, 1), r"step_weights must be 3 real numbers, got \(True, 1, 1\)"),
+        ("step_weights", ("1", "2", "3"), "step_weights must be 3 real numbers, got \\('1', "),
         ("use_attention", "no", "use_attention must be a bool, got 'no'"),
         ("use_kg_init", 1, "use_kg_init must be a bool, got 1"),
         ("lr", True, "lr must be a real number, got True"),
@@ -818,6 +823,12 @@ HEADER_DEFECTS = {
                   r"m\.ckpt: use_word_init must be a bool, got None"),
     "boolean rate": (_config(lr=True), r"m\.ckpt: lr must be a real number, got True"),
     "string beta": (_config(beta1="0.5"), r"m\.ckpt: beta1 must be a real number, got '0\.5'"),
+    "integer step weights": (_config(step_weights=5),
+                             r"m\.ckpt: step_weights must be 3 real numbers, got 5$"),
+    "string step weights": (_config(step_weights="abc"),
+                            r"m\.ckpt: step_weights must be 3 real numbers, got 'abc'$"),
+    "boolean step weight": (_config(step_weights=[True, 1, 1]),
+                            r"m\.ckpt: step_weights must be 3 real numbers, got \[True, 1, 1\]$"),
     "float dimension": (
         _config(enc_hidden=float(TINY.enc_hidden)),
         r"m\.ckpt: enc_hidden must be an integer, got 8\.0",
