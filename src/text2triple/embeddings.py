@@ -8,8 +8,10 @@ uniform corruption and renormalizes entity rows to the unit sphere after
 every batch. Word vectors are loaded from a textual file; vocabulary rows
 the file does not cover fall back to uniform random init.
 
-``KgEmbeddings`` is frozen and makes its tables read-only, so a value
-derived from them and cached on the instance cannot go stale.
+``KgEmbeddings`` is frozen and makes the tables passed in read-only, not
+copies of them, and caches ``||e||^2`` on first use. A caller who still
+holds a writable view of a table, or turns its writing back on, can make
+that cache stale; nothing in this package does either.
 
 Link prediction ranks every entity for each head and tail query. Under L2
 it ranks by ``||e||^2 - 2 e.a``, which orders entities as the distance
@@ -91,8 +93,10 @@ class KgEmbeddings:
     """Entity and relation vector tables: row i of ``entity_table`` is
     ``vocab.entities[i]``, row i of ``relation_table`` is ``vocab.predicates[i]``.
 
-    Frozen, and the arrays passed in are made read-only, not copied, so
-    ``entity_sq_norms``, cached on first use, can never go stale.
+    Frozen: rebinding a field is refused, and the arrays passed in are made
+    read-only, not copied. ``entity_sq_norms`` is cached on first use, so a
+    caller who still holds a writable view of ``entity_table``, or turns its
+    writing back on, makes it stale.
     """
 
     vocab: TripleVocab
@@ -102,13 +106,13 @@ class KgEmbeddings:
 
     def __post_init__(self):
         _check_norm(self.norm)
-        self.entity_table.setflags(write=False)
-        self.relation_table.setflags(write=False)
         shapes = (self.entity_table.shape, self.relation_table.shape)
         if shapes != ((len(self.vocab.entities), self.dim),
                       (len(self.vocab.predicates), self.dim)):
             raise ValueError(f"table shapes {shapes} do not give one row per symbol, "
                              "all of one width")
+        self.entity_table.setflags(write=False)
+        self.relation_table.setflags(write=False)
 
     @property
     def dim(self) -> int:

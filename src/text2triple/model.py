@@ -148,9 +148,13 @@ class ModelConfig:
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
         w = self.step_weights
-        if not (isinstance(w, (tuple, list)) and len(w) == 3 and all(map(is_real, w))):
+        try:  # any sequence, numpy arrays too, but not a string
+            ws = () if isinstance(w, (str, bytes)) else tuple(w)
+        except TypeError:
+            ws = ()
+        if len(ws) != 3 or not all(map(is_real, ws)):
             raise ValueError(f"step_weights must be 3 real numbers, got {w!r}")
-        self.step_weights = tuple(float(v) for v in w)
+        self.step_weights = tuple(float(v) for v in ws)
         if not all(0 <= w < math.inf for w in self.step_weights) or not any(self.step_weights):
             raise ValueError("step_weights must be finite and >= 0, with at least one > 0")
 

@@ -757,8 +757,10 @@ class TestKgEmbeddingIo:
     @pytest.mark.parametrize("shapes", [((2, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 2))],
                              ids=["entity-rows", "widths", "relation-rows"])
     def test_table_shapes_must_fit_the_vocab(self, shapes):
+        tables = list(map(np.ones, shapes))
         with pytest.raises(ValueError, match="one row per symbol"):
-            KgEmbeddings(TripleVocab(("a",), ("r",)), *map(np.ones, shapes), "L2")
+            KgEmbeddings(TripleVocab(("a",), ("r",)), *tables, "L2")
+        assert all(t.flags.writeable for t in tables)  # a refused table is left as it was
 
     def test_roundtrip_exact(self, tmp_path):
         kg = rectangle_kg()

@@ -107,6 +107,11 @@ class TestModelConfig:
         config = ModelConfig(batch_size=1, epochs=1, patience=1, beta1=0.0, beta2=0.0)
         assert config.batch_size == 1
 
+    @pytest.mark.parametrize("weights", [[1, 2, 3], (1.0, 2.0, 3.0), np.array([1.0, 2.0, 3.0])],
+                             ids=["list", "tuple", "array"])
+    def test_step_weights_any_sequence_of_three(self, weights):
+        assert ModelConfig(step_weights=weights).step_weights == (1.0, 2.0, 3.0)
+
     @pytest.mark.parametrize("field, value", [
         ("enc_hidden", 4.0),
         ("word_dim", "8"),
