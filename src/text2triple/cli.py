@@ -68,7 +68,6 @@ _PARSERS = {
     bool: ("a boolean (1/0, true/false, yes/no, on/off)", lambda v: _BOOLEANS[v.lower()]),
     int: ("an integer", int),
     float: ("a number", float),
-    tuple: ("comma-separated numbers", lambda v: tuple(float(w) for w in v.split(","))),
 }
 
 

@@ -17,10 +17,10 @@ place, and a checkpoint's payload is its bytes.
 
 Gradients are hand-derived and exact. Every LSTM runs forward as a
 `numerics.lstm_sequence` scan and backward through `lstm_sequence_backward`;
-decoding steps the decoder with the forward-only `lstm_cell`. The loss, a
-cross-entropy weighted per step, and its logits gradient are formed from the
-log-probs in `_loss_and_grads`. The gradients of `forward_loss` come as a
-dict of arrays named as in `ModelParams.to_dict`. `grad_check_fd` in
+decoding steps the decoder with the forward-only `lstm_cell`. The loss, the
+cross-entropy of the three steps summed, and its logits gradient are formed
+from the log-probs in `_loss_and_grads`. The gradients of `forward_loss` come
+as a dict of arrays named as in `ModelParams.to_dict`. `grad_check_fd` in
 `numerics` is the independent oracle. Training is mini-batch Adam with
 global-norm clipping, teacher forcing, per-epoch dev evaluation,
 best-checkpoint keeping and patience-based early stopping. Everything is
@@ -71,7 +71,6 @@ from .numerics import (
     add_rows,
     check_fields,
     clip_global_norm,
-    is_real,
     lstm_cell,
     lstm_sequence,
     lstm_sequence_backward,
@@ -104,7 +103,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"TX2TCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -138,7 +137,6 @@ class ModelConfig:
     epochs: int = 50
     batch_size: int = 8
     patience: int = 10
-    step_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         check_fields(self, positive=("lr", "adam_eps"))
@@ -147,16 +145,6 @@ class ModelConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
-        w = self.step_weights
-        try:  # any sequence, numpy arrays too, but not a string
-            ws = () if isinstance(w, (str, bytes)) else tuple(w)
-        except TypeError:
-            ws = ()
-        if len(ws) != 3 or not all(map(is_real, ws)):
-            raise ValueError(f"step_weights must be 3 real numbers, got {w!r}")
-        self.step_weights = tuple(float(v) for v in ws)
-        if not all(0 <= w < math.inf for w in self.step_weights) or not any(self.step_weights):
-            raise ValueError("step_weights must be finite and >= 0, with at least one > 0")
 
     def flag_label(self) -> str:
         """Ablation row label: 'Seq2Seq' when all flags are off, else S+..."""
@@ -497,13 +485,12 @@ def _loss_and_grads(
     )
     S = dec_h[:, 0].transpose(1, 0, 2)                                  # (B, 3, dh)
     logp, alpha, feat2 = _readout(S, tvocab.step_masks, enc, params, config)
-    # Weighted cross-entropy and its logits gradient w * (p - onehot(gold)),
-    # from the log-probs, so a non-finite forward pass reaches train's abort.
-    w = np.asarray(config.step_weights)
+    # Cross-entropy and its logits gradient p - onehot(gold), from the
+    # log-probs, so a non-finite forward pass reaches train's abort.
     at_gold = (np.arange(B)[:, None], np.arange(3), gold)
-    losses = -w * logp[at_gold]
-    dlogits = w[:, None] * np.exp(logp)
-    dlogits[at_gold] -= w
+    losses = -logp[at_gold]
+    dlogits = np.exp(logp)
+    dlogits[at_gold] -= 1.0
     scale = 1.0 / B
     dlogits *= scale
     dlogits2 = dlogits.reshape(B * 3, -1)
@@ -908,8 +895,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
         raise CheckpointError(f"{path}: payload checksum mismatch")
 
     cfg_dict = header["config"]
-    if not isinstance(cfg_dict, dict) or cfg_dict.keys() != _CONFIG_KEYS:
-        raise CheckpointError(f"{path}: config keys differ from ModelConfig fields")
+    keys = cfg_dict.keys() if isinstance(cfg_dict, dict) else set()
+    if keys != _CONFIG_KEYS:
+        raise CheckpointError(f"{path}: config keys differ from ModelConfig fields: unexpected "
+                              f"{sorted(keys - _CONFIG_KEYS)}, missing {sorted(_CONFIG_KEYS - keys)}")
     try:
         config = ModelConfig(**cfg_dict)
         word_vocab = WordVocab(tuple(header["words"]))

@@ -6,7 +6,7 @@ length-masked LSTM sequence scan, lstm_sequence, with the package's one LSTM
 backward, lstm_sequence_backward; bias-corrected Adam; global-norm clipping;
 and a central-difference gradient checker over one array, the independent
 oracle for every backward pass. check_fields checks every config's fields by
-their declared types. The loss, a weighted cross-entropy, is not here:
+their declared types. The loss, a cross-entropy, is not here:
 model._loss_and_grads forms it and its logits gradient from the log-probs.
 The LSTM activates its sigmoid gates and its tanh candidate with one np.tanh
 call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the only
@@ -43,7 +43,6 @@ __all__ = [
     "check_fields",
     "clip_global_norm",
     "grad_check_fd",
-    "is_real",
     "lstm_cell",
     "lstm_sequence",
     "lstm_sequence_backward",
@@ -70,7 +69,7 @@ def as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def is_real(value) -> bool:
+def _is_real(value) -> bool:
     """A real number that is not a bool; numpy floats and integers count."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -92,7 +91,7 @@ def check_fields(config, positive: Sequence[str] = ()) -> None:
         elif kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name} must be a bool, got {value!r}")
         elif kind == "float":
-            if not is_real(value):
+            if not _is_real(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if name in positive and not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -190,7 +190,7 @@ def _loss_and_grads(
     config: ModelConfig,
     tvocab: TripleVocab,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) and exact grads."""
+    """Teacher-forced loss -sum_k log p(y_k | y_<k, X) and exact grads."""
     enc, enc_cache = _encode_full(src_ids, params, config)
     src_ids = enc_cache["src_ids"]
     T = len(src_ids)
@@ -204,12 +204,12 @@ def _loss_and_grads(
     for k in range(3):
         fwd = _step_forward(k + 1, prevs[k], state, enc, params, config, tvocab)
         state = fwd["state"]
-        # Weighted cross-entropy -w*ln p[gold] and its logits gradient w*(p - onehot(gold)).
-        w, gold = config.step_weights[k], gold_ids[k]
+        # Cross-entropy -ln p[gold] and its logits gradient p - onehot(gold).
+        gold = gold_ids[k]
         probs = np.exp(fwd["logp"])
-        loss -= w * math.log(probs[gold])
-        dlogits = w * probs
-        dlogits[gold] -= w
+        loss -= math.log(probs[gold])
+        dlogits = probs
+        dlogits[gold] -= 1.0
         steps.append(fwd)
         dlogits_list.append(dlogits)
 
@@ -290,7 +290,6 @@ def tiny_config(attention: bool, max_src_len: int = 16) -> ModelConfig:
     return ModelConfig(
         word_dim=6, kg_dim=5, enc_hidden=7, dec_hidden=9,
         use_attention=attention, max_src_len=max_src_len, seed=0,
-        step_weights=(1.0, 0.5, 2.0),
     )
 
 

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
 
 from text2triple import cli, embeddings
+from text2triple.model import ModelConfig
 
 
 class TestDispatch:
@@ -690,14 +692,24 @@ class TestConfigResolution:
         assert len(log.read_text().splitlines()) == 2
         assert "epochs=2" in proc.stderr  # resolved config is logged
 
-    def test_bad_config_key_rejected(self, table1_dir, tmp_path):
+    # step_weights, a retired ModelConfig field, is refused like any other unknown key
+    @pytest.mark.parametrize("key", ["no_such_knob", "step_weights"])
+    def test_bad_config_key_rejected(self, key, table1_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("no_such_knob=1\n")
+        cfg.write_text(f"{key}=1\n")
         proc = run_cli("train", "--config", str(cfg),
                        "--train", str(table1_dir / "train.jsonl"),
                        "--out", str(tmp_path / "m.ckpt"))
         assert proc.returncode == 1
-        assert "no_such_knob" in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+        assert errors == [f"error: unknown config key {key!r} in {cfg}"]
+        assert "Traceback" not in proc.stderr
+
+    def test_every_field_settable_from_a_config_file(self, tmp_path):
+        # each field at its default, written as str() renders it
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{f.name}={f.default}\n" for f in fields(ModelConfig)))
+        assert cli.resolve_model_config(argparse.Namespace(config=str(cfg))) == ModelConfig()
 
     def test_zero_batch_size_one_line_error(self, table1_dir, tmp_path):
         # train takes batch_size from the config file; it has no flag for it
@@ -925,7 +937,7 @@ PIPELINE_DIGESTS = {
     "emb/relations.vec": "387622873efc9fea6ae8ba519cebae2f4bf2c7e081500ec344c176fbc2e50f8d",
     "eval.stdout": "8823a5f3ad9650788ee69e8bd805865ce04506dde556500af23d4a12d3187824",
     "kg-embed.stdout": "3842074b07f5b0deeef37e1b070aae35751b6787e6aca0f2d787c96eb3c18cf8",
-    "m.ckpt": "a28b8068e133dd740f1559d697e4d1d348e79bc258fa8f8812739e214280f406",
+    "m.ckpt": "a7ec1ab3f02c957ed3bcab389178d1796b6eae1236bf845549a29af798ff381c",
     "m.log": "f7b7d6171e87eec86331be2ef232f218cdbf1bb92f77316ff61ec6a85e7721bc",
     "report.tsv": "f106ceb3eaa3f2a732f0605031336e21aae6a1054833dc2eb3c3154952d89082",
     "train.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -175,13 +175,8 @@ def test_nonsense_value_names_the_field(case, seeds, tmp_path):
 # A model config line -> the field the one error line starts with. Each of
 # these used to train and exit 0, or abort after writing the checkpoint.
 NONSENSE_CONFIG = {
-    "negative step weight": ("step_weights=-1,1,1", "step_weights"),
-    "zero step weights": ("step_weights=0,0,0", "step_weights"),
-    "nan step weight": ("step_weights=nan,1,1", "step_weights"),
-    "infinite step weight": ("step_weights=1,inf,1", "step_weights"),
     "infinite adam_eps": ("adam_eps=inf", "adam_eps"),
     "infinite lr": ("lr=inf", "lr"),
-    "two step weights": ("step_weights=1,1", "step_weights"),
 }
 
 
@@ -207,10 +202,10 @@ def _write(text):
 # A refusal -> (the KINDS entry whose argv runs, the seed file replaced, its
 # edit, the end of the one error line).
 REFUSALS = {
-    "checkpoint version 2": (
+    "checkpoint version 1": (
         "checkpoint", "model.ckpt",
-        lambda path: rewrite_checkpoint_header(path, path, lambda h: {**h, "version": 2}),
-        "model.ckpt: checkpoint version 2, expected 1",
+        lambda path: rewrite_checkpoint_header(path, path, lambda h: {**h, "version": 1}),
+        "model.ckpt: checkpoint version 1, expected 2",
     ),
     "jsonl array record": ("jsonl", "train.jsonl", _write("[1, 2]\n"),
                            "train.jsonl:1: record is not an object"),

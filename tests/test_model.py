@@ -85,15 +85,6 @@ class TestModelConfig:
         ("lr", float("inf"), "lr must be positive and finite"),
         ("adam_eps", float("inf"), "adam_eps must be positive and finite"),
         ("seed", -1, "seed must be >= 0"),
-        ("step_weights", (-1.0, 1.0, 1.0), "step_weights must be finite and >= 0"),
-        ("step_weights", (0.0, 0.0, 0.0), "with at least one > 0"),
-        ("step_weights", (float("nan"), 1.0, 1.0), "step_weights must be finite"),
-        ("step_weights", (1.0, float("inf"), 1.0), "step_weights must be finite"),
-        ("step_weights", 5, "step_weights must be 3 real numbers, got 5"),
-        ("step_weights", "abc", "step_weights must be 3 real numbers, got 'abc'"),
-        ("step_weights", (1.0, 1.0), r"step_weights must be 3 real numbers, got \(1\.0, 1\.0\)"),
-        ("step_weights", (True, 1, 1), r"step_weights must be 3 real numbers, got \(True, 1, 1\)"),
-        ("step_weights", ("1", "2", "3"), "step_weights must be 3 real numbers, got \\('1', "),
         ("use_attention", "no", "use_attention must be a bool, got 'no'"),
         ("use_kg_init", 1, "use_kg_init must be a bool, got 1"),
         ("lr", True, "lr must be a real number, got True"),
@@ -106,11 +97,6 @@ class TestModelConfig:
     def test_edges_accepted(self):
         config = ModelConfig(batch_size=1, epochs=1, patience=1, beta1=0.0, beta2=0.0)
         assert config.batch_size == 1
-
-    @pytest.mark.parametrize("weights", [[1, 2, 3], (1.0, 2.0, 3.0), np.array([1.0, 2.0, 3.0])],
-                             ids=["list", "tuple", "array"])
-    def test_step_weights_any_sequence_of_three(self, weights):
-        assert ModelConfig(step_weights=weights).step_weights == (1.0, 2.0, 3.0)
 
     @pytest.mark.parametrize("field, value", [
         ("enc_hidden", 4.0),
@@ -301,7 +287,9 @@ class TestDecodeStep:
 
 
 def _step1_logprobs(path, params, word_vocab, tvocab):
-    """Step-1 log-probabilities as each decoding path computes them."""
+    """Step-1 log-probabilities as each decoding path computes them; for
+    "loss", the whole loss, whose decoder reads only the BOS row and the
+    gold subject's and predicate's rows of dec_embed."""
     tokens = ("w1", "w4", "w2")
     if path == "decode_step":
         enc = encode([word_vocab.id_of(t) for t in tokens], params, TINY)
@@ -312,9 +300,8 @@ def _step1_logprobs(path, params, word_vocab, tvocab):
     if path == "beam":
         beam = translate_beam(tokens, params, word_vocab, tvocab, TINY, 4)
         return [r.step_logprobs[0] for r in beam]
-    step1_only = ModelConfig(**{**vars(TINY), "step_weights": (1.0, 0.0, 0.0)})
     ex = AnnotatedExample(tokens, Triple("ent:2", "rel:0", "ent:1"), "t")
-    return forward_loss(ex, params, step1_only, word_vocab, tvocab)[0]
+    return forward_loss(ex, params, TINY, word_vocab, tvocab)[0]
 
 
 class TestStartSymbol:
@@ -364,19 +351,6 @@ class TestForwardLoss:
                 total += float(logp[gold[step - 1]])
                 prev = gold[step - 1]
             assert abs(loss - (-total)) < 1e-9
-
-    def test_step_weights_scale_per_slot_terms(self):
-        params = tiny_params()
-        ex = AnnotatedExample(("w0", "w1"), Triple("ent:0", "rel:1", "ent:3"), "t")
-        full, _ = forward_loss(ex, params, TINY, self.word_vocab, self.tvocab)
-        cfgs = [
-            ModelConfig(**{**vars(TINY), "step_weights": (1.0, 0.0, 0.0)}),
-            ModelConfig(**{**vars(TINY), "step_weights": (0.0, 1.0, 0.0)}),
-            ModelConfig(**{**vars(TINY), "step_weights": (0.0, 0.0, 1.0)}),
-        ]
-        parts = [forward_loss(ex, params, c, self.word_vocab, self.tvocab)[0]
-                 for c in cfgs]
-        assert abs(full - sum(parts)) < 1e-9
 
     def test_gold_outside_vocab_rejected(self):
         params = tiny_params()
@@ -686,10 +660,10 @@ class TestTrain:
 # clipping and Adam. The digests hold for numpy 2.4.6 with OpenBLAS at any
 # thread count; another BLAS or numpy build may round differently.
 TRAJECTORY_DIGESTS = {
-    "attention": "a5724e6267d88e87d23ce8ec3c6290efea4a25dc4d50f5f8da21666af870ea05",
-    "no attention": "03592e5b84410592ceb19483cbe2900e277c34eb5506bee476ebb0aa03a66b82",
-    "A+W+G": "0dba08e1532d63aea728c487036c573a2f3955f534af6634c8fe0f3151ce6d32",
-    "CLI defaults": "9b45786212b837af10e516b3b87785548f11341b127e5aca293abc7d6a7b2ec6",
+    "attention": "b125bf4d9b89f9636ad9b2f9c7bf1620b90d1068b2e8caa8d8e64517c8811856",
+    "no attention": "0ee05fa4b7f4b1d597bb21b9c3b31bbf46948d9910f321162c40f0f047c02eec",
+    "A+W+G": "06dc28c6f396d80e4424ba5e4ece8bdad80f450dd4ace4a487111f453ce69c51",
+    "CLI defaults": "2977c0760cf89136a763d1bf00203d6f01d5ad42566bacd5ab9587347edec91b",
 }
 
 
@@ -811,14 +785,22 @@ HEADER_DEFECTS = {
     "string shape": (_set_array("out_b", shape="10"), "malformed array table"),
     "string dimension": (_set_array("out_b", shape=["10"]), "malformed array table"),
     "negative dimension": (_set_array("out_b", shape=[-10]), "malformed array table"),
-    "unknown config key": (_config(bogus=1), "config keys"),
+    "unknown config key": (_config(bogus=1), r"m\.ckpt: config keys differ from ModelConfig "
+                                             r"fields: unexpected \['bogus'\], missing \[\]$"),
+    "retired step_weights key": (_config(step_weights=[1.0, 1.0, 1.0]),
+                                 r"m\.ckpt: config keys differ from ModelConfig fields: "
+                                 r"unexpected \['step_weights'\], missing \[\]$"),
+    "config not an object": (lambda header: {**header, "config": [1]},
+                             r"m\.ckpt: config keys differ from ModelConfig fields: "
+                             r"unexpected \[\], missing \['adam_eps', 'batch_size', "),
     "non-string entity": (_symbol("entities", 1, 7), r"m\.ckpt: entity symbol 7 is not a string"),
     "non-string word": (_symbol("words", 3, None),
                         r"m\.ckpt: word vocab token None is not a string"),
     "missing config key": (
         lambda header: {**header, "config": {k: v for k, v in header["config"].items()
                                              if k != "seed"}},
-        "config keys",
+        r"m\.ckpt: config keys differ from ModelConfig fields: unexpected \[\], "
+        r"missing \['seed'\]$",
     ),
     "bad config value": (_config(word_dim="8"), r"m\.ckpt: "),
     "string flag": (_config(use_attention="no"),
@@ -828,12 +810,6 @@ HEADER_DEFECTS = {
                   r"m\.ckpt: use_word_init must be a bool, got None"),
     "boolean rate": (_config(lr=True), r"m\.ckpt: lr must be a real number, got True"),
     "string beta": (_config(beta1="0.5"), r"m\.ckpt: beta1 must be a real number, got '0\.5'"),
-    "integer step weights": (_config(step_weights=5),
-                             r"m\.ckpt: step_weights must be 3 real numbers, got 5$"),
-    "string step weights": (_config(step_weights="abc"),
-                            r"m\.ckpt: step_weights must be 3 real numbers, got 'abc'$"),
-    "boolean step weight": (_config(step_weights=[True, 1, 1]),
-                            r"m\.ckpt: step_weights must be 3 real numbers, got \[True, 1, 1\]$"),
     "float dimension": (
         _config(enc_hidden=float(TINY.enc_hidden)),
         r"m\.ckpt: enc_hidden must be an integer, got 8\.0",
@@ -929,7 +905,7 @@ class TestCheckpoint:
         # the on-disk array order (enc_fwd.W_i ... enc_fwd.b_g, ...)
         path, *_ = self.roundtrip_setup(tmp_path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "42bd0915910b1484462014ce9205309e979fa925ba196434d7d3c0ccb69d4a14"
+            "29d5c58d9449604e29089c4e260f60cb1e0872656dfd376844323de8cb4e5ba7"
         )
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
