@@ -11,6 +11,7 @@ import numpy as np
 
 from text2triple.corpus import KnowledgeGraph, Triple
 from text2triple.embeddings import (
+    KgRows,
     TransEConfig,
     link_prediction_eval,
     negative_sample,
@@ -18,6 +19,7 @@ from text2triple.embeddings import (
     transe_train,
 )
 from text2triple.numerics import make_rng
+from text2triple.vocab import build_kg_vocab
 
 # a 4-entity "rectangle": two relations, each an exact translation
 kg = KnowledgeGraph(frozenset({
@@ -26,7 +28,12 @@ kg = KnowledgeGraph(frozenset({
 }))
 
 print("== filtered negative sampling ==")
-for neg in negative_sample([Triple("a", "r1", "b")] * 4, kg, make_rng(1)):
+# TransE samples on integer table rows; here the rows are build_kg_vocab's
+rows = KgRows.of(kg, build_kg_vocab(kg.triples))
+ents = rows.vocab.entities
+batch = rows.ids[[0] * 4]  # (a, r1, b), the first triple in sorted order, four times
+for h, t in negative_sample(batch, rows, make_rng(1)).tolist():
+    neg = Triple(ents[h], "r1", ents[t])
     print(f"  corruption: {neg.subject} {neg.predicate} {neg.object} "
           f"(in KG: {neg in kg.triples})")
 

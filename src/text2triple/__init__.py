@@ -15,6 +15,7 @@ from .corpus import (
 )
 from .embeddings import (
     KgEmbeddings,
+    KgRows,
     TransEConfig,
     link_prediction_eval,
     negative_sample,
@@ -55,6 +56,7 @@ __all__ = [
     "ErrorCategory",
     "EvalReport",
     "KgEmbeddings",
+    "KgRows",
     "KnowledgeGraph",
     "ModelConfig",
     "ModelParams",

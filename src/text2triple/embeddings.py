@@ -5,8 +5,10 @@ TransE represents a relation as a vector translation and scores a triple by
 the dissimilarity ||h + r - t|| (L1 or L2). Training minimizes the margin
 ranking loss sum(max(0, margin + score(pos) - score(neg))) with filtered
 uniform corruption and renormalizes entity rows to the unit sphere after
-every batch. Word vectors are loaded from a textual file; vocabulary rows
-the file does not cover fall back to uniform random init.
+every batch. It runs on integer table rows: ``KgRows`` maps the KG once per
+run, and negatives are filtered against its integer membership codes. Word
+vectors are loaded from a textual file; vocabulary rows the file does not
+cover fall back to uniform random init.
 
 ``KgEmbeddings`` is frozen and makes the tables passed in read-only, not
 copies of them, and caches ``||e||^2`` on first use. A caller who still
@@ -36,6 +38,7 @@ import functools
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,6 +52,7 @@ from .vocab import check_symbols, read_lines
 
 __all__ = [
     "KgEmbeddings",
+    "KgRows",
     "LINK_CHUNK",
     "TransEConfig",
     "decoder_init_table",
@@ -180,47 +184,109 @@ def _summed_rows(
 _MAX_DRAWS = 100  # rejected draws of one triple before it enumerates instead
 
 
-def negative_sample(
-    triples: Sequence[Triple], kg: KnowledgeGraph, rng: np.random.Generator
-) -> list[Triple]:
-    """One negative per triple, in order: corrupt head or tail (fair coin)
-    with a uniform entity, filtered.
+@dataclass(frozen=True, eq=False)
+class KgRows:
+    """A KG on the rows of ``vocab``'s tables, the integer form TransE trains on.
 
-    A candidate that is a KG member is redrawn for the same triple, so no
-    negative is ever a true fact; the predicate is never altered. After
-    ``_MAX_DRAWS`` rejected draws a triple picks uniformly among its valid
-    corruptions instead, and raises ``ValueError`` when it has none.
+    ``ids`` holds the (head, relation, tail) rows of ``sorted(kg.triples)``,
+    in that order. ``codes`` holds each triple's ``(h*R + r)*N + t``, for R
+    relation and N entity rows, so a candidate's membership is one lookup of
+    a Python int. ``entity_rows[i]`` is the row of the KG's i-th entity in
+    sorted symbol order, which is ``kg.entity_list()[i]``; ``vocab`` may
+    hold rows in any order and rows for symbols the KG lacks. ``bounds``
+    is ``(2, len(entity_rows))`` tiled ``_MAX_DRAWS`` times, the bounds of
+    the largest chunk of (coin, entity) draws ``negative_sample`` makes.
+    """
+
+    kg: KnowledgeGraph
+    vocab: TripleVocab
+    ids: np.ndarray
+    codes: frozenset[int]
+    entity_rows: tuple[int, ...]
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, kg: KnowledgeGraph, vocab: TripleVocab) -> KgRows:
+        """The rows of ``kg``; raises ``KeyError`` for a symbol ``vocab`` lacks."""
+        erows, prows = vocab.entity_rows, vocab.predicate_rows
+        ids = np.array([x for s, p, o in kg.triples for x in (erows[s], prows[p], erows[o])],
+                       dtype=np.intp).reshape(-1, 3)
+        # Ranks order rows as their symbols sort, so the lexsort is sorted(kg.triples)
+        ent_rank, rel_rank = _symbol_ranks(vocab.entities), _symbol_ranks(vocab.predicates)
+        ids = ids[np.lexsort((ent_rank[ids[:, 2]], rel_rank[ids[:, 1]], ent_rank[ids[:, 0]]))]
+        n_rel, n_ent = len(vocab.predicates), len(vocab.entities)
+        # int64 codes unless N*N*R could overflow them; object arrays hold Python ints
+        h, r, t = ids.T.astype(np.int64 if n_ent * n_ent * n_rel < 2**63 else object)
+        codes = frozenset(((h * n_rel + r) * n_ent + t).tolist())
+        in_kg = np.zeros(n_ent, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
+        in_kg[ids[:, ::2]] = True
+        ents = np.flatnonzero(in_kg)
+        entity_rows = tuple(ents[np.argsort(ent_rank[ents])].tolist())
+        bounds = np.tile((2, len(entity_rows)), _MAX_DRAWS)
+        return cls(kg, vocab, ids, codes, entity_rows, bounds)
+
+
+def _symbol_ranks(symbols: Sequence[str]) -> np.ndarray:
+    """Each row's position among ``symbols`` sorted."""
+    ranks = np.empty(len(symbols), dtype=np.intp)
+    ranks[sorted(range(len(symbols)), key=symbols.__getitem__)] = np.arange(len(symbols))
+    return ranks
+
+
+def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator) -> np.ndarray:
+    """One negative per (head, relation, tail) row of ``batch``, in order, as
+    a ``(len(batch), 2)`` array of its (head, tail) rows: corrupt head or
+    tail (fair coin) with a uniform KG entity, filtered.
+
+    A candidate whose code is in ``kg_rows.codes`` is a KG member and is
+    redrawn for the same triple, so no negative is ever a true fact; the
+    relation is never altered. After ``_MAX_DRAWS`` rejected draws a triple
+    picks uniformly among its valid corruptions instead, and raises
+    ``ValueError`` when it has none.
 
     The result and the generator's end state equal those of sampling each
     triple in turn with a scalar ``rng.integers(2)`` coin and
-    ``rng.integers(len(entities))`` entity per draw. (coin, entity) pairs
-    come from one ``integers`` call per chunk over tiled bounds, which
-    yields the same values as the alternating scalar calls. A chunk holds
-    no more pairs than the open triples can accept, nor than the current
-    triple can reject before its fallback, so every pair drawn is used and
-    each fallback starts where the per-triple loop would.
+    ``rng.integers(len(kg.entity_list()))`` entity per draw. (coin, entity)
+    pairs come from one ``integers`` call per chunk over a prefix of
+    ``kg_rows.bounds``, which yields the same values as the alternating
+    scalar calls. A chunk holds no more pairs than the open triples can
+    accept, nor than the current triple can reject before its fallback, so
+    every pair drawn is used and each fallback starts where the per-triple
+    loop would. ``kg.entity_list()`` is read once per call, for its length
+    and for the fallback.
     """
-    entities = kg.entity_list()
+    entities = kg_rows.kg.entity_list()
     if len(entities) < 2:
         raise ValueError("negative sampling needs at least 2 entities")
-    members = kg.triples
-    negs: list[Triple] = []
+    n_rel, n_ent = len(kg_rows.vocab.predicates), len(kg_rows.vocab.entities)
+    codes, entity_rows = kg_rows.codes, kg_rows.entity_rows
+    triples = batch.tolist()
+    heads: list[int] = []
+    tails: list[int] = []
     rejected = 0
-    while len(negs) < len(triples):
-        size = min(len(triples) - len(negs), _MAX_DRAWS - rejected)
-        draws = rng.integers(0, np.tile((2, len(entities)), size)).tolist()
+    while len(heads) < len(triples):
+        size = min(len(triples) - len(heads), _MAX_DRAWS - rejected)
+        draws = rng.integers(0, kg_rows.bounds[:2 * size]).tolist()
         for coin, ent in zip(draws[::2], draws[1::2]):
-            s, p, o = triples[len(negs)]
-            cand = Triple(entities[ent], p, o) if coin == 0 else Triple(s, p, entities[ent])
-            if cand in members:
+            h, r, t = triples[len(heads)]
+            if coin == 0:
+                h = entity_rows[ent]
+            else:
+                t = entity_rows[ent]
+            if (h * n_rel + r) * n_ent + t in codes:
                 rejected += 1
             else:
-                negs.append(cand)
+                heads.append(h)
+                tails.append(t)
                 rejected = 0
         if rejected >= _MAX_DRAWS:
-            negs.append(_any_corruption(triples[len(negs)], entities, kg, rng))
+            h, r, t = triples[len(heads)]
+            ents, rels = kg_rows.vocab.entities, kg_rows.vocab.predicates
+            neg = _any_corruption(Triple(ents[h], rels[r], ents[t]), entities, kg_rows.kg, rng)
+            heads.append(kg_rows.vocab.entity_rows[neg.subject])
+            tails.append(kg_rows.vocab.entity_rows[neg.object])
             rejected = 0
-    return negs
+    return np.array([heads, tails], dtype=np.intp).T
 
 
 def _any_corruption(
@@ -246,18 +312,23 @@ def transe_train(
 ) -> KgEmbeddings:
     """Margin-ranking SGD over the KG; deterministic given config.seed.
 
-    Each minibatch is one numpy pass. One ``negative_sample`` call draws the
-    batch's negatives, in batch order and on the same RNG stream as one
-    draw per triple; the batch is then scored and differentiated at once,
-    and each touched row's gradients are summed in per-triple order, so the
-    tables equal a loop over the triples bit for bit. Entity rows touched in
-    a batch are renormalized to unit L2 afterwards, so a batch with no
-    active hinge leaves the tables bit-identical. Passing ``init``
-    warm-starts from existing tables instead of random init (the
-    uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows normalized once).
+    The KG is mapped once to ``KgRows``: its triples as integer table rows
+    and its membership as integer codes. Each minibatch is then one numpy
+    pass on those rows. One ``negative_sample`` call draws the batch's
+    negatives as (head, tail) rows, in batch order and on the same RNG
+    stream as one draw per triple; the batch is then scored and
+    differentiated at once, and each touched row's gradients are summed in
+    per-triple order, so the tables equal a loop over the triples bit for
+    bit. Entity rows touched in a batch are renormalized to unit L2
+    afterwards, so a batch with no active hinge leaves the tables
+    bit-identical. Passing ``init`` warm-starts from existing tables instead
+    of random init (the uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows
+    normalized once). Logs one INFO line at the end: epochs, triples,
+    seconds, triples/s and the share of hinges active in the last epoch.
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
+    started = time.perf_counter()
     rng = make_rng(config.seed)
     if init is not None:
         tv = init.vocab
@@ -272,31 +343,29 @@ def transe_train(
         rel_table = rng.uniform(-bound, bound, (len(tv.predicates), config.dim))
         rel_table /= np.maximum(np.linalg.norm(rel_table, axis=1, keepdims=True), 1e-12)
         ent_table /= np.maximum(np.linalg.norm(ent_table, axis=1, keepdims=True), 1e-12)
-    eidx, ridx = tv.entity_rows, tv.predicate_rows
 
-    triples = sorted(kg.triples)
-    n = len(triples)
-    pos_ends = np.array([(eidx[tr.subject], eidx[tr.object]) for tr in triples], dtype=np.intp)
-    pos_rels = np.array([ridx[tr.predicate] for tr in triples], dtype=np.intp)
+    kg_rows = KgRows.of(kg, tv)
+    n = len(kg_rows.ids)
     # The finite-loss check below reports a diverging run; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
+            n_active = 0
             for start in range(0, n, config.batch_size):
-                batch = order[start:start + config.batch_size]
-                negs = negative_sample([triples[j] for j in batch], kg, rng)
-                neg_ends = [(eidx[neg.subject], eidx[neg.object]) for neg in negs]
-                # ends[k, i] = (head, tail) ids of triple i's positive (k=0) or negative (k=1)
-                ends = np.stack([pos_ends[batch], np.array(neg_ends, dtype=np.intp)])
-                r = pos_rels[batch]
+                batch = kg_rows.ids[order[start:start + config.batch_size]]
+                # ends[k, i] = (head, tail) rows of triple i's positive (k=0) or negative (k=1)
+                ends = np.array([batch[:, ::2], negative_sample(batch, kg_rows, rng)])
+                r = batch[:, 1]
                 diffs = ent_table[ends[..., 0]] + rel_table[r] - ent_table[ends[..., 1]]
                 s_pos, s_neg = _score_rows(diffs, config.norm)
                 hinge = config.margin + s_pos - s_neg
                 active = ~(hinge <= 0.0)  # a NaN hinge stays active, so the loss check sees it
-                if not active.any():
+                hinges = hinge[active].tolist()
+                if not hinges:
                     continue
-                for value in hinge[active].tolist():
+                n_active += len(hinges)
+                for value in hinges:
                     epoch_loss += value
                 diffs = diffs[:, active]
                 if config.norm == "L1":
@@ -316,6 +385,10 @@ def transe_train(
                 raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
             if (epoch + 1) % 50 == 0 or epoch == 0:
                 logger.debug("transe epoch %d loss %.4f", epoch + 1, epoch_loss)
+    seconds = time.perf_counter() - started
+    logger.info("transe: %d epochs over %d triples in %.3f s (%.0f triples/s), "
+                "%.1f%% of hinges active in the last epoch", config.epochs, n, seconds,
+                config.epochs * n / seconds, 100 * n_active / n)
     return KgEmbeddings(tv, ent_table, rel_table, config.norm)
 
 

@@ -1,7 +1,9 @@
 """TransE scoring/training, negative sampling and vector-file loading."""
 
 import dataclasses
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from text2triple import embeddings
 from text2triple.corpus import KnowledgeGraph, Triple
 from text2triple.embeddings import (
     KgEmbeddings,
+    KgRows,
     TransEConfig,
     decoder_init_table,
     kg_embedding_files,
@@ -94,17 +97,44 @@ def oracle_negative_sample(triple, kg, rng):
     return valid[int(rng.integers(len(valid)))]
 
 
+def scrambled_vocab(kg):
+    """Warm-start-like tables for kg: an extra entity first, then the KG's
+    entities in reverse symbol order; an extra relation first, then the KG's
+    relations rotated by one. No KG entity's row is its index in
+    ``kg.entity_list()``."""
+    tv = build_kg_vocab(kg.triples)
+    return TripleVocab(("extra",) + tv.entities[::-1],
+                       ("r9",) + tv.predicates[1:] + tv.predicates[:1])
+
+
+def triple_rows(triples, vocab):
+    """(len(triples), 3) (head, relation, tail) rows of ``vocab``."""
+    ids = [(vocab.entity_rows[s], vocab.predicate_rows[p], vocab.entity_rows[o])
+           for s, p, o in triples]
+    return np.array(ids, dtype=np.intp).reshape(-1, 3)
+
+
+def sample_triples(batch, kg, rng, vocab=None):
+    """``negative_sample`` on Triples: the batch goes in as rows of ``vocab``
+    (by default the KG's own, in symbol order) and each returned (head, tail)
+    row pair comes back as a Triple with its positive's predicate."""
+    vocab = vocab or build_kg_vocab(kg.triples)
+    ends = negative_sample(triple_rows(batch, vocab), KgRows.of(kg, vocab), rng)
+    return [Triple(vocab.entities[h], tr.predicate, vocab.entities[t])
+            for (h, t), tr in zip(ends.tolist(), batch, strict=True)]
+
+
 class TestNegativeSample:
     def test_two_entity_outcomes(self):
         kg = two_entity_kg()
-        seen = set(negative_sample([Triple("A", "r", "B")] * 50, kg, make_rng(0)))
+        seen = set(sample_triples([Triple("A", "r", "B")] * 50, kg, make_rng(0)))
         # (A,r,B) itself is filtered; only the reflexive corruptions remain
         assert seen == {Triple("B", "r", "B"), Triple("A", "r", "A")}
 
     def test_deterministic_sequence(self):
         kg = two_entity_kg()
         batch = [Triple("A", "r", "B")] * 5
-        assert negative_sample(batch, kg, make_rng(9)) == negative_sample(batch, kg, make_rng(9))
+        assert sample_triples(batch, kg, make_rng(9)) == sample_triples(batch, kg, make_rng(9))
 
     def test_never_returns_kg_member(self):
         rng = make_rng(1)
@@ -117,7 +147,7 @@ class TestNegativeSample:
         kg = KnowledgeGraph(frozenset(triples))
         pool = sorted(kg.triples)
         batch = [pool[int(rng.integers(len(pool)))] for _ in range(1000)]
-        negs = negative_sample(batch, kg, rng)
+        negs = sample_triples(batch, kg, rng)
         assert len(negs) == len(batch)
         for pos, neg in zip(batch, negs):
             assert neg not in kg.triples
@@ -125,9 +155,12 @@ class TestNegativeSample:
             assert neg.subject == pos.subject or neg.object == pos.object
 
     def test_predicate_never_altered(self):
+        # a negative is only its (head, tail) rows: it keeps its positive's relation
         kg = two_entity_kg()
-        negs = negative_sample([Triple("A", "r", "B")] * 20, kg, make_rng(2))
-        assert {neg.predicate for neg in negs} == {"r"}
+        vocab = build_kg_vocab(kg.triples)
+        batch = triple_rows([Triple("A", "r", "B")] * 20, vocab)
+        ends = negative_sample(batch, KgRows.of(kg, vocab), make_rng(2))
+        assert ends.shape == (20, 2) and ends.dtype == np.intp
 
     def test_no_valid_corruption_rejected(self):
         # complete graph over 2 entities for relation r: nothing to corrupt to
@@ -136,12 +169,12 @@ class TestNegativeSample:
             Triple("A", "r", "A"), Triple("B", "r", "B"),
         }))
         with pytest.raises(ValueError, match="corruption"):
-            negative_sample([Triple("A", "r", "B")], kg, make_rng(0))
+            sample_triples([Triple("A", "r", "B")], kg, make_rng(0))
 
     def test_single_entity_rejected(self):
         kg = KnowledgeGraph(frozenset({Triple("A", "r", "A")}))
         with pytest.raises(ValueError, match="entities"):
-            negative_sample([Triple("A", "r", "A")], kg, make_rng(0))
+            sample_triples([Triple("A", "r", "A")], kg, make_rng(0))
 
 
 def one_relation_kg(n_entities, keep, relation="r"):
@@ -188,6 +221,17 @@ def negative_sample_cases():
             for name, (triples, keep) in cases.items()}
 
 
+def test_kg_rows_follow_sorted_symbols():
+    kg = KnowledgeGraph(random_kg(8, 20, ("r0", "r1"), seed=6))
+    vocab = scrambled_vocab(kg)
+    kg_rows = KgRows.of(kg, vocab)
+    assert kg_rows.ids.tolist() == triple_rows(sorted(kg.triples), vocab).tolist()
+    assert kg_rows.entity_rows == tuple(vocab.entity_rows[e] for e in kg.entity_list())
+    n_rel, n_ent = len(vocab.predicates), len(vocab.entities)
+    assert kg_rows.codes == {(h * n_rel + r) * n_ent + t for h, r, t in kg_rows.ids.tolist()}
+    assert kg_rows.bounds.tolist() == [2, len(kg.entity_list())] * 100
+
+
 def sampled(sample):
     """sample()'s negatives, or the ValueError it raised, as a comparable value."""
     try:
@@ -198,7 +242,9 @@ def sampled(sample):
 
 class TestNegativeSampleMatchesPerTriple:
     """``negative_sample`` on a batch against the per-triple oracle: the same
-    negatives or the same error, and the generator left in the same state."""
+    negatives or the same error, and the generator left in the same state.
+    The batch goes in as rows of ``scrambled_vocab``, so a drawn KG entity
+    index must be mapped to its row."""
 
     CASES = negative_sample_cases()
     ERRORS = {
@@ -219,7 +265,7 @@ class TestNegativeSampleMatchesPerTriple:
         for size in range(1, 41):
             batch = [pool[int(pick.integers(len(pool)))] for _ in range(size)]
             batched, looped = make_rng(size), make_rng(size)
-            got = sampled(lambda: negative_sample(batch, kg, batched))
+            got = sampled(lambda: sample_triples(batch, kg, batched, scrambled_vocab(kg)))
             want = sampled(lambda: [oracle_negative_sample(tr, kg, looped) for tr in batch])
             assert got == want, f"batch of {size}"
             assert batched.integers(2**63) == looped.integers(2**63), f"batch of {size}"
@@ -237,7 +283,8 @@ class TestNegativeSampleMatchesPerTriple:
 
     @pytest.mark.parametrize("bound", [2, 3, 30, 1000, 2**31, 2**32 - 1])
     def test_tiled_bounds_draw_like_alternating_scalars(self, bound):
-        # negative_sample depends on this numpy identity for its stream
+        # negative_sample depends on this numpy identity for its stream; its
+        # bounds are a prefix of KgRows.bounds
         tiled, scalar = make_rng(bound), make_rng(bound)
         values = tiled.integers(0, np.tile((2, bound), 25)).tolist()
         assert values == [int(scalar.integers(b)) for _ in range(25) for b in (2, bound)]
@@ -484,24 +531,73 @@ class TestTransEFastPath:
             train(rectangle_kg(), config, init=init)
 
     def test_negatives_drawn_per_triple_in_loop_order(self, monkeypatch):
-        batches, looped = [], []
-        original = embeddings.negative_sample
+        # Also the call shape perfbench's smoke run checks on traced prep:
+        # one negative_sample call per minibatch, one entity_list call per
+        # negative_sample call, and no other entity_list call in transe_train.
+        batches, looped, lists = [], [], []
+        original, entity_list = embeddings.negative_sample, KnowledgeGraph.entity_list
 
-        def recording(triples, kg, rng):
-            batches.append(list(triples))
-            return original(triples, kg, rng)
+        def recording(batch, kg_rows, rng):
+            ents, rels = kg_rows.vocab.entities, kg_rows.vocab.predicates
+            batches.append([Triple(ents[h], rels[r], ents[t]) for h, r, t in batch.tolist()])
+            return original(batch, kg_rows, rng)
 
         def oracle_recording(triple, kg, rng):
             looped.append(triple)
             return oracle_negative_sample(triple, kg, rng)
 
+        def counting(kg):
+            lists.append(len(batches))
+            return entity_list(kg)
+
         monkeypatch.setattr(embeddings, "negative_sample", recording)
+        monkeypatch.setattr(KnowledgeGraph, "entity_list", counting)
         kg = rectangle_kg()
         config = TransEConfig(dim=4, epochs=3, batch_size=3, seed=8)
         transe_train(kg, config)
+        assert lists == list(range(1, 7))  # each inside its own negative_sample call
         oracle_transe_train(kg, config, sample=oracle_recording)
         assert [len(batch) for batch in batches] == [3, 1] * 3  # one call per minibatch
         assert sum(batches, []) == looped and len(looped) == 3 * len(kg.triples)
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_warm_start_rows_out_of_symbol_order(self, norm):
+        # Every warm start in transe_cases keeps the KG's rows in symbol
+        # order. Here no KG entity's row is its entity_list() index, rows do
+        # not rise with symbols (so sorting triples by row ids is not
+        # sorting them by symbols), and 24 of 36 (s, o) pairs per relation
+        # are facts, so many draws are rejected.
+        ents = [f"e{i}" for i in range(6)]
+        kg = KnowledgeGraph(frozenset(
+            Triple(s, r, o) for i, s in enumerate(ents) for j, o in enumerate(ents)
+            for r in ("p", "q") if (i + j + len(r)) % 3))
+        vocab = scrambled_vocab(kg)
+        assert vocab.predicates == ("r9", "q", "p")
+        rng = make_rng(17)
+        init = KgEmbeddings(vocab, rng.standard_normal((7, 3)), rng.standard_normal((3, 3)), norm)
+        config = TransEConfig(dim=3, epochs=3, batch_size=5, norm=norm, seed=17)
+        assert_same_tables(transe_train(kg, config, init=init),
+                           oracle_transe_train(kg, config, init=init))
+
+    def test_logs_one_summary_line(self, caplog):
+        kg = rectangle_kg()
+        with caplog.at_level(logging.INFO, logger="text2triple.embeddings"):
+            transe_train(kg, TransEConfig(dim=4, epochs=3, seed=2))
+        records = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert len(records) == 1
+        assert re.fullmatch(r"transe: 3 epochs over 4 triples in \d+\.\d{3} s \(\d+ triples/s\), "
+                            r"\d+\.\d% of hinges active in the last epoch",
+                            records[0].getMessage())
+
+    def test_logged_share_counts_active_hinges(self, caplog):
+        # a satisfied margin activates no hinge; margin 10 activates every one
+        for margin, share in ((1.0, "0.0%"), (10.0, "100.0%")):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="text2triple.embeddings"):
+                transe_train(rectangle_kg(), TransEConfig(dim=4, margin=margin, epochs=1, seed=3),
+                             init=rectangle_embeddings())
+            assert caplog.records[-1].getMessage().endswith(
+                f" {share} of hinges active in the last epoch")
 
 
 class TestLinkPrediction:
