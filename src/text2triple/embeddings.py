@@ -5,10 +5,12 @@ TransE represents a relation as a vector translation and scores a triple by
 the dissimilarity ||h + r - t|| (L1 or L2). Training minimizes the margin
 ranking loss sum(max(0, margin + score(pos) - score(neg))) with filtered
 uniform corruption and renormalizes entity rows to the unit sphere after
-every batch. It runs on integer table rows: ``KgRows`` maps the KG once per
-run, and negatives are filtered against its integer membership codes. Word
-vectors are loaded from a textual file; vocabulary rows the file does not
-cover fall back to uniform random init.
+every batch. It runs on one stacked table of entity and relation rows:
+``KgRows`` maps the KG to row ids once per run, negatives are drawn a span
+of minibatches at a time and filtered against its integer membership codes,
+and each minibatch is one gather and one scatter. Word vectors are loaded
+from a textual file; vocabulary rows the file does not cover fall back to
+uniform random init.
 
 ``KgEmbeddings`` is frozen and makes the tables passed in read-only, not
 copies of them, and caches ``||e||^2`` on first use. A caller who still
@@ -54,6 +56,7 @@ __all__ = [
     "KgEmbeddings",
     "KgRows",
     "LINK_CHUNK",
+    "NEGATIVE_SPAN",
     "TransEConfig",
     "decoder_init_table",
     "kg_embedding_files",
@@ -307,24 +310,30 @@ def _any_corruption(
     return valid[int(rng.integers(len(valid)))]
 
 
+NEGATIVE_SPAN = 4096  # triples per negative_sample call, rounded down to whole minibatches
+
+
 def transe_train(
     kg: KnowledgeGraph, config: TransEConfig, init: KgEmbeddings | None = None
 ) -> KgEmbeddings:
     """Margin-ranking SGD over the KG; deterministic given config.seed.
 
-    The KG is mapped once to ``KgRows``: its triples as integer table rows
-    and its membership as integer codes. Each minibatch is then one numpy
-    pass on those rows. One ``negative_sample`` call draws the batch's
-    negatives as (head, tail) rows, in batch order and on the same RNG
-    stream as one draw per triple; the batch is then scored and
-    differentiated at once, and each touched row's gradients are summed in
-    per-triple order, so the tables equal a loop over the triples bit for
-    bit. Entity rows touched in a batch are renormalized to unit L2
-    afterwards, so a batch with no active hinge leaves the tables
-    bit-identical. Passing ``init`` warm-starts from existing tables instead
-    of random init (the uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows
-    normalized once). Logs one INFO line at the end: epochs, triples,
-    seconds, triples/s and the share of hinges active in the last epoch.
+    The KG is mapped once to ``KgRows``: its triples as integer rows and its
+    membership as integer codes. Training holds one ``(E + R, d)`` table,
+    entity rows first. Each epoch draws its negatives with one
+    ``negative_sample`` call per ``NEGATIVE_SPAN`` triples, rounded down to
+    whole minibatches, in epoch order and on the same RNG stream as one draw
+    per triple (negatives do not depend on the tables). A minibatch is one
+    gather of its triples' (h, t, hn, tn, E + r) rows, one pass that scores
+    and differentiates them, and one scatter; each touched row's gradients
+    are summed in per-triple order, so the tables equal a loop over the
+    triples bit for bit. Touched entity rows are renormalized to unit L2, so
+    a batch with no active hinge leaves the tables bit-identical. Passing
+    ``init`` warm-starts from existing tables instead of random init (the
+    uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows normalized once). The
+    tables returned are contiguous copies. Logs one INFO line at the end:
+    epochs, triples, seconds, triples/s and the share of hinges active in
+    the last epoch.
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
@@ -334,53 +343,53 @@ def transe_train(
         tv = init.vocab
         if init.dim != config.dim or not all(tv.has_triple_symbols(*tr) for tr in kg.triples):
             raise ValueError("init tables do not cover this KG at the configured dim")
-        ent_table = init.entity_table.copy()
-        rel_table = init.relation_table.copy()
+        table = np.concatenate([init.entity_table, init.relation_table])
     else:
         tv = build_kg_vocab(kg.triples)
         bound = 6.0 / math.sqrt(config.dim)
-        ent_table = rng.uniform(-bound, bound, (len(tv.entities), config.dim))
-        rel_table = rng.uniform(-bound, bound, (len(tv.predicates), config.dim))
-        rel_table /= np.maximum(np.linalg.norm(rel_table, axis=1, keepdims=True), 1e-12)
-        ent_table /= np.maximum(np.linalg.norm(ent_table, axis=1, keepdims=True), 1e-12)
+        # entity rows, then relation rows: the values two separate draws would give
+        table = rng.uniform(-bound, bound, (len(tv.entities) + len(tv.predicates), config.dim))
+        table /= np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
 
     kg_rows = KgRows.of(kg, tv)
-    n = len(kg_rows.ids)
+    n_ent, n, size = len(tv.entities), len(kg_rows.ids), config.batch_size
+    span = max(NEGATIVE_SPAN // size, 1) * size
     # The finite-loss check below reports a diverging run; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
             n_active = 0
-            for start in range(0, n, config.batch_size):
-                batch = kg_rows.ids[order[start:start + config.batch_size]]
-                # ends[k, i] = (head, tail) rows of triple i's positive (k=0) or negative (k=1)
-                ends = np.array([batch[:, ::2], negative_sample(batch, kg_rows, rng)])
-                r = batch[:, 1]
-                diffs = ent_table[ends[..., 0]] + rel_table[r] - ent_table[ends[..., 1]]
-                s_pos, s_neg = _score_rows(diffs, config.norm)
-                hinge = config.margin + s_pos - s_neg
-                active = ~(hinge <= 0.0)  # a NaN hinge stays active, so the loss check sees it
-                hinges = hinge[active].tolist()
-                if not hinges:
-                    continue
-                n_active += len(hinges)
-                for value in hinges:
-                    epoch_loss += value
-                diffs = diffs[:, active]
-                if config.norm == "L1":
-                    g_pos, g_neg = np.sign(diffs)
-                else:
-                    g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
-                rows, step = _summed_rows(r[active], g_pos - g_neg, len(rel_table))
-                rel_table[rows] -= config.lr * step
-                rows, step = _summed_rows(
-                    ends[:, active].transpose(1, 0, 2).ravel(),  # h, t, hn, tn per triple
-                    np.stack([g_pos, -g_pos, -g_neg, g_neg], axis=1).reshape(-1, config.dim),
-                    len(ent_table),
-                )
-                moved = ent_table[rows] - config.lr * step
-                ent_table[rows] = moved / np.maximum(_row_norms(moved), 1e-12)[:, None]
+            for lo in range(0, n, span):
+                pos = kg_rows.ids[order[lo:lo + span]]
+                # rows5[i] = table rows (h, t, hn, tn, E + r) of triple i and its negative
+                rows5 = np.hstack([pos[:, ::2], negative_sample(pos, kg_rows, rng),
+                                   pos[:, 1:2] + n_ent])
+                for start in range(0, len(rows5), size):
+                    batch = rows5[start:start + size]
+                    h, t, hn, tn, r = table[batch.T]
+                    diffs = np.array([h + r - t, hn + r - tn])
+                    s_pos, s_neg = _score_rows(diffs, config.norm)
+                    hinge = config.margin + s_pos - s_neg
+                    active = ~(hinge <= 0.0)  # a NaN hinge stays active: the loss check sees it
+                    hinges = hinge[active].tolist()
+                    if not hinges:
+                        continue
+                    n_active += len(hinges)
+                    for value in hinges:
+                        epoch_loss += value
+                    diffs = diffs[:, active]
+                    if config.norm == "L1":
+                        g_pos, g_neg = np.sign(diffs)
+                    else:
+                        g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
+                    grads = np.stack([g_pos, -g_pos, -g_neg, g_neg, g_pos - g_neg], axis=1)
+                    rows, step = _summed_rows(batch[active].ravel(),
+                                              grads.reshape(-1, config.dim), len(table))
+                    moved = table[rows] - config.lr * step
+                    ent = moved[:np.searchsorted(rows, n_ent)]  # a view of the entity rows
+                    ent /= np.maximum(_row_norms(ent), 1e-12)[:, None]
+                    table[rows] = moved
             if not math.isfinite(epoch_loss):
                 raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
             if (epoch + 1) % 50 == 0 or epoch == 0:
@@ -389,7 +398,7 @@ def transe_train(
     logger.info("transe: %d epochs over %d triples in %.3f s (%.0f triples/s), "
                 "%.1f%% of hinges active in the last epoch", config.epochs, n, seconds,
                 config.epochs * n / seconds, 100 * n_active / n)
-    return KgEmbeddings(tv, ent_table, rel_table, config.norm)
+    return KgEmbeddings(tv, table[:n_ent].copy(), table[n_ent:].copy(), config.norm)
 
 
 LINK_CHUNK = 128  # triples per L2 link-prediction GEMM

@@ -532,8 +532,10 @@ class TestTransEFastPath:
 
     def test_negatives_drawn_per_triple_in_loop_order(self, monkeypatch):
         # Also the call shape perfbench's smoke run checks on traced prep:
-        # one negative_sample call per minibatch, one entity_list call per
-        # negative_sample call, and no other entity_list call in transe_train.
+        # one negative_sample call per span of NEGATIVE_SPAN triples rounded
+        # down to whole minibatches (here the whole 4-triple epoch), one
+        # entity_list call per negative_sample call, and no other
+        # entity_list call in transe_train.
         batches, looped, lists = [], [], []
         original, entity_list = embeddings.negative_sample, KnowledgeGraph.entity_list
 
@@ -555,10 +557,30 @@ class TestTransEFastPath:
         kg = rectangle_kg()
         config = TransEConfig(dim=4, epochs=3, batch_size=3, seed=8)
         transe_train(kg, config)
-        assert lists == list(range(1, 7))  # each inside its own negative_sample call
+        assert lists == [1, 2, 3]  # each inside its own negative_sample call
         oracle_transe_train(kg, config, sample=oracle_recording)
-        assert [len(batch) for batch in batches] == [3, 1] * 3  # one call per minibatch
+        assert [len(batch) for batch in batches] == [4] * 3  # one call per epoch
         assert sum(batches, []) == looped and len(looped) == 3 * len(kg.triples)
+
+    @pytest.mark.parametrize("norm", ["L1", "L2"])
+    def test_short_spans_match_loop_on_hard_world(self, norm, monkeypatch):
+        # NEGATIVE_SPAN = 7 at batch size 3 rounds down to spans of 6
+        # triples: two minibatches per negative_sample call, and a short
+        # last span in each epoch
+        sizes, original = [], embeddings.negative_sample
+
+        def recording(batch, kg_rows, rng):
+            sizes.append(len(batch))
+            return original(batch, kg_rows, rng)
+
+        monkeypatch.setattr(embeddings, "NEGATIVE_SPAN", 7)
+        monkeypatch.setattr(embeddings, "negative_sample", recording)
+        kg = make_hard_world(seed=3, word_dim=16).kg
+        n = len(kg.triples)
+        assert n % 6
+        config = TransEConfig(dim=16, epochs=4, batch_size=3, norm=norm, seed=3)
+        assert_same_tables(transe_train(kg, config), oracle_transe_train(kg, config))
+        assert sizes == ([6] * (n // 6) + [n % 6]) * 4
 
     @pytest.mark.parametrize("norm", ["L1", "L2"])
     def test_warm_start_rows_out_of_symbol_order(self, norm):

@@ -1,0 +1,82 @@
+"""The statistics of tools/pairs.py on canned run.py results; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+
+def run_output(setup_s, per_ref, failed=0):
+    """What run.py prints: the env line, summary lines, then the result line."""
+    result = {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "primary_per_ref": {"value": per_ref, "unit": "1/ref"},
+    }}
+    return "\n".join([json.dumps({"env": {"nproc": 2}}),
+                      f"train  setup_s {setup_s:14.6g} s  (n=5)",
+                      "train  error_rate 0 (0 failed of 10 operations, 3 rounds)",
+                      json.dumps(result)]) + "\n"
+
+
+BETTER = {"setup_s": "lower", "primary_per_ref": "higher"}
+
+
+def canned_pairs():
+    parent = [(0.10, 1.0), (0.13, 1.1), (0.11, 0.9), (0.14, 1.0), (0.10, 1.2)]
+    change = [(0.08, 1.0), (0.09, 1.0), (0.12, 1.0), (0.08, 1.1), (0.09, 1.1)]
+    return [(pairs.parse_result(run_output(*p)), pairs.parse_result(run_output(*c, failed=i)))
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_quartiles_are_inclusive():
+    assert pairs.quartiles([0.10, 0.12, 0.11, 0.13, 0.10]) == pytest.approx(
+        {"median": 0.11, "q1": 0.10, "q3": 0.12, "iqr": 0.02})
+
+
+def test_summary_numbers_and_schema():
+    summary = pairs.summarize(canned_pairs(), BETTER)
+    assert summary["pairs"] == 5
+    assert summary["failed_operations"] == {"parent": 0, "change": 10}
+    assert summary["attempted_operations"] == {"parent": 50, "change": 50}
+    setup = summary["metrics"]["setup_s"]
+    assert set(setup) == {"unit", "better", "parent", "change", "change_vs_parent_median_pct",
+                          "change_wins", "median_gap_exceeds_parent_iqr"}
+    assert setup["unit"] == "s" and setup["better"] == "lower"
+    assert setup["change"] == pytest.approx({"median": 0.09, "q1": 0.08, "q3": 0.09,
+                                             "iqr": 0.01})
+    assert setup["change_wins"] == 4  # lower is better; pair 3 reads 0.12 against 0.11
+    assert setup["change_vs_parent_median_pct"] == pytest.approx(100 * (0.09 / 0.11 - 1))
+    assert setup["parent"] == pytest.approx({"median": 0.11, "q1": 0.10, "q3": 0.13,
+                                             "iqr": 0.03})
+    assert setup["median_gap_exceeds_parent_iqr"] is False  # 0.02 gap, 0.03 IQR
+    primary = summary["metrics"]["primary_per_ref"]
+    assert primary["change_wins"] == 2  # higher is better; ties are not wins
+    assert primary["median_gap_exceeds_parent_iqr"] is False
+    json.dumps(summary)  # the record is plain JSON
+
+
+def test_gap_beyond_parent_iqr_in_either_direction():
+    tight = [(pairs.parse_result(run_output(1.0 + d, 1.0)),
+              pairs.parse_result(run_output(2.0 + d, 1.0))) for d in (0.0, 0.01, 0.02)]
+    summary = pairs.summarize(tight, {"setup_s": "lower"})["metrics"]["setup_s"]
+    assert summary["median_gap_exceeds_parent_iqr"] is True
+    assert summary["change_wins"] == 0 and summary["change_vs_parent_median_pct"] > 0
+
+
+def test_output_without_a_result_line_rejected():
+    for stdout in ("", "train  setup_s 0.1 s\n", json.dumps({"env": {}}) + "\n"):
+        with pytest.raises(ValueError, match="no result line"):
+            pairs.parse_result(stdout)
+
+
+def test_next_bench_number_never_reuses_one(tmp_path):
+    assert pairs.next_bench_path(tmp_path).name == "BENCH_0.json"
+    for name in ("BENCH_0.json", "BENCH_3.json", "BENCH_x.json", "BENCH_10.txt"):
+        (tmp_path / name).write_text("{}")
+    assert pairs.next_bench_path(tmp_path).name == "BENCH_4.json"
