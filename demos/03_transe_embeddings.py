@@ -19,7 +19,6 @@ from text2triple.embeddings import (
     transe_train,
 )
 from text2triple.numerics import make_rng
-from text2triple.vocab import build_kg_vocab
 
 # a 4-entity "rectangle": two relations, each an exact translation
 kg = KnowledgeGraph(frozenset({
@@ -28,8 +27,8 @@ kg = KnowledgeGraph(frozenset({
 }))
 
 print("== filtered negative sampling ==")
-# TransE samples on integer table rows; here the rows are build_kg_vocab's
-rows = KgRows.of(kg, build_kg_vocab(kg.triples))
+# TransE samples on integer table rows, the rows of the KG's own vocab
+rows = KgRows.of(kg)
 ents = rows.vocab.entities
 batch = rows.ids[[0] * 4]  # (a, r1, b), the first triple in sorted order, four times
 for h, t in negative_sample(batch, rows, make_rng(1)).tolist():

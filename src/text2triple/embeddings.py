@@ -12,10 +12,10 @@ and each minibatch is one gather and one scatter. Word vectors are loaded
 from a textual file; vocabulary rows the file does not cover fall back to
 uniform random init.
 
-``KgEmbeddings`` is frozen and makes the tables passed in read-only, not
-copies of them, and caches ``||e||^2`` on first use. A caller who still
-holds a writable view of a table, or turns its writing back on, can make
-that cache stale; nothing in this package does either.
+``KgEmbeddings`` is frozen, holds read-only copies of the tables passed
+in, and caches ``||e||^2`` on first use. No view a caller took of those
+arrays can write the copies, so only a caller who turns a copy's writing
+back on can make that cache stale; nothing in this package does.
 
 Link prediction ranks every entity for each head and tail query. Under L2
 it ranks by ``||e||^2 - 2 e.a``, which orders entities as the distance
@@ -100,10 +100,10 @@ class KgEmbeddings:
     """Entity and relation vector tables: row i of ``entity_table`` is
     ``vocab.entities[i]``, row i of ``relation_table`` is ``vocab.predicates[i]``.
 
-    Frozen: rebinding a field is refused, and the arrays passed in are made
-    read-only, not copied. ``entity_sq_norms`` is cached on first use, so a
-    caller who still holds a writable view of ``entity_table``, or turns its
-    writing back on, makes it stale.
+    Frozen: rebinding a field is refused, and the tables are read-only
+    copies of the arrays passed in, so no view of those arrays can write
+    them. ``entity_sq_norms`` is cached on first use; only a caller who
+    turns a table's writing back on can make it stale.
     """
 
     vocab: TripleVocab
@@ -113,13 +113,15 @@ class KgEmbeddings:
 
     def __post_init__(self):
         _check_norm(self.norm)
+        for name in ("entity_table", "relation_table"):
+            table = np.array(getattr(self, name))
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
         shapes = (self.entity_table.shape, self.relation_table.shape)
         if shapes != ((len(self.vocab.entities), self.dim),
                       (len(self.vocab.predicates), self.dim)):
             raise ValueError(f"table shapes {shapes} do not give one row per symbol, "
                              "all of one width")
-        self.entity_table.setflags(write=False)
-        self.relation_table.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -189,51 +191,36 @@ _MAX_DRAWS = 100  # rejected draws of one triple before it enumerates instead
 
 @dataclass(frozen=True, eq=False)
 class KgRows:
-    """A KG on the rows of ``vocab``'s tables, the integer form TransE trains on.
+    """A KG on the rows of its own ``build_kg_vocab`` tables, the integer
+    form TransE trains on.
 
+    Rows follow symbol order, so entity row i is ``kg.entity_list()[i]``.
     ``ids`` holds the (head, relation, tail) rows of ``sorted(kg.triples)``,
     in that order. ``codes`` holds each triple's ``(h*R + r)*N + t``, for R
     relation and N entity rows, so a candidate's membership is one lookup of
-    a Python int. ``entity_rows[i]`` is the row of the KG's i-th entity in
-    sorted symbol order, which is ``kg.entity_list()[i]``; ``vocab`` may
-    hold rows in any order and rows for symbols the KG lacks. ``bounds``
-    is ``(2, len(entity_rows))`` tiled ``_MAX_DRAWS`` times, the bounds of
-    the largest chunk of (coin, entity) draws ``negative_sample`` makes.
+    a Python int. ``bounds`` is ``(2, N)`` tiled ``_MAX_DRAWS`` times, the
+    bounds of the largest chunk of (coin, entity) draws ``negative_sample``
+    makes.
     """
 
     kg: KnowledgeGraph
     vocab: TripleVocab
     ids: np.ndarray
     codes: frozenset[int]
-    entity_rows: tuple[int, ...]
     bounds: np.ndarray
 
     @classmethod
-    def of(cls, kg: KnowledgeGraph, vocab: TripleVocab) -> KgRows:
-        """The rows of ``kg``; raises ``KeyError`` for a symbol ``vocab`` lacks."""
+    def of(cls, kg: KnowledgeGraph) -> KgRows:
+        vocab = build_kg_vocab(kg.triples)
         erows, prows = vocab.entity_rows, vocab.predicate_rows
         ids = np.array([x for s, p, o in kg.triples for x in (erows[s], prows[p], erows[o])],
                        dtype=np.intp).reshape(-1, 3)
-        # Ranks order rows as their symbols sort, so the lexsort is sorted(kg.triples)
-        ent_rank, rel_rank = _symbol_ranks(vocab.entities), _symbol_ranks(vocab.predicates)
-        ids = ids[np.lexsort((ent_rank[ids[:, 2]], rel_rank[ids[:, 1]], ent_rank[ids[:, 0]]))]
+        ids = ids[np.lexsort(ids.T[::-1])]  # rows follow symbol order: sorted(kg.triples)
         n_rel, n_ent = len(vocab.predicates), len(vocab.entities)
         # int64 codes unless N*N*R could overflow them; object arrays hold Python ints
         h, r, t = ids.T.astype(np.int64 if n_ent * n_ent * n_rel < 2**63 else object)
         codes = frozenset(((h * n_rel + r) * n_ent + t).tolist())
-        in_kg = np.zeros(n_ent, dtype=bool)  # a mask, not np.unique, which imports numpy.ma
-        in_kg[ids[:, ::2]] = True
-        ents = np.flatnonzero(in_kg)
-        entity_rows = tuple(ents[np.argsort(ent_rank[ents])].tolist())
-        bounds = np.tile((2, len(entity_rows)), _MAX_DRAWS)
-        return cls(kg, vocab, ids, codes, entity_rows, bounds)
-
-
-def _symbol_ranks(symbols: Sequence[str]) -> np.ndarray:
-    """Each row's position among ``symbols`` sorted."""
-    ranks = np.empty(len(symbols), dtype=np.intp)
-    ranks[sorted(range(len(symbols)), key=symbols.__getitem__)] = np.arange(len(symbols))
-    return ranks
+        return cls(kg, vocab, ids, codes, np.tile((2, n_ent), _MAX_DRAWS))
 
 
 def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator) -> np.ndarray:
@@ -241,11 +228,11 @@ def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator
     a ``(len(batch), 2)`` array of its (head, tail) rows: corrupt head or
     tail (fair coin) with a uniform KG entity, filtered.
 
-    A candidate whose code is in ``kg_rows.codes`` is a KG member and is
-    redrawn for the same triple, so no negative is ever a true fact; the
-    relation is never altered. After ``_MAX_DRAWS`` rejected draws a triple
-    picks uniformly among its valid corruptions instead, and raises
-    ``ValueError`` when it has none.
+    A drawn entity index is its entity row. A candidate whose code is in
+    ``kg_rows.codes`` is a KG member and is redrawn for the same triple, so
+    no negative is ever a true fact; the relation is never altered. After
+    ``_MAX_DRAWS`` rejected draws a triple picks uniformly among its valid
+    corruptions instead, and raises ``ValueError`` when it has none.
 
     The result and the generator's end state equal those of sampling each
     triple in turn with a scalar ``rng.integers(2)`` coin and
@@ -255,14 +242,12 @@ def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator
     scalar calls. A chunk holds no more pairs than the open triples can
     accept, nor than the current triple can reject before its fallback, so
     every pair drawn is used and each fallback starts where the per-triple
-    loop would. ``kg.entity_list()`` is read once per call, for its length
-    and for the fallback.
+    loop would. ``kg.entity_list()`` is read once per call, for its length.
     """
-    entities = kg_rows.kg.entity_list()
-    if len(entities) < 2:
+    n_ent = len(kg_rows.kg.entity_list())
+    if n_ent < 2:
         raise ValueError("negative sampling needs at least 2 entities")
-    n_rel, n_ent = len(kg_rows.vocab.predicates), len(kg_rows.vocab.entities)
-    codes, entity_rows = kg_rows.codes, kg_rows.entity_rows
+    n_rel, codes = len(kg_rows.vocab.predicates), kg_rows.codes
     triples = batch.tolist()
     heads: list[int] = []
     tails: list[int] = []
@@ -273,9 +258,9 @@ def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator
         for coin, ent in zip(draws[::2], draws[1::2]):
             h, r, t = triples[len(heads)]
             if coin == 0:
-                h = entity_rows[ent]
+                h = ent
             else:
-                t = entity_rows[ent]
+                t = ent
             if (h * n_rel + r) * n_ent + t in codes:
                 rejected += 1
             else:
@@ -283,76 +268,73 @@ def negative_sample(batch: np.ndarray, kg_rows: KgRows, rng: np.random.Generator
                 tails.append(t)
                 rejected = 0
         if rejected >= _MAX_DRAWS:
-            h, r, t = triples[len(heads)]
-            ents, rels = kg_rows.vocab.entities, kg_rows.vocab.predicates
-            neg = _any_corruption(Triple(ents[h], rels[r], ents[t]), entities, kg_rows.kg, rng)
-            heads.append(kg_rows.vocab.entity_rows[neg.subject])
-            tails.append(kg_rows.vocab.entity_rows[neg.object])
+            h, t = _any_corruption(triples[len(heads)], kg_rows, rng)
+            heads.append(h)
+            tails.append(t)
             rejected = 0
     return np.array([heads, tails], dtype=np.intp).T
 
 
 def _any_corruption(
-    triple: Triple, entities: Sequence[str], kg: KnowledgeGraph, rng: np.random.Generator
-) -> Triple:
-    """A uniform pick among the triple's corruptions that are not KG members."""
-    valid = [
-        cand
-        for ent in entities
-        for cand in (
-            Triple(ent, triple.predicate, triple.object),
-            Triple(triple.subject, triple.predicate, ent),
-        )
-        if cand not in kg.triples
-    ]
+    triple: Sequence[int], kg_rows: KgRows, rng: np.random.Generator
+) -> tuple[int, int]:
+    """A uniform pick among the (head, relation, tail) row triple's
+    corruptions that are not KG members, as its (head, tail) rows. The
+    candidates run over the entity rows, the head corruption before the tail
+    one for each."""
+    h, r, t = triple
+    n_rel, n_ent = len(kg_rows.vocab.predicates), len(kg_rows.vocab.entities)
+    valid = [(hc, tc) for e in range(n_ent) for hc, tc in ((e, t), (h, e))
+             if (hc * n_rel + r) * n_ent + tc not in kg_rows.codes]
     if not valid:
-        raise ValueError(f"no valid corruption exists for {triple}")
+        ents, rels = kg_rows.vocab.entities, kg_rows.vocab.predicates
+        raise ValueError(f"no valid corruption exists for {Triple(ents[h], rels[r], ents[t])}")
     return valid[int(rng.integers(len(valid)))]
 
 
 NEGATIVE_SPAN = 4096  # triples per negative_sample call, rounded down to whole minibatches
 
 
-def transe_train(
-    kg: KnowledgeGraph, config: TransEConfig, init: KgEmbeddings | None = None
-) -> KgEmbeddings:
+def transe_train(kg: KnowledgeGraph, config: TransEConfig) -> KgEmbeddings:
     """Margin-ranking SGD over the KG; deterministic given config.seed.
 
     The KG is mapped once to ``KgRows``: its triples as integer rows and its
     membership as integer codes. Training holds one ``(E + R, d)`` table,
-    entity rows first. Each epoch draws its negatives with one
-    ``negative_sample`` call per ``NEGATIVE_SPAN`` triples, rounded down to
-    whole minibatches, in epoch order and on the same RNG stream as one draw
-    per triple (negatives do not depend on the tables). A minibatch is one
-    gather of its triples' (h, t, hn, tn, E + r) rows, one pass that scores
-    and differentiates them, and one scatter; each touched row's gradients
-    are summed in per-triple order, so the tables equal a loop over the
-    triples bit for bit. Touched entity rows are renormalized to unit L2, so
-    a batch with no active hinge leaves the tables bit-identical. Passing
-    ``init`` warm-starts from existing tables instead of random init (the
-    uniform(-6/sqrt(d), 6/sqrt(d)) scheme with rows normalized once). The
-    tables returned are contiguous copies. Logs one INFO line at the end:
-    epochs, triples, seconds, triples/s and the share of hinges active in
-    the last epoch.
+    entity rows first, drawn uniform(-6/sqrt(d), 6/sqrt(d)) with rows
+    normalized once, and ``_transe_epochs`` trains it.
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
-    started = time.perf_counter()
+    kg_rows = KgRows.of(kg)
     rng = make_rng(config.seed)
-    if init is not None:
-        tv = init.vocab
-        if init.dim != config.dim or not all(tv.has_triple_symbols(*tr) for tr in kg.triples):
-            raise ValueError("init tables do not cover this KG at the configured dim")
-        table = np.concatenate([init.entity_table, init.relation_table])
-    else:
-        tv = build_kg_vocab(kg.triples)
-        bound = 6.0 / math.sqrt(config.dim)
-        # entity rows, then relation rows: the values two separate draws would give
-        table = rng.uniform(-bound, bound, (len(tv.entities) + len(tv.predicates), config.dim))
-        table /= np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
+    bound = 6.0 / math.sqrt(config.dim)
+    n_rows = len(kg_rows.vocab.entities) + len(kg_rows.vocab.predicates)
+    # entity rows, then relation rows: the values two separate draws would give
+    table = rng.uniform(-bound, bound, (n_rows, config.dim))
+    table /= np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
+    return _transe_epochs(kg_rows, table, config, rng)
 
-    kg_rows = KgRows.of(kg, tv)
-    n_ent, n, size = len(tv.entities), len(kg_rows.ids), config.batch_size
+
+def _transe_epochs(
+    kg_rows: KgRows, table: np.ndarray, config: TransEConfig, rng: np.random.Generator
+) -> KgEmbeddings:
+    """``config.epochs`` epochs of TransE from ``table``, an ``(E + R, d)``
+    table on ``kg_rows``' rows, which it updates in place.
+
+    Each epoch draws its negatives with one ``negative_sample`` call per
+    ``NEGATIVE_SPAN`` triples, rounded down to whole minibatches, in epoch
+    order and on the same RNG stream as one draw per triple (negatives do
+    not depend on the tables). A minibatch is one gather of its triples'
+    (h, t, hn, tn, E + r) rows, one pass that scores and differentiates
+    them, and one scatter; each touched row's gradients are summed in
+    per-triple order, so the tables equal a loop over the triples bit for
+    bit. Touched entity rows are renormalized to unit L2, so a batch with no
+    active hinge leaves the tables bit-identical. Logs one INFO line at the
+    end: epochs, triples, the seconds of the epochs, triples/s and the share
+    of hinges active in the last epoch.
+    """
+    started = time.perf_counter()
+    n_ent, n, size = len(kg_rows.vocab.entities), len(kg_rows.ids), config.batch_size
     span = max(NEGATIVE_SPAN // size, 1) * size
     # The finite-loss check below reports a diverging run; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,13 +360,14 @@ def transe_train(
                     n_active += len(hinges)
                     for value in hinges:
                         epoch_loss += value
-                    diffs = diffs[:, active]
+                    if len(hinges) < len(hinge):  # a full mask would gather them unchanged
+                        diffs, batch = diffs[:, active], batch[active]
                     if config.norm == "L1":
                         g_pos, g_neg = np.sign(diffs)
                     else:
                         g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
                     grads = np.stack([g_pos, -g_pos, -g_neg, g_neg, g_pos - g_neg], axis=1)
-                    rows, step = _summed_rows(batch[active].ravel(),
+                    rows, step = _summed_rows(batch.ravel(),
                                               grads.reshape(-1, config.dim), len(table))
                     moved = table[rows] - config.lr * step
                     ent = moved[:np.searchsorted(rows, n_ent)]  # a view of the entity rows
@@ -398,7 +381,7 @@ def transe_train(
     logger.info("transe: %d epochs over %d triples in %.3f s (%.0f triples/s), "
                 "%.1f%% of hinges active in the last epoch", config.epochs, n, seconds,
                 config.epochs * n / seconds, 100 * n_active / n)
-    return KgEmbeddings(tv, table[:n_ent].copy(), table[n_ent:].copy(), config.norm)
+    return KgEmbeddings(kg_rows.vocab, table[:n_ent], table[n_ent:], config.norm)
 
 
 LINK_CHUNK = 128  # triples per L2 link-prediction GEMM

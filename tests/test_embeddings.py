@@ -97,16 +97,6 @@ def oracle_negative_sample(triple, kg, rng):
     return valid[int(rng.integers(len(valid)))]
 
 
-def scrambled_vocab(kg):
-    """Warm-start-like tables for kg: an extra entity first, then the KG's
-    entities in reverse symbol order; an extra relation first, then the KG's
-    relations rotated by one. No KG entity's row is its index in
-    ``kg.entity_list()``."""
-    tv = build_kg_vocab(kg.triples)
-    return TripleVocab(("extra",) + tv.entities[::-1],
-                       ("r9",) + tv.predicates[1:] + tv.predicates[:1])
-
-
 def triple_rows(triples, vocab):
     """(len(triples), 3) (head, relation, tail) rows of ``vocab``."""
     ids = [(vocab.entity_rows[s], vocab.predicate_rows[p], vocab.entity_rows[o])
@@ -114,12 +104,13 @@ def triple_rows(triples, vocab):
     return np.array(ids, dtype=np.intp).reshape(-1, 3)
 
 
-def sample_triples(batch, kg, rng, vocab=None):
-    """``negative_sample`` on Triples: the batch goes in as rows of ``vocab``
-    (by default the KG's own, in symbol order) and each returned (head, tail)
-    row pair comes back as a Triple with its positive's predicate."""
-    vocab = vocab or build_kg_vocab(kg.triples)
-    ends = negative_sample(triple_rows(batch, vocab), KgRows.of(kg, vocab), rng)
+def sample_triples(batch, kg, rng):
+    """``negative_sample`` on Triples: the batch goes in as rows of the KG's
+    own vocab and each returned (head, tail) row pair comes back as a Triple
+    with its positive's predicate."""
+    kg_rows = KgRows.of(kg)
+    vocab = kg_rows.vocab
+    ends = negative_sample(triple_rows(batch, vocab), kg_rows, rng)
     return [Triple(vocab.entities[h], tr.predicate, vocab.entities[t])
             for (h, t), tr in zip(ends.tolist(), batch, strict=True)]
 
@@ -156,10 +147,9 @@ class TestNegativeSample:
 
     def test_predicate_never_altered(self):
         # a negative is only its (head, tail) rows: it keeps its positive's relation
-        kg = two_entity_kg()
-        vocab = build_kg_vocab(kg.triples)
-        batch = triple_rows([Triple("A", "r", "B")] * 20, vocab)
-        ends = negative_sample(batch, KgRows.of(kg, vocab), make_rng(2))
+        kg_rows = KgRows.of(two_entity_kg())
+        batch = triple_rows([Triple("A", "r", "B")] * 20, kg_rows.vocab)
+        ends = negative_sample(batch, kg_rows, make_rng(2))
         assert ends.shape == (20, 2) and ends.dtype == np.intp
 
     def test_no_valid_corruption_rejected(self):
@@ -175,6 +165,16 @@ class TestNegativeSample:
         kg = KnowledgeGraph(frozenset({Triple("A", "r", "A")}))
         with pytest.raises(ValueError, match="entities"):
             sample_triples([Triple("A", "r", "A")], kg, make_rng(0))
+
+    def test_fallback_lists_head_then_tail_corruption_per_entity(self):
+        # Entity c gives (a, r, b) both a valid head and a valid tail
+        # corruption, so their order shows in the pick.
+        kg_rows = KgRows.of(KnowledgeGraph(frozenset({Triple("a", "r", "b"),
+                                                      Triple("b", "r", "c")})))
+        valid = [(0, 0), (1, 1), (2, 1), (0, 2)]  # the ends of aa, bb, cb, ac
+        for seed in range(20):
+            pick = embeddings._any_corruption([0, 0, 1], kg_rows, make_rng(seed))
+            assert pick == valid[int(make_rng(seed).integers(4))]
 
 
 def one_relation_kg(n_entities, keep, relation="r"):
@@ -222,14 +222,19 @@ def negative_sample_cases():
 
 
 def test_kg_rows_follow_sorted_symbols():
-    kg = KnowledgeGraph(random_kg(8, 20, ("r0", "r1"), seed=6))
-    vocab = scrambled_vocab(kg)
-    kg_rows = KgRows.of(kg, vocab)
-    assert kg_rows.ids.tolist() == triple_rows(sorted(kg.triples), vocab).tolist()
-    assert kg_rows.entity_rows == tuple(vocab.entity_rows[e] for e in kg.entity_list())
-    n_rel, n_ent = len(vocab.predicates), len(vocab.entities)
-    assert kg_rows.codes == {(h * n_rel + r) * n_ent + t for h, r, t in kg_rows.ids.tolist()}
-    assert kg_rows.bounds.tolist() == [2, len(kg.entity_list())] * 100
+    # "s" is only a subject, "o" only an object, and (m, q, m) a self-loop
+    kg = KnowledgeGraph(frozenset({Triple("s", "r", "m"), Triple("m", "q", "o"),
+                                   Triple("m", "q", "m"), Triple("s", "q", "o")}))
+    kg_rows = KgRows.of(kg)
+    assert kg_rows.vocab == build_kg_vocab(kg.triples)
+    assert kg_rows.vocab.entities == kg.entity_list() == ("m", "o", "s")
+    assert kg_rows.ids.tolist() == triple_rows(sorted(kg.triples), kg_rows.vocab).tolist()
+    assert kg_rows.ids.tolist() == [[0, 0, 0], [0, 0, 1], [2, 0, 1], [2, 1, 0]]
+    assert kg_rows.codes == {0, 1, 13, 15}  # (h*2 + r)*3 + t
+    assert kg_rows.bounds.tolist() == [2, 3] * 100
+    larger = KnowledgeGraph(random_kg(8, 20, ("r0", "r1"), seed=6))
+    rows = KgRows.of(larger)
+    assert rows.ids.tolist() == triple_rows(sorted(larger.triples), rows.vocab).tolist()
 
 
 def sampled(sample):
@@ -242,9 +247,7 @@ def sampled(sample):
 
 class TestNegativeSampleMatchesPerTriple:
     """``negative_sample`` on a batch against the per-triple oracle: the same
-    negatives or the same error, and the generator left in the same state.
-    The batch goes in as rows of ``scrambled_vocab``, so a drawn KG entity
-    index must be mapped to its row."""
+    negatives or the same error, and the generator left in the same state."""
 
     CASES = negative_sample_cases()
     ERRORS = {
@@ -265,7 +268,7 @@ class TestNegativeSampleMatchesPerTriple:
         for size in range(1, 41):
             batch = [pool[int(pick.integers(len(pool)))] for _ in range(size)]
             batched, looped = make_rng(size), make_rng(size)
-            got = sampled(lambda: sample_triples(batch, kg, batched, scrambled_vocab(kg)))
+            got = sampled(lambda: sample_triples(batch, kg, batched))
             want = sampled(lambda: [oracle_negative_sample(tr, kg, looped) for tr in batch])
             assert got == want, f"batch of {size}"
             assert batched.integers(2**63) == looped.integers(2**63), f"batch of {size}"
@@ -316,11 +319,23 @@ def rectangle_kg():
     }))
 
 
+def stacked(emb):
+    """The ``(E + R, d)`` table of ``emb``'s entity rows, then its relation rows."""
+    return np.concatenate([emb.entity_table, emb.relation_table])
+
+
+def train_from(kg, config, table):
+    """TransE epochs from a start table on the rows of ``KgRows.of(kg)``, on
+    a fresh generator of ``config.seed``; ``table`` itself is left as it is."""
+    return embeddings._transe_epochs(KgRows.of(kg), table.copy(), config,
+                                     make_rng(config.seed))
+
+
 class TestTransETrain:
     def test_satisfied_margin_leaves_tables_unchanged(self):
         emb = rectangle_embeddings()
         config = TransEConfig(dim=4, margin=1.0, epochs=1, seed=3)
-        out = transe_train(rectangle_kg(), config, init=emb)
+        out = train_from(rectangle_kg(), config, stacked(emb))
         assert (out.entity_table == emb.entity_table).all()
         assert (out.relation_table == emb.relation_table).all()
 
@@ -352,17 +367,6 @@ class TestTransETrain:
         with pytest.raises(ValueError, match="empty"):
             transe_train(KnowledgeGraph(frozenset()), TransEConfig(dim=4))
 
-    @pytest.mark.parametrize("dim, extra", [(4, Triple("a", "r3", "b")),
-                                            (4, Triple("a", "r1", "e")),
-                                            (8, None)])
-    def test_init_that_does_not_cover_the_kg_rejected(self, dim, extra):
-        kg = rectangle_kg()
-        if extra is not None:
-            kg = KnowledgeGraph(kg.triples | {extra})
-        with pytest.raises(ValueError, match="^init tables do not cover this KG "
-                                             "at the configured dim$"):
-            transe_train(kg, TransEConfig(dim=dim, epochs=1), init=rectangle_embeddings())
-
     @pytest.mark.parametrize("field, value, message", [
         ("lr", -1.0, "lr must be positive"),
         ("lr", 0.0, "lr must be positive"),
@@ -391,10 +395,11 @@ class TestTransETrain:
         assert type(config.dim) is int and type(config.seed) is int
 
 
-def oracle_transe_train(kg, config, init=None, sample=oracle_negative_sample):
+def oracle_transe_train(kg, config, table=None, sample=oracle_negative_sample):
     """The per-triple TransE loop that ``transe_train`` replaced: a negative
     from ``sample``, score, hinge and a dict update per touched row, one
-    triple at a time."""
+    triple at a time. ``table``, an ``(E + R, d)`` table on the KG's own
+    rows, replaces the random start."""
 
     def norm_grad(diff, norm):
         if norm == "L1":
@@ -404,10 +409,8 @@ def oracle_transe_train(kg, config, init=None, sample=oracle_negative_sample):
     tv = build_kg_vocab(kg.triples)
     ents, rels = tv.entities, tv.predicates
     rng = make_rng(config.seed)
-    if init is not None:
-        ents, rels = init.vocab.entities, init.vocab.predicates
-        ent_table = init.entity_table.copy()
-        rel_table = init.relation_table.copy()
+    if table is not None:
+        ent_table, rel_table = table[:len(ents)].copy(), table[len(ents):].copy()
     else:
         bound = 6.0 / math.sqrt(config.dim)
         ent_table = rng.uniform(-bound, bound, (len(ents), config.dim))
@@ -472,8 +475,8 @@ TRANSE_ENTITIES = [f"e{i}" for i in range(6)]
 @st.composite
 def transe_cases(draw):
     """Small KGs (two or more entities, up to 3 relations) with a config and,
-    half the time, warm-start tables that cover extra symbols and hold exact
-    zeros of both signs."""
+    half the time, a start table on the KG's own rows that holds exact zeros
+    of both signs."""
     ents = st.sampled_from(TRANSE_ENTITIES)
     triples = draw(st.frozensets(
         st.builds(Triple, ents, st.sampled_from(["r0", "r1", "r2"]), ents), max_size=12,
@@ -488,26 +491,22 @@ def transe_cases(draw):
         norm=draw(st.sampled_from(["L1", "L2"])),
         seed=draw(st.integers(0, 2**16)),
     )
-    init = None
+    table = None
     if draw(st.booleans()):
         rng = make_rng(config.seed + 1)
         tv = build_kg_vocab(kg.triples)
-        ent_syms = tv.entities + ("extra",)
-        rel_syms = ("r9",) + tv.predicates
-        tables = [rng.standard_normal((len(syms), config.dim)) for syms in (ent_syms, rel_syms)]
-        for table in tables:
-            table[rng.random(table.shape) < 0.2] = 0.0
-            table[rng.random(table.shape) < 0.2] = -0.0
-        init = KgEmbeddings(TripleVocab(ent_syms, rel_syms), *tables, config.norm)
-    return kg, config, init
+        table = rng.standard_normal((len(tv.entities) + len(tv.predicates), config.dim))
+        table[rng.random(table.shape) < 0.2] = 0.0
+        table[rng.random(table.shape) < 0.2] = -0.0
+    return kg, config, table
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(transe_cases())
 def test_transe_train_matches_per_triple_loop(case):
-    kg, config, init = case
-    assert_same_tables(transe_train(kg, config, init=init),
-                       oracle_transe_train(kg, config, init=init))
+    kg, config, table = case
+    got = transe_train(kg, config) if table is None else train_from(kg, config, table)
+    assert_same_tables(got, oracle_transe_train(kg, config, table=table))
 
 
 class TestTransEFastPath:
@@ -518,17 +517,16 @@ class TestTransEFastPath:
         config = TransEConfig(dim=16, epochs=150, norm=norm, seed=3)
         assert_same_tables(transe_train(kg, config), oracle_transe_train(kg, config))
 
-    @pytest.mark.parametrize("train", [transe_train, oracle_transe_train],
+    @pytest.mark.parametrize("train", [train_from, oracle_transe_train],
                              ids=["batched", "loop"])
     def test_overflowing_hinge_raises(self, train):
         # entries of ~1e308 square to inf, so every hinge is inf - inf = NaN
         emb = rectangle_embeddings()
         signs = np.where(make_rng(0).random(emb.entity_table.shape) < 0.5, -1.0, 1.0)
-        init = KgEmbeddings(emb.vocab, 1e308 * signs,
-                            np.full(emb.relation_table.shape, 1e308), emb.norm)
+        table = np.vstack([1e308 * signs, np.full(emb.relation_table.shape, 1e308)])
         config = TransEConfig(dim=emb.dim, epochs=1, seed=3)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite at epoch 1"):
-            train(rectangle_kg(), config, init=init)
+            train(rectangle_kg(), config, table)
 
     def test_negatives_drawn_per_triple_in_loop_order(self, monkeypatch):
         # Also the call shape perfbench's smoke run checks on traced prep:
@@ -582,25 +580,6 @@ class TestTransEFastPath:
         assert_same_tables(transe_train(kg, config), oracle_transe_train(kg, config))
         assert sizes == ([6] * (n // 6) + [n % 6]) * 4
 
-    @pytest.mark.parametrize("norm", ["L1", "L2"])
-    def test_warm_start_rows_out_of_symbol_order(self, norm):
-        # Every warm start in transe_cases keeps the KG's rows in symbol
-        # order. Here no KG entity's row is its entity_list() index, rows do
-        # not rise with symbols (so sorting triples by row ids is not
-        # sorting them by symbols), and 24 of 36 (s, o) pairs per relation
-        # are facts, so many draws are rejected.
-        ents = [f"e{i}" for i in range(6)]
-        kg = KnowledgeGraph(frozenset(
-            Triple(s, r, o) for i, s in enumerate(ents) for j, o in enumerate(ents)
-            for r in ("p", "q") if (i + j + len(r)) % 3))
-        vocab = scrambled_vocab(kg)
-        assert vocab.predicates == ("r9", "q", "p")
-        rng = make_rng(17)
-        init = KgEmbeddings(vocab, rng.standard_normal((7, 3)), rng.standard_normal((3, 3)), norm)
-        config = TransEConfig(dim=3, epochs=3, batch_size=5, norm=norm, seed=17)
-        assert_same_tables(transe_train(kg, config, init=init),
-                           oracle_transe_train(kg, config, init=init))
-
     def test_logs_one_summary_line(self, caplog):
         kg = rectangle_kg()
         with caplog.at_level(logging.INFO, logger="text2triple.embeddings"):
@@ -616,8 +595,8 @@ class TestTransEFastPath:
         for margin, share in ((1.0, "0.0%"), (10.0, "100.0%")):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="text2triple.embeddings"):
-                transe_train(rectangle_kg(), TransEConfig(dim=4, margin=margin, epochs=1, seed=3),
-                             init=rectangle_embeddings())
+                train_from(rectangle_kg(), TransEConfig(dim=4, margin=margin, epochs=1, seed=3),
+                           stacked(rectangle_embeddings()))
             assert caplog.records[-1].getMessage().endswith(
                 f" {share} of hinges active in the last epoch")
 
@@ -856,15 +835,14 @@ class TestFrozenKgEmbeddings:
                            table, rng.standard_normal((1, 16)), "L2")
         assert emb.entity_sq_norms.tobytes() == np.einsum("ij,ij->i", table, table).tobytes()
 
-    def test_frozen_init_warm_starts(self):
-        kg = rectangle_kg()
-        rng = make_rng(9)
-        init = KgEmbeddings(build_kg_vocab(kg.triples), rng.standard_normal((4, 4)),
-                            rng.standard_normal((2, 4)), "L2")
-        out = transe_train(kg, TransEConfig(dim=4, epochs=3, seed=2), init=init)
-        assert out.vocab is init.vocab
-        assert not (out.entity_table == init.entity_table).all()
-        assert not out.entity_table.flags.writeable
+    def test_views_taken_before_construction_cannot_write_the_tables(self):
+        table = np.ones((2, 3))
+        view = table[:]
+        emb = KgEmbeddings(TripleVocab(("a", "b"), ("r",)), table, np.ones((1, 3)), "L2")
+        assert emb.entity_sq_norms.tolist() == [3.0, 3.0]
+        view[0] = 5.0
+        assert emb.entity_table.tolist() == [[1.0] * 3] * 2
+        assert emb.entity_sq_norms.tolist() == [3.0, 3.0]
 
 
 class TestKgEmbeddingIo:

@@ -1,7 +1,8 @@
-"""The statistics of tools/pairs.py on canned run.py results; no benchmark runs."""
+"""The statistics and the seed option of tools/pairs.py on canned input; no benchmark runs."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,31 @@ def test_next_bench_number_never_reuses_one(tmp_path):
     for name in ("BENCH_0.json", "BENCH_3.json", "BENCH_x.json", "BENCH_10.txt"):
         (tmp_path / name).write_text("{}")
     assert pairs.next_bench_path(tmp_path).name == "BENCH_4.json"
+
+
+@pytest.mark.parametrize("text, seeds", [("7", [7]), ("0", [0]), ("80-89", list(range(80, 90))),
+                                         ("5-5", [5])])
+def test_seed_range_parsing(text, seeds):
+    assert list(pairs.parse_seeds(text)) == seeds
+
+
+@pytest.mark.parametrize("text", ["5-3", "a", "-3", "3-", "3-4-5", "", " 3"])
+def test_bad_seed_range_rejected(text):
+    with pytest.raises(pairs.argparse.ArgumentTypeError, match="expected K or A-B"):
+        pairs.parse_seeds(text)
+
+
+def test_seed_per_pair_wraps_around_the_range():
+    assert [pairs.pair_seed(pairs.parse_seeds("3-5"), i) for i in range(7)] == [3, 4, 5, 3, 4, 5, 3]
+    assert [pairs.pair_seed(pairs.parse_seeds("9"), i) for i in range(3)] == [9, 9, 9]
+
+
+def test_bad_seed_range_stops_before_any_run(capsys):
+    with pytest.raises(SystemExit):
+        pairs.main(["--parent", "HEAD", "--workload", "prep", "--seed", "9-2"])
+    assert "expected K or A-B with A <= B, got '9-2'" in capsys.readouterr().err
+
+
+def test_environment_records_the_l2_cache():
+    l2 = pairs.environment()["l2_cache"]
+    assert l2 is None or re.fullmatch(r"\d+[KMG]?", l2)

@@ -1,12 +1,14 @@
 """Alternating pairs of benchmark runs: a parent revision against the working tree.
 
     python3 tools/pairs.py --parent REV --workload W --pairs N --seconds S --seed K
+    python3 tools/pairs.py --parent REV --workload W --pairs N --seconds S --seed A-B
 
 Run it from anywhere inside the repository, outside the tier-1 run. It
 exports REV with ``git archive`` into a temporary directory and, for each
 pair, runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
 once per side, each in a fresh process started in that side's checkout:
 the export for the parent, the repository's working tree for the change.
+With a seed range ``A-B``, pair i runs seed ``A + i mod (B - A + 1)``.
 Even pairs run the parent first, odd pairs the change first. Each child
 gets ``OPENBLAS_NUM_THREADS=1`` in its own environment; this process's
 environment is left as it is.
@@ -14,9 +16,10 @@ environment is left as it is.
 It reads each run's last output line, the JSON result, and writes
 ``BENCH_<n>.json`` at the repository root, ``n`` one more than the largest
 present (0 when there is none); an existing file is never overwritten. The
-file holds the machine (nproc, CPU, python, numpy, the BLAS build and the
-kernel OpenBLAS runs, or null where the library cannot be asked), both
-commits, the method, each side's failed and attempted operations, and for
+file holds the machine (nproc, CPU, its L2 cache size as the kernel
+reports it, python, numpy, the BLAS build and the kernel OpenBLAS runs,
+each null where it cannot be asked), both commits, the method with each
+pair's seed, each side's failed and attempted operations, and for
 each end-to-end metric of ``BENCHMARK.json`` each side's median, Q1, Q3 and
 IQR over the pairs (inclusive quartiles), the change's wins (pairs in which
 it reads strictly better) and whether the gap between the two medians, in
@@ -41,6 +44,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> range:
+    """The seeds ``K`` or ``A-B`` (A <= B, both ends included) names."""
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    if match:
+        first = int(match.group(1))
+        last = first if match.group(2) is None else int(match.group(2))
+        if first <= last:
+            return range(first, last + 1)
+    raise argparse.ArgumentTypeError(f"expected K or A-B with A <= B, got {text!r}")
+
+
+def pair_seed(seeds: range, i: int) -> int:
+    """The seed pair i runs: the range's first, plus i modulo its length."""
+    return seeds[i % len(seeds)]
 
 
 def parse_result(stdout: str) -> dict:
@@ -120,6 +139,17 @@ def _cpu() -> str:
     return platform.processor() or platform.machine()
 
 
+def _l2_cache() -> str | None:
+    """CPU 0's L2 cache size as the kernel reports it (such as "2048K"), or None."""
+    for index in sorted(Path("/sys/devices/system/cpu/cpu0/cache").glob("index*")):
+        try:
+            if (index / "level").read_text().strip() == "2":
+                return (index / "size").read_text().strip()
+        except OSError:
+            continue
+    return None
+
+
 def environment() -> dict:
     import numpy as np
 
@@ -130,6 +160,7 @@ def environment() -> dict:
     return {
         "nproc": len(os.sched_getaffinity(0)),
         "cpu": _cpu(),
+        "l2_cache": _l2_cache(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("openblas configuration") or blas.get("name"),
@@ -168,7 +199,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("train", "infer", "prep"))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=parse_seeds, required=True, metavar="K|A-B")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be at least 2 and --seconds positive")
@@ -180,7 +211,8 @@ def main(argv=None) -> int:
         _export(parent_commit, Path(tmp))
         for i in range(args.pairs):
             order = [("parent", Path(tmp)), ("change", ROOT)]
-            ran = {side: _run(checkout, args.workload, args.seed, args.seconds)
+            seed = pair_seed(args.seed, i)
+            ran = {side: _run(checkout, args.workload, seed, args.seconds)
                    for side, checkout in (order if i % 2 == 0 else order[::-1])}
             pairs.append((ran["parent"], ran["change"]))
             print(f"pairs: {i + 1}/{args.pairs} done", file=sys.stderr)
@@ -195,7 +227,8 @@ def main(argv=None) -> int:
         },
         "method": {
             "command": f"python3 perfbench/run.py --workload {args.workload} "
-                       f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
+                       f"--seed K --seconds {args.seconds:g} --trace 0",
+            "seeds": [pair_seed(args.seed, i) for i in range(args.pairs)],
             "sides": "parent = git archive of parent_commit; change = the working tree, "
                      "change_commit plus its uncommitted edits if change_worktree_modified; "
                      "each run in a fresh process in its own checkout, OPENBLAS_NUM_THREADS=1",
