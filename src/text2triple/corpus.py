@@ -160,7 +160,8 @@ def _validate_record(rec, where: str) -> tuple[tuple[str, ...], Triple]:
 
 
 def load_examples(path) -> list[AnnotatedExample]:
-    """Read one JSONL dataset file. Malformed lines are reported by number."""
+    """Read one JSONL dataset file. Malformed lines are reported by number.
+    An ``id`` is kept as ``str(id)``; a missing or null one gives ``file:line``."""
     path = Path(path)
     examples = []
     for lineno, line in read_lines(path):
@@ -173,7 +174,11 @@ def load_examples(path) -> list[AnnotatedExample]:
         except json.JSONDecodeError as exc:
             raise DataError(f"{where}: invalid JSON ({exc.msg})") from exc
         tokens, triple = _validate_record(rec, where)
-        source_id = rec.get("id") or f"{path.name}:{lineno}"
+        source_id = rec.get("id")
+        if source_id is None:
+            source_id = f"{path.name}:{lineno}"
+        elif not (type(source_id) is int or isinstance(source_id, str) and source_id):
+            raise DataError(f"{where}: 'id' must be a non-empty string or an integer")
         examples.append(AnnotatedExample(tokens, triple, str(source_id)))
     return examples
 

@@ -8,9 +8,10 @@ uniform corruption and renormalizes entity rows to the unit sphere after
 every batch. It runs on one stacked table of entity and relation rows:
 ``KgRows`` maps the KG to row ids once per run, negatives are drawn a span
 of minibatches at a time and filtered against its integer membership codes,
-and each minibatch is one gather and one scatter. Word vectors are loaded
-from a textual file; vocabulary rows the file does not cover fall back to
-uniform random init.
+and each minibatch is one gather and one scatter. ``_score_rows`` is the one
+L2 rule (numpy's own sum, no BLAS) for scores, gradients and renormalization.
+Word vectors are loaded from a textual file; vocabulary rows the file does
+not cover fall back to uniform random init.
 
 ``KgEmbeddings`` is frozen, holds read-only copies of the tables passed
 in, and caches ``||e||^2`` on first use. No view a caller took of those
@@ -156,15 +157,6 @@ def transe_score(h: np.ndarray, r: np.ndarray, t: np.ndarray, norm: str = "L2") 
     return float(_score_rows((h + r - t)[None, :], norm)[0])
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """L2 norm along the last axis, as one BLAS dot per row.
-
-    A stacked (1, d) @ (d, 1) product rounds as ``np.linalg.norm`` of that
-    row does; ``np.linalg.norm(rows, axis=-1)`` sums pairwise and does not.
-    """
-    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
-
-
 def _summed_rows(
     ids: np.ndarray, grads: np.ndarray, n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +293,7 @@ def transe_train(kg: KnowledgeGraph, config: TransEConfig) -> KgEmbeddings:
     The KG is mapped once to ``KgRows``: its triples as integer rows and its
     membership as integer codes. Training holds one ``(E + R, d)`` table,
     entity rows first, drawn uniform(-6/sqrt(d), 6/sqrt(d)) with rows
-    normalized once, and ``_transe_epochs`` trains it.
+    normalized once by ``_score_rows``, and ``_transe_epochs`` trains it.
     """
     if not kg.triples:
         raise ValueError("cannot train TransE on an empty KG")
@@ -311,7 +303,7 @@ def transe_train(kg: KnowledgeGraph, config: TransEConfig) -> KgEmbeddings:
     n_rows = len(kg_rows.vocab.entities) + len(kg_rows.vocab.predicates)
     # entity rows, then relation rows: the values two separate draws would give
     table = rng.uniform(-bound, bound, (n_rows, config.dim))
-    table /= np.maximum(np.linalg.norm(table, axis=1, keepdims=True), 1e-12)
+    table /= np.maximum(_score_rows(table, "L2"), 1e-12)[:, None]
     return _transe_epochs(kg_rows, table, config, rng)
 
 
@@ -328,10 +320,12 @@ def _transe_epochs(
     (h, t, hn, tn, E + r) rows, one pass that scores and differentiates
     them, and one scatter; each touched row's gradients are summed in
     per-triple order, so the tables equal a loop over the triples bit for
-    bit. Touched entity rows are renormalized to unit L2, so a batch with no
-    active hinge leaves the tables bit-identical. Logs one INFO line at the
-    end: epochs, triples, the seconds of the epochs, triples/s and the share
-    of hinges active in the last epoch.
+    bit. An L2 gradient divides each diff by the distance its hinge scored,
+    and touched entity rows are renormalized by the same ``_score_rows``;
+    no step calls BLAS, so the tables do not follow the OpenBLAS kernel. A
+    batch with no active hinge leaves the tables bit-identical. Logs one
+    INFO line at the end: epochs, triples, the seconds of the epochs,
+    triples/s and the share of hinges active in the last epoch.
     """
     started = time.perf_counter()
     n_ent, n, size = len(kg_rows.vocab.entities), len(kg_rows.ids), config.batch_size
@@ -351,8 +345,8 @@ def _transe_epochs(
                     batch = rows5[start:start + size]
                     h, t, hn, tn, r = table[batch.T]
                     diffs = np.array([h + r - t, hn + r - tn])
-                    s_pos, s_neg = _score_rows(diffs, config.norm)
-                    hinge = config.margin + s_pos - s_neg
+                    scores = _score_rows(diffs, config.norm)
+                    hinge = config.margin + scores[0] - scores[1]
                     active = ~(hinge <= 0.0)  # a NaN hinge stays active: the loss check sees it
                     hinges = hinge[active].tolist()
                     if not hinges:
@@ -361,17 +355,17 @@ def _transe_epochs(
                     for value in hinges:
                         epoch_loss += value
                     if len(hinges) < len(hinge):  # a full mask would gather them unchanged
-                        diffs, batch = diffs[:, active], batch[active]
+                        diffs, scores, batch = diffs[:, active], scores[:, active], batch[active]
                     if config.norm == "L1":
                         g_pos, g_neg = np.sign(diffs)
                     else:
-                        g_pos, g_neg = diffs / np.maximum(_row_norms(diffs), 1e-12)[..., None]
+                        g_pos, g_neg = diffs / np.maximum(scores, 1e-12)[..., None]
                     grads = np.stack([g_pos, -g_pos, -g_neg, g_neg, g_pos - g_neg], axis=1)
                     rows, step = _summed_rows(batch.ravel(),
                                               grads.reshape(-1, config.dim), len(table))
                     moved = table[rows] - config.lr * step
                     ent = moved[:np.searchsorted(rows, n_ent)]  # a view of the entity rows
-                    ent /= np.maximum(_row_norms(ent), 1e-12)[:, None]
+                    ent /= np.maximum(_score_rows(ent, "L2"), 1e-12)[:, None]
                     table[rows] = moved
             if not math.isfinite(epoch_loss):
                 raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")

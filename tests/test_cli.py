@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import platform
 import shutil
 from dataclasses import fields
 
@@ -923,18 +924,41 @@ class TestBlasThreads:
         assert stdouts[0] == stdouts[1]
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_kg_embed_bytes_do_not_depend_on_blas_kernel(norm, tmp_path):
+    # Prescott is OpenBLAS's generic x86-64 fallback kernel, so it runs on
+    # any x86-64 CPU; the other run takes whatever kernel the CPU selects.
+    rng = np.random.default_rng(7)
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("".join(sorted({f"e{s}\tr{p}\te{o}\n" for s, p, o in zip(
+        rng.integers(30, size=80), rng.integers(4, size=80), rng.integers(30, size=80))})),
+        encoding="utf-8")
+    outputs = []
+    for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = tmp_path / f"emb{len(outputs)}"
+        proc = run_cli("kg-embed", "--kg", str(kg), "--dim", "16", "--epochs", "10",
+                       "--norm", norm, "--out", str(out), env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())} | {
+            "stdout": proc.stdout.encode()})
+    assert outputs[0] == outputs[1]
+
+
 # SHA-256 of every stdout and output file of criterion 10's pipeline, run once
 # in process. Like the trajectory digests in test_model.py, the table pins
 # numpy 2.4.6 with OpenBLAS; a change that means to move bits updates it and
-# names each moved output.
+# names each moved output. The emb/ tables do not follow the OpenBLAS kernel
+# (the test above); m.ckpt does.
 PIPELINE_DIGESTS = {
     "amb.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "build-vocab.stdout": "ed15dff1008cc515521ec7a07d8ee54fd266443dbbc50f46b154be87e19e3934",
     "ds-align.stdout": "6c21fb1032ccc52ac43ee6363d22588bb4bea74edc7d137d55531a6ffb8c8f4b",
     "ds.jsonl": "88e64e2e328782e7decb67ee134bd39f9b7b92580789200dcfd3ff5f7a58ce68",
-    "emb/entities.vec": "d8a49fce3c070e287bcd194ac27dc45444761de0f27287d9c2a5a5ae5ecca5c1",
+    "emb/entities.vec": "db9a376e4cdfc86935fa8077bb14289b85a890e7cd55a182621b369ef2dd5b1d",
     "emb/manifest.json": "a4593679706b98a236070d12c33d35c5ee32fdd5012f0bf5534f526610bb201b",
-    "emb/relations.vec": "387622873efc9fea6ae8ba519cebae2f4bf2c7e081500ec344c176fbc2e50f8d",
+    "emb/relations.vec": "af005e48adc858f19f39c5d601cb9024dd3a79ddc1de8767b54ef78a23894958",
     "eval.stdout": "8823a5f3ad9650788ee69e8bd805865ce04506dde556500af23d4a12d3187824",
     "kg-embed.stdout": "3842074b07f5b0deeef37e1b070aae35751b6787e6aca0f2d787c96eb3c18cf8",
     "m.ckpt": "a7ec1ab3f02c957ed3bcab389178d1796b6eae1236bf845549a29af798ff381c",

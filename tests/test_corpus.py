@@ -72,6 +72,31 @@ class TestLoadExamples:
         with pytest.raises(OSError):
             load_examples(tmp_path / "missing.jsonl")
 
+    @pytest.mark.parametrize("value, source_id", [(0, "0"), (1, "1"), ("a", "a"),
+                                                  (None, "d.jsonl:2")])
+    def test_id_kept_as_its_string(self, value, source_id, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_jsonl(f, [{"tokens": ["a"], "triple": ["s", "p", "o"]},
+                        {"id": value, "tokens": ["b"], "triple": ["s", "p", "o"]}])
+        assert [ex.source_id for ex in load_examples(f)] == ["d.jsonl:1", source_id]
+
+    @pytest.mark.parametrize("value", ["", False, True, [1], 1.5, {}])
+    def test_id_neither_string_nor_integer_rejected_with_line(self, value, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_jsonl(f, [{"id": "x", "tokens": ["a"], "triple": ["s", "p", "o"]},
+                        {"id": value, "tokens": ["b"], "triple": ["s", "p", "o"]}])
+        with pytest.raises(DataError) as err:
+            load_examples(f)
+        assert str(err.value) == f"{f}:2: 'id' must be a non-empty string or an integer"
+
+    def test_train_and_dev_with_id_zero_clash(self, tmp_path):
+        splits = {}
+        for name in ("train", "dev"):
+            write_jsonl(tmp_path / name, [{"id": 0, "tokens": ["a"], "triple": ["s", "p", "o"]}])
+            splits[name] = load_examples(tmp_path / name)
+        with pytest.raises(ValueError, match="source_id '0' appears in both train and dev"):
+            Dataset(**splits)
+
     def test_roundtrip_save_load(self, tmp_path):
         ex = AnnotatedExample(("a", "b"), Triple("s", "p", "o"), "src:1")
         (tmp_path / "d.jsonl").write_text(examples_text([ex]), encoding="utf-8")

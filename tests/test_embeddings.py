@@ -399,12 +399,16 @@ def oracle_transe_train(kg, config, table=None, sample=oracle_negative_sample):
     """The per-triple TransE loop that ``transe_train`` replaced: a negative
     from ``sample``, score, hinge and a dict update per touched row, one
     triple at a time. ``table``, an ``(E + R, d)`` table on the KG's own
-    rows, replaces the random start."""
+    rows, replaces the random start. The gradient and the renormalization
+    take the L2 norm by ``_score_rows``, the rule ``transe_train`` uses."""
+
+    def l2(row):
+        return max(float(embeddings._score_rows(row[None, :], "L2")[0]), 1e-12)
 
     def norm_grad(diff, norm):
         if norm == "L1":
             return np.sign(diff)
-        return diff / max(float(np.linalg.norm(diff)), 1e-12)
+        return diff / l2(diff)
 
     tv = build_kg_vocab(kg.triples)
     ents, rels = tv.entities, tv.predicates
@@ -455,7 +459,7 @@ def oracle_transe_train(kg, config, table=None, sample=oracle_negative_sample):
                 rel_table[idx] -= config.lr * g
             for idx, g in sorted(ent_upd.items()):
                 row = ent_table[idx] - config.lr * g
-                ent_table[idx] = row / max(float(np.linalg.norm(row)), 1e-12)
+                ent_table[idx] = row / l2(row)
         if not math.isfinite(epoch_loss):
             raise RuntimeError(f"TransE loss became non-finite at epoch {epoch + 1}")
     return KgEmbeddings(TripleVocab(ents, rels), ent_table, rel_table, config.norm)

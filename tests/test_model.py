@@ -662,7 +662,7 @@ class TestTrain:
 TRAJECTORY_DIGESTS = {
     "attention": "b125bf4d9b89f9636ad9b2f9c7bf1620b90d1068b2e8caa8d8e64517c8811856",
     "no attention": "0ee05fa4b7f4b1d597bb21b9c3b31bbf46948d9910f321162c40f0f047c02eec",
-    "A+W+G": "06dc28c6f396d80e4424ba5e4ece8bdad80f450dd4ace4a487111f453ce69c51",
+    "A+W+G": "f624c190dc0032fbaa3cb6bf69e9c1f53a57208de6741508c0c2bf3a8f732220",
     "CLI defaults": "2977c0760cf89136a763d1bf00203d6f01d5ad42566bacd5ab9587347edec91b",
 }
 

@@ -26,6 +26,7 @@ def run_output(setup_s, per_ref, failed=0):
 
 
 BETTER = {"setup_s": "lower", "primary_per_ref": "higher"}
+SEEDS = [101, 102, 103, 101, 102]  # --seed 101-103 over 5 pairs
 
 
 def canned_pairs():
@@ -41,13 +42,13 @@ def test_quartiles_are_inclusive():
 
 
 def test_summary_numbers_and_schema():
-    summary = pairs.summarize(canned_pairs(), BETTER)
+    summary = pairs.summarize(canned_pairs(), BETTER, SEEDS)
     assert summary["pairs"] == 5
     assert summary["failed_operations"] == {"parent": 0, "change": 10}
     assert summary["attempted_operations"] == {"parent": 50, "change": 50}
     setup = summary["metrics"]["setup_s"]
     assert set(setup) == {"unit", "better", "parent", "change", "change_vs_parent_median_pct",
-                          "change_wins", "median_gap_exceeds_parent_iqr"}
+                          "change_wins", "median_gap_exceeds_parent_iqr", "per_pair"}
     assert setup["unit"] == "s" and setup["better"] == "lower"
     assert setup["change"] == pytest.approx({"median": 0.09, "q1": 0.08, "q3": 0.09,
                                              "iqr": 0.01})
@@ -62,10 +63,19 @@ def test_summary_numbers_and_schema():
     json.dumps(summary)  # the record is plain JSON
 
 
+def test_per_pair_values_keep_each_seed_and_side():
+    metrics = json.loads(json.dumps(pairs.summarize(canned_pairs(), BETTER, SEEDS)))["metrics"]
+    assert metrics["setup_s"]["per_pair"] == [
+        [101, 0.10, 0.08], [102, 0.13, 0.09], [103, 0.11, 0.12], [101, 0.14, 0.08],
+        [102, 0.10, 0.09]]
+    assert metrics["primary_per_ref"]["per_pair"] == [
+        [101, 1.0, 1.0], [102, 1.1, 1.0], [103, 0.9, 1.0], [101, 1.0, 1.1], [102, 1.2, 1.1]]
+
+
 def test_gap_beyond_parent_iqr_in_either_direction():
     tight = [(pairs.parse_result(run_output(1.0 + d, 1.0)),
               pairs.parse_result(run_output(2.0 + d, 1.0))) for d in (0.0, 0.01, 0.02)]
-    summary = pairs.summarize(tight, {"setup_s": "lower"})["metrics"]["setup_s"]
+    summary = pairs.summarize(tight, {"setup_s": "lower"}, [1, 2, 3])["metrics"]["setup_s"]
     assert summary["median_gap_exceeds_parent_iqr"] is True
     assert summary["change_wins"] == 0 and summary["change_vs_parent_median_pct"] > 0
 

@@ -22,8 +22,9 @@ each null where it cannot be asked), both commits, the method with each
 pair's seed, each side's failed and attempted operations, and for
 each end-to-end metric of ``BENCHMARK.json`` each side's median, Q1, Q3 and
 IQR over the pairs (inclusive quartiles), the change's wins (pairs in which
-it reads strictly better) and whether the gap between the two medians, in
-either direction, exceeds the parent's IQR. The tier-1 wall time is not
+it reads strictly better), whether the gap between the two medians, in
+either direction, exceeds the parent's IQR, and each pair's
+``[seed, parent, change]`` values in run order. The tier-1 wall time is not
 measured here.
 """
 
@@ -80,9 +81,10 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], seeds: list[int]) -> dict:
     """Per-side operation counts and per-metric statistics over (parent, change)
-    result pairs. ``better`` maps each metric to "higher" or "lower"."""
+    result pairs, pair i run at ``seeds[i]``. ``better`` maps each metric to
+    "higher" or "lower"."""
     sides = {"parent": [p for p, _ in pairs], "change": [c for _, c in pairs]}
     summary: dict = {"pairs": len(pairs)}
     for key in ("failed", "attempted"):
@@ -104,6 +106,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
                                for p, c in zip(values["parent"], values["change"])),
             "median_gap_exceeds_parent_iqr": abs(change["median"] - parent["median"])
             > parent["iqr"],
+            "per_pair": [list(row) for row in zip(seeds, values["parent"], values["change"])],
         }
     summary["metrics"] = metrics
     return summary
@@ -207,11 +210,11 @@ def main(argv=None) -> int:
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     parent_commit = _git("rev-parse", "--verify", args.parent + "^{commit}")
     pairs = []
+    seeds = [pair_seed(args.seed, i) for i in range(args.pairs)]
     with tempfile.TemporaryDirectory() as tmp:
         _export(parent_commit, Path(tmp))
-        for i in range(args.pairs):
+        for i, seed in enumerate(seeds):
             order = [("parent", Path(tmp)), ("change", ROOT)]
-            seed = pair_seed(args.seed, i)
             ran = {side: _run(checkout, args.workload, seed, args.seconds)
                    for side, checkout in (order if i % 2 == 0 else order[::-1])}
             pairs.append((ran["parent"], ran["change"]))
@@ -228,7 +231,7 @@ def main(argv=None) -> int:
         "method": {
             "command": f"python3 perfbench/run.py --workload {args.workload} "
                        f"--seed K --seconds {args.seconds:g} --trace 0",
-            "seeds": [pair_seed(args.seed, i) for i in range(args.pairs)],
+            "seeds": seeds,
             "sides": "parent = git archive of parent_commit; change = the working tree, "
                      "change_commit plus its uncommitted edits if change_worktree_modified; "
                      "each run in a fresh process in its own checkout, OPENBLAS_NUM_THREADS=1",
@@ -238,7 +241,7 @@ def main(argv=None) -> int:
                           "either direction",
         },
         "workload": args.workload,
-        **summarize(pairs, better),
+        **summarize(pairs, better, seeds),
     }
     with open(path, "x") as out:
         out.write(json.dumps(record, indent=1) + "\n")
