@@ -8,9 +8,12 @@ supervision pairs a sentence with a KG triple when aliases of both its
 entities occur as non-overlapping token subsequences.
 
 Alignment reads an index that each ``KnowledgeGraph`` builds once, on first
-use, and keeps: lowercased alias -> entities, and subject -> triples. A
-sentence's mentions are claimed greedily over non-overlapping spans, longest
-alias first, then by alias, then by entity, then by position. A triple whose
+use, and keeps: lowercased alias -> entities, lowercased first token -> the
+lengths of the aliases it starts, and subject -> triples. A sentence is
+probed only at tokens that start some alias, and only with the lengths that
+fit, so a token that starts no alias costs one dict lookup. A sentence's
+mentions are claimed greedily over non-overlapping spans, longest alias
+first, then by alias, then by entity, then by position. A triple whose
 subject is its object (a self-loop) needs two mentions of that entity.
 """
 
@@ -67,7 +70,9 @@ class AlignmentIndex(NamedTuple):
     """Lookups that alignment and scoring share, built once per KG."""
 
     aliases: Mapping[tuple[str, ...], tuple[str, ...]]  # lowercased alias -> sorted entities
-    widths: tuple[int, ...]  # distinct alias lengths in tokens
+    # lowercased first token -> sorted lengths of the aliases it starts; a token
+    # missing here starts no alias, so match_sentence probes no span at it
+    widths: Mapping[str, tuple[int, ...]]
     by_subject: Mapping[str, tuple[Triple, ...]]  # subject -> its triples, sorted
 
 
@@ -104,15 +109,18 @@ class KnowledgeGraph:
     def alignment_index(self) -> AlignmentIndex:
         """Built on first use and cached on the instance."""
         aliases: dict[tuple[str, ...], set[str]] = {}
+        widths: dict[str, set[int]] = {}
         for entity, forms in self.surface_forms.items():
             for alias in forms:
-                aliases.setdefault(tuple(t.lower() for t in alias), set()).add(entity)
+                lowered = tuple(t.lower() for t in alias)
+                aliases.setdefault(lowered, set()).add(entity)
+                widths.setdefault(lowered[0], set()).add(len(lowered))
         by_subject: dict[str, list[Triple]] = {}
         for tr in self.triples:
             by_subject.setdefault(tr.subject, []).append(tr)
         return AlignmentIndex(
             aliases={alias: tuple(sorted(ents)) for alias, ents in aliases.items()},
-            widths=tuple(sorted({len(alias) for alias in aliases})),
+            widths={first: tuple(sorted(ws)) for first, ws in widths.items()},
             by_subject={s: tuple(sorted(trs)) for s, trs in by_subject.items()},
         )
 
@@ -253,8 +261,10 @@ def match_sentence(
     index = kg.alignment_index
     lowered = [t.lower() for t in tokens]
     candidates = []
-    for width in index.widths:
-        for start in range(len(lowered) - width + 1):
+    for start, first in enumerate(lowered):
+        for width in index.widths.get(first, ()):
+            if start + width > len(lowered):
+                break
             alias = tuple(lowered[start:start + width])
             for entity in index.aliases.get(alias, ()):
                 candidates.append((-width, alias, entity, start))

@@ -461,7 +461,7 @@ def _loss_and_grads(
     tvocab: TripleVocab,
     out: ModelParams | None = None,
 ) -> tuple[float, ModelParams]:
-    """Teacher-forced loss -sum_k w_k log p(y_k | y_<k, X) averaged over a
+    """Teacher-forced loss -sum_k log p(y_k | y_<k, X) averaged over a
     batch of sources with gold target ids (B, 3), and its exact gradients,
     written into `out` (params' layout over another vector) when given, else
     into a fresh vector; returns (loss, the gradients).

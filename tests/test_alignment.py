@@ -96,7 +96,7 @@ class TestImmutableKnowledgeGraph:
     def test_cached_index_changes_neither_eq_nor_repr(self):
         kg, twin = sample_kg(), sample_kg()
         before = repr(kg)
-        assert kg.alignment_index.widths == (1, 2)
+        assert kg.alignment_index.widths == {"alpha": (1,), "beta": (1, 2)}
         assert repr(kg) == before == repr(twin)
         assert kg == twin and twin == kg
 
@@ -200,3 +200,33 @@ def test_tie_breaks_match_full_scan():
     assert match_sentence(kg, sentences[3]) == [Triple("e:bc", "p:r", "e:c")]
     # alias order, not entity or position, decides between (b a) and (a b)
     assert match_sentence(kg, sentences[4]) == [Triple("e:ab", "p:r", "e:c")]
+
+
+
+def first_token_kg() -> KnowledgeGraph:
+    # "b" starts a 1-token and a 3-token alias; "c" starts only a 2-token one
+    return KnowledgeGraph(
+        frozenset({Triple("e:a", "p", "e:b"), Triple("e:c", "p", "e:a"),
+                   Triple("e:b", "p", "e:b")}),
+        {"e:a": (("a",),), "e:b": (("b",), ("B", "x", "y")), "e:c": (("c", "b"),)},
+    )
+
+
+@pytest.mark.parametrize("tokens, expected", [
+    # the last token starts only aliases longer than what is left
+    (["a", "c"], []),
+    (["b", "a", "c"], [Triple("e:a", "p", "e:b")]),
+    (["c"], []),
+    # no token starts an alias
+    (["x", "y", "A1", "bc"], []),
+    ([], []),
+    # "b" starts a 1-token and a 3-token alias: the 3 does not fit at the end,
+    # so "c b" claims the last token
+    (["a", "c", "b"], [Triple("e:c", "p", "e:a")]),
+    (["b", "x", "y", "b"], [Triple("e:b", "p", "e:b")]),
+    (["B", "a"], [Triple("e:a", "p", "e:b")]),
+])
+def test_first_token_index_boundaries(tokens, expected):
+    kg = first_token_kg()
+    assert kg.alignment_index.widths == {"a": (1,), "b": (1, 3), "c": (2,)}
+    assert match_sentence(kg, tokens) == oracle_match_sentence(kg, tokens) == expected

@@ -1,4 +1,5 @@
-"""The statistics and the seed option of tools/pairs.py on canned input; no benchmark runs."""
+"""The statistics, the seed option and the child environment of tools/pairs.py on canned
+input; no benchmark runs."""
 
 import importlib.util
 import json
@@ -119,3 +120,24 @@ def test_bad_seed_range_stops_before_any_run(capsys):
 def test_environment_records_the_l2_cache():
     l2 = pairs.environment()["l2_cache"]
     assert l2 is None or re.fullmatch(r"\d+[KMG]?", l2)
+
+
+def test_children_run_under_fixed_allocator_thresholds(monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.update(cmd=cmd, cwd=cwd, env=env)
+        return pairs.subprocess.CompletedProcess(cmd, 0, run_output(0.1, 1.0), "")
+
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "4096")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    result = pairs._run(tmp_path, "prep", 7, 2.0)
+    assert result["metrics"]["primary_per_ref"]["value"] == 1.0
+    assert seen["cwd"] == tmp_path and "--trace" in seen["cmd"]
+    assert seen["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert seen["env"]["MALLOC_MMAP_THRESHOLD_"] == "33554432"
+    assert seen["env"]["MALLOC_TRIM_THRESHOLD_"] == "67108864"
+    assert pairs.os.environ["MALLOC_MMAP_THRESHOLD_"] == "4096"  # this process keeps its own
+    recorded = pairs.environment()
+    assert (recorded["blas_threads"], recorded["malloc_mmap_threshold"],
+            recorded["malloc_trim_threshold"]) == (1, 33554432, 67108864)

@@ -10,22 +10,25 @@ once per side, each in a fresh process started in that side's checkout:
 the export for the parent, the repository's working tree for the change.
 With a seed range ``A-B``, pair i runs seed ``A + i mod (B - A + 1)``.
 Even pairs run the parent first, odd pairs the change first. Each child
-gets ``OPENBLAS_NUM_THREADS=1`` in its own environment; this process's
-environment is left as it is.
+gets ``CHILD_ENV`` in its own environment: one BLAS thread, and glibc's
+mmap threshold fixed at 32 MiB and trim threshold at 64 MiB. Fixing them
+turns off glibc's sliding mmap threshold, so that whether a block below
+32 MiB comes from the heap or from mmap no longer follows what the run
+freed before. This process's environment is left as it is.
 
 It reads each run's last output line, the JSON result, and writes
 ``BENCH_<n>.json`` at the repository root, ``n`` one more than the largest
 present (0 when there is none); an existing file is never overwritten. The
 file holds the machine (nproc, CPU, its L2 cache size as the kernel
 reports it, python, numpy, the BLAS build and the kernel OpenBLAS runs,
-each null where it cannot be asked), both commits, the method with each
-pair's seed, each side's failed and attempted operations, and for
-each end-to-end metric of ``BENCHMARK.json`` each side's median, Q1, Q3 and
-IQR over the pairs (inclusive quartiles), the change's wins (pairs in which
-it reads strictly better), whether the gap between the two medians, in
-either direction, exceeds the parent's IQR, and each pair's
-``[seed, parent, change]`` values in run order. The tier-1 wall time is not
-measured here.
+each null where it cannot be asked, and the values of ``CHILD_ENV``), both
+commits, the method with each pair's seed, each side's failed and
+attempted operations, and for each end-to-end metric of ``BENCHMARK.json``
+each side's median, Q1, Q3 and IQR over the pairs (inclusive quartiles),
+the change's wins (pairs in which it reads strictly better), whether the
+gap between the two medians, in either direction, exceeds the parent's
+IQR, and each pair's ``[seed, parent, change]`` values in run order. The
+tier-1 wall time is not measured here.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+             "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
 
 
 def parse_seeds(text: str) -> range:
@@ -168,7 +173,9 @@ def environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("openblas configuration") or blas.get("name"),
         "blas_kernel": _openblas_kernel(),
-        "blas_threads": 1,
+        "blas_threads": int(CHILD_ENV["OPENBLAS_NUM_THREADS"]),
+        "malloc_mmap_threshold": int(CHILD_ENV["MALLOC_MMAP_THRESHOLD_"]),
+        "malloc_trim_threshold": int(CHILD_ENV["MALLOC_TRIM_THRESHOLD_"]),
     }
 
 
@@ -185,11 +192,10 @@ def _export(rev: str, dest: Path) -> None:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, env=env, capture_output=True, text=True)
+        cwd=checkout, env={**os.environ, **CHILD_ENV}, capture_output=True, text=True)
     try:
         return parse_result(proc.stdout)
     except ValueError:
@@ -234,7 +240,8 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "sides": "parent = git archive of parent_commit; change = the working tree, "
                      "change_commit plus its uncommitted edits if change_worktree_modified; "
-                     "each run in a fresh process in its own checkout, OPENBLAS_NUM_THREADS=1",
+                     "each run in a fresh process in its own checkout, under "
+                     + " ".join(f"{k}={v}" for k, v in CHILD_ENV.items()),
             "order": "alternating: even pairs run the parent first, odd pairs the change first",
             "statistics": "median and inclusive quartiles over pairs; a win is a pair in which "
                           "the change reads strictly better; the median gap is taken in "
