@@ -202,16 +202,6 @@ def test_tie_breaks_match_full_scan():
     assert match_sentence(kg, sentences[4]) == [Triple("e:ab", "p:r", "e:c")]
 
 
-
-def first_token_kg() -> KnowledgeGraph:
-    # "b" starts a 1-token and a 3-token alias; "c" starts only a 2-token one
-    return KnowledgeGraph(
-        frozenset({Triple("e:a", "p", "e:b"), Triple("e:c", "p", "e:a"),
-                   Triple("e:b", "p", "e:b")}),
-        {"e:a": (("a",),), "e:b": (("b",), ("B", "x", "y")), "e:c": (("c", "b"),)},
-    )
-
-
 @pytest.mark.parametrize("tokens, expected", [
     # the last token starts only aliases longer than what is left
     (["a", "c"], []),
@@ -227,6 +217,11 @@ def first_token_kg() -> KnowledgeGraph:
     (["B", "a"], [Triple("e:a", "p", "e:b")]),
 ])
 def test_first_token_index_boundaries(tokens, expected):
-    kg = first_token_kg()
+    # "b" starts a 1-token and a 3-token alias; "c" starts only a 2-token one
+    kg = KnowledgeGraph(
+        frozenset({Triple("e:a", "p", "e:b"), Triple("e:c", "p", "e:a"),
+                   Triple("e:b", "p", "e:b")}),
+        {"e:a": (("a",),), "e:b": (("b",), ("B", "x", "y")), "e:c": (("c", "b"),)},
+    )
     assert kg.alignment_index.widths == {"a": (1,), "b": (1, 3), "c": (2,)}
     assert match_sentence(kg, tokens) == oracle_match_sentence(kg, tokens) == expected

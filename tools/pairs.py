@@ -12,9 +12,9 @@ With a seed range ``A-B``, pair i runs seed ``A + i mod (B - A + 1)``.
 Even pairs run the parent first, odd pairs the change first. Each child
 gets ``CHILD_ENV`` in its own environment: one BLAS thread, and glibc's
 mmap threshold fixed at 32 MiB and trim threshold at 64 MiB. Fixing them
-turns off glibc's sliding mmap threshold, so that whether a block below
-32 MiB comes from the heap or from mmap no longer follows what the run
-freed before. This process's environment is left as it is.
+turns off glibc's sliding mmap threshold, so every block below 32 MiB
+comes from the heap, whatever the run freed before. This process's
+environment is left as it is.
 
 It reads each run's last output line, the JSON result, and writes
 ``BENCH_<n>.json`` at the repository root, ``n`` one more than the largest
