@@ -64,7 +64,6 @@ import numpy as np
 
 from .corpus import AnnotatedExample, Dataset, Triple
 from .numerics import (
-    GATES,
     Adam,
     LstmWeights,
     adam_step,
@@ -103,7 +102,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"TX2TCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -789,45 +788,29 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _checkpoint_layout(config: ModelConfig, n_words: int, n_targets: int) -> Layout:
-    """The v1 checkpoint's array table, each entry (name, shape).
-
-    It is _param_layout with each LSTM array split into its row blocks by
-    gate, name_i name_f name_o name_g. The blocks' bytes in turn are the
-    stacked array's, so the payload is the bytes of _param_layout's arrays.
-    """
-    table = []
-    for name, shape in _param_layout(config, n_words, n_targets):
-        if "." in name:
-            table += [(f"{name}_{g}", (shape[0] // len(GATES), *shape[1:])) for g in GATES]
-        else:
-            table.append((name, shape))
-    return table
-
-
 def checkpoint_bytes(
     params: ModelParams,
     config: ModelConfig,
     word_vocab: WordVocab,
     tvocab: TripleVocab,
 ) -> bytes:
-    """Binary checkpoint: magic, JSON header, raw float64 payload.
+    """Binary checkpoint: magic, JSON header, little-endian float64 payload.
 
-    The format has no timestamps, so identical inputs give identical bytes
-    and load(save(x)) round-trips bit for bit.
+    The header's array table is _param_layout's, entry for entry, so the
+    payload is the parameter vector. The format has no timestamps, so
+    identical inputs give identical bytes and load(save(x)) round-trips bit
+    for bit.
     """
     if list(params.layout) != _param_layout(config, len(word_vocab), tvocab.n_targets):
         raise ValueError("parameter shapes do not fit the config and vocabularies")
     payload = params.vec.astype("<f8", copy=False).tobytes()
     header = {
         "version": CHECKPOINT_VERSION,
-        "precision": "float64",
         "config": asdict(config),
         "words": list(word_vocab.tokens),
         "entities": list(tvocab.entities),
         "predicates": list(tvocab.predicates),
-        "arrays": [{"name": k, "shape": list(shape)} for k, shape in
-                   _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)],
+        "arrays": [{"name": k, "shape": list(shape)} for k, shape in params.layout],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -847,7 +830,7 @@ _CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVocab]:
     """Read a checkpoint, validating version, integrity and the array table.
 
-    The table must equal the layout that the header's config and vocabs
+    The table must equal the _param_layout that the header's config and vocabs
     imply, entry for entry. Every defect in the file raises CheckpointError.
     """
     with open(path, "rb") as fh:
@@ -876,6 +859,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    unknown = sorted(header.keys() - {"version", *_HEADER_KEYS})
+    if unknown:
+        raise CheckpointError(f"{path}: header has unknown keys {', '.join(unknown)}")
     entries = header["arrays"]
     if not isinstance(entries, list) or not all(
         isinstance(e, dict) and isinstance(e.get("name"), str)
@@ -906,7 +892,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
 
-    layout = _checkpoint_layout(config, len(word_vocab), tvocab.n_targets)
+    layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
     found = [(e["name"], tuple(e["shape"])) for e in entries]
     if found != layout:
         i, got, want = next(
@@ -916,7 +902,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
             f"{path}: array table inconsistent with config and vocab at entry {i}: "
             f"found {got or 'nothing'}, expected {want or 'nothing'}"
         )
-    # The table is _checkpoint_layout's, so the payload is the parameter vector.
     vec = np.frombuffer(payload, "<f8").astype(np.float64)
-    params = ModelParams.view(vec, _param_layout(config, len(word_vocab), tvocab.n_targets))
+    params = ModelParams.view(vec, layout)
     return params, config, word_vocab, tvocab

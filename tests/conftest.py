@@ -1,6 +1,8 @@
 """Shared fixtures: the capital-city sample pair and a trained checkpoint."""
 
+import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -35,13 +37,54 @@ def run_cli(*argv, stdin=None, env=None):
     )
 
 
+def _header_blob(header):
+    return json.dumps(header, sort_keys=True, ensure_ascii=False).encode()
+
+
+def _split_checkpoint(data):
+    """A checkpoint's bytes as (JSON header, payload bytes)."""
+    (hlen,) = struct.unpack_from("<Q", data, 8)
+    return json.loads(data[16:16 + hlen].decode()), data[16 + hlen:]
+
+
 def rewrite_checkpoint_header(src, dst, edit):
     """Copy a checkpoint, replacing its JSON header by edit(header)."""
     data = src.read_bytes()
-    (hlen,) = struct.unpack_from("<Q", data, 8)
-    header = edit(json.loads(data[16:16 + hlen].decode()))
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode()
-    dst.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:])
+    header, payload = _split_checkpoint(data)
+    blob = _header_blob(edit(header))
+    dst.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+# Tolerance of a pinned parameter fingerprint. OpenBLAS's GEMM kernels
+# (SkylakeX, Haswell, Sandybridge, Prescott) train the pinned runs to
+# parameters at most 1.0e-13 apart and to fingerprints at most 3.1e-12
+# apart; Adam with beta1 = 0.91 in place of 0.9 moves parameters by up to
+# 1.2e-4.
+FINGERPRINT_ATOL = 1e-10
+
+
+def checkpoint_pin(path):
+    """What every BLAS kernel agrees on in a checkpoint: the SHA-256 of its
+    JSON header without payload_sha256 (config, vocabularies, array table),
+    and the loaded parameter vector's fingerprint, its sum of squares and
+    its dot products with 4 seeded Gaussian vectors, each summed exactly."""
+    from text2triple.model import load_checkpoint
+
+    header, _ = _split_checkpoint(path.read_bytes())
+    del header["payload_sha256"]
+    vec = load_checkpoint(path)[0].vec
+    rng = np.random.default_rng(0)
+    projections = [math.fsum(rng.standard_normal(vec.size) * vec) for _ in range(4)]
+    return hashlib.sha256(_header_blob(header)).hexdigest(), [math.fsum(vec * vec), *projections]
+
+
+def assert_pinned(path, pin):
+    """checkpoint_pin(path) equals pin: the header digest exactly, the
+    fingerprint to FINGERPRINT_ATOL."""
+    digest, fingerprint = checkpoint_pin(path)
+    assert digest == pin[0]
+    gap = max(abs(a - b) for a, b in zip(fingerprint, pin[1], strict=True))
+    assert gap <= FINGERPRINT_ATOL, (gap, fingerprint)
 
 
 def nan_gradient_on_call(monkeypatch, n):

@@ -10,7 +10,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import TABLE1_SENTENCE, nan_gradient_on_call, rewrite_checkpoint_header, run_cli
+from conftest import (
+    TABLE1_SENTENCE,
+    assert_pinned,
+    checkpoint_pin,
+    nan_gradient_on_call,
+    rewrite_checkpoint_header,
+    run_cli,
+)
 
 from text2triple import cli, embeddings
 from text2triple.model import ModelConfig
@@ -924,12 +931,16 @@ class TestBlasThreads:
         assert stdouts[0] == stdouts[1]
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+# Prescott is OpenBLAS's generic x86-64 fallback kernel, so it runs on any
+# x86-64 CPU; the other run of each test below takes whatever kernel the CPU
+# selects.
+x86_64_only = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                                 reason="OPENBLAS_CORETYPE names x86-64 kernels")
+
+
+@x86_64_only
 @pytest.mark.parametrize("norm", ["L1", "L2"])
 def test_kg_embed_bytes_do_not_depend_on_blas_kernel(norm, tmp_path):
-    # Prescott is OpenBLAS's generic x86-64 fallback kernel, so it runs on
-    # any x86-64 CPU; the other run takes whatever kernel the CPU selects.
     rng = np.random.default_rng(7)
     kg = tmp_path / "kg.tsv"
     kg.write_text("".join(sorted({f"e{s}\tr{p}\te{o}\n" for s, p, o in zip(
@@ -946,11 +957,26 @@ def test_kg_embed_bytes_do_not_depend_on_blas_kernel(norm, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@x86_64_only
+def test_train_checkpoint_pin_does_not_depend_on_blas_kernel(table1_dir, tmp_path):
+    # The pipeline's train step. Its checkpoint bytes follow the kernel's
+    # GEMM rounding; its checkpoint_pin does not.
+    pins = []
+    for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        ckpt = tmp_path / f"m{len(pins)}.ckpt"
+        proc = run_cli("train", "--config", str(table1_dir / "model.cfg"),
+                       "--train", str(table1_dir / "train.jsonl"), "--epochs", "12",
+                       "--seed", "11", "--out", str(ckpt), env=env)
+        assert proc.returncode == 0, proc.stderr
+        pins.append(checkpoint_pin(ckpt))
+    assert_pinned(ckpt, pins[0])
+
+
 # SHA-256 of every stdout and output file of criterion 10's pipeline, run once
-# in process. Like the trajectory digests in test_model.py, the table pins
-# numpy 2.4.6 with OpenBLAS; a change that means to move bits updates it and
-# names each moved output. The emb/ tables do not follow the OpenBLAS kernel
-# (the test above); m.ckpt does.
+# in process, except m.ckpt: its bytes follow the OpenBLAS kernel's rounding,
+# so it is pinned by checkpoint_pin, as the trajectory runs in test_model.py
+# are. A change that means to move bits updates the tables and names each
+# moved output.
 PIPELINE_DIGESTS = {
     "amb.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "build-vocab.stdout": "ed15dff1008cc515521ec7a07d8ee54fd266443dbbc50f46b154be87e19e3934",
@@ -961,7 +987,6 @@ PIPELINE_DIGESTS = {
     "emb/relations.vec": "af005e48adc858f19f39c5d601cb9024dd3a79ddc1de8767b54ef78a23894958",
     "eval.stdout": "8823a5f3ad9650788ee69e8bd805865ce04506dde556500af23d4a12d3187824",
     "kg-embed.stdout": "3842074b07f5b0deeef37e1b070aae35751b6787e6aca0f2d787c96eb3c18cf8",
-    "m.ckpt": "a7ec1ab3f02c957ed3bcab389178d1796b6eae1236bf845549a29af798ff381c",
     "m.log": "f7b7d6171e87eec86331be2ef232f218cdbf1bb92f77316ff61ec6a85e7721bc",
     "report.tsv": "f106ceb3eaa3f2a732f0605031336e21aae6a1054833dc2eb3c3154952d89082",
     "train.stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -970,6 +995,11 @@ PIPELINE_DIGESTS = {
     "vocab/predicates.vocab": "6c12587861286271cc5911a0e2deca092bc2b2931cafdb3cb3dc234de630abda",
     "vocab/words.vocab": "94e8a7cfada071a05cf0530d76f0759dc18bc137f219cc4e4bc3d5caec443f0f",
 }
+PIPELINE_CHECKPOINT_PIN = (
+    "3abcaadd92f87720bede0a0bec10541f9a04fcd42320bcb68d7b8f1bdcd22338",
+    [79.91879326830956, -6.991196161342552, 6.613992406546928, 6.009625353010372,
+     12.813762597210701],
+)
 
 
 def test_pipeline_outputs_pinned(table1_dir, tmp_path, capsys):
@@ -995,7 +1025,8 @@ def test_pipeline_outputs_pinned(table1_dir, tmp_path, capsys):
         stdout = capsys.readouterr().out.encode("utf-8")
         digests[f"{argv[0]}.stdout"] = hashlib.sha256(stdout).hexdigest()
     for path in sorted(tmp_path.rglob("*")):
-        if path.is_file():
+        if path.is_file() and path.name != "m.ckpt":
             name = path.relative_to(tmp_path).as_posix()
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PIPELINE_DIGESTS
+    assert_pinned(tmp_path / "m.ckpt", PIPELINE_CHECKPOINT_PIN)

@@ -202,10 +202,10 @@ def _write(text):
 # A refusal -> (the KINDS entry whose argv runs, the seed file replaced, its
 # edit, the end of the one error line).
 REFUSALS = {
-    "checkpoint version 1": (
+    "checkpoint version 2": (
         "checkpoint", "model.ckpt",
-        lambda path: rewrite_checkpoint_header(path, path, lambda h: {**h, "version": 1}),
-        "model.ckpt: checkpoint version 1, expected 2",
+        lambda path: rewrite_checkpoint_header(path, path, lambda h: {**h, "version": 2}),
+        "model.ckpt: checkpoint version 2, expected 3",
     ),
     "jsonl array record": ("jsonl", "train.jsonl", _write("[1, 2]\n"),
                            "train.jsonl:1: record is not an object"),
