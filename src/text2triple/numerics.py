@@ -3,13 +3,13 @@
 Hand-derived building blocks: LSTM weights, LstmWeights(W, b) with the gates
 stacked; one forward-only LSTM step over a batch, lstm_cell; one padded,
 length-masked LSTM sequence scan, lstm_sequence, with the package's one LSTM
-backward, lstm_sequence_backward; bias-corrected Adam; global-norm clipping;
-and a central-difference gradient checker over one array, the independent
-oracle for every backward pass. check_fields checks every config's fields by
-their declared types. The loss, a cross-entropy, is not here:
-model._loss_and_grads forms it and its logits gradient from the log-probs.
-The LSTM activates its sigmoid gates and its tanh candidate with one np.tanh
-call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the only
+backward, lstm_sequence_backward; Adam in Kingma and Ba's efficient form;
+global-norm clipping; and a central-difference gradient checker over one array,
+the independent oracle for every backward pass. check_fields checks every
+config's fields by their declared types. The loss, a cross-entropy, is not
+here: model._loss_and_grads forms it and its logits gradient from the
+log-probs. The LSTM activates its sigmoid gates and its tanh candidate with one
+np.tanh call, through sigmoid(x) = (1 + tanh(x/2)) / 2, so numpy is the only
 dependency.
 
 All public operations work on float64 numpy arrays, validate their inputs,
@@ -328,8 +328,9 @@ ADAM_BLOCK = 16_384
 
 class Adam:
     """Adam's state over one flat parameter vector of `size` values: the
-    moments m and v, the step count t, the hyperparameters, and two scratch
-    rows of one block each, min(size, ADAM_BLOCK), that adam_step computes in."""
+    moments m and v, the step count t, the hyperparameters of adam_step's
+    update p - step*m / (sqrt(v) + eps_hat), and two scratch rows of one block
+    each, min(size, ADAM_BLOCK), that adam_step computes in."""
 
     def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -344,11 +345,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
 
     params, state.m, state.v and state.t change; grads does not. Every
     element goes through b1*m + (1-b1)*g, b2*v + (1-b2)*(g*g) and
-    p - lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so the result has the
-    bits those expressions give with temporaries. The passes run over one
-    block of ADAM_BLOCK elements at a time, so each block's arrays stay in
-    cache from the first pass to the last; elements do not mix, so the
-    blocking moves no bit.
+    p - step*m / (sqrt(v) + eps_hat), bit for bit as with temporaries: the
+    textbook p - lr*(m/c1) / (sqrt(v/c2) + eps) with its bias corrections
+    folded into step and eps_hat (Kingma and Ba, ICLR 2015, Section 2).
+    Blocks of ADAM_BLOCK elements stay in cache from the first pass to the
+    last; elements do not mix, so blocking moves no bit.
     """
     if not params.shape == grads.shape == state.m.shape:
         raise ValueError(f"adam_step: shape mismatch: params {params.shape}, "
@@ -356,6 +357,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
     state.t += 1
     c1 = 1.0 - state.beta1**state.t
     c2 = 1.0 - state.beta2**state.t
+    step, eps_hat = state.lr * math.sqrt(c2) / c1, state.eps * math.sqrt(c2)
     for lo in range(0, params.size, ADAM_BLOCK):
         block = slice(lo, lo + ADAM_BLOCK)
         p, g, m, v = params[block], grads[block], state.m[block], state.v[block]
@@ -366,11 +368,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: Adam) -> None:
         np.multiply(g, g, out=a)
         a *= 1.0 - state.beta2
         v += a
-        np.divide(v, c2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(m, c1, out=b)
-        b *= state.lr
+        np.sqrt(v, out=a)
+        a += eps_hat
+        np.multiply(m, step, out=b)
         b /= a
         p -= b
 

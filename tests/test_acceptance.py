@@ -40,7 +40,7 @@ from text2triple.model import (
 from text2triple.numerics import grad_check_fd, make_rng, uniform_init
 from text2triple.scoring import evaluate
 from text2triple.synthetic import make_easy_world, make_hard_world
-from text2triple.vocab import BOS_ID, TripleVocab, build_kg_vocab, build_word_vocab
+from text2triple.vocab import TripleVocab, build_kg_vocab, build_word_vocab
 from text2triple.vocab import encode_sentence
 
 
@@ -166,7 +166,7 @@ def test_criterion_04_beam_exhaustive_equivalence():
         enc = encode(encode_sentence(tokens, word_vocab), params, config)
         state0 = init_decoder_state(enc, params)
         best_total, best_ids = -np.inf, None
-        logp1, state1, _ = decode_step(1, BOS_ID, state0, enc, params, config, tvocab)
+        logp1, state1, _ = decode_step(1, tvocab.bos_id, state0, enc, params, config, tvocab)
         for y1 in np.flatnonzero(tvocab.step_mask(1)):
             logp2, state2, _ = decode_step(2, int(y1), state1, enc, params, config,
                                            tvocab)
@@ -207,7 +207,7 @@ def test_criterion_05_loss_consistency():
         enc = encode(encode_sentence(tokens, word_vocab), params, config)
         state = init_decoder_state(enc, params)
         gold_ids = tvocab.encode_triple(*gold)
-        prev, total = BOS_ID, 0.0
+        prev, total = tvocab.bos_id, 0.0
         for step in (1, 2, 3):
             logp, state, _ = decode_step(step, prev, state, enc, params, config, tvocab)
             total += float(logp[gold_ids[step - 1]])

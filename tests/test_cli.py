@@ -19,7 +19,7 @@ from conftest import (
     run_cli,
 )
 
-from text2triple import cli, embeddings
+from text2triple import cli, corpus, embeddings
 from text2triple.model import ModelConfig
 
 
@@ -1030,3 +1030,47 @@ def test_pipeline_outputs_pinned(table1_dir, tmp_path, capsys):
             digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PIPELINE_DIGESTS
     assert_pinned(tmp_path / "m.ckpt", PIPELINE_CHECKPOINT_PIN)
+
+
+# SHA-256 of the ds-align file and of eval's report on the paper's data path
+# below, pinned like PIPELINE_DIGESTS above.
+HANDOFF_DIGESTS = {
+    "ds.jsonl": "3463cd76425befb195405e7a13a7f4c1c03d56eebd41fec01beefdbecf6a5210",
+    "report.tsv": "c7ced2f571272934f5ece4083908e56f508845c558c5e58ec176a842f4662f30",
+}
+
+
+def test_train_on_ds_align_output(tmp_path, capsys):
+    """The paper's data path, all through cli.main: ds-align labels the raw
+    sentences of make-synthetic --hard's train split, train reads ds-align's
+    file as it is, and eval scores the model on the gold test split."""
+    d = tmp_path
+    assert cli.main(["make-synthetic", "--hard", "--out", str(d)]) == 0
+    gold_train = corpus.load_examples(d / "train.jsonl")
+    (d / "sentences.txt").write_text(
+        "".join(" ".join(ex.tokens) + "\n" for ex in gold_train), encoding="utf-8")
+    (d / "model.cfg").write_text(ABLATION_CONFIG, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["ds-align", "--kg", str(d / "kg.tsv"),
+                     "--surface-forms", str(d / "surface.tsv"),
+                     "--sentences", str(d / "sentences.txt"), "--out", str(d / "ds.jsonl"),
+                     "--ambiguity-report", str(d / "amb.jsonl")]) == 0
+    counts = dict(field.split("=") for field in capsys.readouterr().out.split())
+    examples = corpus.load_examples(d / "ds.jsonl")
+    n_ambiguous = len((d / "amb.jsonl").read_text(encoding="utf-8").splitlines())
+    assert counts == {"examples": str(len(examples)), "ambiguous": str(n_ambiguous),
+                      "sentences": str(len(gold_train))}
+    kg = corpus.load_kg_file(d / "kg.tsv")
+    sentences = {ex.tokens for ex in gold_train}
+    assert examples
+    for ex in examples:
+        assert ex.gold in kg, ex
+        assert ex.tokens in sentences, ex
+    assert cli.main(["train", "--config", str(d / "model.cfg"), "--train", str(d / "ds.jsonl"),
+                     "--dev", str(d / "dev.jsonl"), "--epochs", "30", "--seed", "3",
+                     "--out", str(d / "m.ckpt"), "--log", str(d / "m.log")]) == 0
+    assert cli.main(["eval", "--checkpoint", str(d / "m.ckpt"), "--test", str(d / "test.jsonl"),
+                     "--kg", str(d / "kg.tsv"), "--report", str(d / "report.tsv")]) == 0
+    digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+               for name in HANDOFF_DIGESTS}
+    assert digests == HANDOFF_DIGESTS

@@ -33,7 +33,7 @@ from text2triple.model import (
 from text2triple.embeddings import TransEConfig, decoder_init_table, transe_train
 from text2triple.numerics import grad_check_fd, make_rng, uniform_init
 from text2triple.synthetic import make_hard_world
-from text2triple.vocab import BOS_ID, TripleVocab, build_kg_vocab, build_word_vocab
+from text2triple.vocab import TripleVocab, build_kg_vocab, build_word_vocab
 
 TINY = ModelConfig(
     word_dim=8, kg_dim=8, enc_hidden=8, dec_hidden=16,
@@ -253,7 +253,8 @@ class TestDecodeStep:
     def test_out_of_mask_mass_exactly_zero(self):
         for step in (1, 2, 3):
             logp, _, _ = decode_step(
-                step, BOS_ID, self.state, self.enc, self.params, TINY, self.tvocab
+                step, self.tvocab.bos_id, self.state, self.enc, self.params, TINY,
+                self.tvocab,
             )
             mask = self.tvocab.step_mask(step)
             assert (np.exp(logp[~mask]) == 0.0).all()
@@ -263,7 +264,8 @@ class TestDecodeStep:
         enc = encode([1, 2], zero, TINY)
         state = init_decoder_state(enc, zero)
         for step, size in ((1, 6), (2, 3), (3, 6)):
-            logp, _, _ = decode_step(step, BOS_ID, state, enc, zero, TINY, self.tvocab)
+            logp, _, _ = decode_step(step, self.tvocab.bos_id, state, enc, zero, TINY,
+                                     self.tvocab)
             mask = self.tvocab.step_mask(step)
             np.testing.assert_allclose(np.exp(logp[mask]), np.full(size, 1 / size),
                                        atol=1e-12)
@@ -276,14 +278,15 @@ class TestDecodeStep:
             state = init_decoder_state(enc, params)
             for step in (1, 2, 3):
                 logp, state, _ = decode_step(
-                    step, BOS_ID, state, enc, params, TINY, self.tvocab
+                    step, self.tvocab.bos_id, state, enc, params, TINY, self.tvocab
                 )
                 mask = self.tvocab.step_mask(step)
                 assert abs(np.exp(logp[mask]).sum() - 1.0) < 1e-9
 
     def test_invalid_step_rejected(self):
         with pytest.raises(ValueError, match="step"):
-            decode_step(4, BOS_ID, self.state, self.enc, self.params, TINY, self.tvocab)
+            decode_step(4, self.tvocab.bos_id, self.state, self.enc, self.params, TINY,
+                        self.tvocab)
 
 
 def _step1_logprobs(path, params, word_vocab, tvocab):
@@ -293,8 +296,8 @@ def _step1_logprobs(path, params, word_vocab, tvocab):
     tokens = ("w1", "w4", "w2")
     if path == "decode_step":
         enc = encode([word_vocab.id_of(t) for t in tokens], params, TINY)
-        return decode_step(1, BOS_ID, init_decoder_state(enc, params), enc, params, TINY,
-                           tvocab)[0]
+        return decode_step(1, tvocab.bos_id, init_decoder_state(enc, params), enc, params,
+                           TINY, tvocab)[0]
     if path == "greedy":
         return translate_greedy(tokens, params, word_vocab, tvocab, TINY).step_logprobs[0]
     if path == "beam":
@@ -343,7 +346,7 @@ class TestForwardLoss:
             enc = encode(encode_sentence(ex.tokens, self.word_vocab), params, TINY)
             state = init_decoder_state(enc, params)
             gold = self.tvocab.encode_triple(*ex.gold)
-            prev = BOS_ID
+            prev = self.tvocab.bos_id
             total = 0.0
             for step in (1, 2, 3):
                 logp, state, _ = decode_step(step, prev, state, enc, params, TINY,
@@ -436,9 +439,11 @@ class TestInference:
         # decode depends on H only through the bridged final state
         enc = encode([3, 4], params, config)
         state = init_decoder_state(enc, params)
-        logp_ref, _, _ = decode_step(1, BOS_ID, state, enc, params, config, self.tvocab)
+        logp_ref, _, _ = decode_step(1, self.tvocab.bos_id, state, enc, params, config,
+                                     self.tvocab)
         enc.H = enc.H + 1e3  # clobber per-step states, keep final
-        logp_same, _, _ = decode_step(1, BOS_ID, state, enc, params, config, self.tvocab)
+        logp_same, _, _ = decode_step(1, self.tvocab.bos_id, state, enc, params, config,
+                                      self.tvocab)
         np.testing.assert_array_equal(logp_ref, logp_same)
 
     def test_unk_tokens_flagged(self):
@@ -492,7 +497,7 @@ class TestInference:
         enc = encode(encode_sentence(tokens, self.word_vocab), self.params, TINY)
         state0 = init_decoder_state(enc, self.params)
         best_total, best_ids = -np.inf, None
-        logp1, state1, _ = decode_step(1, BOS_ID, state0, enc, self.params, TINY,
+        logp1, state1, _ = decode_step(1, self.tvocab.bos_id, state0, enc, self.params, TINY,
                                        self.tvocab)
         for y1 in np.flatnonzero(self.tvocab.step_mask(1)):
             logp2, state2, _ = decode_step(2, int(y1), state1, enc, self.params, TINY,
@@ -516,7 +521,7 @@ class TestInference:
         beam = translate_beam(tokens, self.params, self.word_vocab, self.tvocab, TINY, 5)
         enc = encode([self.word_vocab.id_of(t) for t in tokens], self.params, TINY)
         for r in beam:
-            state, prev = init_decoder_state(enc, self.params), BOS_ID
+            state, prev = init_decoder_state(enc, self.params), self.tvocab.bos_id
             for k, step in enumerate((1, 2, 3)):
                 logp, state, alpha = decode_step(step, prev, state, enc, self.params, TINY,
                                                  self.tvocab)

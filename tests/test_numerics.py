@@ -201,15 +201,35 @@ class TestAdam:
                 g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
                 g0 = g.copy()
                 c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+                step, eps_hat = 3e-3 * math.sqrt(c2) / c1, 1e-7 * math.sqrt(c2)
                 m = b1 * m + (1.0 - b1) * g0
                 v = b2 * v + (1.0 - b2) * (g0 * g0)
-                want = want - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-7)
+                want = want - step * m / (np.sqrt(v) + eps_hat)
                 adam_step(p, g, state)
                 assert state.t == t
                 np.testing.assert_array_equal(g, g0)
                 assert p.tobytes() == want.tobytes(), (n, t)
                 assert state.m.tobytes() == m.tobytes(), (n, t)
                 assert state.v.tobytes() == v.tobytes(), (n, t)
+
+    def test_follows_the_textbook_form_over_many_steps(self):
+        # Folding the bias corrections into step and eps_hat changes only the
+        # rounding: over 200 steps of gradients from 1e-8 (where eps matters)
+        # to 1e2, the parameters (|p| < 8) stay within a few ulps of
+        # p - lr*(m/c1) / (sqrt(v/c2) + eps). A wrong correction moves them by
+        # about lr.
+        n, lr, b1, b2, eps = ADAM_BLOCK + 1000, 1e-3, 0.9, 0.999, 1e-8
+        rng = make_rng(11)
+        p = rng.standard_normal(n)
+        state = Adam(n, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        want, m, v = p.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 201):
+            g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+            adam_step(p, g, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            want = want - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert np.abs(p - want).max() < 1e-14
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
