@@ -5,60 +5,34 @@ Entity names share surface tokens ("north castle" vs "north harbor"), the
 training split is small, and a third of the test facts never appear in a
 training sentence. Attention (A) and pre-trained word/KG embeddings (W, G)
 are toggled; the qualitative ordering is what matters at this scale, not
-absolute numbers. Three seeds per cell keep the demo around two minutes;
-the acceptance suite runs the five-seed version.
+absolute numbers. The demo runs the command line's own sub-commands:
+make-synthetic writes the world, kg-embed trains its TransE vectors, and
+ablation trains and scores every cell of the grid. Three seeds per cell
+keep it to well under a minute on one core; the acceptance suite runs the
+five-seed version.
 """
 
-import statistics
+import sys
+import tempfile
+from pathlib import Path
 
-import numpy as np
+from text2triple.cli import main
 
-from text2triple.corpus import Dataset
-from text2triple.embeddings import TransEConfig, decoder_init_table, transe_train
-from text2triple.model import ModelConfig, train, translate_greedy
-from text2triple.numerics import make_rng, uniform_init
-from text2triple.scoring import evaluate, format_ablation_grid
-from text2triple.synthetic import make_hard_world
-from text2triple.vocab import build_kg_vocab, build_word_vocab
+with tempfile.TemporaryDirectory() as tmp:
+    world, emb, config = Path(tmp) / "world", Path(tmp) / "emb", Path(tmp) / "grid.cfg"
+    config.write_text("word_dim=16\nkg_dim=16\nenc_hidden=16\ndec_hidden=32\n"
+                      "epochs=250\nbatch_size=4\npatience=35\nlr=3e-3\n", encoding="utf-8")
+    steps = [
+        ["make-synthetic", "--hard", "--seed", "17", "--word-dim", "16", "--out", str(world)],
+        ["kg-embed", "--kg", str(world / "kg.tsv"), "--dim", "16", "--epochs", "150",
+         "--seed", "17", "--out", str(emb)],
+        ["ablation", "--config", str(config), "--train", str(world / "train.jsonl"),
+         "--dev", str(world / "dev.jsonl"), "--test", str(world / "test.jsonl"),
+         "--word-vectors", str(world / "words.vec"), "--kg-embeddings", str(emb),
+         "--grid", "none;A;A,W;A,W,G", "--seeds", "1,2,3"],
+    ]
+    for argv in steps:
+        if main(argv) != 0:
+            sys.exit(f"text2triple {argv[0]} failed")
 
-world = make_hard_world(seed=17, word_dim=16)
-word_vocab = build_word_vocab([list(ex.tokens) for ex in world.train])
-tvocab = build_kg_vocab(world.kg.triples)
-emb = transe_train(world.kg, TransEConfig(dim=16, epochs=150, seed=17))
-dataset = Dataset(train=world.train, dev=world.dev)
-print(f"train {len(world.train)} / dev {len(world.dev)} / test {len(world.test)} "
-      f"sentences over {len(tvocab.entities)} confusable entities\n")
-
-
-def run(flags: str, seed: int) -> float:
-    config = ModelConfig(
-        word_dim=16, kg_dim=16, enc_hidden=16, dec_hidden=32,
-        use_attention="A" in flags, use_word_init="W" in flags,
-        use_kg_init="G" in flags,
-        seed=seed, epochs=250, batch_size=4, patience=35, lr=3e-3,
-    )
-    rng = make_rng(seed + 1000)
-    word_init = np.vstack([
-        world.word_vectors.get(tok, uniform_init(16, rng))
-        for tok in word_vocab.tokens
-    ]) if "W" in flags else None
-    kg_init = decoder_init_table(emb, tvocab, 16, rng)[0] if "G" in flags else None
-    result = train(dataset, word_vocab, tvocab, config,
-                   word_init=word_init, kg_init=kg_init)
-    preds = [translate_greedy(ex.tokens, result.params, word_vocab, tvocab,
-                              config).triple for ex in world.test]
-    return evaluate(preds, [ex.gold for ex in world.test]).f1
-
-
-seeds = (1, 2, 3)
-grid = {}
-for flags, label in (("", "Seq2Seq"), ("A", "S+A"), ("AW", "S+A+W"),
-                     ("AWG", "S+A+W+G")):
-    scores = [run(flags, s) for s in seeds]
-    grid[label] = {"hard-synthetic": scores}
-    print(f"{label:10s} median {statistics.median(scores):.3f}  "
-          f"per-seed {[f'{v:.3f}' for v in scores]}")
-
-print()
-print(format_ablation_grid(grid))
 print("\nSame seeds for every row; only the flags differ.")

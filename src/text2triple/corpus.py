@@ -14,7 +14,8 @@ probed only at tokens that start some alias, and only with the lengths that
 fit, so a token that starts no alias costs one dict lookup. A sentence's
 mentions are claimed greedily over non-overlapping spans, longest alias
 first, then by alias, then by entity, then by position. A triple whose
-subject is its object (a self-loop) needs two mentions of that entity.
+subject is its object (a self-loop) needs two mentions of that entity. A
+KG's symbol tables, ``vocab``, are likewise built once and kept.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .vocab import DataError, read_lines, tokenize
+from .vocab import DataError, TripleVocab, build_kg_vocab, read_lines, tokenize
 
 __all__ = [
     "AlignmentIndex",
@@ -80,8 +81,8 @@ class AlignmentIndex(NamedTuple):
 class KnowledgeGraph:
     """Deduplicated triple set plus entity surface forms (token tuples).
 
-    Frozen, and ``surface_forms`` is a read-only copy, so the alignment
-    index cached on first use can never go stale.
+    Frozen, and ``surface_forms`` is a read-only copy, so what it caches on
+    first use, the alignment index and ``vocab``, can never go stale.
     """
 
     triples: frozenset[Triple]
@@ -97,13 +98,13 @@ class KnowledgeGraph:
                 raise ValueError(f"entity {ent!r} has an empty alias")
 
     def entity_list(self) -> tuple[str, ...]:
-        """Sorted subjects and objects, built on first use and cached."""
-        return self._entity_list
+        """Sorted subjects and objects: the entity table of ``vocab``."""
+        return self.vocab.entities
 
     @functools.cached_property
-    def _entity_list(self) -> tuple[str, ...]:
-        ents = {t.subject for t in self.triples} | {t.object for t in self.triples}
-        return tuple(sorted(ents))
+    def vocab(self) -> TripleVocab:
+        """``build_kg_vocab(self.triples)``, built on first use and cached."""
+        return build_kg_vocab(self.triples)
 
     @functools.cached_property
     def alignment_index(self) -> AlignmentIndex:

@@ -6,10 +6,11 @@ the dissimilarity ||h + r - t|| (L1 or L2). Training minimizes the margin
 ranking loss sum(max(0, margin + score(pos) - score(neg))) with filtered
 uniform corruption and renormalizes entity rows to the unit sphere after
 every batch. It runs on one stacked table of entity and relation rows:
-``KgRows`` maps the KG to row ids once per run, negatives are drawn a span
-of minibatches at a time and filtered against its integer membership codes,
-and each minibatch is one gather and one scatter. ``_score_rows`` is the one
-L2 rule (numpy's own sum, no BLAS) for scores, gradients and renormalization.
+``KgRows`` maps the KG to row ids once per run, on the symbol tables the KG
+caches (``kg.vocab``), negatives are drawn a span of minibatches at a time
+and filtered against its integer membership codes, and each minibatch is
+one gather and one scatter. ``_score_rows`` is the one L2 rule (numpy's own
+sum, no BLAS) for scores, gradients and renormalization.
 Word vectors are loaded from a textual file; vocabulary rows the file does
 not cover fall back to uniform random init.
 
@@ -32,7 +33,8 @@ Word vectors and KG embeddings share one text format, read by
 ``symbol v1 .. v_d`` per line with finite values. The reader returns every
 row in file order; each user applies its own policy. ``word_init_table``
 keeps the first row of a repeated token and accepts an empty file;
-``load_kg_embeddings`` rejects a repeated symbol and a file with no vectors.
+``load_kg_embeddings`` reads both files at its manifest's dim and rejects a
+repeated symbol and a file with no vectors.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from .corpus import KnowledgeGraph, Triple
 from .numerics import add_rows, check_fields, make_rng, uniform_init
-from .vocab import RESERVED_TOKENS, SymbolError, TripleVocab, WordVocab, build_kg_vocab
+from .vocab import RESERVED_TOKENS, SymbolError, TripleVocab, WordVocab
 from .vocab import check_symbols, read_lines
 
 __all__ = [
@@ -183,10 +185,10 @@ _MAX_DRAWS = 100  # rejected draws of one triple before it enumerates instead
 
 @dataclass(frozen=True, eq=False)
 class KgRows:
-    """A KG on the rows of its own ``build_kg_vocab`` tables, the integer
+    """A KG on the rows of its own symbol tables, ``kg.vocab``, the integer
     form TransE trains on.
 
-    Rows follow symbol order, so entity row i is ``kg.entity_list()[i]``.
+    Rows follow ``kg.vocab``, so entity row i is ``kg.entity_list()[i]``.
     ``ids`` holds the (head, relation, tail) rows of ``sorted(kg.triples)``,
     in that order. ``codes`` holds each triple's ``(h*R + r)*N + t``, for R
     relation and N entity rows, so a candidate's membership is one lookup of
@@ -203,7 +205,7 @@ class KgRows:
 
     @classmethod
     def of(cls, kg: KnowledgeGraph) -> KgRows:
-        vocab = build_kg_vocab(kg.triples)
+        vocab = kg.vocab
         erows, prows = vocab.entity_rows, vocab.predicate_rows
         ids = np.array([x for s, p, o in kg.triples for x in (erows[s], prows[p], erows[o])],
                        dtype=np.intp).reshape(-1, 3)
@@ -612,20 +614,17 @@ def _read_manifest(path: Path) -> tuple[int, str]:
 def load_kg_embeddings(in_dir) -> KgEmbeddings:
     """Read the tables of kg_embedding_files from a directory.
 
-    The manifest's dim must equal the width of both vector files, and a
-    symbol may appear in a file only once.
+    Both vector files are read at the manifest's dim, and a symbol may
+    appear in a file only once.
     """
     in_dir = Path(in_dir)
     dim, norm = _read_manifest(in_dir / MANIFEST_FILE)
     paths = {"entity": in_dir / ENTITIES_FILE, "predicate": in_dir / RELATIONS_FILE}
     tables = []
     for path in paths.values():
-        symbols, table = read_vector_file(path)
+        symbols, table = read_vector_file(path, dim)
         if not symbols:
             raise ValueError(f"{path}: no vectors found")
-        if table.shape[1] != dim:
-            raise ValueError(f"{in_dir / MANIFEST_FILE}: dim {dim} does not match "
-                             f"the {table.shape[1]}-wide vectors of {path.name}")
         tables.append((symbols, table))
     (ents, etab), (rels, rtab) = tables
     try:

@@ -13,7 +13,8 @@ The parameters are stated once, by `_param_layout`, and live in one float64
 vector; `ModelParams` names views into it. Initialization fills the vector
 with one draw, the gradients fill a vector with the same views (`train`
 keeps one such vector for the whole run), Adam and clipping update them in
-place, and a checkpoint's payload is its bytes.
+place, and a checkpoint's payload is its bytes: `load_checkpoint` checks the
+header's config and vocabularies, then its array table, then the payload.
 
 Gradients are hand-derived and exact. Every LSTM runs forward as a
 `numerics.lstm_sequence` scan and backward through `lstm_sequence_backward`;
@@ -374,8 +375,7 @@ def _bridge(final: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def _attention(q: np.ndarray, enc: EncoderOutputs) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative attention of queries q (B, K, dec_hidden) over enc.H:
-    weights (B, K, T), exactly 0 on padding, and contexts (B, K, 2*enc_hidden).
-    A batch of one encoding broadcasts against K queries of many rows."""
+    weights (B, K, T), exactly 0 on padding, and contexts (B, K, 2*enc_hidden)."""
     scores = q @ enc.AH.transpose(0, 2, 1)
     if enc.pad is not None:
         scores = np.where(enc.pad, -np.inf, scores)
@@ -810,7 +810,7 @@ def checkpoint_bytes(
         "words": list(word_vocab.tokens),
         "entities": list(tvocab.entities),
         "predicates": list(tvocab.predicates),
-        "arrays": [{"name": k, "shape": list(shape)} for k, shape in params.layout],
+        "arrays": _array_table(params.layout),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -823,15 +823,21 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, word_vocab: 
     write_files({path: checkpoint_bytes(params, config, word_vocab, tvocab)})
 
 
+def _array_table(layout: Layout) -> list[dict]:
+    """The header's array table: one {"name", "shape"} entry per layout entry."""
+    return [{"name": name, "shape": list(shape)} for name, shape in layout]
+
+
 _HEADER_KEYS = ("arrays", "config", "entities", "payload_sha256", "predicates", "words")
 _CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVocab]:
-    """Read a checkpoint, validating version, integrity and the array table.
+    """Read a checkpoint: header, then array table, then payload.
 
-    The table must equal the _param_layout that the header's config and vocabs
-    imply, entry for entry. Every defect in the file raises CheckpointError.
+    The table must be the one checkpoint_bytes writes for the _param_layout
+    that the header's config and vocabs fix, compared as JSON entry for
+    entry. Every defect in the file raises CheckpointError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -862,24 +868,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
     unknown = sorted(header.keys() - {"version", *_HEADER_KEYS})
     if unknown:
         raise CheckpointError(f"{path}: header has unknown keys {', '.join(unknown)}")
-    entries = header["arrays"]
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str)
-        and isinstance(e.get("shape"), list)
-        and all(type(n) is int and n >= 0 for n in e["shape"])
-        for e in entries
-    ):
-        raise CheckpointError(f"{path}: malformed array table (each entry needs a "
-                              f"name and a list of non-negative int dimensions)")
-    payload = data[off:]
-    expect = sum(8 * math.prod(a["shape"]) for a in entries)
-    if len(payload) != expect:
-        raise CheckpointError(
-            f"{path}: truncated payload ({len(payload)} bytes, expected {expect})"
-        )
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
-        raise CheckpointError(f"{path}: payload checksum mismatch")
-
     cfg_dict = header["config"]
     keys = cfg_dict.keys() if isinstance(cfg_dict, dict) else set()
     if keys != _CONFIG_KEYS:
@@ -893,15 +881,24 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, WordVocab, TripleVo
         raise CheckpointError(f"{path}: {exc}") from exc
 
     layout = _param_layout(config, len(word_vocab), tvocab.n_targets)
-    found = [(e["name"], tuple(e["shape"])) for e in entries]
-    if found != layout:
-        i, got, want = next(
-            (i, f, w) for i, (f, w) in enumerate(zip_longest(found, layout)) if f != w
+    # compared as JSON text, so a dimension 32.0 or true is not the 32 or 1 it equals
+    table = header["arrays"]
+    found = ([json.dumps(e, sort_keys=True) for e in table] if isinstance(table, list)
+             else [f"{json.dumps(table, sort_keys=True)} (not a list)"])
+    want = [json.dumps(e, sort_keys=True) for e in _array_table(layout)]
+    if found != want:
+        i, got, expected = next(
+            (i, f, w) for i, (f, w) in enumerate(zip_longest(found, want)) if f != w
         )
         raise CheckpointError(
             f"{path}: array table inconsistent with config and vocab at entry {i}: "
-            f"found {got or 'nothing'}, expected {want or 'nothing'}"
+            f"found {got or 'nothing'}, expected {expected or 'nothing'}"
         )
+    payload, size = data[off:], 8 * _size(layout)
+    if len(payload) != size:
+        raise CheckpointError(f"{path}: truncated payload ({len(payload)} bytes, expected {size})")
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise CheckpointError(f"{path}: payload checksum mismatch")
     vec = np.frombuffer(payload, "<f8").astype(np.float64)
     params = ModelParams.view(vec, layout)
     return params, config, word_vocab, tvocab

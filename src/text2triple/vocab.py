@@ -131,7 +131,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class WordVocab:
-    """token <-> id bijection with PAD=0, UNK=1, BOS=2 reserved."""
+    """token <-> id bijection with PAD=0, UNK=1, BOS=2 reserved; tokens are symbols."""
 
     tokens: tuple[str, ...]
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -139,12 +139,7 @@ class WordVocab:
     def __post_init__(self):
         if tuple(self.tokens[:3]) != RESERVED_TOKENS:
             raise ValueError(f"word vocab must start with {RESERVED_TOKENS}")
-        self._ids = {}
-        for i, tok in enumerate(self.tokens):
-            if not isinstance(tok, str):
-                raise ValueError(f"word vocab token {tok!r} is not a string")
-            if self._ids.setdefault(tok, i) != i:
-                raise ValueError(f"duplicate word vocab token {tok!r}")
+        self._ids = _symbol_rows("word", self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -173,7 +168,7 @@ def encode_sentence(tokens: Sequence[str], vocab: WordVocab) -> list[int]:
 
 
 class SymbolError(ValueError):
-    """A non-string, empty or repeated symbol in the "entity" or "predicate" ``table``."""
+    """A non-string, empty or repeated symbol in the "word", "entity" or "predicate" ``table``."""
 
     def __init__(self, table: str, message: str):
         super().__init__(message)

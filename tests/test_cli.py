@@ -854,7 +854,6 @@ def kg_embeddings_dir(table1_dir, tmp_path_factory):
     ('{"dim": true, "norm": "L2"}', "dim must be an integer, got True"),
     ('{"dim": 4, "norm": "L3"}', "norm must be one of ('L1', 'L2'), got 'L3'"),
     ('{"dim": 4}', "norm must be one of ('L1', 'L2'), got None"),
-    ('{"dim": 5, "norm": "L2"}', "dim 5 does not match the 4-wide vectors of entities.vec"),
 ])
 def test_defective_kg_manifest_one_line_error(text, message, kg_embeddings_dir, table1_dir,
                                               tmp_path, capsys):
@@ -868,6 +867,22 @@ def test_defective_kg_manifest_one_line_error(text, message, kg_embeddings_dir, 
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert code == 1
     assert len(errors) == 1 and errors[0].startswith(f"error: {manifest}: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_kg_manifest_dim_checked_by_the_vector_reader(kg_embeddings_dir, table1_dir, tmp_path,
+                                                      capsys):
+    # the manifest says 5; the vector files are 4 wide
+    emb = tmp_path / "emb"
+    shutil.copytree(kg_embeddings_dir, emb)
+    (emb / embeddings.MANIFEST_FILE).write_text('{"dim": 5, "norm": "L2"}', encoding="utf-8")
+    code = cli.main(["train", "--train", str(table1_dir / "train.jsonl"),
+                     "--kg-embeddings", str(emb), "--out", str(tmp_path / "m.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: {emb / embeddings.ENTITIES_FILE}:1: header dimension 4, expected 5"]
     assert "Traceback" not in err
     assert not (tmp_path / "m.ckpt").exists()
 

@@ -16,7 +16,8 @@ from text2triple.corpus import (
     examples_text,
     load_surface_forms,
 )
-from text2triple import vocab
+from text2triple import corpus, vocab
+from text2triple.embeddings import KgRows, TransEConfig, transe_train
 from text2triple.numerics import make_rng
 
 TABLE1 = Triple("dbr:Germany", "dbo:capital", "dbr:Berlin")
@@ -127,6 +128,26 @@ def make_kg():
         frozenset({TABLE1}),
         {"dbr:Germany": (("germany",),), "dbr:Berlin": (("berlin",),)},
     )
+
+
+class TestKgVocab:
+    def test_one_vocab_for_entity_list_and_transe(self, monkeypatch):
+        built = []
+
+        def counting(triples):
+            built.append(triples)
+            return vocab.build_kg_vocab(triples)
+
+        monkeypatch.setattr(corpus, "build_kg_vocab", counting)
+        kg = KnowledgeGraph(frozenset({TABLE1, Triple("dbr:Berlin", "dbo:country",
+                                                      "dbr:Germany")}))
+        assert kg.entity_list() == kg.vocab.entities == ("dbr:Berlin", "dbr:Germany")
+        assert kg.vocab == vocab.build_kg_vocab(kg.triples)
+        assert KgRows.of(kg).vocab is kg.vocab
+        config = TransEConfig(dim=2, epochs=1, seed=3)
+        transe_train(kg, config)
+        transe_train(kg, config)
+        assert built == [kg.triples]
 
 
 class TestDistantSupervision:

@@ -1,8 +1,8 @@
 """Demos 01-04 run to completion against the current library.
 
-Demo 05 (the full ablation grid, over two minutes) is not run. It is
-compiled, and every name it imports from text2triple must exist and take
-the arguments the demo passes it.
+Demo 05 (the ablation grid through the command line, about 15 s on one
+core) is not run. It is compiled, and every name it imports from
+text2triple must exist and take the arguments the demo passes it.
 """
 
 import ast

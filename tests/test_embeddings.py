@@ -1,6 +1,7 @@
 """TransE scoring/training, negative sampling and vector-file loading."""
 
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -920,6 +921,17 @@ class TestKgEmbeddingIo:
         assert lines[0] == "16 4"
         path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"entities\.vec:1: header says 16 rows, file has 13$"):
+            load_kg_embeddings(out)
+
+    def test_headerless_file_wider_than_manifest_dim_rejected_with_line(self, tmp_path):
+        out = self.saved(tmp_path)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        (out / "manifest.json").write_text(json.dumps({**manifest, "dim": 1}), encoding="utf-8")
+        path = out / "entities.vec"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        assert header.split()[1] == "2"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"entities\.vec:1: expected 1 vector values, got 2$"):
             load_kg_embeddings(out)
 
     def test_empty_file_rejected(self, tmp_path):

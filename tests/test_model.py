@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -792,9 +793,25 @@ HEADER_DEFECTS = {
     "no config": (_without("config"), "lacks config"),
     "retired precision key": (lambda header: {**header, "precision": "float32"},
                               r"m\.ckpt: header has unknown keys precision$"),
-    "string shape": (_set_array("out_b", shape="10"), "malformed array table"),
-    "string dimension": (_set_array("out_b", shape=["10"]), "malformed array table"),
-    "negative dimension": (_set_array("out_b", shape=[-10]), "malformed array table"),
+    "string shape": (_set_array("out_b", shape="10"),
+                     r'entry 12: found \{"name": "out_b", "shape": "10"\}, '
+                     r'expected \{"name": "out_b", "shape": \[10\]\}$'),
+    "string dimension": (_set_array("out_b", shape=["10"]),
+                         r'entry 12: found \{"name": "out_b", "shape": \["10"\]\}, '),
+    "negative dimension": (_set_array("out_b", shape=[-10]),
+                           r'entry 12: found \{"name": "out_b", "shape": \[-10\]\}, '),
+    "float table dimension": (_set_array("enc_fwd.W", shape=[32.0, 16]),
+                              r'entry 1: found \{"name": "enc_fwd.W", "shape": \[32.0, 16\]\}, '
+                              r'expected \{"name": "enc_fwd.W", "shape": \[32, 16\]\}$'),
+    "boolean table dimension": (_set_array("out_b", shape=[True]),
+                                r'entry 12: found \{"name": "out_b", "shape": \[true\]\}, '),
+    "extra entry key": (_set_array("out_b", dtype="<f8"),
+                        r'entry 12: found \{"dtype": "<f8", "name": "out_b", "shape": \[10\]\}, '
+                        r'expected \{"name": "out_b", "shape": \[10\]\}$'),
+    # the first entry alone: reported at entry 0 all the same
+    "table not a list": (lambda header: {**header, "arrays": header["arrays"][0]},
+                         r'entry 0: found \{"name": "enc_embed", "shape": \[20, 8\]\} '
+                         r'\(not a list\), expected \{"name": "enc_embed", '),
     "unknown config key": (_config(bogus=1), r"m\.ckpt: config keys differ from ModelConfig "
                                              r"fields: unexpected \['bogus'\], missing \[\]$"),
     "retired step_weights key": (_config(step_weights=[1.0, 1.0, 1.0]),
@@ -804,8 +821,8 @@ HEADER_DEFECTS = {
                              r"m\.ckpt: config keys differ from ModelConfig fields: "
                              r"unexpected \[\], missing \['adam_eps', 'batch_size', "),
     "non-string entity": (_symbol("entities", 1, 7), r"m\.ckpt: entity symbol 7 is not a string"),
-    "non-string word": (_symbol("words", 3, None),
-                        r"m\.ckpt: word vocab token None is not a string"),
+    "non-string word": (_symbol("words", 3, None), r"m\.ckpt: word symbol None is not a string$"),
+    "empty word": (_symbol("words", 3, ""), r"m\.ckpt: empty word symbol$"),
     "missing config key": (
         lambda header: {**header, "config": {k: v for k, v in header["config"].items()
                                              if k != "seed"}},
@@ -826,15 +843,18 @@ HEADER_DEFECTS = {
     ),
     "missing gate": (
         _set_array("enc_fwd.W", name="enc_fwd.W_x"),
-        r"entry 1: found \('enc_fwd.W_x', \(32, 16\)\), expected \('enc_fwd.W', \(32, 16\)\)",
+        r'entry 1: found \{"name": "enc_fwd.W_x", "shape": \[32, 16\]\}, '
+        r'expected \{"name": "enc_fwd.W", "shape": \[32, 16\]\}$',
     ),
     "gate shapes": (
         _set_array("enc_fwd.b", shape=[4, 8]),  # one bias row per gate, same size
-        r"entry 2: found \('enc_fwd.b', \(4, 8\)\), expected \('enc_fwd.b', \(32,\)\)",
+        r'entry 2: found \{"name": "enc_fwd.b", "shape": \[4, 8\]\}, '
+        r'expected \{"name": "enc_fwd.b", "shape": \[32\]\}$',
     ),
     "LSTM dimensions": (
         _encoder_reshaped,
-        r"entry 1: found \('enc_fwd.W', \(16, 33\)\), expected \('enc_fwd.W', \(32, 16\)\)",
+        r'entry 1: found \{"name": "enc_fwd.W", "shape": \[16, 33\]\}, '
+        r'expected \{"name": "enc_fwd.W", "shape": \[32, 16\]\}$',
     ),
 }
 
@@ -941,8 +961,19 @@ class TestCheckpoint:
 
         rewrite_checkpoint_header(path, path, edit)
         path.write_bytes(path.read_bytes() + extra)
-        with pytest.raises(CheckpointError, match=r"entry 13: found \('extra', \(2,\)\), "
-                                                  r"expected nothing"):
+        with pytest.raises(CheckpointError, match=r'entry 13: found \{"name": "extra", '
+                                                  r'"shape": \[2\]\}, expected nothing$'):
+            load_checkpoint(path)
+
+    def test_dimension_one_written_as_true_rejected(self, tmp_path):
+        # payload and checksum still fit: true == 1 in Python, not in the JSON table
+        word_vocab, tvocab = tiny_vocabs()
+        config = replace(TINY, word_dim=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, tiny_params(config), config, word_vocab, tvocab)
+        rewrite_checkpoint_header(path, path, _set_array("enc_embed", shape=[20, True]))
+        with pytest.raises(CheckpointError, match=r'entry 0: found \{"name": "enc_embed", '
+                                                  r'"shape": \[20, true\]\}, '):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))

@@ -80,8 +80,9 @@ class TestWordVocab:
             build_word_vocab([], min_count=0)
 
     def test_repeated_token_is_named(self):
-        with pytest.raises(ValueError, match="^duplicate word vocab token 'x'$"):
+        with pytest.raises(SymbolError, match="^duplicate word symbol 'x'$") as info:
             WordVocab(RESERVED_TOKENS + ("x", "y", "x"))
+        assert info.value.table == "word"
 
 
 class TestEncodeSentence:

@@ -10,10 +10,7 @@ once per side, each in a fresh process started in that side's checkout:
 the export for the parent, the repository's working tree for the change.
 With a seed range ``A-B``, pair i runs seed ``A + i mod (B - A + 1)``.
 Even pairs run the parent first, odd pairs the change first. Each child
-gets ``CHILD_ENV`` in its own environment: one BLAS thread, and glibc's
-mmap threshold fixed at 32 MiB and trim threshold at 64 MiB. Fixing them
-turns off glibc's sliding mmap threshold, so every block below 32 MiB
-comes from the heap, whatever the run freed before. This process's
+gets ``CHILD_ENV`` in its own environment: one BLAS thread. This process's
 environment is left as it is.
 
 It reads each run's last output line, the JSON result, and writes
@@ -48,8 +45,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
-             "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def parse_seeds(text: str) -> range:
@@ -174,8 +170,6 @@ def environment() -> dict:
         "blas": blas.get("openblas configuration") or blas.get("name"),
         "blas_kernel": _openblas_kernel(),
         "blas_threads": int(CHILD_ENV["OPENBLAS_NUM_THREADS"]),
-        "malloc_mmap_threshold": int(CHILD_ENV["MALLOC_MMAP_THRESHOLD_"]),
-        "malloc_trim_threshold": int(CHILD_ENV["MALLOC_TRIM_THRESHOLD_"]),
     }
 
 
