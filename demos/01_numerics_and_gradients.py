@@ -2,7 +2,7 @@
 """A tour of the numeric building blocks and the gradient-checking oracle.
 
 Everything the network does reduces to a handful of float64 primitives. The
-LSTM has one exact backward, over a padded sequence scan, and the
+LSTM has one exact backward, over a sequence scan, and the
 finite-difference checker is the referee: if an analytic gradient drifts
 from central differences, something is wrong.
 """
@@ -29,16 +29,15 @@ h, c = lstm_cell(x, h0, c0, w)
 print("h:", np.round(h, 4), sep="\n")
 print("c:", np.round(c, 4), sep="\n")
 
-print("\n== a padded sequence scan and its exact backward ==")
-# three rows of lengths 4, 1 and 3, time-major: X is (T, LSTMs, B, input_dim)
-lengths = np.array([4, 1, 3])
+print("\n== a sequence scan and its exact backward ==")
+# three rows of four steps, time-major: X is (T, LSTMs, B, input_dim)
 X = rng.standard_normal((4, 1, 3, 3))
 proj = rng.standard_normal((4, 1, 3, 4))  # loss = sum(proj * hs)
 
 
 def loss_and_grads(X, W, b):
     weights = LstmWeights(W, b)
-    hs, cache = lstm_sequence(X, (weights,), lengths=lengths)
+    hs, cache = lstm_sequence(X, (weights,))
     dw = LstmWeights(np.empty_like(W), np.empty_like(b))
     dX, _ = lstm_sequence_backward(proj, cache, (weights,), (dw,))
     return float((proj * hs).sum()), {"X": dX, "W": dw.W, "b": dw.b}
@@ -52,6 +51,3 @@ for name in base:  # the checker perturbs one array, the others stay put
 
     err = grad_check_fd(loss_and_grad, base[name], eps=1e-5)
     print(f"{name:>2} {base[name].shape}: max relative error vs central differences {err:.2e}")
-_, grads = loss_and_grads(**base)
-print("padded steps take gradient exactly 0:",
-      all((grads["X"][n:, 0, row] == 0.0).all() for row, n in enumerate(lengths)))

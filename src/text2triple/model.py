@@ -29,11 +29,11 @@ deterministic given the seed.
 
 One batched core serves every caller. A batch of B sources is padded to its
 longest row, T ids. Both encoder LSTMs run in one scan over the (T, B)
-batch, the backward one over each row reversed; a length mask freezes each
-row's state past its end, so the last step holds every final state.
-Attention gives padded positions weight exactly 0, and the backward pass
-gives them gradient exactly 0. Training runs one padded forward/backward
-pass per minibatch (under teacher forcing the three decoder steps are one
+batch, the backward one over each row reversed, and each row's final
+states are read at its last real step. Padded positions hold exact zeros,
+attention gives them weight exactly 0, and the backward pass gives them
+gradient exactly 0. Training runs one padded forward/backward pass per
+minibatch (under teacher forcing the three decoder steps are one
 sequence). One loop, `_decode`, decodes: beam search over chunks of
 DECODE_BATCH sources, each step running all their live hypotheses as one
 batch, with greedy decoding as its width-1 case. Dev scoring and
@@ -299,10 +299,10 @@ class TrainResult:
 # Training, dev scoring, eval, translate and beam search all run the same
 # padded batch of B sources. Inside the LSTM scans the encoder is time-major,
 # (T, direction, B, .); attention reads it batch-major, (B, T, .). Position t
-# of row b is padding when t is past that source's length: the LSTMs freeze
-# the row's state there, attention gives it weight exactly 0, and its
-# gradients are exactly 0. The single-sentence functions below are B=1 views
-# of this core.
+# of row b is padding when t is past that source's length: the LSTMs run on
+# there, but no final state is read from it, its encoder states are exact
+# zeros, attention gives it weight exactly 0, and its gradients are exactly
+# 0. The single-sentence functions below are B=1 views of this core.
 
 DECODE_BATCH = 64  # sources per decoding chunk, each with up to `width` hypotheses
 
@@ -313,7 +313,7 @@ class EncoderOutputs:
     concatenated hidden states, the concatenated final states, the padding
     mask and the states' attention projection."""
 
-    H: np.ndarray            # (B, T, 2*enc_hidden); finite filler on padding
+    H: np.ndarray            # (B, T, 2*enc_hidden); exact zeros on padding
     final: np.ndarray        # (B, 2*enc_hidden): [fwd state at end; bwd state at start]
     pad: np.ndarray | None   # (B, 1, T), True on padding; None when no row is padded
     AH: np.ndarray | None    # (B, T, dec_hidden) = H @ attn_w.T, iff attention
@@ -336,8 +336,11 @@ def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config:
     """Bidirectional encoder over a batch of id lists, each cut to
     max_src_len; returns (enc, cache).
 
-    Both LSTMs run in one scan. The backward one reads each row reversed,
-    so it too meets the row's padding last.
+    Both LSTMs run in one scan over all T steps. The backward one reads
+    each row reversed, so it too meets the row's padding last, and both
+    final states of row b are its states at step lengths[b] - 1. H is
+    exactly zero on padding, so nothing the PAD embedding holds reaches
+    attention.
     """
     sources = [list(s[:config.max_src_len]) for s in sources]
     lengths = [len(s) for s in sources]
@@ -350,19 +353,18 @@ def _encode_batch(sources: Sequence[Sequence[int]], params: ModelParams, config:
         both_ids[:len(s), 0, b] = s
         both_ids[:len(s), 1, b] = s[::-1]
     live = np.arange(T)[:, None] < np.array(lengths)                # (T, B)
-    padded = min(lengths) < T
-    hs, lstm_cache = lstm_sequence(
-        params.enc_embed[both_ids], (params.enc_fwd, params.enc_bwd),
-        lengths=np.array(lengths) if padded else None,
-    )
+    pad = ~live.T if min(lengths) < T else None                     # (B, T)
+    hs, lstm_cache = lstm_sequence(params.enc_embed[both_ids], (params.enc_fwd, params.enc_bwd))
     H = np.zeros((B, T, 2 * nh))
     H[:, :, :nh] = hs[:, 0].transpose(1, 0, 2)
+    if pad is not None:
+        H[pad] = 0.0
     for b, n in enumerate(lengths):
         H[b, :n, nh:] = hs[n - 1::-1, 1, b]
     enc = EncoderOutputs(
         H=H,
-        final=np.concatenate([hs[-1, 0], hs[-1, 1]], axis=1),
-        pad=~live.T[:, None, :] if padded else None,
+        final=hs[np.array(lengths) - 1, :, np.arange(B)].reshape(B, 2 * nh),
+        pad=None if pad is None else pad[:, None, :],
         AH=(H.reshape(B * T, 2 * nh) @ params.attn_w.T).reshape(B, T, -1)
         if config.use_attention else None,
     )
@@ -517,12 +519,13 @@ def _loss_and_grads(
     dh0 = dh0[0]
     add_rows(grads.dec_embed, prev, dx_dec[:, 0])
 
-    # Bridge, then the encoder: the final state feeds the last forward step
-    # and the last step of the reversed backward scan.
+    # Bridge, then the encoder: each row's final state feeds its last real
+    # step of both scans. Past it the upstream gradient is exactly 0, so
+    # nothing flows back from padded steps.
     np.matmul(dh0.T, enc.final, out=grads.bridge_w)
     dh0.sum(axis=0, out=grads.bridge_b)
     dfinal = dh0 @ params.bridge_w
-    d_hs[-1] += dfinal.reshape(B, 2, nh).transpose(1, 0, 2)
+    d_hs[np.array(lengths) - 1, :, np.arange(B)] += dfinal.reshape(B, 2, nh)
     dx_enc, _ = lstm_sequence_backward(
         d_hs, enc_cache, (params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd)
     )

@@ -1,11 +1,12 @@
 """Dense float64 numerics underneath the triple translator.
 
 Hand-derived building blocks: LSTM weights, LstmWeights(W, b) with the gates
-stacked; one forward-only LSTM step over a batch, lstm_cell; one padded,
-length-masked LSTM sequence scan, lstm_sequence, with the package's one LSTM
-backward, lstm_sequence_backward; Adam in Kingma and Ba's efficient form;
-global-norm clipping; and a central-difference gradient checker over one array,
-the independent oracle for every backward pass. check_fields checks every
+stacked; one forward-only LSTM step over a batch, lstm_cell; one LSTM
+sequence scan, lstm_sequence, with the package's one LSTM backward,
+lstm_sequence_backward, both without a length mask, so padding is the
+caller's; Adam in Kingma and Ba's efficient form; global-norm clipping; and
+a central-difference gradient checker over one array, the independent oracle
+for every backward pass. check_fields checks every
 config's fields by their declared types. The loss, a cross-entropy, is not
 here: model._loss_and_grads forms it and its logits gradient from the
 log-probs. The LSTM activates its sigmoid gates and its tanh candidate with one
@@ -163,8 +164,6 @@ class LstmSequenceCache:
     c: np.ndarray            # (T + 1, G, B, H): zeros, then each step's cell
     gates: np.ndarray        # (T, 4, G, B, H): activated gates, gate-major
     tc: np.ndarray           # (T, G, B, H): tanh of each step's new cell
-    live: np.ndarray | None  # (T, B): step t of row b is inside its length
-    n_full: int              # steps for which every row is live
 
 
 # The cell's pointwise work runs on gate-major arrays (4, ..., H), so each
@@ -216,17 +215,16 @@ def lstm_sequence(
     X: np.ndarray,
     ws: Sequence[LstmWeights],
     h0: np.ndarray | None = None,
-    lengths: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LstmSequenceCache]:
-    """Run G independent LSTMs in lockstep over a padded, time-major batch.
+    """Run G independent LSTMs in lockstep over all T steps of a
+    time-major batch.
 
     X is (T, G, B, input_dim) and LSTM ws[g] reads X[:, g]; all share their
     dimensions. The input half of every pre-activation is one GEMM per LSTM
     over all T*B positions, so each step only multiplies h (G, B, H) by the
-    recurrent halves of W. Row b is live for its first lengths[b] steps
-    (all T when lengths is None); after that its h and c stay frozen, so
-    the last output step holds every row's final state. The cells start
-    from h0 (G, B, H), zeros when None, and zero cell states.
+    recurrent halves of W. The cells start from h0 (G, B, H), zeros when
+    None, and zero cell states. Every row runs every step: a caller that
+    pads rows reads each row's final state where the row ends.
     Returns (hs (T, G, B, H), cache).
     """
     T, G, B, d = X.shape
@@ -245,18 +243,10 @@ def lstm_sequence(
     for g, w in enumerate(ws):
         w_h[:, g] = w.W[:, d:].reshape(4, n, n).transpose(0, 2, 1)
     tc = np.empty((T, G, B, n))
-    if lengths is None:
-        live, n_full = None, T
-    else:
-        live, n_full = np.arange(T)[:, None] < lengths, int(lengths.min())
     for t in range(T):
         gates[t] += h[t] @ w_h
         _cell_update(gates[t], c[t], tc[t], c[t + 1], h[t + 1])
-        if t >= n_full:
-            frozen = ~live[t][:, None]
-            np.copyto(c[t + 1], c[t], where=frozen)
-            np.copyto(h[t + 1], h[t], where=frozen)
-    return h[1:], LstmSequenceCache(X, h, c, gates, tc, live, n_full)
+    return h[1:], LstmSequenceCache(X, h, c, gates, tc)
 
 
 def lstm_sequence_backward(
@@ -267,11 +257,9 @@ def lstm_sequence_backward(
 
     dhs (T, G, B, H) is the upstream gradient on every output step. Writes
     each LSTM's weight gradients into dws[g], shaped like ws[g], and returns
-    (dX (T, G, B, input_dim), dh0 (G, B, H)). A step past a row's end passes
-    its gradient straight to the step before and its pre-activation gradient
-    is exactly zero, so padding adds nothing to dX or dws. The
-    pre-activation gradients of all steps fill one buffer, and each LSTM's
-    dW and dX are GEMMs over it.
+    (dX (T, G, B, input_dim), dh0 (G, B, H)). The pre-activation gradients
+    of all steps fill one buffer, and each LSTM's dW and dX are GEMMs over
+    it.
     """
     T, G, B, n = dhs.shape
     d = ws[0].input_dim
@@ -297,14 +285,7 @@ def lstm_sequence_backward(
         np.multiply(dh, cache.tc[t], out=dp[2])
         np.multiply(dc_total, gt[0], out=dp[3])
         dp *= derivs[t]
-        dh_new = (dp @ w_hT).sum(axis=0)
-        dc_new = dc_total * gt[1]
-        if t >= cache.n_full:
-            frozen = ~cache.live[t][:, None]
-            dp[:, :, frozen[:, 0]] = 0.0
-            np.copyto(dh_new, dh, where=frozen)
-            np.copyto(dc_new, dc, where=frozen)
-        dh, dc = dh_new, dc_new
+        dh, dc = (dp @ w_hT).sum(axis=0), dc_total * gt[1]
     dX = np.empty(cache.X.shape)
     for g, (w, dw) in enumerate(zip(ws, dws)):
         rows = d_pre[:, :, g].transpose(0, 2, 1, 3).reshape(T * B, 4 * n)

@@ -375,6 +375,27 @@ class TestPadding:
         assert loss2 == loss
         np.testing.assert_array_equal(grads2.vec, grads.vec)
 
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_decoding_does_not_read_the_pad_embedding(self, attention, width):
+        # The encoder LSTMs run on through padding, so their states there
+        # follow the PAD row; no decoded id, log-prob or attention weight may.
+        config = tiny_config(attention)
+        tvocab = tiny_vocab()
+        params = ModelParams.init(config, 12, tvocab.n_targets, make_rng(4))
+        sources, _ = random_batch(make_rng(5), [1, 5, 2], 12, tvocab)
+
+        def decoded(p):
+            return [[(r.ids, r.step_logprobs, None if r.attention is None else r.attention.tobytes())
+                     for r in hyps] for hyps in model._decode(sources, [0, 0, 0], p, config,
+                                                              tvocab, width)]
+
+        want = decoded(params)
+        for fill in (1e3, 1e300, -1e300, np.nan):
+            padded = params.copy()
+            padded.enc_embed[PAD_ID] = fill
+            assert decoded(padded) == want, fill
+
     def test_row_results_do_not_depend_on_batch_mates(self):
         # Greedy decoding of a row is the same whether it is padded in a
         # batch or decoded alone.
